@@ -8,7 +8,7 @@ inequality and decay-rate diagnostics.
 """
 
 from .grid import GridSpec
-from .spectral import PhysicalField, SpectralField, SpectralOps
+from .spectral import SpectralOps
 from .fields import (
     OseenParams,
     PerturbationSpec,
@@ -57,8 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridSpec",
-    "PhysicalField",
-    "SpectralField",
     "SpectralOps",
     "OseenParams",
     "PerturbationSpec",

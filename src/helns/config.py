@@ -121,6 +121,9 @@ class ExperimentConfig:
             )
         if not self.sigma > 0:
             bad.append(f"[initial] sigma must be positive, got {self.sigma}")
+        elif self.kind == "perturbed-oseen" and self.sigma > self.Lx / 16.0:
+            bad.append(f"[initial] sigma must not exceed Lx/16 = {self.Lx / 16.0:g} "
+                       f"for kind 'perturbed-oseen', got {self.sigma}")
         if not self.m > 1:
             bad.append(
                 f"[initial] m must exceed 1 (weighted-space embedding into integrable "

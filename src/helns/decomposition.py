@@ -8,8 +8,8 @@ where ``a`` is the circulation Reynolds number (total vertical vorticity per
 vertical period divided by the pitch), ``u_LO`` is the unit Lamb-Oseen
 velocity, and ``v`` is a square-integrable remainder.  The module also
 provides weighted vorticity norms, angular ring averaging of grid fields to
-radial profiles, and the radial mean-part pipeline (Biot-Savart plus Oseen
-extraction) used for reporting.
+radial profiles, and the radial mean-part pipeline (Biot-Savart, Oseen
+extraction and pointwise tail envelopes) used for reporting.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import logging
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .fields import oseen_vorticity
 from .grid import GridSpec
 from .radial import (
     RadialProfile,
+    bound_envelopes,
     mean_vorticity_from_utheta,
     oseen_extraction,
     radial_biot_savart,
@@ -37,13 +37,16 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "DecompositionResult",
     "circulation_a",
-    "circulation_from_profile",
     "decompose",
     "export_profile_csv",
     "ring_average",
     "ring_average_cylindrical",
     "weighted_l2m_norm",
 ]
+
+# Input gates of decompose: max |div omega| relative to max |omega|; helical defect.
+DIV_TOL = 1e-6
+DEFECT_TOL = 1e-4
 
 
 # --- circulation -------------------------------------------------------------
@@ -61,11 +64,6 @@ def circulation_a(omega: np.ndarray, grid: GridSpec) -> float:
         raise ValueError(f"expected vorticity of shape {(3,) + grid.shape}")
     total = float(np.sum(omega[2])) * grid.cell_volume
     return total / (2.0 * np.pi * grid.pitch)
-
-
-def circulation_from_profile(w_z: RadialProfile) -> float:
-    """Circulation of an axisymmetric vertical-vorticity profile: 2 pi int w r dr."""
-    return 2.0 * np.pi * w_z.integrate_r_dr()
 
 
 # --- weighted norms ------------------------------------------------------------
@@ -135,58 +133,29 @@ def _eval_spectral(spectra, grid: GridSpec, x: np.ndarray, y: np.ndarray):
     return [np.einsum("tx,xy,ty->t", ex, F, ey).real * scale for F in spectra]
 
 
-def _eval_bilinear(fields, grid: GridSpec, x: np.ndarray, y: np.ndarray):
-    """Periodic bilinear interpolation of 2D fields at scattered points."""
-    fx = (x % grid.Lx) / grid.dx
-    fy = (y % grid.Ly) / grid.dy
-    i0 = np.floor(fx).astype(int) % grid.nx
-    j0 = np.floor(fy).astype(int) % grid.ny
-    i1 = (i0 + 1) % grid.nx
-    j1 = (j0 + 1) % grid.ny
-    ax = fx - np.floor(fx)
-    ay = fy - np.floor(fy)
-    out = []
-    for f in fields:
-        out.append(
-            (1 - ax) * (1 - ay) * f[i0, j0]
-            + ax * (1 - ay) * f[i1, j0]
-            + (1 - ax) * ay * f[i0, j1]
-            + ax * ay * f[i1, j1]
-        )
-    return out
-
-
 def _ring_average_many(
     fields,
     grid: GridSpec,
     radii: np.ndarray,
     n_theta: int,
-    method: str,
     projector=None,
 ):
     """Angular means of several 2D fields on concentric rings.
 
-    ``projector(theta, values) -> values`` may recombine the raw component
+    The fields are sampled through their trigonometric interpolants.
+    ``projector(theta, values, r) -> values`` may recombine the raw component
     values at each ring point (e.g. into cylindrical components) before the
     angular mean is taken.
     """
-    if method not in ("spectral", "bilinear"):
-        raise ValueError("ring-average method must be 'spectral' or 'bilinear'")
     fields = [np.asarray(f, dtype=float) for f in fields]
     for f in fields:
         if f.shape != (grid.nx, grid.ny):
             raise ValueError("ring averaging expects 2D (nx, ny) fields")
-    if method == "spectral":
-        data = [np.fft.fft2(f) for f in fields]
-        evaluate = _eval_spectral
-    else:
-        data = fields
-        evaluate = _eval_bilinear
-    nprof = len(fields) if projector is None else projector.n_out
-    means = np.zeros((nprof, radii.size))
+    spectra = [np.fft.fft2(f) for f in fields]
+    means = np.zeros((len(fields), radii.size))
     for j, r in enumerate(radii):
         theta, x, y = _ring_points(grid, float(r), n_theta if r > 0 else 1)
-        vals = evaluate(data, grid, x, y)
+        vals = _eval_spectral(spectra, grid, x, y)
         if projector is not None:
             vals = projector(theta, vals, float(r))
         for c, v in enumerate(vals):
@@ -200,34 +169,28 @@ def ring_average(
     *,
     radii: np.ndarray | None = None,
     n_theta: int = 256,
-    method: str = "spectral",
 ) -> RadialProfile:
     """Angular average of a 2D scalar field about the vortex axis.
 
     The default radii are nx/2 uniform rings spaced by one cell width.  The
-    'spectral' method evaluates the trigonometric interpolant exactly at the
-    ring points, so the angular mean of a divergence-free field's radial
-    component vanishes to rounding; 'bilinear' is the cheap grid-sampling
-    alternative.
+    trigonometric interpolant is evaluated exactly at the ring points, so
+    the angular mean of a divergence-free field's radial component vanishes
+    to rounding.
     """
     if radii is None:
         radii = _default_radii(grid)
-    means = _ring_average_many([field], grid, np.asarray(radii, float), n_theta, method)
+    means = _ring_average_many([field], grid, np.asarray(radii, float), n_theta)
     return RadialProfile(np.asarray(radii, float), means[0])
 
 
-class _CylindricalProjector:
+def _to_cylindrical(theta, vals, r):
     """Recombine (f_x, f_y, f_z) point values into (f_r, f_theta, f_z)."""
-
-    n_out = 3
-
-    def __call__(self, theta, vals, r):
-        fx, fy, fz = vals
-        ct, st = np.cos(theta), np.sin(theta)
-        if r == 0.0:
-            # Cylindrical horizontal components have no angular mean at the axis.
-            return [np.zeros_like(fx), np.zeros_like(fx), fz]
-        return [fx * ct + fy * st, -fx * st + fy * ct, fz]
+    fx, fy, fz = vals
+    ct, st = np.cos(theta), np.sin(theta)
+    if r == 0.0:
+        # Cylindrical horizontal components have no angular mean at the axis.
+        return [np.zeros_like(fx), np.zeros_like(fx), fz]
+    return [fx * ct + fy * st, -fx * st + fy * ct, fz]
 
 
 def ring_average_cylindrical(
@@ -236,7 +199,6 @@ def ring_average_cylindrical(
     *,
     radii: np.ndarray | None = None,
     n_theta: int = 256,
-    method: str = "spectral",
 ) -> tuple[RadialProfile, RadialProfile, RadialProfile]:
     """Angular averages of the cylindrical components of a 2D vector field.
 
@@ -249,9 +211,7 @@ def ring_average_cylindrical(
     if radii is None:
         radii = _default_radii(grid)
     radii = np.asarray(radii, float)
-    means = _ring_average_many(
-        list(u), grid, radii, n_theta, method, projector=_CylindricalProjector()
-    )
+    means = _ring_average_many(list(u), grid, radii, n_theta, projector=_to_cylindrical)
     return tuple(RadialProfile(radii, means[c]) for c in range(3))
 
 
@@ -266,7 +226,9 @@ class DecompositionResult:
     recorded constant ``c_ratio`` is the measured quotient
     ``|v|_H1 / |omega|_L2m`` (reported, never asserted against a fixed
     value).  ``profiles`` carries the radial mean-part pipeline output:
-    v_theta_bar, u_z_bar and the zero-mass residual vorticity w_z_bar.
+    v_theta_bar, u_z_bar and the zero-mass residual vorticity w_z_bar;
+    ``envelope_c3`` and ``envelope_c4`` are the fitted constants of their
+    pointwise tail envelopes (see :func:`helns.radial.bound_envelopes`).
     """
 
     a: float
@@ -280,20 +242,17 @@ class DecompositionResult:
     c_ratio: float
     helical_defect: float
     max_div: float
-    mean_route: str
     inverse_curl_correction: float
     mean_radial_max: float
     zero_mass_gap: float
+    envelope_c3: float
+    envelope_c4: float
     profiles: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         h1 = np.hypot(self.l2_v, self.grad_l2_v)
         if not np.isclose(h1, self.h1_v, rtol=1e-12, atol=0.0):
             raise ValueError("H1 norm must satisfy |v|_H1^2 = |v|_L2^2 + |grad v|_L2^2")
-
-    def v_physical(self, ops: SpectralOps | None = None) -> np.ndarray:
-        ops = ops or SpectralOps(self.grid)
-        return ops.inv(self.v_hat)
 
     def reconstruct_vorticity(
         self, ops: SpectralOps | None = None, background_spread: float = 1.0
@@ -315,10 +274,11 @@ class DecompositionResult:
             f"c_ratio = {self.c_ratio:.17g}",
             f"helical_defect = {self.helical_defect:.17g}",
             f"max_div = {self.max_div:.17g}",
-            f"mean_route = {self.mean_route}",
             f"inverse_curl_correction = {self.inverse_curl_correction:.17g}",
             f"mean_radial_max = {self.mean_radial_max:.17g}",
             f"zero_mass_gap = {self.zero_mass_gap:.17g}",
+            f"envelope_c3 = {self.envelope_c3:.17g}",
+            f"envelope_c4 = {self.envelope_c4:.17g}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -331,42 +291,13 @@ def export_profile_csv(profile: RadialProfile, path) -> None:
             fh.write(f"{r:.17g},{v:.17g}\n")
 
 
-def _embed_mean_velocity(
-    v_theta: RadialProfile, u_z: RadialProfile, grid: GridSpec
-) -> np.ndarray:
-    """Sample v_theta_bar e_theta + u_z_bar e_z on the grid (kept z-uniform).
-
-    Radii beyond the last ring are filled with zero; the embedding carries
-    the interpolation error of the ring profiles and is only used by the
-    quadrature-limited 'radial' mean route.
-    """
-    r2d = grid.r2d
-    rmax = v_theta.r[-1]
-    vt_spline = CubicSpline(v_theta.r, v_theta.values)
-    vt = np.where(r2d <= rmax, vt_spline(np.minimum(r2d, rmax)), 0.0)
-    # v_theta / r with the axis value from the spline slope (v_theta is odd).
-    g = np.where(r2d > 0, vt / np.where(r2d > 0, r2d, 1.0), vt_spline(0.0, 1))
-    uz_spline = CubicSpline(u_z.r, u_z.values)
-    uz = np.where(r2d <= u_z.r[-1], uz_spline(np.minimum(r2d, u_z.r[-1])), 0.0)
-    out = np.zeros((3, grid.nx, grid.ny, grid.nz))
-    out[0] = (-grid.yc * g)[..., None]
-    out[1] = (grid.xc * g)[..., None]
-    out[2] = uz[..., None]
-    return out
-
-
 def decompose(
     omega: np.ndarray,
     grid: GridSpec,
     m: float,
     *,
     ops: SpectralOps | None = None,
-    mean_route: str = "spectral",
     background_spread: float = 1.0,
-    defect_tol: float = 1e-4,
-    div_tol: float = 1e-6,
-    n_theta: int = 256,
-    ring_method: str = "spectral",
 ) -> DecompositionResult:
     """Split a vorticity field into circulation a and remainder velocity v.
 
@@ -375,16 +306,14 @@ def decompose(
     required so that the weighted class embeds in the integrable vorticities.
     The circulation coefficient is the exact grid integral of the vertical
     component.  The remainder velocity is recovered from the residual
-    vorticity ``omega - a w_LO`` by the spectral inverse curl (mean_route
-    'spectral', default) or by embedding the radial Biot-Savart profiles and
-    inverting only the zero-vertical-mean part (mean_route 'radial',
-    quadrature-limited).  The zero-box-mean convention replaces the
-    whole-space decay class in the periodic setting.  ``background_spread``
-    selects the subtracted vortex core spread (1 for the unit core).
+    vorticity ``omega - a w_LO`` by the spectral inverse curl.  The
+    zero-box-mean convention replaces the whole-space decay class in the
+    periodic setting.  ``background_spread`` selects the subtracted vortex
+    core spread (1 for the unit core).
 
     The radial mean-part pipeline (ring averages, Biot-Savart, Oseen
-    extraction, zero-mass certificate) is always evaluated and attached to
-    the result for reporting.
+    extraction, zero-mass certificate, tail envelopes) is always evaluated
+    and attached to the result for reporting.
     """
     ops = ops or SpectralOps(grid)
     omega = np.asarray(omega, dtype=float)
@@ -397,21 +326,19 @@ def decompose(
         )
     if not np.all(np.isfinite(omega)):
         raise ValueError("vorticity samples must be finite")
-    if mean_route not in ("spectral", "radial"):
-        raise ValueError("mean_route must be 'spectral' or 'radial'")
 
     W = ops.fwd(omega)
     scale = float(np.max(np.abs(omega)))
     max_div = ops.max_divergence(W)
-    if scale > 0 and max_div > div_tol * scale:
+    if scale > 0 and max_div > DIV_TOL * scale:
         raise ValueError(
             f"vorticity is not divergence-free: max |div| = {max_div:.3e} "
-            f"exceeds {div_tol:.1e} x max |omega|"
+            f"exceeds {DIV_TOL:.1e} x max |omega|"
         )
     defect = ops.helical_defect(omega)
-    if defect > defect_tol:
+    if defect > DEFECT_TOL:
         raise ValueError(
-            f"vorticity is not helical: masked defect {defect:.3e} exceeds {defect_tol:.1e}"
+            f"vorticity is not helical: masked defect {defect:.3e} exceeds {DEFECT_TOL:.1e}"
         )
     omega_l2m = weighted_l2m_norm(omega, m, grid=grid)
     if not np.isfinite(omega_l2m):
@@ -422,22 +349,18 @@ def decompose(
 
     # Radial mean-part pipeline (always computed, for the report).
     wbar = omega.mean(axis=-1)
-    _, w_theta_bar, w_z_bar = ring_average_cylindrical(
-        wbar, grid, n_theta=n_theta, method=ring_method
-    )
+    _, w_theta_bar, w_z_bar = ring_average_cylindrical(wbar, grid)
     u_theta_bar, u_z_bar = radial_biot_savart(w_theta_bar, w_z_bar, tail_tol=np.inf)
     v_theta_bar = oseen_extraction(u_theta_bar, a, spread=background_spread)
     w_z_resid = mean_vorticity_from_utheta(w_z_bar, a, spread=background_spread)
     fwd_curve, bwd_curve = zero_mass_check(w_z_resid)
     zero_mass_gap = float(np.max(np.abs(fwd_curve - bwd_curve)))
+    envelope_c3, envelope_c4 = bound_envelopes(
+        w_theta_bar, u_z_bar, v_theta_bar, w_z_resid, m, grid.pitch
+    )
 
-    if mean_route == "spectral":
-        residual = omega - a * w_lo
-        v_hat, correction = ops.inverse_curl(ops.fwd(residual), return_correction=True)
-    else:
-        v_mean = _embed_mean_velocity(v_theta_bar, u_z_bar, grid)
-        u_perp, correction = ops.inverse_curl(ops.perp(W), return_correction=True)
-        v_hat = ops.fwd(v_mean) + u_perp
+    residual = omega - a * w_lo
+    v_hat, correction = ops.inverse_curl(ops.fwd(residual), return_correction=True)
 
     l2_v = ops.l2_norm(v_hat)
     grad_sq = ops.grad_norm_sq(v_hat)
@@ -448,9 +371,7 @@ def decompose(
     # Mean-part structure: after angular averaging the radial component of
     # the z-averaged velocity must vanish (divergence-free + helical).
     vbar = ops.inv(v_hat).mean(axis=-1)
-    u_r_bar, _, _ = ring_average_cylindrical(
-        vbar, grid, n_theta=n_theta, method="spectral"
-    )
+    u_r_bar, _, _ = ring_average_cylindrical(vbar, grid)
     vscale = float(np.max(np.abs(vbar)))
     mean_radial_max = float(np.max(np.abs(u_r_bar.values)))
     if vscale > 0:
@@ -472,10 +393,11 @@ def decompose(
         c_ratio=c_ratio,
         helical_defect=defect,
         max_div=max_div,
-        mean_route=mean_route,
         inverse_curl_correction=correction,
         mean_radial_max=mean_radial_max,
         zero_mass_gap=zero_mass_gap,
+        envelope_c3=envelope_c3,
+        envelope_c4=envelope_c4,
         profiles={
             "w_theta_bar": w_theta_bar,
             "w_z_bar": w_z_bar,

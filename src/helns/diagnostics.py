@@ -3,9 +3,7 @@
 Every run emits a stream of :class:`DiagnosticsRecord` rows (the CSV
 contract of the package).  On top of the records this module provides:
 
-* spectral-exact norm bundles and the theorem quantities
-  (|v|_L2, sqrt(t) |grad v|_L2) measured against the analytic background at
-  the matching time;
+* spectral-exact norm bundles;
 * ratio verifiers for the helical Ladyzhenskaya inequality and the
   Poincare inequality of the zero-vertical-mean part;
 * the projected source norm |PQ(u_perp . grad u_perp)|_L2 together with its
@@ -25,15 +23,19 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 from scipy.integrate import quad
 
 from .fields import (
+    OseenParams,
     PerturbationSpec,
+    heat_gaussian,
     oseen_gradient_xy,
     oseen_grad_l2_sq,
+    oseen_utheta,
+    oseen_utheta_prime,
     random_helical_perturbation,
 )
 from .grid import GridSpec
@@ -46,6 +48,7 @@ from .radial import (
     run_radial,
     uniform_radii,
 )
+from .solver import rhs_perturbation
 from .spectral import SpectralOps
 
 logger = logging.getLogger(__name__)
@@ -57,6 +60,9 @@ logger = logging.getLogger(__name__)
 #: 0.015831 at pitch 1 and is stable to well under 10% when the pitch is
 #: doubled with matched profiles.
 DEFAULT_C0 = 0.016
+
+#: Largest helical defect of a field accepted by :func:`ladyzhenskaya_ratio`.
+HELICAL_DEFECT_TOL = 1e-3
 
 #: Exact CSV column order of the diagnostics stream.
 CSV_COLUMNS = (
@@ -180,38 +186,10 @@ def norms(F: np.ndarray, ops: SpectralOps) -> dict:
     }
 
 
-def theorem_quantities(
-    v_hat: np.ndarray, t: float, ops: SpectralOps
-) -> tuple[float, float]:
-    """The two monitored quantities (|v|_L2, sqrt(t) |grad v|_L2).
-
-    ``v_hat`` must already be the perturbation against the background at the
-    *matching* time (the comparison is always u(t) - a u_LO(t), never
-    against the initial vortex); see :func:`theorem_quantities_from_u`.
-    """
-    l2 = ops.l2_norm(v_hat)
-    grad = float(np.sqrt(ops.grad_norm_sq(v_hat)))
-    return l2, float(np.sqrt(t) * grad)
-
-
-def theorem_quantities_from_u(
-    u: np.ndarray, a: float, t: float, grid: GridSpec, ops: SpectralOps
-) -> tuple[float, float]:
-    """Theorem quantities of a total velocity field u = v + a u_LO(t)."""
-    from .fields import oseen_velocity
-
-    v = np.asarray(u, dtype=float).copy()
-    if a != 0.0:
-        v -= a * oseen_velocity(grid, t)
-    return theorem_quantities(ops.fwd(v), t, ops)
-
-
 # --- inequality ratios ----------------------------------------------------------
 
 
-def ladyzhenskaya_ratio(
-    v_hat: np.ndarray, ops: SpectralOps, defect_tol: float = 1e-3
-) -> float:
+def ladyzhenskaya_ratio(v_hat: np.ndarray, ops: SpectralOps) -> float:
     """|v|_L4 / (|v|_L2^(1/2) |grad v|_L2^(1/2)) for a helical field.
 
     The ratio is 0-homogeneous; the fitted constant of the seeded sweep is
@@ -221,7 +199,7 @@ def ladyzhenskaya_ratio(
     if nb["l2"] == 0.0:
         raise ValueError("Ladyzhenskaya ratio requires a nonzero field")
     defect = ops.helical_defect(ops.inv(v_hat))
-    if defect > defect_tol:
+    if defect > HELICAL_DEFECT_TOL:
         raise ValueError(
             f"Ladyzhenskaya ratio requires a helical field: defect {defect:.3e}"
         )
@@ -253,17 +231,16 @@ class SourceNormReport:
     """|N_bar|_L2 together with its interpolation-chain bound.
 
     ``chain_factor`` is |u_perp|^(1/2) |grad u_perp| |lap u_perp|^(1/2) / L^(1/2);
-    the chain bound is sqrt(C0) * chain_factor and ``c0_required`` is the
-    smallest C0 for which the bound dominates.
+    the chain bound is sqrt(DEFAULT_C0) * chain_factor and ``c0_required`` is
+    the smallest C0 for which the bound dominates.
     """
 
     value: float
     chain_factor: float
-    c0: float
 
     @property
     def chain_bound(self) -> float:
-        return float(np.sqrt(self.c0) * self.chain_factor)
+        return float(np.sqrt(DEFAULT_C0) * self.chain_factor)
 
     @property
     def c0_required(self) -> float:
@@ -275,22 +252,16 @@ class SourceNormReport:
         return self.value <= self.chain_bound * (1.0 + 1e-12)
 
 
-def source_norm(
-    v_hat: np.ndarray, ops: SpectralOps, c0: float = DEFAULT_C0
-) -> SourceNormReport:
+def source_norm(v_hat: np.ndarray, ops: SpectralOps) -> SourceNormReport:
     """|PQ(u_perp . grad u_perp)|_L2 of the zero-vertical-mean part.
 
-    The product is dealiased exactly like the solver nonlinearity before the
-    mean projection, so the reported value is the source actually feeding the
+    The value is the vertical mean of the solver's background-free tendency
+    of u_perp, so the product is dealiased and projected exactly like the
+    solver nonlinearity: it is the source actually feeding the
     vertical-mean equation.
     """
     up_hat = ops.perp(v_hat)
-    up = ops.inv(up_hat)
-    adv = np.empty_like(up)
-    for i in range(3):
-        g = ops.inv(ops.gradient(up_hat[i]))
-        adv[i] = up[0] * g[0] + up[1] * g[1] + up[2] * g[2]
-    nbar_hat = ops.leray(ops.project_Q(ops.dealias(ops.fwd(adv))))
+    nbar_hat = ops.project_Q(rhs_perturbation(up_hat, 0.0, ops.grid, OseenParams(0.0), ops))
     value = ops.l2_norm(nbar_hat)
     l2 = ops.l2_norm(up_hat)
     grad = float(np.sqrt(ops.grad_norm_sq(up_hat)))
@@ -298,7 +269,7 @@ def source_norm(
     chain_factor = float(
         np.sqrt(l2) * grad * np.sqrt(lap) / np.sqrt(ops.grid.pitch)
     )
-    return SourceNormReport(value=value, chain_factor=chain_factor, c0=c0)
+    return SourceNormReport(value=value, chain_factor=chain_factor)
 
 
 # --- structural checks ------------------------------------------------------------
@@ -336,19 +307,10 @@ class RecordBuilder:
     """Build DiagnosticsRecord rows from solver states, accumulating the
     enstrophy integral by the trapezoid rule between output times."""
 
-    def __init__(
-        self,
-        grid: GridSpec,
-        ops: SpectralOps,
-        a: float,
-        c0: float = DEFAULT_C0,
-        defect_mask_radius: float | None = None,
-    ):
+    def __init__(self, grid: GridSpec, ops: SpectralOps, a: float):
         self.grid = grid
         self.ops = ops
         self.a = a
-        self.c0 = c0
-        self.defect_mask_radius = defect_mask_radius
         self._cum = 0.0
         self._prev_t = None
         self._prev_grad_sq = None
@@ -381,10 +343,9 @@ class RecordBuilder:
         l2_uperp = ops.l2_norm(up_hat)
         l2_grad_uperp = float(np.sqrt(ops.grad_norm_sq(up_hat)))
         l2_lap_uperp = float(np.sqrt(ops.lap_norm_sq(up_hat)))
-        l2_nbar = source_norm(v_hat, ops, self.c0).value
+        l2_nbar = source_norm(v_hat, ops).value
 
-        v_phys = ops.inv(v_hat)
-        defect = ops.helical_defect(v_phys, self.defect_mask_radius)
+        defect = ops.helical_defect(ops.inv(v_hat))
         max_div = ops.max_divergence(v_hat)
 
         if self._prev_t is not None:
@@ -422,9 +383,9 @@ class RecordBuilder:
             max_div=max_div,
             circulation_a=a,
             cum_enstrophy=self._cum,
-            k_perp=2.0 * self.c0 / L * grad_mean_sq,
-            K_perp=8.0 * self.c0 / L * grad_u_sq,
-            Kcal_perp=36.0 * self.c0 / L * grad_u_sq,
+            k_perp=2.0 * DEFAULT_C0 / L * grad_mean_sq,
+            K_perp=8.0 * DEFAULT_C0 / L * grad_u_sq,
+            Kcal_perp=36.0 * DEFAULT_C0 / L * grad_u_sq,
         )
         rec.validate()
         return rec
@@ -648,8 +609,7 @@ def rate_study(
         R = 1000.0 if R is None else R
         n = 16384 if n is None else n
         r = uniform_radii(R, n)
-        gauss = np.exp(-(r**2) / 4.0) / (4.0 * np.pi)
-        w0 = a * gauss + amplitude * kummer_tail_profile(p, r)
+        w0 = a * heat_gaussian(r**2, 1.0) + amplitude * kummer_tail_profile(p, r)
         expected = (1.0 - m) / 2.0
     elif initial == "gaussian":
         if s0 <= 0:
@@ -657,7 +617,7 @@ def rate_study(
         R = 200.0 if R is None else R
         n = 4096 if n is None else n
         r = uniform_radii(R, n)
-        w0 = a * np.exp(-(r**2) / (4.0 * s0)) / (4.0 * np.pi * s0)
+        w0 = a * heat_gaussian(r**2, s0)
         expected = None
     else:
         raise ValueError("initial must be 'kummer' or 'gaussian'")
@@ -702,15 +662,6 @@ def rate_study(
 # --- Lamb-Oseen difference formulas ----------------------------------------------------
 
 
-def _utheta(r: np.ndarray, s: float) -> np.ndarray:
-    return (1.0 - np.exp(-(r**2) / (4.0 * s))) / (2.0 * np.pi * r)
-
-
-def _utheta_prime(r: np.ndarray, s: float) -> np.ndarray:
-    E = np.exp(-(r**2) / (4.0 * s))
-    return -(1.0 - E) / (2.0 * np.pi * r**2) + E / (4.0 * np.pi * s)
-
-
 @dataclass
 class OseenDifferenceEntry:
     t1: float
@@ -735,9 +686,6 @@ class OseenDifferenceReport:
     spread: float
     grad_spread: float
 
-    def passed(self, tolerance: float = 0.10) -> bool:
-        return self.spread <= tolerance and self.grad_spread <= tolerance
-
 
 def oseen_difference_check(
     t1_values=(0.0, 1.0, 3.0),
@@ -758,14 +706,14 @@ def oseen_difference_check(
             t2 = s2 - 1.0
 
             def integrand(r):
-                return (_utheta(r, s2) - _utheta(r, s1)) ** 2 * r
+                return (oseen_utheta(r, s2) - oseen_utheta(r, s1)) ** 2 * r
 
             val, _ = quad(integrand, 0.0, np.inf, limit=200)
             value_sq = 2.0 * np.pi * 2.0 * np.pi * pitch * val
 
             def grad_integrand(r):
-                dv = _utheta_prime(r, s2) - _utheta_prime(r, s1)
-                v_over_r = (_utheta(r, s2) - _utheta(r, s1)) / r
+                dv = oseen_utheta_prime(r, s2) - oseen_utheta_prime(r, s1)
+                v_over_r = (oseen_utheta(r, s2) - oseen_utheta(r, s1)) / r
                 return (dv**2 + v_over_r**2) * r
 
             gval, _ = quad(grad_integrand, 0.0, np.inf, limit=200)
@@ -880,7 +828,7 @@ def sweep_ladyzhenskaya(
             sigma=sigma,
         )
         v_hat = random_helical_perturbation(spec, grid, ops)
-        ratios.append(ladyzhenskaya_ratio(v_hat, ops, defect_tol=1e-3))
+        ratios.append(ladyzhenskaya_ratio(v_hat, ops))
     ratios = np.asarray(ratios)
     return LadyzhenskayaSweepReport(
         ratios=ratios, pitch=pitch, c0=fitted_c0(ratios, pitch)

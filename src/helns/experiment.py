@@ -159,21 +159,19 @@ def run_experiment(
     ops: SpectralOps | None = None,
     quiet: bool = False,
     guard_factor: float = GUARD_FACTOR,
-    check_energy: bool | None = None,
 ) -> RunResult:
     """Run the configured experiment, writing CSV and snapshot artifacts.
 
-    ``check_energy`` controls the per-record energy-identity evaluation; by
-    default it is on exactly for circulation-free (a = 0) runs, where the
-    instantaneous identity holds without background exchange terms.
+    The energy identity is evaluated at every record exactly for
+    circulation-free (a = 0) runs, where the instantaneous identity holds
+    without background exchange terms.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = build_grid(cfg)
     if ops is None:
         ops = SpectralOps(grid)
-    if check_energy is None:
-        check_energy = cfg.a == 0.0
+    check_energy = cfg.a == 0.0
 
     v0_hat = build_initial(cfg, grid, ops)
     builder = RecordBuilder(grid, ops, cfg.a)
@@ -220,14 +218,11 @@ def run_experiment(
                 next_snap += cfg.snapshot_dt
 
     solver_cfg = SolverConfig(
-        engine="spectral3d",
         t_end=cfg.t_end,
         dt=cfg.dt,
         cfl=cfg.cfl,
         output_dt=cfg.output_dt,
         background=params,
-        snapshots=cfg.snapshot_dt > 0,
-        snapshot_dt=cfg.snapshot_dt if cfg.snapshot_dt > 0 else None,
     )
     final_state = run_spectral3d(v0_hat, grid, solver_cfg, observer=observer, ops=ops)
 

@@ -7,12 +7,14 @@ as oracles, and the seeded generator of divergence-free helical
 perturbations.
 
 Time enters all Oseen-family formulas through ``1 + t``: the profiles are the
-diffusing Gaussian started one time unit before t = 0.
+diffusing Gaussian started one time unit before t = 0.  The primitives
+:func:`heat_gaussian`, :func:`oseen_utheta` and :func:`oseen_utheta_prime`
+take that core spread ``s`` itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +24,9 @@ from .spectral import SpectralOps
 __all__ = [
     "OseenParams",
     "PerturbationSpec",
+    "heat_gaussian",
+    "oseen_utheta",
+    "oseen_utheta_prime",
     "oseen_utheta_profile",
     "oseen_wz_profile",
     "oseen_velocity",
@@ -75,23 +80,42 @@ class PerturbationSpec:
 # --- radial profiles -------------------------------------------------------
 
 
-def oseen_utheta_profile(r: np.ndarray, t: float) -> np.ndarray:
-    """Azimuthal Oseen velocity u_theta(r) = (1/(2 pi r)) (1 - e^{-r^2/(4(1+t))}).
+def heat_gaussian(r2: np.ndarray, s: float | np.ndarray) -> np.ndarray:
+    """Unit-mass 2D Gaussian G(r^2, s) = e^{-r^2/(4s)} / (4 pi s) of spread s.
+
+    Takes the squared radius; ``s`` may be an array that broadcasts with it.
+    """
+    return np.exp(-r2 / (4.0 * s)) / (4.0 * np.pi * s)
+
+
+def oseen_utheta(r: np.ndarray, s: float) -> np.ndarray:
+    """Unit-circulation azimuthal velocity (1 - e^{-r^2/(4s)}) / (2 pi r) at spread s.
 
     The removable singularity at r = 0 evaluates to 0.
     """
     r = np.asarray(r, dtype=float)
-    s = 1.0 + t
     rsafe = np.where(r > 0, r, 1.0)
     out = (1.0 - np.exp(-(rsafe**2) / (4.0 * s))) / (2.0 * np.pi * rsafe)
     return np.where(r > 0, out, 0.0)
 
 
+def oseen_utheta_prime(r: np.ndarray, s: float) -> np.ndarray:
+    """Radial derivative of :func:`oseen_utheta` for r > 0."""
+    E = np.exp(-(r**2) / (4.0 * s))
+    return -(1.0 - E) / (2.0 * np.pi * r**2) + heat_gaussian(r**2, s)
+
+
+def oseen_utheta_profile(r: np.ndarray, t: float) -> np.ndarray:
+    """Azimuthal Oseen velocity u_theta(r) = (1/(2 pi r)) (1 - e^{-r^2/(4(1+t))}).
+
+    The removable singularity at r = 0 evaluates to 0.
+    """
+    return oseen_utheta(r, 1.0 + t)
+
+
 def oseen_wz_profile(r: np.ndarray, t: float) -> np.ndarray:
     """Vertical Oseen vorticity w_z(r) = e^{-r^2/(4(1+t))} / (4 pi (1+t))."""
-    r = np.asarray(r, dtype=float)
-    s = 1.0 + t
-    return np.exp(-(r**2) / (4.0 * s)) / (4.0 * np.pi * s)
+    return heat_gaussian(np.asarray(r, dtype=float) ** 2, 1.0 + t)
 
 
 def _oseen_F(r2: np.ndarray, s: float) -> np.ndarray:
@@ -173,15 +197,13 @@ def oseen_vorticity(grid: GridSpec, t: float) -> np.ndarray:
 
 def shear_f(r: np.ndarray, t: float) -> np.ndarray:
     """Shear-flow vertical velocity profile f(t, r)."""
-    s = 1.0 + t
-    return np.exp(-(np.asarray(r, dtype=float) ** 2) / (4.0 * s)) / (4.0 * np.pi * s)
+    return heat_gaussian(np.asarray(r, dtype=float) ** 2, 1.0 + t)
 
 
 def shear_g(r: np.ndarray, t: float) -> np.ndarray:
-    """Shear-flow azimuthal vorticity profile g(t, r) = -df/dr."""
-    s = 1.0 + t
+    """Shear-flow azimuthal vorticity profile g(t, r) = -df/dr = r f / (2 (1+t))."""
     r = np.asarray(r, dtype=float)
-    return r * np.exp(-(r**2) / (4.0 * s)) / (8.0 * np.pi * s**2)
+    return r * shear_f(r, t) / (2.0 * (1.0 + t))
 
 
 def shear_flow(grid: GridSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -193,10 +215,8 @@ def shear_flow(grid: GridSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
     """
     xc, yc = grid.xc, grid.yc
     s = 1.0 + t
-    r2 = xc**2 + yc**2
-    E = np.exp(-r2 / (4.0 * s))
-    f = E / (4.0 * np.pi * s)
-    g_over_r = E / (8.0 * np.pi * s**2)
+    f = heat_gaussian(xc**2 + yc**2, s)
+    g_over_r = f / (2.0 * s)
     u = np.zeros((3, grid.nx, grid.ny, grid.nz))
     w = np.zeros((3, grid.nx, grid.ny, grid.nz))
     u[2] = f[..., None]
@@ -209,9 +229,7 @@ def heat_kernel_2d(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """2D heat kernel G_t(x) = (4 pi t)^{-1} exp(-|x|^2 / (4t))."""
     if t <= 0:
         raise ValueError("heat kernel requires t > 0")
-    return np.exp(-(np.asarray(x) ** 2 + np.asarray(y) ** 2) / (4.0 * t)) / (
-        4.0 * np.pi * t
-    )
+    return heat_gaussian(np.asarray(x) ** 2 + np.asarray(y) ** 2, t)
 
 
 # --- closed-form Oseen norms (oracles) -------------------------------------

@@ -7,12 +7,14 @@ executes every preset in order and writes a machine-readable
 when every selected check passes.
 
 The heavy 64^3 trend run is shared: ``theorem-trend`` and ``perp-decay``
-both analyze the same diagnostics CSV, which is computed once per output
-directory and reloaded afterwards.
+both analyze the same records, which are computed once per output directory
+and process and kept in memory (never reloaded from a CSV that an aborted or
+older run may have left behind).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -24,7 +26,13 @@ from . import diagnostics as diag
 from .config import ExperimentConfig
 from .decomposition import circulation_a, decompose
 from .experiment import run_experiment
-from .fields import PerturbationSpec, oseen_vorticity, random_helical_perturbation, shear_flow
+from .fields import (
+    PerturbationSpec,
+    heat_gaussian,
+    oseen_vorticity,
+    random_helical_perturbation,
+    shear_flow,
+)
 from .grid import GridSpec
 from .radial import RadialProfile, run_radial, uniform_radii
 from .spectral import SpectralOps
@@ -200,10 +208,9 @@ def _preset_oracle_oseen(report: PresetReport, out_dir: Path) -> None:
 def _radial_gaussian_error(n: int, R: float, s0: float, t_end: float, nst: int) -> float:
     """Absolute max error of the CN engine against the spread Gaussian."""
     r = uniform_radii(R, n)
-    h0 = np.exp(-(r**2) / (4.0 * s0)) / (4.0 * np.pi * s0)
+    h0 = heat_gaussian(r**2, s0)
     final = run_radial(RadialProfile(r, h0), t_end, t_end / nst, parity="even")
-    s = s0 + t_end
-    exact = np.exp(-(r**2) / (4.0 * s)) / (4.0 * np.pi * s)
+    exact = heat_gaussian(r**2, s0 + t_end)
     return float(np.max(np.abs(final.values - exact)))
 
 
@@ -292,13 +299,10 @@ TREND_CONFIG = ExperimentConfig(
 )
 
 
+@functools.cache
 def _trend_records(out_dir: Path):
-    """Run (or reload) the shared 64^3 trend experiment for this out_dir."""
-    csv_path = out_dir / TREND_CONFIG.csv
-    if csv_path.exists():
-        return diag.load_records_csv(csv_path)
-    result = run_experiment(TREND_CONFIG, out_dir, quiet=True)
-    return result.records
+    """Records of the shared 64^3 trend experiment, run once per out_dir."""
+    return run_experiment(TREND_CONFIG, out_dir, quiet=True).records
 
 
 def _preset_theorem_trend(report: PresetReport, out_dir: Path) -> None:

@@ -17,7 +17,7 @@ is held fixed, which requires the data to have decayed at r = R; a
 :class:`DomainTooSmallError` is raised otherwise.
 
 Also here: the radial Biot-Savart formulas, the Oseen-extraction step, the
-weighted L2_m norms for profiles, the pointwise bound envelopes, the Duhamel
+weighted L2_m norms for profiles, the pointwise tail envelopes, the Duhamel
 quadrature oracle, and the heat-similarity (Kummer) profile with a prescribed
 power-law tail.
 """
@@ -31,11 +31,12 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import hyp1f1
 
+from .fields import heat_gaussian, oseen_utheta
+
 __all__ = [
     "RadialProfile",
     "DomainTooSmallError",
     "uniform_radii",
-    "graded_radii",
     "radial_laplacian_banded",
     "step_radial",
     "run_radial",
@@ -46,7 +47,6 @@ __all__ = [
     "weighted_l2m_norm_profile",
     "profile_l2_norm_2d",
     "bound_envelopes",
-    "BoundEnvelopeReport",
     "duhamel_gaussian_solution",
     "kummer_tail_profile",
 ]
@@ -59,11 +59,6 @@ class DomainTooSmallError(ValueError):
 def uniform_radii(R: float, n: int) -> np.ndarray:
     """n+1 equispaced radii on [0, R]."""
     return np.linspace(0.0, R, n + 1)
-
-
-def graded_radii(R: float, n: int, power: float = 2.0) -> np.ndarray:
-    """n+1 radii on [0, R] clustered near the axis (r_j = R (j/n)^power)."""
-    return R * (np.arange(n + 1) / n) ** power
 
 
 @dataclass
@@ -86,15 +81,6 @@ class RadialProfile:
             raise ValueError("values must match the radial grid shape")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("profile contains non-finite values")
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Trapezoid weights w_j such that sum(w_j f_j) ~ int f(r) r dr."""
-        dr = np.diff(self.r)
-        w = np.zeros_like(self.r)
-        w[:-1] += dr / 2.0
-        w[1:] += dr / 2.0
-        return w * self.r
 
     def integrate_r_dr(self) -> float:
         """Trapezoid approximation of int values(r) r dr."""
@@ -279,14 +265,7 @@ def oseen_extraction(
     """
     if spread <= 0:
         raise ValueError("core spread must be positive")
-    r = u_theta.r
-    rsafe = np.where(r > 0, r, 1.0)
-    oseen = np.where(
-        r > 0,
-        (1.0 - np.exp(-(rsafe**2) / (4.0 * spread))) / (2.0 * np.pi * rsafe),
-        0.0,
-    )
-    return u_theta.with_values(u_theta.values - a * oseen)
+    return u_theta.with_values(u_theta.values - a * oseen_utheta(u_theta.r, spread))
 
 
 def mean_vorticity_from_utheta(
@@ -295,8 +274,7 @@ def mean_vorticity_from_utheta(
     """Zero-mass vertical vorticity w_z - (a/(4 pi spread)) e^{-r^2/(4 spread)}."""
     if spread <= 0:
         raise ValueError("core spread must be positive")
-    gauss = np.exp(-(w_z.r**2) / (4.0 * spread)) / (4.0 * np.pi * spread)
-    return w_z.with_values(w_z.values - a * gauss)
+    return w_z.with_values(w_z.values - a * heat_gaussian(w_z.r**2, spread))
 
 
 def zero_mass_check(w_z_bar: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -336,58 +314,33 @@ def profile_l2_norm_2d(profile: RadialProfile) -> float:
     )
 
 
-# --- pointwise bound envelopes ------------------------------------------------
-
-
-@dataclass
-class BoundEnvelopeReport:
-    """Fitted envelope constants for the mean-part velocity bounds."""
-
-    m: float
-    C3: float
-    C4: float
-    max_ratio_uz: float
-    max_ratio_vtheta: float
+# --- pointwise tail envelopes ---------------------------------------------------
 
 
 def bound_envelopes(
-    w_theta: RadialProfile, w_z: RadialProfile, m: float, pitch: float
-) -> BoundEnvelopeReport:
-    """Fit the pointwise envelopes of the mean-part velocities.
+    w_theta: RadialProfile, u_z: RadialProfile, v_theta: RadialProfile,
+    w_z_bar: RadialProfile, m: float, pitch: float,
+) -> tuple[float, float]:
+    """Fitted constants (C3, C4) of the pointwise envelopes of the mean-part velocities.
 
-    Checks |u_z(r)| <= C3 ||w_theta||_{L2_m} (1 + ln_+(1/r)^(1/2)) / (1+r)^m
-    and r |v_theta(r)| <= C4 r ||w_z_bar||_{L2_m} / (1+r)^m, where w_z_bar is
-    the zero-mass part of w_z.  The fitted constants are the max ratios over
-    the radial grid (reported, never asserted against fixed values).
+    The envelopes are |u_z(r)| <= C3 ||w_theta||_{L2_m} (1 + ln_+(1/r)^(1/2)) / (1+r)^m
+    and r |v_theta(r)| <= C4 r ||w_z_bar||_{L2_m} / (1+r)^m, where u_z and
+    v_theta are the Biot-Savart and Oseen-extracted velocities of w_theta and
+    of the zero-mass vorticity w_z_bar.  Each constant is the max ratio over
+    the nonzero radii (reported, never asserted against a fixed value); a
+    zero vorticity norm gives 0.
     """
-    if m <= 1.0:
-        raise ValueError("bound envelopes require m > 1")
-    u_theta, u_z = radial_biot_savart(w_theta, w_z)
-    a = 2.0 * np.pi * w_z.integrate_r_dr()
-    v_theta = oseen_extraction(u_theta, a)
-    w_z_bar = mean_vorticity_from_utheta(w_z, a)
-
-    r = w_z.r
-    rpos = r[1:]
+    rpos = w_theta.r[1:]
+    decay = (1.0 + rpos) ** m
     ln_plus = np.maximum(np.log(1.0 / rpos), 0.0)
     norm_wth = weighted_l2m_norm_profile(w_theta, m, pitch)
     norm_wzb = weighted_l2m_norm_profile(w_z_bar, m, pitch)
-
-    ratio_uz = np.zeros_like(rpos)
+    c3 = c4 = 0.0
     if norm_wth > 0:
-        envelope = norm_wth * (1.0 + np.sqrt(ln_plus)) / (1.0 + rpos) ** m
-        ratio_uz = np.abs(u_z.values[1:]) / envelope
-    ratio_vth = np.zeros_like(rpos)
+        c3 = np.max(np.abs(u_z.values[1:]) * decay / (norm_wth * (1.0 + np.sqrt(ln_plus))))
     if norm_wzb > 0:
-        envelope = rpos * norm_wzb / (1.0 + rpos) ** m
-        ratio_vth = rpos * np.abs(v_theta.values[1:]) / envelope
-    return BoundEnvelopeReport(
-        m=m,
-        C3=float(np.max(ratio_uz)),
-        C4=float(np.max(ratio_vth)),
-        max_ratio_uz=float(np.max(ratio_uz)),
-        max_ratio_vtheta=float(np.max(ratio_vth)),
-    )
+        c4 = np.max(np.abs(v_theta.values[1:]) * decay / norm_wzb)
+    return float(c3), float(c4)
 
 
 # --- oracles -------------------------------------------------------------------
@@ -409,7 +362,7 @@ def duhamel_gaussian_solution(
     wts = 0.5 * t * w
     r = np.asarray(r, dtype=float)
     spread = sigma0 + (t - tau)
-    kernels = np.exp(-(r[:, None] ** 2) / (4.0 * spread)) / (4.0 * np.pi * spread)
+    kernels = heat_gaussian(r[:, None] ** 2, spread)
     return amplitude * kernels @ (np.exp(-decay * tau) * wts)
 
 

@@ -1,6 +1,6 @@
-"""Time integration engines.
+"""The 3D time integration engine.
 
-The 3D engine advances the perturbation v of the decomposition
+The engine advances the perturbation v of the decomposition
 u = a u_LO(t) + v under
 
     dv/dt + P[ v.grad v + a (u_LO.grad v + v.grad u_LO) ] = Lap v,
@@ -16,8 +16,8 @@ e^{|k|^2 t} v_hat, which propagates the stiff viscous term exactly (the heat
 semigroup is a diagonal Fourier multiplier).  Every nonlinear product is
 dealiased by the 2/3 rule and re-projected.
 
-The radial 2.5D engine lives in :mod:`helns.radial`; :func:`run` dispatches
-on the configured engine.
+The radial 2.5D engine lives in :mod:`helns.radial` and is driven
+separately (:func:`helns.radial.run_radial`).
 """
 
 from __future__ import annotations
@@ -38,25 +38,19 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class SolverConfig:
-    """Engine selection and time-integration policy.
+    """Time-integration policy of the 3D engine.
 
     ``dt`` fixes the step size; when it is None the step is CFL-limited with
-    the given advective CFL number against max |u| + |a u_LO|.  Snapshots
-    are written by the I/O layer when ``snapshots`` is enabled.
+    the given advective CFL number against max |u| + |a u_LO|.
     """
 
-    engine: str = "spectral3d"
     t_end: float = 1.0
     dt: float | None = None
     cfl: float = 0.4
     output_dt: float = 0.1
     background: OseenParams = dataclass_field(default_factory=OseenParams)
-    snapshots: bool = False
-    snapshot_dt: float | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ("spectral3d", "radial"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if not self.t_end >= 0:
             raise ValueError("t_end must be nonnegative")
         if not (0.0 < self.cfl < 1.0):
@@ -186,8 +180,6 @@ def run_spectral3d(
     step size is ``config.dt`` when fixed — reduced transiently if it
     violates the CFL bound — or the CFL-limited value otherwise.
     """
-    if config.engine != "spectral3d":
-        raise ValueError("run_spectral3d requires engine='spectral3d'")
     if ops is None:
         ops = SpectralOps(grid)
     a = config.background.a

@@ -18,47 +18,15 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
 
 from .grid import GridSpec
 
-__all__ = ["PhysicalField", "SpectralField", "SpectralOps"]
+__all__ = ["SpectralOps"]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class PhysicalField:
-    """Sampled field on the grid: ``data`` has shape (nx,ny,nz) or (3,nx,ny,nz)."""
-
-    grid: GridSpec
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.data.shape[-3:] != self.grid.shape:
-            raise ValueError(
-                f"sample shape {self.data.shape} does not match grid {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("physical field contains non-finite samples")
-
-
-@dataclass
-class SpectralField:
-    """Complex rfft coefficients: shape (nx,ny,nz//2+1) or (3,nx,ny,nz//2+1)."""
-
-    grid: GridSpec
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.data.shape[-3:] != self.grid.spectral_shape:
-            raise ValueError(
-                f"coefficient shape {self.data.shape} does not match grid "
-                f"{self.grid.spectral_shape}"
-            )
 
 
 class SpectralOps:
@@ -196,17 +164,13 @@ class SpectralOps:
     def lap_norm_sq(self, F: np.ndarray) -> float:
         return float(np.sum(self.k2**2 * np.abs(F) ** 2 * self._parseval))
 
-    def physical_l2_norm(self, f: np.ndarray) -> float:
-        """Grid-sum L2 norm of physical samples (matches Parseval)."""
-        return float(np.sqrt(np.sum(f**2) * self.grid.cell_volume))
-
     def max_divergence(self, U: np.ndarray) -> float:
         """max |div u| evaluated on the physical grid."""
         return float(np.max(np.abs(self.inv(self.divergence(U)))))
 
     # --- helical defect -----------------------------------------------------
 
-    def helical_defect(self, u: np.ndarray, mask_radius: float | None = None) -> float:
+    def helical_defect(self, u: np.ndarray) -> float:
         """Masked, H1-normalized helical-symmetry defect of a velocity field.
 
         Helical symmetry means the three cylindrical components about the
@@ -215,13 +179,11 @@ class SpectralOps:
         of (D u_x + u_y, D u_y - u_x, D u_z), which avoids forming the
         axis-singular cylindrical components.  The root-sum-square of the
         three masked L2 norms is returned, normalized by the H1 norm of u.
-        The default mask keeps r <= Lx/4 to exclude wrap-around artifacts of
-        the physical-space angular derivative.
+        The mask keeps r <= Lx/4 to exclude wrap-around artifacts of the
+        physical-space angular derivative.
 
         Accepts physical samples (3, nx, ny, nz); returns 0 for a zero field.
         """
-        if mask_radius is None:
-            mask_radius = self.grid.Lx / 4.0
         U = self.fwd(u)
         h1_sq = self.l2_norm_sq(U) + self.grad_norm_sq(U)
         if h1_sq == 0.0:
@@ -229,7 +191,7 @@ class SpectralOps:
         xc = self.grid.xc[..., None]
         yc = self.grid.yc[..., None]
         L = self.grid.pitch
-        mask = (self.grid.r2d <= mask_radius)[..., None]
+        mask = (self.grid.r2d <= 0.25 * self.grid.Lx)[..., None]
         dV = self.grid.cell_volume
         total = 0.0
         shift = (u[1], -u[0], np.zeros_like(u[2]))

@@ -2,7 +2,7 @@
 
 Each test runs one verification preset and asserts its report.  The presets
 share ``out_dir`` so the trend experiment feeding criteria 7 and 8 is
-computed once; its diagnostics CSV is reused from disk.
+computed once; its records are kept in memory for the second criterion.
 """
 
 import pytest

@@ -1,15 +1,18 @@
 """I/O contracts: HLXF snapshots, INI configuration and the command line."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from helns import cli
+from helns import cli, presets
 from helns.config import (
     ConfigError,
     ExperimentConfig,
     parse_config,
     serialize_config,
 )
+from helns.diagnostics import DiagnosticsRecord, write_records_csv
 from helns.experiment import total_vorticity
 from helns.fields import PerturbationSpec, random_helical_perturbation
 from helns.grid import GridSpec
@@ -222,6 +225,11 @@ class TestCli:
         assert cli.main(["simulate", "--config", str(ini)]) == 2
         assert "cfl" in capsys.readouterr().err
 
+    def test_simulate_too_wide_envelope_exits_2(self, tmp_path, capsys):
+        ini = _write_config(tmp_path, Lx=16.0, sigma=1.2)  # Lx/16 = 1 < sigma
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == 2
+        assert "sigma must not exceed Lx/16" in capsys.readouterr().err
+
     def test_decompose_round_trip(self, tmp_path):
         grid = GridSpec.cube(32, 20.0, 1.0)
         ops = SpectralOps(grid)
@@ -236,6 +244,7 @@ class TestCli:
                          "--quiet"]) == 0
         report = (out / "decomposition_report.txt").read_text()
         assert "a = " in report and "helical_defect" in report
+        assert "envelope_c3 = " in report and "envelope_c4 = " in report
         profiles = sorted(p.name for p in out.glob("profile_*.csv"))
         assert profiles  # one CSV per radial profile
         a_line = next(line for line in report.splitlines() if line.startswith("a = "))
@@ -269,3 +278,31 @@ class TestCli:
             cli.main(["--version"])
         assert excinfo.value.code == 0
         assert "helns" in capsys.readouterr().out
+
+
+def _trend_like_records(perp_rate):
+    """Records of an 81-sample run whose perp energy decays like e^{rate t}."""
+    out = []
+    for k in range(81):
+        t = 0.1 * k
+        y = float(np.exp(perp_rate * t))
+        out.append(DiagnosticsRecord(
+            t, y, y, np.sqrt(t) * y, y, y, y, y, 0.0, 0.0, 1.0, t, 0.0, 0.0, 0.0
+        ))
+    return out
+
+
+def test_verify_ignores_stale_trend_csv(tmp_path, monkeypatch):
+    # a CSV left behind by an aborted or older run must never feed the presets
+    write_records_csv(_trend_like_records(+1.0), tmp_path / presets.TREND_CONFIG.csv)
+    calls = []
+
+    def fake_run(cfg, out_dir, **kwargs):
+        calls.append(cfg)
+        return SimpleNamespace(records=_trend_like_records(-1.5))
+
+    monkeypatch.setattr(presets, "run_experiment", fake_run)
+    perp = presets.run_preset("perp-decay", tmp_path)
+    presets.run_preset("theorem-trend", tmp_path)
+    assert calls == [presets.TREND_CONFIG]  # one run, shared by both presets
+    assert perp.checks[0].value == pytest.approx(-1.5)

@@ -1,0 +1,68 @@
+"""Public surface: every exported name resolves and removed names stay gone."""
+
+import dataclasses
+import importlib
+import inspect
+
+import pytest
+
+import helns
+from helns import decomposition, diagnostics, experiment, radial, solver, spectral
+
+SUBMODULES = (
+    "cli", "config", "decomposition", "diagnostics", "experiment", "fields",
+    "grid", "presets", "radial", "snapshot", "solver", "spectral",
+)
+
+REMOVED_NAMES = (
+    (helns, "PhysicalField"),
+    (helns, "SpectralField"),
+    (spectral, "PhysicalField"),
+    (spectral, "SpectralField"),
+    (spectral.SpectralOps, "physical_l2_norm"),
+    (radial, "graded_radii"),
+    (radial, "BoundEnvelopeReport"),
+    (radial.RadialProfile, "weights"),
+    (diagnostics, "theorem_quantities"),
+    (diagnostics, "theorem_quantities_from_u"),
+    (diagnostics.OseenDifferenceReport, "passed"),
+    (decomposition, "circulation_from_profile"),
+    (decomposition, "_embed_mean_velocity"),
+    (decomposition, "_eval_bilinear"),
+    (decomposition.DecompositionResult, "v_physical"),
+)
+
+REMOVED_PARAMETERS = (
+    (experiment.run_experiment, ("check_energy",)),
+    (diagnostics.RecordBuilder, ("c0", "defect_mask_radius")),
+    (diagnostics.source_norm, ("c0",)),
+    (diagnostics.ladyzhenskaya_ratio, ("defect_tol",)),
+    (spectral.SpectralOps.helical_defect, ("mask_radius",)),
+    (decomposition.decompose,
+     ("mean_route", "ring_method", "n_theta", "defect_tol", "div_tol")),
+    (decomposition.ring_average, ("method",)),
+    (decomposition.ring_average_cylindrical, ("method",)),
+)
+
+
+@pytest.mark.parametrize("name", ("",) + SUBMODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module("helns" + (f".{name}" if name else ""))
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, f"{module.__name__}.__all__ lists undefined names {missing}"
+
+
+def test_removed_names_are_gone():
+    present = [f"{getattr(owner, '__name__', owner)}.{name}"
+               for owner, name in REMOVED_NAMES if hasattr(owner, name)]
+    assert not present
+
+
+def test_removed_options_are_gone():
+    for func, names in REMOVED_PARAMETERS:
+        params = inspect.signature(func).parameters
+        assert not set(names) & set(params), func.__qualname__
+    config_fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
+    assert not {"engine", "snapshots", "snapshot_dt"} & config_fields
+    result_fields = {f.name for f in dataclasses.fields(decomposition.DecompositionResult)}
+    assert "mean_route" not in result_fields
