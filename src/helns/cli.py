@@ -28,7 +28,7 @@ from . import diagnostics as diag
 from .config import ConfigError, parse_config_file
 from .decomposition import decompose, export_profile_csv
 from .experiment import InstabilityError, run_experiment
-from .presets import PRESET_ORDER, run_all, run_preset, write_summary
+from .presets import PRESET_ORDER, run_all, write_summary
 from .snapshot import read_snapshot
 
 __all__ = ["main"]

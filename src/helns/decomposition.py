@@ -119,18 +119,19 @@ def _ring_points(grid: GridSpec, r: float, n_theta: int):
     return theta, x, y
 
 
-def _eval_spectral(spectra, grid: GridSpec, x: np.ndarray, y: np.ndarray):
+def _eval_spectral(spectra, kxf, kyf, x: np.ndarray, y: np.ndarray, scale: float):
     """Trigonometric interpolation of 2D fields at scattered points.
 
-    ``spectra`` is a sequence of unnormalized 2D FFT coefficient arrays; the
-    returned values are exact for the underlying trigonometric polynomials.
+    ``spectra`` is a (n_fields, nx, ny) stack of unnormalized 2D FFT
+    coefficient arrays and ``kxf``/``kyf`` are their angular wavenumbers.
+    The point bases ``ex``/``ey`` are built once for all fields and each
+    field is evaluated as one matrix product ``sum((ex @ F) * ey, axis=1)``,
+    which BLAS runs.  The returned values are exact for the underlying
+    trigonometric polynomials.
     """
-    kxf = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
-    kyf = 2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy)
     ex = np.exp(1j * np.outer(x, kxf))
     ey = np.exp(1j * np.outer(y, kyf))
-    scale = 1.0 / (grid.nx * grid.ny)
-    return [np.einsum("tx,xy,ty->t", ex, F, ey).real * scale for F in spectra]
+    return np.sum((ex @ spectra) * ey, axis=-1).real * scale
 
 
 def _ring_average_many(
@@ -142,20 +143,25 @@ def _ring_average_many(
 ):
     """Angular means of several 2D fields on concentric rings.
 
-    The fields are sampled through their trigonometric interpolants.
-    ``projector(theta, values, r) -> values`` may recombine the raw component
-    values at each ring point (e.g. into cylindrical components) before the
-    angular mean is taken.
+    The fields are sampled through their trigonometric interpolants: one
+    2D FFT per field, wavenumbers built once per call, and per ring one
+    matrix product per field against the ring's point bases (see
+    :func:`_eval_spectral`).  ``projector(theta, values, r) -> values`` may
+    recombine the raw component values at each ring point (e.g. into
+    cylindrical components) before the angular mean is taken.
     """
     fields = [np.asarray(f, dtype=float) for f in fields]
     for f in fields:
         if f.shape != (grid.nx, grid.ny):
             raise ValueError("ring averaging expects 2D (nx, ny) fields")
-    spectra = [np.fft.fft2(f) for f in fields]
+    spectra = np.stack([np.fft.fft2(f) for f in fields])
+    kxf = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
+    kyf = 2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy)
+    scale = 1.0 / (grid.nx * grid.ny)
     means = np.zeros((len(fields), radii.size))
     for j, r in enumerate(radii):
         theta, x, y = _ring_points(grid, float(r), n_theta if r > 0 else 1)
-        vals = _eval_spectral(spectra, grid, x, y)
+        vals = _eval_spectral(spectra, kxf, kyf, x, y, scale)
         if projector is not None:
             vals = projector(theta, vals, float(r))
         for c, v in enumerate(vals):
@@ -370,7 +376,8 @@ def decompose(
 
     # Mean-part structure: after angular averaging the radial component of
     # the z-averaged velocity must vanish (divergence-free + helical).
-    vbar = ops.inv(v_hat).mean(axis=-1)
+    # The z-mean is the kz = 0 plane: a 2D inverse FFT of it, divided by nz.
+    vbar = np.fft.ifft2(v_hat[..., 0]).real / grid.nz
     u_r_bar, _, _ = ring_average_cylindrical(vbar, grid)
     vscale = float(np.max(np.abs(vbar)))
     mean_radial_max = float(np.max(np.abs(u_r_bar.values)))

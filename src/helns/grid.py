@@ -9,7 +9,7 @@ wavenumbers and quadrature weights from a :class:`GridSpec`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

@@ -72,6 +72,67 @@ class TestRingAverage:
         assert np.max(np.abs(u_z.values)) == 0.0
 
 
+def _reference_ring_means(f, grid, radii, n_theta):
+    """Ring means of a 2D field by the direct trigonometric sum, point by point.
+
+    f(x, y) = (1/(nx ny)) sum_{kx, ky} F[kx, ky] exp(i (kx x + ky y)), the
+    interpolant the ring average evaluates, written out without matrices.
+    """
+    F = np.fft.fft2(f)
+    kx = 2 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
+    ky = 2 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy)
+    cx, cy = grid.center
+    means = []
+    for r in radii:
+        n = n_theta if r > 0 else 1
+        theta = 2 * np.pi * np.arange(n) / n
+        vals = []
+        for t in theta:
+            phase = np.exp(1j * (kx[:, None] * (cx + r * np.cos(t))
+                                 + ky[None, :] * (cy + r * np.sin(t))))
+            vals.append((np.sum(F * phase) / (grid.nx * grid.ny)).real)
+        means.append(vals)
+    return [np.asarray(v) for v in means]
+
+
+class TestRingKernelReference:
+    """ring_average(_cylindrical) against the direct trigonometric sum."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        grid = GridSpec.cube(16, 20.0, 1.0)
+        u = np.random.default_rng(7).standard_normal((3, 16, 16)) + 0.4
+        return grid, u
+
+    @pytest.mark.parametrize("n_theta", [256, 37])
+    def test_scalar_matches_direct_sum(self, small, n_theta):
+        grid, u = small
+        radii = np.array([0.0, 0.3, 1.25, 4.0, 7.5])
+        prof = ring_average(u[0], grid, radii=radii, n_theta=n_theta)
+        ref = [v.mean() for v in _reference_ring_means(u[0], grid, radii, n_theta)]
+        assert np.max(np.abs(prof.values - ref)) <= 1e-13 * np.max(np.abs(u[0]))
+
+    @pytest.mark.parametrize("n_theta", [256, 37])
+    def test_cylindrical_matches_direct_sum(self, small, n_theta):
+        grid, u = small
+        radii = np.array([0.0, 0.3, 1.25, 4.0, 7.5])
+        got = ring_average_cylindrical(u, grid, radii=radii, n_theta=n_theta)
+        fx, fy, fz = (_reference_ring_means(c, grid, radii, n_theta) for c in u)
+        ref_r, ref_t = [], []
+        for j, r in enumerate(radii):
+            n = n_theta if r > 0 else 1
+            theta = 2 * np.pi * np.arange(n) / n
+            ct, st = np.cos(theta), np.sin(theta)
+            # cylindrical horizontal components have no angular mean at the axis
+            ref_r.append(0.0 if r == 0 else np.mean(fx[j] * ct + fy[j] * st))
+            ref_t.append(0.0 if r == 0 else np.mean(-fx[j] * st + fy[j] * ct))
+        ref_z = [v.mean() for v in fz]
+        tol = 1e-13 * np.max(np.abs(u))
+        for prof, ref in zip(got, (ref_r, ref_t, ref_z)):
+            assert np.max(np.abs(prof.values - np.asarray(ref))) <= tol
+        assert got[0].values[0] == 0.0 and got[1].values[0] == 0.0
+
+
 class TestWeightedNorm:
     def test_grid_and_profile_quadratures_agree(self, grid):
         w2d = np.exp(-grid.r2d**2 / 4.0)
