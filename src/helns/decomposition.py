@@ -341,7 +341,7 @@ def decompose(
             f"vorticity is not divergence-free: max |div| = {max_div:.3e} "
             f"exceeds {DIV_TOL:.1e} x max |omega|"
         )
-    defect = ops.helical_defect(omega)
+    defect = ops.helical_defect(W)
     if defect > DEFECT_TOL:
         raise ValueError(
             f"vorticity is not helical: masked defect {defect:.3e} exceeds {DEFECT_TOL:.1e}"

@@ -198,7 +198,7 @@ def ladyzhenskaya_ratio(v_hat: np.ndarray, ops: SpectralOps) -> float:
     nb = norms(v_hat, ops)
     if nb["l2"] == 0.0:
         raise ValueError("Ladyzhenskaya ratio requires a nonzero field")
-    defect = ops.helical_defect(ops.inv(v_hat))
+    defect = ops.helical_defect(v_hat)
     if defect > HELICAL_DEFECT_TOL:
         raise ValueError(
             f"Ladyzhenskaya ratio requires a helical field: defect {defect:.3e}"
@@ -345,7 +345,7 @@ class RecordBuilder:
         l2_lap_uperp = float(np.sqrt(ops.lap_norm_sq(up_hat)))
         l2_nbar = source_norm(v_hat, ops).value
 
-        defect = ops.helical_defect(ops.inv(v_hat))
+        defect = ops.helical_defect(v_hat)
         max_div = ops.max_divergence(v_hat)
 
         if self._prev_t is not None:

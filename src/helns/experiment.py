@@ -11,7 +11,8 @@ returns the collected artifacts together with an invariant report:
 * (for circulation-free runs) the worst energy-identity residual.
 
 Runs whose perturbation energy grows past a fixed factor of its initial
-value abort with :class:`InstabilityError` after flushing the partial CSV.
+value, or whose fields turn non-finite, abort with :class:`InstabilityError`
+after flushing the partial CSV.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ GUARD_FACTOR = 10.0
 
 
 class InstabilityError(RuntimeError):
-    """Raised when the perturbation energy grows past the stability guard.
+    """Raised when the perturbation energy grows past the stability guard
+    or the solver meets non-finite fields (``__cause__`` is then the
+    solver's FloatingPointError).
 
     The partial diagnostics CSV written before the abort is available as
     ``csv_path``.
@@ -187,6 +190,10 @@ def run_experiment(
     next_snap = 0.0 if cfg.snapshot_dt > 0 else None
     snap_index = 0
 
+    def flush() -> None:
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
+        write_records_csv(records, csv_path)
+
     def observer(state: SimulationState) -> None:
         nonlocal pythagoras_max, energy_max, guard_sq, next_snap, snap_index
         rec = builder(state)
@@ -200,8 +207,7 @@ def run_experiment(
         if guard_sq is None:
             guard_sq = guard_factor * max(rec.l2_v**2, np.finfo(float).tiny)
         elif rec.l2_v**2 > guard_sq:
-            csv_path.parent.mkdir(parents=True, exist_ok=True)
-            write_records_csv(records, csv_path)
+            flush()
             raise InstabilityError(
                 f"perturbation energy {rec.l2_v**2:.6g} at t={rec.t:.6g} exceeds "
                 f"{guard_factor:g} x initial energy; partial diagnostics flushed to "
@@ -224,10 +230,14 @@ def run_experiment(
         output_dt=cfg.output_dt,
         background=params,
     )
-    final_state = run_spectral3d(v0_hat, grid, solver_cfg, observer=observer, ops=ops)
-
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    write_records_csv(records, csv_path)
+    try:
+        final_state = run_spectral3d(v0_hat, grid, solver_cfg, observer=observer, ops=ops)
+    except FloatingPointError as exc:
+        flush()
+        raise InstabilityError(
+            f"{exc}; partial diagnostics flushed to {csv_path}", csv_path=csv_path
+        ) from exc
+    flush()
 
     d0, d1 = records[0].helical_defect, records[-1].helical_defect
     span = records[-1].t - records[0].t

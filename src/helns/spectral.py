@@ -86,11 +86,11 @@ class SpectralOps:
 
         The k = 0 mode (box mean) is left unchanged.
         """
-        kdotu = self.kx * U[0] + self.ky * U[1] + self.kz * U[2]
-        corr = kdotu * self.inv_k2
-        return np.stack(
-            [U[0] - self.kx * corr, U[1] - self.ky * corr, U[2] - self.kz * corr]
-        )
+        corr = (self.kx * U[0] + self.ky * U[1] + self.kz * U[2]) * self.inv_k2
+        out = np.empty_like(U)
+        for i, k in enumerate((self.kx, self.ky, self.kz)):
+            np.subtract(U[i], k * corr, out=out[i])
+        return out
 
     def project_Q(self, F: np.ndarray) -> np.ndarray:
         """Vertical-mean projection: keep exactly the kz = 0 modes."""
@@ -170,7 +170,7 @@ class SpectralOps:
 
     # --- helical defect -----------------------------------------------------
 
-    def helical_defect(self, u: np.ndarray) -> float:
+    def helical_defect(self, U: np.ndarray) -> float:
         """Masked, H1-normalized helical-symmetry defect of a velocity field.
 
         Helical symmetry means the three cylindrical components about the
@@ -182,9 +182,10 @@ class SpectralOps:
         The mask keeps r <= Lx/4 to exclude wrap-around artifacts of the
         physical-space angular derivative.
 
-        Accepts physical samples (3, nx, ny, nz); returns 0 for a zero field.
+        Takes the coefficients U (3, ...) of the field and does 9 inverse
+        transforms: d/dx, d/dy and L d/dz plus the shift of each component.
+        Returns 0 for a zero field.
         """
-        U = self.fwd(u)
         h1_sq = self.l2_norm_sq(U) + self.grad_norm_sq(U)
         if h1_sq == 0.0:
             return 0.0
@@ -194,11 +195,11 @@ class SpectralOps:
         mask = (self.grid.r2d <= 0.25 * self.grid.Lx)[..., None]
         dV = self.grid.cell_volume
         total = 0.0
-        shift = (u[1], -u[0], np.zeros_like(u[2]))
+        shift = (U[1], -U[0], 0.0)
         for comp in range(3):
             dx_c = self.inv(self.deriv(U[comp], 0))
             dy_c = self.inv(self.deriv(U[comp], 1))
-            dz_c = self.inv(self.deriv(U[comp], 2))
-            defect = xc * dy_c - yc * dx_c + L * dz_c + shift[comp]
+            axial_c = self.inv(L * self.deriv(U[comp], 2) + shift[comp])
+            defect = xc * dy_c - yc * dx_c + axial_c
             total += float(np.sum((defect * mask) ** 2) * dV)
         return float(np.sqrt(total / h1_sq))

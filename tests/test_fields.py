@@ -131,7 +131,7 @@ class TestPerturbationGenerator:
         spec = PerturbationSpec(seed=1, amplitude=0.1, sigma=2.0)
         v = random_helical_perturbation(spec, grid, ops)
         assert ops.max_divergence(v) < 1e-13
-        assert ops.helical_defect(ops.inv(v)) < 1e-8
+        assert ops.helical_defect(v) < 1e-8
 
     def test_seed_reproducibility(self, grid, ops):
         spec = PerturbationSpec(seed=7, amplitude=0.2, sigma=2.0)

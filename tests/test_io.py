@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helns import cli, presets
+from helns import cli, presets, solver
 from helns.config import (
     ConfigError,
     ExperimentConfig,
@@ -229,6 +229,29 @@ class TestCli:
         ini = _write_config(tmp_path, Lx=16.0, sigma=1.2)  # Lx/16 = 1 < sigma
         assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == 2
         assert "sigma must not exceed Lx/16" in capsys.readouterr().err
+
+    def test_simulate_nonfinite_run_exits_3_with_partial_csv(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the third step returns a non-finite state; the next stage-1 tendency
+        # raises FloatingPointError, which must end as exit 3, not a traceback
+        real_step = solver.step_spectral3d
+        calls = []
+
+        def poisoned_step(state, dt, *args, **kwargs):
+            calls.append(dt)
+            new = real_step(state, dt, *args, **kwargs)
+            if len(calls) == 3:
+                new.v_hat[...] = np.nan
+            return new
+
+        monkeypatch.setattr(solver, "step_spectral3d", poisoned_step)
+        ini = _write_config(tmp_path, t_end=0.3)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        lines = (out / "diagnostics.csv").read_text().strip().split("\n")
+        assert len(lines) == 3  # header, t = 0 and t = 0.1
+        assert len(calls) == 3
 
     def test_decompose_round_trip(self, tmp_path):
         grid = GridSpec.cube(32, 20.0, 1.0)

@@ -30,6 +30,9 @@ REMOVED_NAMES = (
     (decomposition, "_embed_mean_velocity"),
     (decomposition, "_eval_bilinear"),
     (decomposition.DecompositionResult, "v_physical"),
+    (solver, "_cfl_dt"),
+    (solver.SimulationState, "u_physical"),
+    (solver.SimulationState, "v_physical"),
 )
 
 REMOVED_PARAMETERS = (

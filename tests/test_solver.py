@@ -8,7 +8,14 @@ from scipy.interpolate import CubicSpline
 
 from helns.config import ExperimentConfig
 from helns.experiment import InstabilityError, run_experiment
-from helns.fields import OseenParams, PerturbationSpec, random_helical_perturbation
+from helns import solver
+from helns.fields import (
+    OseenParams,
+    PerturbationSpec,
+    oseen_gradient_xy,
+    oseen_velocity_xy,
+    random_helical_perturbation,
+)
 from helns.grid import GridSpec
 from helns.radial import RadialProfile, run_radial, uniform_radii
 from helns.solver import (
@@ -43,8 +50,8 @@ class TestViscousExactness:
                               background=OseenParams(a=0.0))
         final = run_spectral3d(v0, grid, config, ops=ops)
         expected = np.exp(-k**2 * 0.5) * u[1]
-        assert np.max(np.abs(final.v_physical(ops)[1] - expected)) < 1e-10
-        assert np.max(np.abs(final.v_physical(ops)[0])) < 1e-12
+        assert np.max(np.abs(ops.inv(final.v_hat)[1] - expected)) < 1e-10
+        assert np.max(np.abs(ops.inv(final.v_hat)[0])) < 1e-12
 
     def test_zero_field_stays_zero(self, grid, ops):
         v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
@@ -108,6 +115,84 @@ class TestNonlinearTerm:
         assert ratio < 1e-13
 
 
+def _convective_reference(v_hat, t, grid, ops, a):
+    """-P dealias[v.grad v + a(u_LO.grad v + v.grad u_LO)], the 15-FFT loop."""
+    v = ops.inv(v_hat)
+    adv = np.empty_like(v)
+    ulo = oseen_velocity_xy(grid, t)[..., None]
+    glo = oseen_gradient_xy(grid, t)[..., None]
+    for i in range(3):
+        grad_i = ops.inv(ops.gradient(v_hat[i]))
+        adv[i] = v[0] * grad_i[0] + v[1] * grad_i[1] + v[2] * grad_i[2]
+        if a != 0.0:
+            adv[i] += a * (ulo[0] * grad_i[0] + ulo[1] * grad_i[1])
+            if i < 2:
+                adv[i] += a * (v[0] * glo[i, 0] + v[1] * glo[i, 1])
+    return -ops.leray(ops.dealias(ops.fwd(adv)))
+
+
+def _engine_field(grid, ops, seed, amplitude):
+    """A dealiased solenoidal field, as the engine carries it."""
+    spec = PerturbationSpec(seed=seed, amplitude=amplitude, sigma=1.2)
+    return ops.leray(ops.dealias(random_helical_perturbation(spec, grid, ops)))
+
+
+class TestRhsKernels:
+    @pytest.mark.parametrize("seed,amplitude", [(0, 0.1), (3, 1.0), (11, 80.0), (12, 80.0)])
+    def test_divergence_form_matches_convective_loop(self, grid, ops, seed, amplitude):
+        v_hat = _engine_field(grid, ops, seed, amplitude)
+        rhs = rhs_perturbation(v_hat, 0.3, grid, OseenParams(a=0.0), ops)
+        ref = _convective_reference(v_hat, 0.3, grid, ops, 0.0)
+        assert ops.l2_norm(rhs - ref) <= 1e-14 * ops.l2_norm(ref)
+
+    @pytest.mark.parametrize("a", [-2.0, 0.5, 1.0])
+    def test_background_branch_is_the_convective_loop(self, grid, ops, a):
+        v_hat = _engine_field(grid, ops, 2, 1.0)
+        rhs = rhs_perturbation(v_hat, 0.3, grid, OseenParams(a=a), ops)
+        assert np.array_equal(rhs, _convective_reference(v_hat, 0.3, grid, ops, a))
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_step_with_precomputed_stage_one_is_bitwise_equal(self, grid, ops, a):
+        v_hat = _engine_field(grid, ops, 4, 1.0)
+        state = SimulationState(grid=grid, t=0.2, v_hat=v_hat)
+        rhs = lambda v, t: rhs_perturbation(v, t, grid, OseenParams(a=a), ops)
+        plain = step_spectral3d(state, 0.05, rhs, ops)
+        given = step_spectral3d(state, 0.05, rhs, ops, k1=rhs(v_hat, 0.2))
+        assert given.t == plain.t
+        assert np.array_equal(given.v_hat, plain.v_hat)
+
+    def test_cfl_dt_is_taken_from_the_stage_one_velocity(self, grid, ops, monkeypatch):
+        a, cfl, output_dt = 1.0, 0.4, 0.5
+        h = min(grid.dx, grid.dy, grid.dz)
+        steps = []
+        real_step = solver.step_spectral3d
+
+        def recording_step(state, dt, *args, **kwargs):
+            steps.append((state.t, state.v_hat.copy(), dt))
+            return real_step(state, dt, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "step_spectral3d", recording_step)
+        spec = PerturbationSpec(seed=8, amplitude=40.0, sigma=1.2)
+        v0 = random_helical_perturbation(spec, grid, ops)
+        config = SolverConfig(t_end=1.0, cfl=cfl, output_dt=output_dt,
+                              background=OseenParams(a=a))
+        run_spectral3d(v0, grid, config, ops=ops)
+
+        limited = 0
+        for t, v_hat, dt in steps:
+            u = ops.inv(v_hat)
+            uxy = oseen_velocity_xy(grid, t)
+            u[0] += a * uxy[0][..., None]
+            u[1] += a * uxy[1][..., None]
+            dt_cfl = cfl * h / float(np.max(np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2)))
+            ends = (t + dt) / output_dt
+            if dt == dt_cfl:
+                limited += 1
+            else:  # cut short to land on an output time
+                assert dt < dt_cfl and abs(ends - round(ends)) < 1e-9
+        assert limited >= 2
+
+
 class TestTemporalOrder:
     def test_rk4_self_convergence(self, grid, ops):
         spec = PerturbationSpec(seed=4, amplitude=0.3, sigma=1.2)
@@ -148,7 +233,7 @@ class TestMeanFlowConsistency:
         )
         spline = CubicSpline(prof.r, prof.values)
 
-        v_final = final.v_physical(ops)
+        v_final = ops.inv(final.v_hat)
         ix = grid.nx // 2 + np.arange(1, grid.nx // 4)
         radii = grid.x[ix] - grid.center[0]
         # along y = center: e_theta = e_y, so u_y(x, yc) = v_theta(x - xc)
