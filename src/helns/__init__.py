@@ -10,12 +10,9 @@ inequality and decay-rate diagnostics.
 from .grid import GridSpec
 from .spectral import SpectralOps
 from .fields import (
-    OseenParams,
     PerturbationSpec,
-    oseen_velocity,
     oseen_vorticity,
     shear_flow,
-    heat_kernel_2d,
     random_helical_perturbation,
 )
 from .radial import (
@@ -58,12 +55,9 @@ __version__ = "0.1.0"
 __all__ = [
     "GridSpec",
     "SpectralOps",
-    "OseenParams",
     "PerturbationSpec",
-    "oseen_velocity",
     "oseen_vorticity",
     "shear_flow",
-    "heat_kernel_2d",
     "random_helical_perturbation",
     "RadialProfile",
     "DomainTooSmallError",

@@ -203,10 +203,7 @@ def _cmd_rate_study(args) -> int:
             return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    studies = []
-    for m in m_values:
-        kwargs = {"R": 2000.0, "n": 32768} if m < 1.35 else {}
-        studies.append(diag.rate_study(m, **kwargs))
+    studies = [diag.rate_study(m) for m in m_values]
     if args.gaussian:
         studies.append(diag.rate_study(initial="gaussian"))
 
@@ -253,12 +250,8 @@ def _cmd_sweep_inequality(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     poincare = diag.sweep_poincare(n_seeds=args.seeds, seed0=args.seed)
-    lady1 = diag.sweep_ladyzhenskaya(
-        n_seeds=args.seeds, n=32, Lx=20.0, pitch=1.0, sigma=1.2, seed0=args.seed
-    )
-    lady2 = diag.sweep_ladyzhenskaya(
-        n_seeds=args.seeds, n=32, Lx=20.0, pitch=2.0, sigma=1.2, seed0=args.seed
-    )
+    lady1 = diag.sweep_ladyzhenskaya(n_seeds=args.seeds, pitch=1.0, seed0=args.seed)
+    lady2 = diag.sweep_ladyzhenskaya(n_seeds=args.seeds, pitch=2.0, seed0=args.seed)
     payload = {
         "poincare": {
             "pitch": diag.format_float(poincare.pitch),

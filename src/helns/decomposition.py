@@ -27,7 +27,6 @@ from .radial import (
     mean_vorticity_from_utheta,
     oseen_extraction,
     radial_biot_savart,
-    weighted_l2m_norm_profile,
     zero_mass_check,
 )
 from .spectral import SpectralOps
@@ -69,27 +68,15 @@ def circulation_a(omega: np.ndarray, grid: GridSpec) -> float:
 # --- weighted norms ------------------------------------------------------------
 
 
-def weighted_l2m_norm(
-    omega,
-    m: float,
-    *,
-    grid: GridSpec | None = None,
-    pitch: float | None = None,
-) -> float:
+def weighted_l2m_norm(omega, m: float, *, grid: GridSpec) -> float:
     """Weighted vorticity norm (int (1+r^2)^m |omega|^2 r dr dtheta dz)^(1/2).
 
-    Accepts either a :class:`RadialProfile` (requires ``pitch``) or physical
-    grid samples of shape (3, nx, ny, nz) or (nx, ny, nz) (requires ``grid``);
-    r is the horizontal distance from the vortex axis.
+    Takes physical grid samples of shape (3, nx, ny, nz) or (nx, ny, nz); r is
+    the horizontal distance from the vortex axis.  Radial profiles have
+    :func:`helns.radial.weighted_l2m_norm_profile`.
     """
     if m < 0:
         raise ValueError("weight exponent m must be >= 0")
-    if isinstance(omega, RadialProfile):
-        if pitch is None:
-            raise ValueError("profile input requires the pitch")
-        return weighted_l2m_norm_profile(omega, m, pitch)
-    if grid is None:
-        raise ValueError("grid-sample input requires the grid")
     omega = np.asarray(omega, dtype=float)
     if omega.shape not in ((3,) + grid.shape, grid.shape):
         raise ValueError(
@@ -259,14 +246,6 @@ class DecompositionResult:
         h1 = np.hypot(self.l2_v, self.grad_l2_v)
         if not np.isclose(h1, self.h1_v, rtol=1e-12, atol=0.0):
             raise ValueError("H1 norm must satisfy |v|_H1^2 = |v|_L2^2 + |grad v|_L2^2")
-
-    def reconstruct_vorticity(
-        self, ops: SpectralOps | None = None, background_spread: float = 1.0
-    ) -> np.ndarray:
-        """Physical samples of a*w_LO + curl(v): the round-trip vorticity."""
-        ops = ops or SpectralOps(self.grid)
-        w = ops.inv(ops.curl(self.v_hat))
-        return w + self.a * oseen_vorticity(self.grid, background_spread - 1.0)
 
     def report_text(self) -> str:
         lines = [

@@ -3,7 +3,6 @@
 Every run emits a stream of :class:`DiagnosticsRecord` rows (the CSV
 contract of the package).  On top of the records this module provides:
 
-* spectral-exact norm bundles;
 * ratio verifiers for the helical Ladyzhenskaya inequality and the
   Poincare inequality of the zero-vertical-mean part;
 * the projected source norm |PQ(u_perp . grad u_perp)|_L2 together with its
@@ -29,7 +28,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from .fields import (
-    OseenParams,
     PerturbationSpec,
     heat_gaussian,
     oseen_gradient_xy,
@@ -160,32 +158,6 @@ def load_records_csv(path) -> list[DiagnosticsRecord]:
     return out
 
 
-# --- norm bundles -------------------------------------------------------------
-
-
-def norms(F: np.ndarray, ops: SpectralOps) -> dict:
-    """Norm bundle {l2, l4, linf, h1, grad_l2, lap_l2} of a coefficient array.
-
-    L2-type quantities are spectral-exact via Parseval; L4 and Linf use the
-    pointwise Euclidean magnitude of the physical samples.
-    """
-    l2_sq = ops.l2_norm_sq(F)
-    grad_sq = ops.grad_norm_sq(F)
-    lap_sq = ops.lap_norm_sq(F)
-    f = ops.inv(F)
-    mag_sq = np.sum(f * f, axis=0) if f.ndim == 4 else f * f
-    l4 = float(np.sum(mag_sq**2) * ops.grid.cell_volume) ** 0.25
-    linf = float(np.sqrt(np.max(mag_sq)))
-    return {
-        "l2": float(np.sqrt(l2_sq)),
-        "l4": l4,
-        "linf": linf,
-        "grad_l2": float(np.sqrt(grad_sq)),
-        "lap_l2": float(np.sqrt(lap_sq)),
-        "h1": float(np.sqrt(l2_sq + grad_sq)),
-    }
-
-
 # --- inequality ratios ----------------------------------------------------------
 
 
@@ -193,17 +165,22 @@ def ladyzhenskaya_ratio(v_hat: np.ndarray, ops: SpectralOps) -> float:
     """|v|_L4 / (|v|_L2^(1/2) |grad v|_L2^(1/2)) for a helical field.
 
     The ratio is 0-homogeneous; the fitted constant of the seeded sweep is
-    ``C0 = L * max(ratio)^4``.
+    ``C0 = L * max(ratio)^4``.  The L2 norms are spectral-exact (Parseval);
+    the L4 norm uses the pointwise Euclidean magnitude of the physical samples.
     """
-    nb = norms(v_hat, ops)
-    if nb["l2"] == 0.0:
+    l2 = ops.l2_norm(v_hat)
+    if l2 == 0.0:
         raise ValueError("Ladyzhenskaya ratio requires a nonzero field")
+    grad_l2 = float(np.sqrt(ops.grad_norm_sq(v_hat)))
+    v = ops.inv(v_hat)
+    mag_sq = np.sum(v * v, axis=0)
+    l4 = float(np.sum(mag_sq**2) * ops.grid.cell_volume) ** 0.25
     defect = ops.helical_defect(v_hat)
     if defect > HELICAL_DEFECT_TOL:
         raise ValueError(
             f"Ladyzhenskaya ratio requires a helical field: defect {defect:.3e}"
         )
-    return nb["l4"] / np.sqrt(nb["l2"] * nb["grad_l2"])
+    return l4 / np.sqrt(l2 * grad_l2)
 
 
 def fitted_c0(ratios, pitch: float) -> float:
@@ -261,7 +238,7 @@ def source_norm(v_hat: np.ndarray, ops: SpectralOps) -> SourceNormReport:
     vertical-mean equation.
     """
     up_hat = ops.perp(v_hat)
-    nbar_hat = ops.project_Q(rhs_perturbation(up_hat, 0.0, ops.grid, OseenParams(0.0), ops))
+    nbar_hat = ops.project_Q(rhs_perturbation(up_hat, 0.0, 0.0, ops))
     value = ops.l2_norm(nbar_hat)
     l2 = ops.l2_norm(up_hat)
     grad = float(np.sqrt(ops.grad_norm_sq(up_hat)))
@@ -353,18 +330,16 @@ class RecordBuilder:
         self._prev_t = t
         self._prev_grad_sq = grad_sq
 
+        # Background terms of |grad u|^2 for u = v + a u_LO; both vanish (and
+        # leave the sums bitwise unchanged) when a = 0.
+        cross = grad_lo_sq = 0.0
         if a != 0.0:
             cross = self._oseen_cross_term(v_hat, t)
             grad_lo_sq = oseen_grad_l2_sq(t, grid.pitch)
-            grad_u_sq = grad_sq + 2.0 * a * cross + a * a * grad_lo_sq
-            grad_mean_sq = (
-                ops.grad_norm_sq(ops.project_Q(v_hat))
-                + 2.0 * a * cross
-                + a * a * grad_lo_sq
-            )
-        else:
-            grad_u_sq = grad_sq
-            grad_mean_sq = ops.grad_norm_sq(ops.project_Q(v_hat))
+        grad_u_sq = grad_sq + 2.0 * a * cross + a * a * grad_lo_sq
+        grad_mean_sq = (
+            ops.grad_norm_sq(ops.project_Q(v_hat)) + 2.0 * a * cross + a * a * grad_lo_sq
+        )
         # Inequality constants are nonnegative up to rounding of the cross term.
         grad_u_sq = max(grad_u_sq, 0.0)
         grad_mean_sq = max(grad_mean_sq, 0.0)
@@ -422,17 +397,22 @@ def _linear_fit(x: np.ndarray, y: np.ndarray):
     return slope, intercept, rms, 1.96 * se
 
 
-def fit_exponential(t, y, min_samples: int = 20) -> DecayFit:
+def _tail_size(n: int) -> int:
+    """Length of the tail window of n samples (shared by the fits below)."""
+    return max(n // 2, min(20, n))
+
+
+def fit_exponential(t, y) -> DecayFit:
     """Exponential fit log y ~ rate * t on the last half of the series.
 
-    The window is the trailing half of the samples, widened to at least
-    ``min_samples`` when the series is long enough.
+    The window is the trailing half of the samples, widened to at least 20
+    when the series is long enough.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.size != y.size or t.size < 4:
         raise ValueError("need at least 4 samples to fit")
-    n_tail = max(t.size // 2, min(min_samples, t.size))
+    n_tail = _tail_size(t.size)
     tt, yy = t[-n_tail:], y[-n_tail:]
     keep = yy > 0
     if np.count_nonzero(keep) < 4:
@@ -448,15 +428,14 @@ def fit_exponential(t, y, min_samples: int = 20) -> DecayFit:
     )
 
 
-def fit_power(t, y, window: tuple[float, float] | None = None) -> DecayFit:
-    """Power-law fit log y ~ p log t on t in [t_end/4, t_end] by default."""
+def fit_power(t, y) -> DecayFit:
+    """Power-law fit log y ~ p log t on t in [t_end/4, t_end]."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.size != y.size or t.size < 4:
         raise ValueError("need at least 4 samples to fit")
-    if window is None:
-        window = (float(t[-1]) / 4.0, float(t[-1]))
-    keep = (t >= window[0]) & (t <= window[1]) & (t > 0) & (y > 0)
+    t_end = float(t[-1])
+    keep = (t >= t_end / 4.0) & (t <= t_end) & (t > 0) & (y > 0)
     if np.count_nonzero(keep) < 4:
         raise ValueError("too few positive samples in the fit window")
     tt, yy = t[keep], y[keep]
@@ -479,16 +458,16 @@ def moving_median3(y) -> np.ndarray:
     return out
 
 
-def transient_time(t, y, rtol: float = 1e-9):
+def transient_time(t, y):
     """Earliest output time after which the median-smoothed series is
-    nonincreasing for the rest of the run; None when no such time exists
-    before the final sample."""
+    nonincreasing (up to 1e-9 of its maximum) for the rest of the run; None
+    when no such time exists before the final sample."""
     t = np.asarray(t, dtype=float)
     med = moving_median3(y)
     scale = float(np.max(np.abs(med))) if med.size else 0.0
     ok_from = t.size - 1
     for i in range(t.size - 2, -1, -1):
-        if med[i + 1] <= med[i] + rtol * scale:
+        if med[i + 1] <= med[i] + 1e-9 * scale:
             ok_from = i
         else:
             break
@@ -519,7 +498,7 @@ def log_energy_check(records) -> LogEnergyReport:
     t = np.array([r.t for r in records])
     lhs = np.array([r.l2_v**2 + 2.0 * r.cum_enstrophy for r in records])
     ratio = lhs / (1.0 + np.log1p(t))
-    n_tail = max(t.size // 2, min(20, t.size))
+    n_tail = _tail_size(t.size)
     tt, rr = t[-n_tail:], ratio[-n_tail:]
     if tt.size < 4:
         raise ValueError("need at least 4 records for the logarithmic check")
@@ -573,47 +552,44 @@ def rate_study(
     m: float | None = None,
     *,
     initial: str = "kummer",
-    a: float = 1.0,
-    amplitude: float = 0.5,
-    delta: float = 0.05,
-    s0: float = 0.25,
     R: float | None = None,
     n: int | None = None,
-    t_end: float = 32.0,
-    dt: float = 0.04,
-    pitch: float = 1.0,
-    n_observations: int = 96,
-    super_rate_threshold: float = -0.5,
 ) -> RateStudyResult:
     """Fit the decay exponent of |v(t)|_L2 on the radial engine.
 
     ``initial='kummer'`` (requires 1 < m < 2) sets the vertical vorticity to
-    a unit-mass Gaussian of strength ``a`` plus ``amplitude`` times the
-    zero-mass self-similar tail profile whose vorticity decays like
-    r^{-(m+1+delta)} — on the boundary of the weight-m class, so the decay
-    exponent (1-m)/2 is attained rather than exceeded.  ``initial='gaussian'``
-    evolves a Gaussian of core spread ``s0``; Gaussian data decay faster than
-    every attainable power rate and are flagged ``super_rate``.
+    a unit-mass Gaussian of strength a = 1 plus 0.5 times the zero-mass
+    self-similar tail profile whose vorticity decays like r^{-(m+1+delta)},
+    delta = 0.05 — on the boundary of the weight-m class, so the decay
+    exponent (1-m)/2 is attained rather than exceeded.  Its default radial
+    domain is R = 1000 with 16384 cells, enlarged to R = 2000 with 32768
+    cells for m < 1.35, whose slower tail needs the room.
+    ``initial='gaussian'`` evolves a Gaussian of core spread 0.25 (default
+    R = 200, 4096 cells); Gaussian data decay faster than every attainable
+    power rate and are flagged ``super_rate`` (fitted exponent <= -0.5).
 
-    The engine is the even-parity Crank-Nicolson radial heat step; at each
-    observation the azimuthal velocity is reconstructed by the radial
-    Biot-Savart integral, the circulation tail at the matching time is
-    subtracted, and the box L2 norm of the remainder is recorded.  The
-    power-law window is [t_end/4, t_end].
+    The engine is the even-parity Crank-Nicolson radial heat step (dt 0.04
+    to t = 32, 96 observations); at each observation the azimuthal velocity
+    is reconstructed by the radial Biot-Savart integral, the circulation
+    tail at the matching time is subtracted, and the box L2 norm (pitch 1)
+    of the remainder is recorded.  The power-law window is [t_end/4, t_end].
     """
     start = time.perf_counter()
+    # Background strength, tail amplitude and offset, Gaussian core spread;
+    # run length, CN step, pitch and number of observations.
+    a, amplitude, delta, s0 = 1.0, 0.5, 0.05, 0.25
+    t_end, dt, pitch, n_observations = 32.0, 0.04, 1.0, 96
     if initial == "kummer":
         if m is None or not 1.0 < m < 2.0:
             raise ValueError("the weighted-tail study requires 1 < m < 2")
         p = m + 1.0 + delta
-        R = 1000.0 if R is None else R
-        n = 16384 if n is None else n
+        wide = m < 1.35
+        R = (2000.0 if wide else 1000.0) if R is None else R
+        n = (32768 if wide else 16384) if n is None else n
         r = uniform_radii(R, n)
         w0 = a * heat_gaussian(r**2, 1.0) + amplitude * kummer_tail_profile(p, r)
         expected = (1.0 - m) / 2.0
     elif initial == "gaussian":
-        if s0 <= 0:
-            raise ValueError("gaussian initial data requires s0 > 0")
         R = 200.0 if R is None else R
         n = 4096 if n is None else n
         r = uniform_radii(R, n)
@@ -651,7 +627,7 @@ def rate_study(
         m=m if initial == "kummer" else None,
         initial=initial,
         fit=fit,
-        super_rate=fit.exponent <= super_rate_threshold,
+        super_rate=fit.exponent <= -0.5,
         expected=expected,
         times=t_arr,
         values=v_arr,
@@ -752,8 +728,8 @@ class PoincareSweepReport:
     def max_ratio(self) -> float:
         return float(np.max(self.ratios))
 
-    def passed(self, margin: float = 1e-10) -> bool:
-        return self.max_ratio <= self.pitch * (1.0 + margin) and self.equality_gap <= 1e-10
+    def passed(self) -> bool:
+        return self.max_ratio <= self.pitch * (1.0 + 1e-10) and self.equality_gap <= 1e-10
 
 
 def _random_perp_field(
@@ -765,19 +741,15 @@ def _random_perp_field(
     return ops.perp(ops.leray(ops.dealias(F)))
 
 
-def sweep_poincare(
-    n_seeds: int = 100,
-    grid: GridSpec | None = None,
-    ops: SpectralOps | None = None,
-    seed0: int = 0,
-) -> PoincareSweepReport:
+def sweep_poincare(n_seeds: int = 100, seed0: int = 0) -> PoincareSweepReport:
     """Poincare ratios of seeded zero-vertical-mean fields plus the equality mode.
 
-    Every ratio satisfies |v|_L2 <= L |grad v|_L2 spectrally; the pure
-    vertical mode sin(z/L) e_x attains the constant exactly.
+    The fields live on the 32^3 box of width 20 and pitch 1.  Every ratio
+    satisfies |v|_L2 <= L |grad v|_L2 spectrally; the pure vertical mode
+    sin(z/L) e_x attains the constant exactly.
     """
-    grid = grid or GridSpec.cube(32, 20.0, 1.0)
-    ops = ops or SpectralOps(grid)
+    grid = GridSpec.cube(32, 20.0, 1.0)
+    ops = SpectralOps(grid)
     ratios = []
     for s in range(n_seeds):
         rng = np.random.default_rng(np.random.PCG64(seed0 + s))
@@ -802,22 +774,17 @@ _SWEEP_MODE_SETS = ((0,), (1,), (0, 1), (2,), (1, 2))
 
 
 def sweep_ladyzhenskaya(
-    n_seeds: int = 100,
-    *,
-    n: int = 32,
-    Lx: float = 20.0,
-    pitch: float = 1.0,
-    sigma: float = 2.0,
-    seed0: int = 0,
+    n_seeds: int = 100, *, pitch: float = 1.0, seed0: int = 0
 ) -> LadyzhenskayaSweepReport:
     """Ladyzhenskaya ratios over seeded helical fields; fits C0 = L max(ratio)^4.
 
-    The seeds cycle through mode sets that include z-independent samples
-    (helical wavenumber 0), whose fitted constant is exactly pitch-invariant;
-    rerunning with the pitch doubled and matched profiles must reproduce C0
-    within 10%.
+    The fields live on the 32^3 box of width 20 with envelope width 1.2 (the
+    widest that box admits is 1.25).  The seeds cycle through mode sets that
+    include z-independent samples (helical wavenumber 0), whose fitted
+    constant is exactly pitch-invariant; rerunning with the pitch doubled and
+    matched profiles must reproduce C0 within 10%.
     """
-    grid = GridSpec.cube(n, Lx, pitch)
+    grid = GridSpec.cube(32, 20.0, pitch)
     ops = SpectralOps(grid)
     ratios = []
     for s in range(n_seeds):
@@ -825,7 +792,7 @@ def sweep_ladyzhenskaya(
             seed=seed0 + s,
             amplitude=1.0,
             modes=_SWEEP_MODE_SETS[s % len(_SWEEP_MODE_SETS)],
-            sigma=sigma,
+            sigma=1.2,
         )
         v_hat = random_helical_perturbation(spec, grid, ops)
         ratios.append(ladyzhenskaya_ratio(v_hat, ops))

@@ -27,9 +27,8 @@ from .config import ExperimentConfig
 from .diagnostics import DiagnosticsRecord, RecordBuilder, write_records_csv
 from .diagnostics import energy_identity_residual, orthogonal_split_residual
 from .fields import (
-    OseenParams,
     PerturbationSpec,
-    heat_kernel_2d,
+    heat_gaussian,
     oseen_vorticity,
     random_helical_perturbation,
     shear_flow,
@@ -117,10 +116,10 @@ def _lamb2d_initial(cfg: ExperimentConfig, grid: GridSpec, ops: SpectralOps) -> 
     Gaussians G(s) = exp(-r^2/(4s)) / (4 pi s): the two masses cancel, so the
     induced velocity is localized and the circulation is exactly zero.
     """
-    w_z = cfg.amplitude * (
-        heat_kernel_2d(cfg.s0, grid.xc, grid.yc)
-        - heat_kernel_2d(1.0, grid.xc, grid.yc)
-    )
+    if not cfg.s0 > 0:
+        raise ValueError(f"lamb2d spread s0 must be positive, got {cfg.s0}")
+    r2 = grid.xc**2 + grid.yc**2
+    w_z = cfg.amplitude * (heat_gaussian(r2, cfg.s0) - heat_gaussian(r2, 1.0))
     w = np.zeros((3,) + grid.shape)
     w[2] = w_z[..., None]
     return ops.inverse_curl(ops.fwd(w))
@@ -161,13 +160,13 @@ def run_experiment(
     *,
     ops: SpectralOps | None = None,
     quiet: bool = False,
-    guard_factor: float = GUARD_FACTOR,
 ) -> RunResult:
     """Run the configured experiment, writing CSV and snapshot artifacts.
 
     The energy identity is evaluated at every record exactly for
     circulation-free (a = 0) runs, where the instantaneous identity holds
-    without background exchange terms.
+    without background exchange terms.  The run aborts once the
+    perturbation energy exceeds ``GUARD_FACTOR`` times its initial value.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,7 +177,6 @@ def run_experiment(
 
     v0_hat = build_initial(cfg, grid, ops)
     builder = RecordBuilder(grid, ops, cfg.a)
-    params = OseenParams(a=cfg.a)
 
     csv_path = out_dir / cfg.csv
     snap_dir = out_dir / cfg.snapshot_dir
@@ -200,17 +198,17 @@ def run_experiment(
         records.append(rec)
         pythagoras_max = max(pythagoras_max, orthogonal_split_residual(state.v_hat, ops))
         if check_energy and rec.l2_grad_v > 0.0:
-            rhs_nl = rhs_perturbation(state.v_hat, state.t, grid, params, ops)
+            rhs_nl = rhs_perturbation(state.v_hat, state.t, cfg.a, ops)
             energy_max = max(
                 energy_max, energy_identity_residual(state.v_hat, rhs_nl, ops)
             )
         if guard_sq is None:
-            guard_sq = guard_factor * max(rec.l2_v**2, np.finfo(float).tiny)
+            guard_sq = GUARD_FACTOR * max(rec.l2_v**2, np.finfo(float).tiny)
         elif rec.l2_v**2 > guard_sq:
             flush()
             raise InstabilityError(
                 f"perturbation energy {rec.l2_v**2:.6g} at t={rec.t:.6g} exceeds "
-                f"{guard_factor:g} x initial energy; partial diagnostics flushed to "
+                f"{GUARD_FACTOR:g} x initial energy; partial diagnostics flushed to "
                 f"{csv_path}",
                 csv_path=csv_path,
             )
@@ -228,7 +226,7 @@ def run_experiment(
         dt=cfg.dt,
         cfl=cfg.cfl,
         output_dt=cfg.output_dt,
-        background=params,
+        a=cfg.a,
     )
     try:
         final_state = run_spectral3d(v0_hat, grid, solver_cfg, observer=observer, ops=ops)

@@ -1,10 +1,9 @@
 """Closed-form fields and seeded helical perturbations.
 
-Everything here is analytic: the Lamb-Oseen vortex pair (velocity and
-vorticity), the self-similar shear flow whose nonlinearity vanishes
-identically, the 2D heat kernel, closed-form norms of the Oseen family used
-as oracles, and the seeded generator of divergence-free helical
-perturbations.
+Everything here is analytic: the Lamb-Oseen vortex (its velocity slice and
+gradient, and its vorticity), the self-similar shear flow whose nonlinearity
+vanishes identically, closed-form norms of the Oseen family used as oracles,
+and the seeded generator of divergence-free helical perturbations.
 
 Time enters all Oseen-family formulas through ``1 + t``: the profiles are the
 diffusing Gaussian started one time unit before t = 0.  The primitives
@@ -22,43 +21,21 @@ from .grid import GridSpec
 from .spectral import SpectralOps
 
 __all__ = [
-    "OseenParams",
     "PerturbationSpec",
     "heat_gaussian",
     "oseen_utheta",
     "oseen_utheta_prime",
-    "oseen_utheta_profile",
-    "oseen_wz_profile",
-    "oseen_velocity",
     "oseen_vorticity",
     "oseen_velocity_xy",
     "oseen_gradient_xy",
-    "oseen_vorticity_xy",
     "shear_flow",
     "shear_f",
     "shear_g",
-    "heat_kernel_2d",
     "oseen_l2_difference_sq",
     "oseen_grad_l2_sq",
     "oseen_grad_l2_difference_sq",
     "random_helical_perturbation",
 ]
-
-
-@dataclass(frozen=True)
-class OseenParams:
-    """Circulation Reynolds number of the analytic background vortex.
-
-    The background velocity is ``a * u_LO(t)`` where ``u_LO`` carries the
-    built-in time offset: every formula depends on ``1 + t``.  No smallness
-    is assumed on ``a``.
-    """
-
-    a: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.a):
-            raise ValueError("circulation Reynolds number must be finite")
 
 
 @dataclass(frozen=True)
@@ -105,19 +82,6 @@ def oseen_utheta_prime(r: np.ndarray, s: float) -> np.ndarray:
     return -(1.0 - E) / (2.0 * np.pi * r**2) + heat_gaussian(r**2, s)
 
 
-def oseen_utheta_profile(r: np.ndarray, t: float) -> np.ndarray:
-    """Azimuthal Oseen velocity u_theta(r) = (1/(2 pi r)) (1 - e^{-r^2/(4(1+t))}).
-
-    The removable singularity at r = 0 evaluates to 0.
-    """
-    return oseen_utheta(r, 1.0 + t)
-
-
-def oseen_wz_profile(r: np.ndarray, t: float) -> np.ndarray:
-    """Vertical Oseen vorticity w_z(r) = e^{-r^2/(4(1+t))} / (4 pi (1+t))."""
-    return heat_gaussian(np.asarray(r, dtype=float) ** 2, 1.0 + t)
-
-
 def _oseen_F(r2: np.ndarray, s: float) -> np.ndarray:
     """u_theta / r as a smooth function of r^2 (F(0) = 1/(8 pi s))."""
     q = r2 / (4.0 * s)
@@ -155,15 +119,6 @@ def oseen_velocity_xy(grid: GridSpec, t: float) -> np.ndarray:
     return np.stack([-grid.yc * F, grid.xc * F])
 
 
-def oseen_velocity(grid: GridSpec, t: float) -> np.ndarray:
-    """Full Oseen velocity field sampled on the grid, shape (3, nx, ny, nz)."""
-    uxy = oseen_velocity_xy(grid, t)
-    out = np.zeros((3, grid.nx, grid.ny, grid.nz))
-    out[0] = uxy[0][..., None]
-    out[1] = uxy[1][..., None]
-    return out
-
-
 def oseen_gradient_xy(grid: GridSpec, t: float) -> np.ndarray:
     """Gradients d_j u_i of the horizontal Oseen components, shape (2, 2, nx, ny).
 
@@ -183,15 +138,14 @@ def oseen_gradient_xy(grid: GridSpec, t: float) -> np.ndarray:
     )
 
 
-def oseen_vorticity_xy(grid: GridSpec, t: float) -> np.ndarray:
-    """Vertical Oseen vorticity slice w_z(r), shape (nx, ny)."""
-    return oseen_wz_profile(grid.r2d, t)
-
-
 def oseen_vorticity(grid: GridSpec, t: float) -> np.ndarray:
-    """Full Oseen vorticity field on the grid, shape (3, nx, ny, nz)."""
+    """Full Oseen vorticity field on the grid, shape (3, nx, ny, nz).
+
+    Only the vertical component is nonzero: w_z(r) = G(r^2, 1 + t), the
+    unit-mass Gaussian of :func:`heat_gaussian`.
+    """
     out = np.zeros((3, grid.nx, grid.ny, grid.nz))
-    out[2] = oseen_vorticity_xy(grid, t)[..., None]
+    out[2] = heat_gaussian(grid.r2d**2, 1.0 + t)[..., None]
     return out
 
 
@@ -223,13 +177,6 @@ def shear_flow(grid: GridSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
     w[0] = (-yc * g_over_r)[..., None]
     w[1] = (xc * g_over_r)[..., None]
     return u, w
-
-
-def heat_kernel_2d(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """2D heat kernel G_t(x) = (4 pi t)^{-1} exp(-|x|^2 / (4t))."""
-    if t <= 0:
-        raise ValueError("heat kernel requires t > 0")
-    return heat_gaussian(np.asarray(x) ** 2 + np.asarray(y) ** 2, t)
 
 
 # --- closed-form Oseen norms (oracles) -------------------------------------

@@ -238,8 +238,8 @@ def _preset_poincare(report: PresetReport, out_dir: Path) -> None:
 
 
 def _preset_ladyzhenskaya(report: PresetReport, out_dir: Path) -> None:
-    base = diag.sweep_ladyzhenskaya(n_seeds=100, n=32, Lx=20.0, pitch=1.0, sigma=1.2)
-    doubled = diag.sweep_ladyzhenskaya(n_seeds=100, n=32, Lx=20.0, pitch=2.0, sigma=1.2)
+    base = diag.sweep_ladyzhenskaya(n_seeds=100, pitch=1.0)
+    doubled = diag.sweep_ladyzhenskaya(n_seeds=100, pitch=2.0)
     report.check(
         "all sweep ratios finite",
         float(np.all(np.isfinite(base.ratios)) and np.all(np.isfinite(doubled.ratios))),
@@ -361,7 +361,7 @@ def _preset_rate_study(report: PresetReport, out_dir: Path) -> None:
         "abs<=",
         detail=f"exponent {study_15.fit.exponent:.4f}, expected {study_15.expected:g}",
     )
-    study_12 = diag.rate_study(1.2, R=2000.0, n=32768)
+    study_12 = diag.rate_study(1.2)
     report.check(
         "fitted exponent for m = 1.2",
         study_12.fit.exponent - (-0.10),
@@ -377,8 +377,10 @@ def _preset_rate_study(report: PresetReport, out_dir: Path) -> None:
         ">=",
         detail=f"exponent {gauss.fit.exponent:.4f}",
     )
+    # 1 when the slowest study finished within 60 s; the wall time itself
+    # stays out of summary.json, which must be byte-reproducible.
     slowest = max(s.elapsed_seconds for s in (study_15, study_12, gauss))
-    report.check("runtime per study (seconds)", slowest, 60.0)
+    report.check("every study within 60 s", float(slowest <= 60.0), 1.0, ">=")
 
 
 def _preset_oseen_differences(report: PresetReport, out_dir: Path) -> None:

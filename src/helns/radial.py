@@ -1,25 +1,23 @@
 """Radial profiles and the 2.5D radial engine.
 
 A :class:`RadialProfile` is a function of the cylindrical radius sampled on a
-strictly increasing grid starting at r = 0, together with quadrature weights
-for integrals of the form ``int f(r) r dr``.
+strictly increasing grid starting at r = 0.
 
 The radial engine advances profiles under the radial heat equation
 
     d/dt h = h'' + h'/r                       (parity "even"),
     d/dt h = h'' + h'/r - h/r**2              (parity "odd"),
 
-by Crank-Nicolson steps, second order in both dt and dr, with an optional
-source term.  Even parity is the scalar (or vertical-component) radial
-Laplacian and uses a Neumann axis cell; odd parity is the azimuthal-component
-vector Laplacian and pins the axis value to zero.  The outer boundary value
-is held fixed, which requires the data to have decayed at r = R; a
-:class:`DomainTooSmallError` is raised otherwise.
+by Crank-Nicolson steps, second order in both dt and dr.  Even parity is the
+scalar (or vertical-component) radial Laplacian and uses a Neumann axis cell;
+odd parity is the azimuthal-component vector Laplacian and pins the axis
+value to zero.  The outer boundary value is held fixed, which requires the
+data to have decayed at r = R; a :class:`DomainTooSmallError` is raised
+otherwise.
 
 Also here: the radial Biot-Savart formulas, the Oseen-extraction step, the
-weighted L2_m norms for profiles, the pointwise tail envelopes, the Duhamel
-quadrature oracle, and the heat-similarity (Kummer) profile with a prescribed
-power-law tail.
+weighted L2_m norms for profiles, the pointwise tail envelopes and the
+heat-similarity (Kummer) profile with a prescribed power-law tail.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ __all__ = [
     "weighted_l2m_norm_profile",
     "profile_l2_norm_2d",
     "bound_envelopes",
-    "duhamel_gaussian_solution",
     "kummer_tail_profile",
 ]
 
@@ -63,7 +60,7 @@ def uniform_radii(R: float, n: int) -> np.ndarray:
 
 @dataclass
 class RadialProfile:
-    """Radial samples with trapezoid quadrature weights for ``int f r dr``."""
+    """Finite samples of a radial function on a strictly increasing grid from r = 0."""
 
     r: np.ndarray
     values: np.ndarray
@@ -82,16 +79,13 @@ class RadialProfile:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("profile contains non-finite values")
 
-    def integrate_r_dr(self) -> float:
-        """Trapezoid approximation of int values(r) r dr."""
-        return float(np.trapezoid(self.values * self.r, self.r))
-
     def with_values(self, values: np.ndarray) -> "RadialProfile":
         return replace(self, values=np.asarray(values, dtype=float))
 
-    def is_uniform(self, rtol: float = 1e-12) -> bool:
+    def is_uniform(self) -> bool:
+        """True when the node spacing is constant to relative 1e-12."""
         dr = np.diff(self.r)
-        return bool(np.all(np.abs(dr - dr[0]) <= rtol * dr[0]))
+        return bool(np.all(np.abs(dr - dr[0]) <= 1e-12 * dr[0]))
 
 
 # --- Crank-Nicolson engine ---------------------------------------------------
@@ -140,16 +134,11 @@ def _check_boundary(profile: RadialProfile, tol: float) -> None:
 def step_radial(
     profile: RadialProfile,
     dt: float,
-    source: np.ndarray | None = None,
     parity: str = "even",
     boundary_tol: float = 1e-6,
     _banded: np.ndarray | None = None,
 ) -> RadialProfile:
-    """One Crank-Nicolson step of the radial heat equation.
-
-    ``source``, if given, is the midpoint sample of the source term S(t + dt/2, r)
-    (the sourced heat equation d/dt h = Lap h + S).  Second order in dt and dr.
-    """
+    """One Crank-Nicolson step of the radial heat equation (second order in dt and dr)."""
     if not profile.is_uniform():
         raise ValueError("the radial engine requires a uniform radial grid")
     _check_boundary(profile, boundary_tol)
@@ -161,9 +150,6 @@ def step_radial(
         + di * h
         + np.concatenate((up[:-1] * h[1:], [0.0]))
     )
-    if source is not None:
-        rhs = rhs + dt * np.asarray(source, dtype=float)
-        rhs[-1] = h[-1]
     ab = np.zeros((3, h.size))
     ab[0, 1:] = -0.5 * dt * up[:-1]
     ab[1, :] = 1.0 - 0.5 * dt * di
@@ -175,7 +161,6 @@ def run_radial(
     profile: RadialProfile,
     t_end: float,
     dt: float,
-    source_fn=None,
     parity: str = "even",
     observer=None,
     observe_every: int = 1,
@@ -183,7 +168,6 @@ def run_radial(
 ) -> RadialProfile:
     """Advance a profile to t_end with fixed CN steps.
 
-    ``source_fn(t_mid, r)``, if given, is evaluated at each midpoint time.
     ``observer(t, profile)`` is called after every ``observe_every``-th step.
     """
     nsteps = max(1, int(np.ceil(t_end / dt)))
@@ -192,10 +176,8 @@ def run_radial(
     _check_boundary(profile, boundary_tol)
     t = 0.0
     for k in range(nsteps):
-        src = None if source_fn is None else source_fn(t + dt / 2.0, profile.r)
         profile = step_radial(
-            profile, dt, source=src, parity=parity,
-            boundary_tol=np.inf, _banded=banded,
+            profile, dt, parity=parity, boundary_tol=np.inf, _banded=banded
         )
         t += dt
         if observer is not None and (k + 1) % observe_every == 0:
@@ -343,27 +325,7 @@ def bound_envelopes(
     return float(c3), float(c4)
 
 
-# --- oracles -------------------------------------------------------------------
-
-
-def duhamel_gaussian_solution(
-    t: float, r: np.ndarray, sigma0: float = 1.0, decay: float = 1.0,
-    amplitude: float = 1.0, nodes: int = 64,
-) -> np.ndarray:
-    """Closed-kernel Duhamel solution of the sourced radial heat equation.
-
-    Solves d/dt h = Lap_r h + S from h(0) = 0 with
-    S(t, r) = amplitude * e^{-decay t} e^{-r^2/(4 sigma0)} / (4 pi sigma0),
-    using the exact propagated-Gaussian kernel and Gauss-Legendre quadrature
-    in the time variable.
-    """
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    tau = 0.5 * t * (x + 1.0)
-    wts = 0.5 * t * w
-    r = np.asarray(r, dtype=float)
-    spread = sigma0 + (t - tau)
-    kernels = heat_gaussian(r[:, None] ** 2, spread)
-    return amplitude * kernels @ (np.exp(-decay * tau) * wts)
+# --- heat-similarity profiles -------------------------------------------------
 
 
 def kummer_tail_profile(p: float, r: np.ndarray) -> np.ndarray:

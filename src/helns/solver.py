@@ -26,7 +26,8 @@ divergence form of the coupling a(u_LO.grad v + v.grad u_LO) differs from it
 by truncation error (about 3e-4 relative L2 at 32^3, Lx = 20), not round-off.
 
 Stage 1 of each RK4 step does not depend on dt, so :func:`run_spectral3d`
-evaluates it first and takes the CFL bound from the physical v it produced.
+evaluates it first, takes the CFL bound from the physical v it produced and
+hands the tendency to :func:`step_spectral3d`, which requires it.
 
 The radial 2.5D engine lives in :mod:`helns.radial` and is driven
 separately (:func:`helns.radial.run_radial`).
@@ -35,11 +36,11 @@ separately (:func:`helns.radial.run_radial`).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import OseenParams, oseen_gradient_xy, oseen_velocity_xy
+from .fields import oseen_gradient_xy, oseen_velocity_xy
 from .grid import GridSpec
 from .spectral import SpectralOps
 
@@ -53,16 +54,20 @@ class SolverConfig:
     """Time-integration policy of the 3D engine.
 
     ``dt`` fixes the step size; when it is None the step is CFL-limited with
-    the given advective CFL number against max |u| + |a u_LO|.
+    the given advective CFL number against max |u| + |a u_LO|.  ``a`` is the
+    circulation Reynolds number of the background ``a * u_LO(t)``; no
+    smallness is assumed on it.
     """
 
     t_end: float = 1.0
     dt: float | None = None
     cfl: float = 0.4
     output_dt: float = 0.1
-    background: OseenParams = dataclass_field(default_factory=OseenParams)
+    a: float = 1.0
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.a):
+            raise ValueError("circulation Reynolds number must be finite")
         if not self.t_end >= 0:
             raise ValueError("t_end must be nonnegative")
         if not (0.0 < self.cfl < 1.0):
@@ -95,8 +100,8 @@ class _Rhs:
     is not band-limited and would change the result beyond round-off.
     """
 
-    def __init__(self, grid: GridSpec, ops: SpectralOps, a: float):
-        self.grid = grid
+    def __init__(self, ops: SpectralOps, a: float):
+        self.grid = ops.grid
         self.ops = ops
         self.a = a
         self._cache_t = None
@@ -157,10 +162,7 @@ class _Rhs:
         return -ops.leray(ops.dealias(ops.fwd(adv)))
 
 
-def rhs_perturbation(
-    v_hat: np.ndarray, t: float, grid: GridSpec, params: OseenParams,
-    ops: SpectralOps | None = None,
-) -> np.ndarray:
+def rhs_perturbation(v_hat: np.ndarray, t: float, a: float, ops: SpectralOps) -> np.ndarray:
     """Projected advective tendency -P[v.grad v + a(u_LO.grad v + v.grad u_LO)].
 
     The viscous term is excluded: it is applied exactly by the integrating
@@ -168,9 +170,7 @@ def rhs_perturbation(
     divergence form, which equals v.grad v only for solenoidal v (the
     fields the engine carries).
     """
-    if ops is None:
-        ops = SpectralOps(grid)
-    return _Rhs(grid, ops, params.a)(v_hat, t)
+    return _Rhs(ops, a)(v_hat, t)
 
 
 def step_spectral3d(
@@ -178,21 +178,19 @@ def step_spectral3d(
     dt: float,
     rhs,
     ops: SpectralOps,
-    k1: np.ndarray | None = None,
+    k1: np.ndarray,
 ) -> SimulationState:
     """One integrating-factor RK4 step of the 3D engine.
 
     RK4 is applied to the variable e^{|k|^2 t} v_hat; the multipliers
     e^{-|k|^2 dt/2} and e^{-|k|^2 dt} propagate the viscous term exactly
-    between stage times.  ``k1``, if given, is the stage-1 tendency
+    between stage times.  ``k1`` is the stage-1 tendency
     ``rhs(state.v_hat, state.t)``, which does not depend on dt.
     """
     Eh = np.exp(-ops.k2 * (dt / 2.0))
     Ef = Eh * Eh
     v = state.v_hat
     t = state.t
-    if k1 is None:
-        k1 = rhs(v, t)
     k2 = rhs(Eh * (v + (dt / 2.0) * k1), t + dt / 2.0)
     k3 = rhs(Eh * v + (dt / 2.0) * k2, t + dt / 2.0)
     k4 = rhs(Ef * v + dt * Eh * k3, t + dt)
@@ -218,8 +216,7 @@ def run_spectral3d(
     """
     if ops is None:
         ops = SpectralOps(grid)
-    a = config.background.a
-    rhs = _Rhs(grid, ops, a)
+    rhs = _Rhs(ops, config.a)
     state = SimulationState(grid=grid, t=0.0, v_hat=ops.leray(ops.dealias(v0_hat)))
     if observer is not None:
         observer(state)

@@ -8,7 +8,7 @@ the ``1/(nx*ny*nz)`` factor, so coefficient files are reproducible
 bit-exactly.
 
 :class:`SpectralOps` bundles every Fourier-multiplier operator used by the
-solver and the diagnostics: derivatives, Laplacian, Leray projection, the
+solver and the diagnostics: derivatives, divergence, Leray projection, the
 vertical-mean projection Q, curl / inverse curl, the 2/3-rule dealiasing and
 the helical-defect functional.  All methods are pure functions of their
 inputs; the class only caches wavenumber arrays.
@@ -71,9 +71,6 @@ class SpectralOps:
     def gradient(self, F: np.ndarray) -> np.ndarray:
         """Stack (d/dx F, d/dy F, d/dz F) along a new leading axis."""
         return np.stack([self.deriv(F, ax) for ax in range(3)])
-
-    def laplacian(self, F: np.ndarray) -> np.ndarray:
-        return -self.k2 * F
 
     def divergence(self, U: np.ndarray) -> np.ndarray:
         """Spectral divergence of a vector coefficient array (3, ...)."""

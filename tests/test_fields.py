@@ -6,13 +6,12 @@ from scipy.integrate import quad
 
 from helns.fields import (
     PerturbationSpec,
+    heat_gaussian,
     oseen_grad_l2_difference_sq,
     oseen_grad_l2_sq,
     oseen_l2_difference_sq,
-    oseen_utheta_profile,
-    oseen_velocity,
+    oseen_utheta,
     oseen_vorticity,
-    oseen_wz_profile,
     random_helical_perturbation,
     shear_flow,
 )
@@ -36,9 +35,9 @@ class TestOseenProfiles:
         for t in (0.0, 1.0, 3.0):
             for r in (0.5, 1.0, 2.0, 5.0):
                 integral, _ = quad(
-                    lambda rho: oseen_wz_profile(rho, t) * rho, 0.0, r
+                    lambda rho: heat_gaussian(rho**2, 1.0 + t) * rho, 0.0, r
                 )
-                assert oseen_utheta_profile(r, t) == pytest.approx(
+                assert oseen_utheta(r, 1.0 + t) == pytest.approx(
                     integral / r, rel=1e-12
                 )
 
@@ -46,8 +45,8 @@ class TestOseenProfiles:
         # evaluating at (r, t) equals rescaling the t=0 profile
         r, t = 1.7, 2.5
         s = 1.0 + t
-        assert oseen_wz_profile(r, t) == pytest.approx(
-            oseen_wz_profile(r / np.sqrt(s), 0.0) / s, rel=1e-14
+        assert heat_gaussian(r**2, 1.0 + t) == pytest.approx(
+            heat_gaussian((r / np.sqrt(s)) ** 2, 1.0) / s, rel=1e-14
         )
 
     def test_unit_circulation(self, grid):
@@ -55,11 +54,6 @@ class TestOseenProfiles:
         w = oseen_vorticity(grid, 0.0)
         total = float(np.sum(w[2])) * grid.cell_volume
         assert total == pytest.approx(2 * np.pi * grid.pitch, rel=1e-12)
-
-    def test_velocity_is_horizontal_and_z_independent(self, grid):
-        u = oseen_velocity(grid, 1.0)
-        assert np.all(u[2] == 0.0)
-        assert np.allclose(u, u[..., :1], atol=0.0)
 
 
 class TestClosedFormNorms:
@@ -70,11 +64,11 @@ class TestClosedFormNorms:
 
         def uprime(r, eps=1e-6):
             return (
-                oseen_utheta_profile(r + eps, t) - oseen_utheta_profile(r - eps, t)
+                oseen_utheta(r + eps, 1.0 + t) - oseen_utheta(r - eps, 1.0 + t)
             ) / (2 * eps)
 
         val, _ = quad(
-            lambda r: (uprime(r) ** 2 + (oseen_utheta_profile(r, t) / r) ** 2) * r,
+            lambda r: (uprime(r) ** 2 + (oseen_utheta(r, 1.0 + t) / r) ** 2) * r,
             1e-12, np.inf, limit=200,
         )
         numeric = (2 * np.pi) * (2 * np.pi * pitch) * val
@@ -85,7 +79,7 @@ class TestClosedFormNorms:
         s1, s2 = 1.0 + t1, 1.0 + t2
 
         def integrand(r):
-            return (oseen_utheta_profile(r, t2) - oseen_utheta_profile(r, t1)) ** 2 * r
+            return (oseen_utheta(r, s2) - oseen_utheta(r, s1)) ** 2 * r
 
         val, _ = quad(integrand, 0.0, np.inf, limit=200)
         numeric = (2 * np.pi) * (2 * np.pi * pitch) * val

@@ -13,7 +13,7 @@ from helns.config import (
     serialize_config,
 )
 from helns.diagnostics import DiagnosticsRecord, write_records_csv
-from helns.experiment import total_vorticity
+from helns.experiment import run_experiment, total_vorticity
 from helns.fields import PerturbationSpec, random_helical_perturbation
 from helns.grid import GridSpec
 from helns.snapshot import MAGIC, read_snapshot, write_snapshot
@@ -166,6 +166,12 @@ class TestConfig:
         cfg = ExperimentConfig(kind="shear", a=1.0)
         assert any("shear" in v for v in cfg.validate())
 
+    def test_lamb2d_run_rejects_nonpositive_spread(self, tmp_path):
+        # a config built in code skips parse_config's validation
+        cfg = ExperimentConfig(nx=16, ny=16, nz=16, a=0.0, kind="lamb2d", s0=0.0)
+        with pytest.raises(ValueError, match="s0 must be positive"):
+            run_experiment(cfg, tmp_path, quiet=True)
+
     def test_modes_parsing(self):
         text = serialize_config(ExperimentConfig()).replace(
             "modes = 0,1,2", "modes = 2, 4"
@@ -273,6 +279,23 @@ class TestCli:
         a_line = next(line for line in report.splitlines() if line.startswith("a = "))
         assert float(a_line.split("=")[1]) == pytest.approx(0.8, abs=1e-8)
 
+    def test_decompose_readme_example_snapshots(self, tmp_path, capsys):
+        # README's default config plus snapshot_dt = 0.1: at 32^3 the seeded
+        # perturbation fails the helical gate at t = 0 and passes by t = 0.3
+        ini = tmp_path / "run.ini"
+        cfg = ExperimentConfig(t_end=0.3, snapshot_dt=0.1)
+        ini.write_text(serialize_config(cfg), encoding="utf-8")
+        results = tmp_path / "results"
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(results),
+                         "--quiet"]) == 0
+        snaps = results / "snapshots"
+        assert cli.main(["decompose", str(snaps / "snapshot_0003.hlxf"),
+                         "--out", str(tmp_path / "dec"), "--quiet"]) == 0
+        capsys.readouterr()
+        assert cli.main(["decompose", str(snaps / "snapshot_0000.hlxf"),
+                         "--out", str(tmp_path / "dec0"), "--quiet"]) == 2
+        assert "not helical" in capsys.readouterr().err
+
     def test_decompose_requires_three_components(self, tmp_path, capsys):
         grid = GridSpec.cube(16, 20.0, 1.0)
         path = tmp_path / "one.hlxf"
@@ -329,3 +352,12 @@ def test_verify_ignores_stale_trend_csv(tmp_path, monkeypatch):
     presets.run_preset("theorem-trend", tmp_path)
     assert calls == [presets.TREND_CONFIG]  # one run, shared by both presets
     assert perp.checks[0].value == pytest.approx(-1.5)
+
+
+def test_rate_study_summary_is_byte_reproducible(tmp_path):
+    # the runtime check records whether the studies met 60 s, not a wall time
+    paths = []
+    for name in ("first.json", "second.json"):
+        paths.append(tmp_path / name)
+        presets.write_summary([presets.run_preset("rate-study", tmp_path)], paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 import helns
-from helns import decomposition, diagnostics, experiment, radial, solver, spectral
+from helns import decomposition, diagnostics, experiment, fields, radial, solver, spectral
 
 SUBMODULES = (
     "cli", "config", "decomposition", "diagnostics", "experiment", "fields",
@@ -33,6 +33,20 @@ REMOVED_NAMES = (
     (solver, "_cfl_dt"),
     (solver.SimulationState, "u_physical"),
     (solver.SimulationState, "v_physical"),
+    (helns, "OseenParams"),
+    (helns, "oseen_velocity"),
+    (helns, "heat_kernel_2d"),
+    (fields, "OseenParams"),
+    (fields, "oseen_utheta_profile"),
+    (fields, "oseen_wz_profile"),
+    (fields, "oseen_vorticity_xy"),
+    (fields, "oseen_velocity"),
+    (fields, "heat_kernel_2d"),
+    (radial, "duhamel_gaussian_solution"),
+    (radial.RadialProfile, "integrate_r_dr"),
+    (diagnostics, "norms"),
+    (decomposition.DecompositionResult, "reconstruct_vorticity"),
+    (spectral.SpectralOps, "laplacian"),
 )
 
 REMOVED_PARAMETERS = (
@@ -45,6 +59,28 @@ REMOVED_PARAMETERS = (
      ("mean_route", "ring_method", "n_theta", "defect_tol", "div_tol")),
     (decomposition.ring_average, ("method",)),
     (decomposition.ring_average_cylindrical, ("method",)),
+    (diagnostics.rate_study,
+     ("a", "amplitude", "delta", "s0", "t_end", "dt", "pitch", "n_observations",
+      "super_rate_threshold")),
+    (diagnostics.sweep_ladyzhenskaya, ("n", "Lx", "sigma")),
+    (diagnostics.sweep_poincare, ("grid", "ops")),
+    (diagnostics.fit_exponential, ("min_samples",)),
+    (diagnostics.fit_power, ("window",)),
+    (diagnostics.transient_time, ("rtol",)),
+    (diagnostics.PoincareSweepReport.passed, ("margin",)),
+    (experiment.run_experiment, ("guard_factor",)),
+    (radial.step_radial, ("source",)),
+    (radial.run_radial, ("source_fn",)),
+    (radial.RadialProfile.is_uniform, ("rtol",)),
+    (solver.rhs_perturbation, ("grid", "params")),
+    (decomposition.weighted_l2m_norm, ("pitch",)),
+)
+
+# Arguments that every caller passes, so they carry no default.
+REQUIRED_PARAMETERS = (
+    (solver.rhs_perturbation, "ops"),
+    (solver.step_spectral3d, "k1"),
+    (decomposition.weighted_l2m_norm, "grid"),
 )
 
 
@@ -65,7 +101,10 @@ def test_removed_options_are_gone():
     for func, names in REMOVED_PARAMETERS:
         params = inspect.signature(func).parameters
         assert not set(names) & set(params), func.__qualname__
+    for func, name in REQUIRED_PARAMETERS:
+        param = inspect.signature(func).parameters[name]
+        assert param.default is inspect.Parameter.empty, func.__qualname__
     config_fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
-    assert not {"engine", "snapshots", "snapshot_dt"} & config_fields
+    assert not {"engine", "snapshots", "snapshot_dt", "background"} & config_fields
     result_fields = {f.name for f in dataclasses.fields(decomposition.DecompositionResult)}
     assert "mean_route" not in result_fields
