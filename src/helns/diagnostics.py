@@ -46,7 +46,7 @@ from .radial import (
     run_radial,
     uniform_radii,
 )
-from .solver import rhs_perturbation
+from .solver import _PAIRS, _ROWS
 from .spectral import SpectralOps
 
 logger = logging.getLogger(__name__)
@@ -230,16 +230,16 @@ class SourceNormReport:
 
 
 def source_norm(v_hat: np.ndarray, ops: SpectralOps) -> SourceNormReport:
-    """|PQ(u_perp . grad u_perp)|_L2 of the zero-vertical-mean part.
+    """|PQ div(u_perp (x) u_perp)|_L2 of the zero-vertical-mean part.
 
     The value is the vertical mean of the solver's background-free tendency
     of u_perp, so the product is dealiased and projected exactly like the
     solver nonlinearity: it is the source actually feeding the
-    vertical-mean equation.
+    vertical-mean equation.  It costs the 3 inverse transforms of v; a
+    diagnostics record takes the same value from its solver stage.
     """
+    value = _mean_source_norm(ops.inv(v_hat), ops)
     up_hat = ops.perp(v_hat)
-    nbar_hat = ops.project_Q(rhs_perturbation(up_hat, 0.0, 0.0, ops))
-    value = ops.l2_norm(nbar_hat)
     l2 = ops.l2_norm(up_hat)
     grad = float(np.sqrt(ops.grad_norm_sq(up_hat)))
     lap = float(np.sqrt(ops.lap_norm_sq(up_hat)))
@@ -247,6 +247,28 @@ def source_norm(v_hat: np.ndarray, ops: SpectralOps) -> SourceNormReport:
         np.sqrt(l2) * grad * np.sqrt(lap) / np.sqrt(ops.grid.pitch)
     )
     return SourceNormReport(value=value, chain_factor=chain_factor)
+
+
+def _mean_source_norm(v: np.ndarray, ops: SpectralOps) -> float:
+    """The value of :func:`source_norm` from the physical samples v.
+
+    Q keeps the kz = 0 plane, which is the 2D transform of the z-sums of the
+    six products of u_perp = v - mean_z v; the planar divergence of that
+    plane is dealiased and Leray-projected like the solver tendency.
+    """
+    grid = ops.grid
+    up = v - v.mean(axis=-1, keepdims=True)
+    zsum = np.empty((6, grid.nx, grid.ny))
+    for n, (i, j) in enumerate(_PAIRS):
+        np.sum(up[i] * up[j], axis=-1, out=zsum[n])
+    S = ops.fwd_plane(zsum)
+    kx, ky = ops.kx[..., 0], ops.ky[..., 0]
+    div = np.stack([1j * kx * S[row[0]] + 1j * ky * S[row[1]] for row in _ROWS])
+    div *= ops.mask[..., 0]
+    corr = (kx * div[0] + ky * div[1]) * ops.inv_k2[..., 0]
+    div[0] -= kx * corr
+    div[1] -= ky * corr
+    return float(np.sqrt(np.sum(np.abs(div) ** 2) * grid.volume / grid.npoints**2))
 
 
 # --- structural checks ------------------------------------------------------------
@@ -280,6 +302,20 @@ def orthogonal_split_residual(v_hat: np.ndarray, ops: SpectralOps) -> float:
 # --- record construction -----------------------------------------------------------
 
 
+def _oseen_cross_term(grads: np.ndarray, t: float, grid: GridSpec) -> float:
+    """<grad v, grad u_LO> from the physical gradients grads[i, j] = d_j v_i.
+
+    u_LO is horizontal and z-independent, so only the z-means of d_j v_i for
+    i, j in {x, y} enter.
+    """
+    glo = oseen_gradient_xy(grid, t)
+    total = 0.0
+    for i in range(2):
+        for j in range(2):
+            total += float(np.sum(grads[i, j].mean(axis=-1) * glo[i, j]))
+    return total * grid.dx * grid.dy * grid.Lz
+
+
 class RecordBuilder:
     """Build DiagnosticsRecord rows from solver states, accumulating the
     enstrophy integral by the trapezoid rule between output times."""
@@ -292,20 +328,15 @@ class RecordBuilder:
         self._prev_t = None
         self._prev_grad_sq = None
 
-    def _oseen_cross_term(self, v_hat: np.ndarray, t: float) -> float:
-        """<grad v, grad u_LO> = <grad Qv, grad u_LO> (background z-independent)."""
-        ops = self.ops
-        grid = self.grid
-        q_hat = ops.project_Q(v_hat)
-        glo = oseen_gradient_xy(grid, t)
-        total = 0.0
-        for i in range(2):
-            for j in range(2):
-                dq = ops.inv(ops.deriv(q_hat[i], j))[:, :, 0]
-                total += float(np.sum(dq * glo[i, j]))
-        return total * grid.dx * grid.dy * grid.Lz
+    def __call__(self, state, stage) -> DiagnosticsRecord:
+        """The record of ``state`` built from its solver ``stage``.
 
-    def __call__(self, state) -> DiagnosticsRecord:
+        ``stage`` (a :class:`~helns.solver.Stage` of ``state``) supplies the
+        physical v for the source norm and, at a != 0, the gradients for the
+        helical defect, the divergence and the background cross term, so
+        such a record does no 3D transform; at a = 0 the defect and the
+        divergence take their 10 inverse transforms.
+        """
         ops = self.ops
         grid = self.grid
         a = self.a
@@ -320,10 +351,15 @@ class RecordBuilder:
         l2_uperp = ops.l2_norm(up_hat)
         l2_grad_uperp = float(np.sqrt(ops.grad_norm_sq(up_hat)))
         l2_lap_uperp = float(np.sqrt(ops.lap_norm_sq(up_hat)))
-        l2_nbar = source_norm(v_hat, ops).value
+        l2_nbar = _mean_source_norm(stage.v, ops)
 
-        defect = ops.helical_defect(v_hat)
-        max_div = ops.max_divergence(v_hat)
+        grads = stage.grads
+        if grads is None:
+            defect = ops.helical_defect(v_hat)
+            max_div = ops.max_divergence(v_hat)
+        else:
+            defect = ops.helical_defect_from_gradients(v_hat, stage.v, grads)
+            max_div = float(np.max(np.abs(grads[0, 0] + grads[1, 1] + grads[2, 2])))
 
         if self._prev_t is not None:
             self._cum += 0.5 * (t - self._prev_t) * (grad_sq + self._prev_grad_sq)
@@ -334,7 +370,7 @@ class RecordBuilder:
         # leave the sums bitwise unchanged) when a = 0.
         cross = grad_lo_sq = 0.0
         if a != 0.0:
-            cross = self._oseen_cross_term(v_hat, t)
+            cross = _oseen_cross_term(grads, t, grid)
             grad_lo_sq = oseen_grad_l2_sq(t, grid.pitch)
         grad_u_sq = grad_sq + 2.0 * a * cross + a * a * grad_lo_sq
         grad_mean_sq = (

@@ -35,7 +35,7 @@ from .fields import (
 )
 from .grid import GridSpec
 from .snapshot import write_snapshot
-from .solver import SimulationState, SolverConfig, rhs_perturbation, run_spectral3d
+from .solver import SimulationState, SolverConfig, Stage, run_spectral3d
 from .spectral import SpectralOps
 
 __all__ = [
@@ -165,7 +165,8 @@ def run_experiment(
 
     The energy identity is evaluated at every record exactly for
     circulation-free (a = 0) runs, where the instantaneous identity holds
-    without background exchange terms.  The run aborts once the
+    without background exchange terms; its tendency is the stage-1 k1 the
+    solver hands to the observer.  The run aborts once the
     perturbation energy exceeds ``GUARD_FACTOR`` times its initial value.
     """
     out_dir = Path(out_dir)
@@ -192,15 +193,14 @@ def run_experiment(
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         write_records_csv(records, csv_path)
 
-    def observer(state: SimulationState) -> None:
+    def observer(state: SimulationState, stage: Stage) -> None:
         nonlocal pythagoras_max, energy_max, guard_sq, next_snap, snap_index
-        rec = builder(state)
+        rec = builder(state, stage)
         records.append(rec)
         pythagoras_max = max(pythagoras_max, orthogonal_split_residual(state.v_hat, ops))
         if check_energy and rec.l2_grad_v > 0.0:
-            rhs_nl = rhs_perturbation(state.v_hat, state.t, cfg.a, ops)
             energy_max = max(
-                energy_max, energy_identity_residual(state.v_hat, rhs_nl, ops)
+                energy_max, energy_identity_residual(state.v_hat, stage.k1, ops)
             )
         if guard_sq is None:
             guard_sq = GUARD_FACTOR * max(rec.l2_v**2, np.finfo(float).tiny)

@@ -26,8 +26,14 @@ divergence form of the coupling a(u_LO.grad v + v.grad u_LO) differs from it
 by truncation error (about 3e-4 relative L2 at 32^3, Lx = 20), not round-off.
 
 Stage 1 of each RK4 step does not depend on dt, so :func:`run_spectral3d`
-evaluates it first, takes the CFL bound from the physical v it produced and
-hands the tendency to :func:`step_spectral3d`, which requires it.
+evaluates it first, as a :class:`Stage`: the physical v it inverted, at
+a != 0 the nine physical gradients of the convective loop, the tendency k1
+and max |v + a u_LO|.  The observer of an output time receives that stage
+with the state, so a diagnostics record reuses its fields instead of
+transforming the state again; the step then takes its CFL bound from the
+stage and hands k1 to :func:`step_spectral3d`, which requires it.  The one
+stage that no step consumes is the one at t_end, evaluated only when a record
+is due there.
 
 The radial 2.5D engine lives in :mod:`helns.radial` and is driven
 separately (:func:`helns.radial.run_radial`).
@@ -44,7 +50,15 @@ from .fields import oseen_gradient_xy, oseen_velocity_xy
 from .grid import GridSpec
 from .spectral import SpectralOps
 
-__all__ = ["SolverConfig", "SimulationState", "rhs_perturbation", "step_spectral3d", "run_spectral3d"]
+__all__ = [
+    "SolverConfig",
+    "SimulationState",
+    "Stage",
+    "rhs_perturbation",
+    "stage_one",
+    "step_spectral3d",
+    "run_spectral3d",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -74,6 +88,8 @@ class SolverConfig:
             raise ValueError("CFL number must lie in (0, 1)")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("fixed dt must be positive")
+        if not self.output_dt > 0:
+            raise ValueError("output_dt must be positive")
 
 
 @dataclass
@@ -83,6 +99,22 @@ class SimulationState:
     grid: GridSpec
     t: float
     v_hat: np.ndarray
+
+
+@dataclass
+class Stage:
+    """Stage 1 of the RK4 step from one state, as the diagnostics reuse it.
+
+    ``v`` is the physical perturbation velocity the stage inverted.
+    ``grads[i, j]`` is the physical d_j v_i of the convective loop (a != 0;
+    None at a = 0, whose divergence form forms no gradient).  ``k1`` is the
+    tendency and ``umax`` the max of |v + a u_LO| on the grid.
+    """
+
+    v: np.ndarray
+    grads: np.ndarray | None
+    k1: np.ndarray
+    umax: float
 
 
 # The six products v_i v_j (i <= j) of the symmetric tensor S, and row i of S
@@ -116,27 +148,40 @@ class _Rhs:
         return self._cache
 
     def __call__(self, v_hat: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate(v_hat, t)[0]
+        v = self._physical(v_hat, t)
+        if self.a == 0.0:
+            return self._divergence_form(v)
+        return self._convective_form(v, self._gradients(v_hat), t)
 
-    def evaluate(self, v_hat: np.ndarray, t: float, speed: bool = False):
-        """Tendency, and max |v + a u_LO| on the grid if ``speed`` (else None)."""
-        ops = self.ops
-        v = ops.inv(v_hat)
+    def stage(self, v_hat: np.ndarray, t: float) -> Stage:
+        """The tendency together with the fields and speed it passed through."""
+        v = self._physical(v_hat, t)
+        u0, u1 = v[0], v[1]
+        if self.a != 0.0:
+            ulo, _ = self._background(t)
+            u0 = u0 + self.a * ulo[0]
+            u1 = u1 + self.a * ulo[1]
+        umax = float(np.max(np.sqrt(u0**2 + u1**2 + v[2] ** 2)))
+        if self.a == 0.0:
+            return Stage(v=v, grads=None, k1=self._divergence_form(v), umax=umax)
+        grads = self._gradients(v_hat)
+        return Stage(v=v, grads=grads, k1=self._convective_form(v, grads, t), umax=umax)
+
+    def _physical(self, v_hat: np.ndarray, t: float) -> np.ndarray:
+        v = self.ops.inv(v_hat)
         if not np.all(np.isfinite(v)):
             raise FloatingPointError(
                 f"non-finite advection product at t={t:.6g}; aborting"
             )
-        umax = None
-        if speed:
-            u0, u1 = v[0], v[1]
-            if self.a != 0.0:
-                ulo, _ = self._background(t)
-                u0 = u0 + self.a * ulo[0]
-                u1 = u1 + self.a * ulo[1]
-            umax = float(np.max(np.sqrt(u0**2 + u1**2 + v[2] ** 2)))
-        if self.a == 0.0:
-            return self._divergence_form(v), umax
-        return self._convective_form(v_hat, v, t), umax
+        return v
+
+    def _gradients(self, v_hat: np.ndarray) -> np.ndarray:
+        """Physical grads[i, j] = d_j v_i, one component's three at a time."""
+        ops = self.ops
+        grads = np.empty((3, 3) + self.grid.shape)
+        for i in range(3):
+            grads[i] = ops.inv(ops.gradient(v_hat[i]))
+        return grads
 
     def _divergence_form(self, v: np.ndarray) -> np.ndarray:
         ops = self.ops
@@ -147,15 +192,15 @@ class _Rhs:
         div = np.stack([ops.divergence([S[n] for n in row]) for row in _ROWS])
         return -ops.leray(ops.dealias(div))
 
-    def _convective_form(self, v_hat: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    def _convective_form(self, v: np.ndarray, grads: np.ndarray, t: float) -> np.ndarray:
         ops = self.ops
+        ulo, glo = self._background(t)
         adv = np.empty_like(v)
         for i in range(3):
-            grad_i = ops.inv(ops.gradient(v_hat[i]))
+            grad_i = grads[i]
             adv[i] = (
                 v[0] * grad_i[0] + v[1] * grad_i[1] + v[2] * grad_i[2]
             )
-            ulo, glo = self._background(t)
             adv[i] += self.a * (ulo[0] * grad_i[0] + ulo[1] * grad_i[1])
             if i < 2:
                 adv[i] += self.a * (v[0] * glo[i, 0] + v[1] * glo[i, 1])
@@ -171,6 +216,11 @@ def rhs_perturbation(v_hat: np.ndarray, t: float, a: float, ops: SpectralOps) ->
     fields the engine carries).
     """
     return _Rhs(ops, a)(v_hat, t)
+
+
+def stage_one(v_hat: np.ndarray, t: float, a: float, ops: SpectralOps) -> Stage:
+    """Stage 1 of the step from (v_hat, t): the fields a diagnostics record reuses."""
+    return _Rhs(ops, a).stage(v_hat, t)
 
 
 def step_spectral3d(
@@ -207,25 +257,27 @@ def run_spectral3d(
 ) -> SimulationState:
     """Advance the perturbation to t_end, calling ``observer`` at output times.
 
-    ``observer(state)`` is invoked at t = 0 and then whenever the simulation
-    crosses the next multiple of ``config.output_dt`` (and at t_end).  The
+    ``observer(state, stage)`` is invoked at t = 0 and then whenever the
+    simulation reaches the next multiple of ``config.output_dt``; ``stage``
+    is the :class:`Stage` of ``state``, evaluated before the observer runs
+    and then consumed by the step that follows.  A record due at t_end costs
+    one extra stage evaluation there; without an observer none is made.  The
     step size is ``config.dt`` when fixed — reduced transiently if it
     violates the CFL bound — or the CFL-limited value otherwise.  The CFL
-    bound uses max |v + a u_LO| from the stage-1 evaluation of each step,
-    whose tendency is handed on to :func:`step_spectral3d`.
+    bound uses the stage's max |v + a u_LO|, and its tendency is handed on to
+    :func:`step_spectral3d`.
     """
     if ops is None:
         ops = SpectralOps(grid)
     rhs = _Rhs(ops, config.a)
     state = SimulationState(grid=grid, t=0.0, v_hat=ops.leray(ops.dealias(v0_hat)))
+    stage = rhs.stage(state.v_hat, state.t)
     if observer is not None:
-        observer(state)
-    if config.t_end == 0.0:
-        return state
+        observer(state, stage)
     h = min(grid.dx, grid.dy, grid.dz)
     next_output = config.output_dt
     while state.t < config.t_end - 1e-12:
-        k1, umax = rhs.evaluate(state.v_hat, state.t, speed=True)
+        umax = stage.umax
         dt_cfl = config.cfl * h / umax if umax != 0.0 else np.inf
         dt = min(config.dt, dt_cfl) if config.dt is not None else dt_cfl
         if config.dt is not None and dt < config.dt:
@@ -236,9 +288,14 @@ def run_spectral3d(
         if not np.isfinite(dt):
             dt = config.t_end - state.t
         dt = min(dt, config.t_end - state.t, next_output - state.t)
+        # release the stage's physical fields for the duration of the step
+        k1, stage = stage.k1, None
         state = step_spectral3d(state, dt, rhs, ops, k1=k1)
-        if state.t >= next_output - 1e-12:
-            if observer is not None:
-                observer(state)
+        due = state.t >= next_output - 1e-12
+        if due:
             next_output += config.output_dt
+        if state.t < config.t_end - 1e-12 or (due and observer is not None):
+            stage = rhs.stage(state.v_hat, state.t)
+        if due and observer is not None:
+            observer(state, stage)
     return state

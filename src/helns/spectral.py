@@ -61,6 +61,13 @@ class SpectralOps:
         """Inverse rfft over the last three axes (carries 1/N)."""
         return sfft.irfftn(F, s=self.grid.shape, axes=(-3, -2, -1), workers=self._workers)
 
+    def fwd_plane(self, f: np.ndarray) -> np.ndarray:
+        """Forward 2D FFT over the last two (x, y) axes (unnormalized).
+
+        Of the z-sum of a field it gives the kz = 0 plane of :meth:`fwd`.
+        """
+        return sfft.fft2(f, axes=(-2, -1), workers=self._workers)
+
     # --- multipliers -----------------------------------------------------
 
     def deriv(self, F: np.ndarray, axis: int) -> np.ndarray:
@@ -183,20 +190,39 @@ class SpectralOps:
         transforms: d/dx, d/dy and L d/dz plus the shift of each component.
         Returns 0 for a zero field.
         """
+        L = self.grid.pitch
+        shift = (U[1], -U[0], 0.0)
+        return self._helical_defect(U, lambda c: (
+            self.inv(self.deriv(U[c], 0)),
+            self.inv(self.deriv(U[c], 1)),
+            self.inv(L * self.deriv(U[c], 2) + shift[c]),
+        ))
+
+    def helical_defect_from_gradients(self, U: np.ndarray, u: np.ndarray, grads: np.ndarray) -> float:
+        """:meth:`helical_defect` of U from its physical samples, no transform.
+
+        ``u`` holds the physical components of U and ``grads[i, j]`` their
+        physical derivatives d_j u_i, as a solver stage provides them.
+        """
+        L = self.grid.pitch
+        shift = (u[1], -u[0], 0.0)
+        return self._helical_defect(
+            U, lambda c: (grads[c, 0], grads[c, 1], L * grads[c, 2] + shift[c])
+        )
+
+    def _helical_defect(self, U: np.ndarray, parts) -> float:
+        """Masked defect sum; ``parts(c)`` gives d/dx u_c, d/dy u_c and
+        L d/dz u_c plus the shift of component c on the grid."""
         h1_sq = self.l2_norm_sq(U) + self.grad_norm_sq(U)
         if h1_sq == 0.0:
             return 0.0
         xc = self.grid.xc[..., None]
         yc = self.grid.yc[..., None]
-        L = self.grid.pitch
         mask = (self.grid.r2d <= 0.25 * self.grid.Lx)[..., None]
         dV = self.grid.cell_volume
         total = 0.0
-        shift = (U[1], -U[0], 0.0)
         for comp in range(3):
-            dx_c = self.inv(self.deriv(U[comp], 0))
-            dy_c = self.inv(self.deriv(U[comp], 1))
-            axial_c = self.inv(L * self.deriv(U[comp], 2) + shift[comp])
+            dx_c, dy_c, axial_c = parts(comp)
             defect = xc * dy_c - yc * dx_c + axial_c
             total += float(np.sum((defect * mask) ** 2) * dV)
         return float(np.sqrt(total / h1_sq))

@@ -25,9 +25,14 @@ from helns.diagnostics import (
     transient_time,
     write_records_csv,
 )
-from helns.fields import PerturbationSpec, random_helical_perturbation
+from helns.fields import (
+    PerturbationSpec,
+    oseen_grad_l2_sq,
+    oseen_gradient_xy,
+    random_helical_perturbation,
+)
 from helns.grid import GridSpec
-from helns.solver import SimulationState, rhs_perturbation
+from helns.solver import SimulationState, rhs_perturbation, stage_one
 from helns.spectral import SpectralOps
 
 
@@ -267,11 +272,28 @@ class TestStructuralResiduals:
         assert orthogonal_split_residual(pert, ops) < 1e-12
 
 
+def _record(builder, grid, ops, v_hat, t):
+    state = SimulationState(grid=grid, t=t, v_hat=v_hat)
+    return builder(state, stage_one(v_hat, t, builder.a, ops))
+
+
+def _cross_term_2d(v_hat, t, grid, ops):
+    """<grad v, grad u_LO> from 3D inverses of the vertical mean's derivatives."""
+    q_hat = ops.project_Q(v_hat)
+    glo = oseen_gradient_xy(grid, t)
+    total = 0.0
+    for i in range(2):
+        for j in range(2):
+            dq = ops.inv(ops.deriv(q_hat[i], j))[:, :, 0]
+            total += float(np.sum(dq * glo[i, j]))
+    return total * grid.dx * grid.dy * grid.Lz
+
+
 class TestRecordBuilder:
     def test_stream_accumulates_enstrophy(self, grid, ops, pert):
         builder = RecordBuilder(grid, ops, a=1.0)
-        rec0 = builder(SimulationState(grid=grid, t=0.0, v_hat=pert))
-        rec1 = builder(SimulationState(grid=grid, t=0.5, v_hat=pert))
+        rec0 = _record(builder, grid, ops, pert, 0.0)
+        rec1 = _record(builder, grid, ops, pert, 0.5)
         assert rec0.cum_enstrophy == 0.0
         expected = 0.5 * rec0.l2_grad_v**2
         assert rec1.cum_enstrophy == pytest.approx(expected, rel=1e-12)
@@ -282,8 +304,33 @@ class TestRecordBuilder:
         )
 
     def test_inequality_columns_share_prefactor_ratio(self, grid, ops, pert):
-        rec = RecordBuilder(grid, ops, a=0.5)(
-            SimulationState(grid=grid, t=0.25, v_hat=pert)
-        )
+        rec = _record(RecordBuilder(grid, ops, a=0.5), grid, ops, pert, 0.25)
         assert rec.Kcal_perp == pytest.approx(4.5 * rec.K_perp, rel=1e-12)
         assert 0.0 <= rec.k_perp <= rec.K_perp
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_stage_record_matches_standalone_functions(self, grid, ops, pert, a):
+        v_hat = ops.leray(ops.dealias(pert))  # as the engine carries it
+        t = 0.3
+        rec = _record(RecordBuilder(grid, ops, a), grid, ops, v_hat, t)
+        # the kz = 0 plane kernel against Q of the 3D solver tendency of u_perp
+        nbar_3d = ops.l2_norm(ops.project_Q(rhs_perturbation(ops.perp(v_hat), 0.0, 0.0, ops)))
+        assert rec.l2_Nbar == pytest.approx(nbar_3d, rel=1e-13)
+        assert rec.l2_Nbar == source_norm(v_hat, ops).value
+        defect = ops.helical_defect(v_hat)
+        assert abs(rec.helical_defect - defect) <= 1e-12 * defect
+        assert abs(rec.max_div - ops.max_divergence(v_hat)) <= 1e-15
+        cross = _cross_term_2d(v_hat, t, grid, ops)
+        lo_sq = oseen_grad_l2_sq(t, grid.pitch)
+        grad_u_sq = ops.grad_norm_sq(v_hat) + 2.0 * a * cross + a * a * lo_sq
+        grad_mean_sq = (
+            ops.grad_norm_sq(ops.project_Q(v_hat)) + 2.0 * a * cross + a * a * lo_sq
+        )
+        assert rec.K_perp == pytest.approx(8.0 * DEFAULT_C0 / grid.pitch * grad_u_sq, rel=1e-13)
+        assert rec.k_perp == pytest.approx(2.0 * DEFAULT_C0 / grid.pitch * grad_mean_sq, rel=1e-13)
+
+    def test_energy_residual_from_stage_is_bitwise(self, grid, ops, pert):
+        v_hat = ops.leray(ops.dealias(pert))
+        k1 = stage_one(v_hat, 0.2, 0.0, ops).k1
+        rhs = rhs_perturbation(v_hat, 0.2, 0.0, ops)
+        assert energy_identity_residual(v_hat, k1, ops) == energy_identity_residual(v_hat, rhs, ops)

@@ -259,6 +259,45 @@ class TestCli:
         assert len(lines) == 3  # header, t = 0 and t = 0.1
         assert len(calls) == 3
 
+    def test_simulate_nonfinite_output_state_exits_3_before_its_record(
+            self, tmp_path, capsys, monkeypatch):
+        # the second step lands on t = 0.1 with a non-finite state: the stage
+        # evaluated for that record raises, so no row is written for it
+        real_step = solver.step_spectral3d
+        calls = []
+
+        def poisoned_step(state, dt, *args, **kwargs):
+            calls.append(dt)
+            new = real_step(state, dt, *args, **kwargs)
+            if len(calls) == 2:
+                new.v_hat[...] = np.nan
+            return new
+
+        monkeypatch.setattr(solver, "step_spectral3d", poisoned_step)
+        ini = _write_config(tmp_path, t_end=0.3)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        lines = (out / "diagnostics.csv").read_text().strip().split("\n")
+        assert len(lines) == 2  # header and t = 0
+        assert len(calls) == 2
+
+    def test_simulate_is_bitwise_independent_of_thread_count(self, tmp_path, monkeypatch):
+        ini = _write_config(tmp_path, snapshot_dt=0.1)
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HELNS_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            assert cli.main(["simulate", "--config", str(ini), "--out", str(out),
+                             "--quiet"]) == 0
+            outs.append(out)
+        files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+        assert len(files) == 4  # the CSV and snapshots at t = 0, 0.1, 0.2
+        assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*")
+                               if p.is_file())
+        for rel in files:
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
     def test_decompose_round_trip(self, tmp_path):
         grid = GridSpec.cube(32, 20.0, 1.0)
         ops = SpectralOps(grid)

@@ -232,7 +232,7 @@ class TestRunControl:
         v0 = random_helical_perturbation(spec, grid, ops)
         seen = []
         config = SolverConfig(t_end=0.0, a=1.0)
-        final = run_spectral3d(v0, grid, config, observer=seen.append, ops=ops)
+        final = run_spectral3d(v0, grid, config, observer=lambda s, st: seen.append(s), ops=ops)
         assert final.t == 0.0
         assert len(seen) == 1
         assert np.array_equal(final.v_hat, ops.leray(ops.dealias(v0)))
@@ -241,8 +241,51 @@ class TestRunControl:
         v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
         times = []
         config = SolverConfig(t_end=0.4, dt=0.05, output_dt=0.1, a=1.0)
-        run_spectral3d(v0, grid, config, observer=lambda s: times.append(s.t), ops=ops)
+        run_spectral3d(v0, grid, config, observer=lambda s, st: times.append(s.t), ops=ops)
         assert times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_observer_receives_the_stage_of_its_state(self, grid, ops, a):
+        v0 = _engine_field(grid, ops, 3, 1.0)
+        seen = []
+        config = SolverConfig(t_end=0.2, dt=0.05, output_dt=0.1, a=a)
+        run_spectral3d(v0, grid, config, observer=lambda s, st: seen.append((s, st)), ops=ops)
+        assert len(seen) == 3
+        for state, stage in seen:
+            assert np.array_equal(stage.v, ops.inv(state.v_hat))
+            assert np.array_equal(stage.k1, rhs_perturbation(state.v_hat, state.t, a, ops))
+            if a == 0.0:
+                assert stage.grads is None
+            else:
+                for i in range(3):
+                    assert np.array_equal(stage.grads[i], ops.inv(ops.gradient(state.v_hat[i])))
+
+    @pytest.mark.parametrize("t_end,observe,expected", [
+        (0.4, True, 9),    # t = 0, seven steps continued, one record at t_end
+        (0.4, False, 8),   # no record due at t_end: no stage there
+        (0.45, True, 9),   # t_end off the output grid: no record, no stage there
+    ])
+    def test_stage_at_t_end_only_for_a_due_record(self, grid, ops, monkeypatch,
+                                                  t_end, observe, expected):
+        calls = []
+        real_stage = solver._Rhs.stage
+
+        def counted(rhs, v_hat, t):
+            calls.append(t)
+            return real_stage(rhs, v_hat, t)
+
+        monkeypatch.setattr(solver._Rhs, "stage", counted)
+        v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
+        config = SolverConfig(t_end=t_end, dt=0.05, output_dt=0.1, a=0.0)
+        observer = (lambda s, st: None) if observe else None
+        run_spectral3d(v0, grid, config, observer=observer, ops=ops)
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("output_dt", [0.0, -0.1, float("nan")])
+    def test_nonpositive_output_dt_rejected(self, output_dt):
+        # a zero output interval would leave run_spectral3d stepping at t = 0
+        with pytest.raises(ValueError, match="output_dt"):
+            SolverConfig(t_end=0.2, output_dt=output_dt, a=0.0)
 
     def test_cfl_violation_warns_and_reduces(self, grid, ops, caplog):
         # with v = 0 and a strong background, max |a u_LO| alone breaks the
