@@ -186,7 +186,8 @@ def run_experiment(
     pythagoras_max = 0.0
     energy_max = 0.0 if check_energy else None
     guard_sq = None
-    next_snap = 0.0 if cfg.snapshot_dt > 0 else None
+    # snapshots are due at the times snap_k * snapshot_dt
+    snap_k = 0 if cfg.snapshot_dt > 0 else None
     snap_index = 0
 
     def flush() -> None:
@@ -194,7 +195,7 @@ def run_experiment(
         write_records_csv(records, csv_path)
 
     def observer(state: SimulationState, stage: Stage) -> None:
-        nonlocal pythagoras_max, energy_max, guard_sq, next_snap, snap_index
+        nonlocal pythagoras_max, energy_max, guard_sq, snap_k, snap_index
         rec = builder(state, stage)
         records.append(rec)
         pythagoras_max = max(pythagoras_max, orthogonal_split_residual(state.v_hat, ops))
@@ -212,14 +213,14 @@ def run_experiment(
                 f"{csv_path}",
                 csv_path=csv_path,
             )
-        if next_snap is not None and state.t >= next_snap - 1e-9:
+        if snap_k is not None and state.t >= snap_k * cfg.snapshot_dt - 1e-9:
             snap_dir.mkdir(parents=True, exist_ok=True)
             path = snap_dir / f"snapshot_{snap_index:04d}.hlxf"
             write_snapshot(path, grid, state.t, total_vorticity(state, cfg.a, ops))
             snapshot_paths.append(path)
             snap_index += 1
-            while next_snap <= state.t + 1e-9:
-                next_snap += cfg.snapshot_dt
+            while snap_k * cfg.snapshot_dt <= state.t + 1e-9:
+                snap_k += 1
 
     solver_cfg = SolverConfig(
         t_end=cfg.t_end,

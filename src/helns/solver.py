@@ -258,7 +258,8 @@ def run_spectral3d(
     """Advance the perturbation to t_end, calling ``observer`` at output times.
 
     ``observer(state, stage)`` is invoked at t = 0 and then whenever the
-    simulation reaches the next multiple of ``config.output_dt``; ``stage``
+    simulation reaches the next multiple k * ``config.output_dt``, whose
+    time the state then carries exactly (as it does t_end); ``stage``
     is the :class:`Stage` of ``state``, evaluated before the observer runs
     and then consumed by the step that follows.  A record due at t_end costs
     one extra stage evaluation there; without an observer none is made.  The
@@ -275,8 +276,10 @@ def run_spectral3d(
     if observer is not None:
         observer(state, stage)
     h = min(grid.dx, grid.dy, grid.dz)
-    next_output = config.output_dt
+    k = 1  # the next output time is k * output_dt, never an accumulated sum
     while state.t < config.t_end - 1e-12:
+        next_output = k * config.output_dt
+        target = min(next_output, config.t_end)
         umax = stage.umax
         dt_cfl = config.cfl * h / umax if umax != 0.0 else np.inf
         dt = min(config.dt, dt_cfl) if config.dt is not None else dt_cfl
@@ -287,13 +290,15 @@ def run_spectral3d(
             )
         if not np.isfinite(dt):
             dt = config.t_end - state.t
-        dt = min(dt, config.t_end - state.t, next_output - state.t)
+        dt = min(dt, target - state.t)
         # release the stage's physical fields for the duration of the step
         k1, stage = stage.k1, None
         state = step_spectral3d(state, dt, rhs, ops, k1=k1)
+        if state.t >= target - 1e-12:
+            state.t = target  # land exactly on the output time or t_end
         due = state.t >= next_output - 1e-12
         if due:
-            next_output += config.output_dt
+            k += 1
         if state.t < config.t_end - 1e-12 or (due and observer is not None):
             stage = rhs.stage(state.v_hat, state.t)
         if due and observer is not None:

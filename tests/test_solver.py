@@ -244,6 +244,18 @@ class TestRunControl:
         run_spectral3d(v0, grid, config, observer=lambda s, st: times.append(s.t), ops=ops)
         assert times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
 
+    @pytest.mark.parametrize("t_end", [0.3, 1.0, 8.0])
+    def test_output_times_are_exact_multiples(self, grid, ops, t_end):
+        # summing dt = 0.05 drifts (the 8.0 run used to end at 7.99999999999998)
+        v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
+        times = []
+        config = SolverConfig(t_end=t_end, dt=0.05, output_dt=0.1, a=0.0)
+        final = run_spectral3d(v0, grid, config, observer=lambda s, st: times.append(s.t),
+                               ops=ops)
+        n = round(t_end / 0.1)
+        assert times == [min(k * 0.1, t_end) for k in range(n + 1)]
+        assert times[-1] == final.t == t_end
+
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_observer_receives_the_stage_of_its_state(self, grid, ops, a):
         v0 = _engine_field(grid, ops, 3, 1.0)
