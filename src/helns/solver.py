@@ -55,7 +55,6 @@ __all__ = [
     "SimulationState",
     "Stage",
     "rhs_perturbation",
-    "stage_one",
     "step_spectral3d",
     "run_spectral3d",
 ]
@@ -218,11 +217,6 @@ def rhs_perturbation(v_hat: np.ndarray, t: float, a: float, ops: SpectralOps) ->
     return _Rhs(ops, a)(v_hat, t)
 
 
-def stage_one(v_hat: np.ndarray, t: float, a: float, ops: SpectralOps) -> Stage:
-    """Stage 1 of the step from (v_hat, t): the fields a diagnostics record reuses."""
-    return _Rhs(ops, a).stage(v_hat, t)
-
-
 def step_spectral3d(
     state: SimulationState,
     dt: float,
@@ -276,7 +270,7 @@ def run_spectral3d(
     if observer is not None:
         observer(state, stage)
     h = min(grid.dx, grid.dy, grid.dz)
-    k = 1  # the next output time is k * output_dt, never an accumulated sum
+    k = 1  # output k falls at k * output_dt exactly
     while state.t < config.t_end - 1e-12:
         next_output = k * config.output_dt
         target = min(next_output, config.t_end)

@@ -32,7 +32,8 @@ from helns.fields import (
     random_helical_perturbation,
 )
 from helns.grid import GridSpec
-from helns.solver import SimulationState, rhs_perturbation, stage_one
+from helns import solver
+from helns.solver import SimulationState, rhs_perturbation
 from helns.spectral import SpectralOps
 
 
@@ -274,7 +275,7 @@ class TestStructuralResiduals:
 
 def _record(builder, grid, ops, v_hat, t):
     state = SimulationState(grid=grid, t=t, v_hat=v_hat)
-    return builder(state, stage_one(v_hat, t, builder.a, ops))
+    return builder(state, solver._Rhs(ops, builder.a).stage(v_hat, t))
 
 
 def _cross_term_2d(v_hat, t, grid, ops):
@@ -331,6 +332,6 @@ class TestRecordBuilder:
 
     def test_energy_residual_from_stage_is_bitwise(self, grid, ops, pert):
         v_hat = ops.leray(ops.dealias(pert))
-        k1 = stage_one(v_hat, 0.2, 0.0, ops).k1
+        k1 = solver._Rhs(ops, 0.0).stage(v_hat, 0.2).k1
         rhs = rhs_perturbation(v_hat, 0.2, 0.0, ops)
         assert energy_identity_residual(v_hat, k1, ops) == energy_identity_residual(v_hat, rhs, ops)
