@@ -28,7 +28,7 @@ from . import diagnostics as diag
 from .config import ConfigError, parse_config_file
 from .decomposition import decompose, export_profile_csv
 from .experiment import InstabilityError, run_experiment
-from .presets import PRESET_ORDER, run_all, write_summary
+from .presets import PRESETS, run_all, write_summary
 from .snapshot import read_snapshot
 
 __all__ = ["main"]
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--preset",
         default="all",
         metavar="NAME",
-        help="preset name or 'all' (default); known: " + ", ".join(PRESET_ORDER),
+        help="preset name or 'all' (default); known: " + ", ".join(PRESETS),
     )
     ver.add_argument("--out", default=".", metavar="DIR", help="output directory")
     ver.add_argument("--quiet", action="store_true", help="summary lines only")
@@ -166,7 +166,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_verify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    names = list(PRESET_ORDER) if args.preset == "all" else [args.preset]
+    names = list(PRESETS) if args.preset == "all" else [args.preset]
     try:
         reports = run_all(out, names)
     except ValueError as exc:

@@ -15,7 +15,7 @@ extraction and pointwise tail envelopes) used for reporting.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .radial import (
     radial_biot_savart,
     zero_mass_check,
 )
-from .spectral import SpectralOps
+from .spectral import SpectralOps, max_divergence
 
 logger = logging.getLogger(__name__)
 
@@ -248,22 +248,11 @@ class DecompositionResult:
             raise ValueError("H1 norm must satisfy |v|_H1^2 = |v|_L2^2 + |grad v|_L2^2")
 
     def report_text(self) -> str:
-        lines = [
-            "helical decomposition report",
-            f"a = {self.a:.17g}",
-            f"m = {self.m:.17g}",
-            f"omega_l2m = {self.omega_l2m:.17g}",
-            f"l2_v = {self.l2_v:.17g}",
-            f"grad_l2_v = {self.grad_l2_v:.17g}",
-            f"h1_v = {self.h1_v:.17g}",
-            f"c_ratio = {self.c_ratio:.17g}",
-            f"helical_defect = {self.helical_defect:.17g}",
-            f"max_div = {self.max_div:.17g}",
-            f"inverse_curl_correction = {self.inverse_curl_correction:.17g}",
-            f"mean_radial_max = {self.mean_radial_max:.17g}",
-            f"zero_mass_gap = {self.zero_mass_gap:.17g}",
-            f"envelope_c3 = {self.envelope_c3:.17g}",
-            f"envelope_c4 = {self.envelope_c4:.17g}",
+        """One ``name = value`` line per scalar field, in field order."""
+        lines = ["helical decomposition report"] + [
+            f"{f.name} = {getattr(self, f.name):.17g}"
+            for f in dataclass_fields(self)
+            if f.name not in ("grid", "v_hat", "profiles")
         ]
         return "\n".join(lines) + "\n"
 
@@ -313,14 +302,16 @@ def decompose(
         raise ValueError("vorticity samples must be finite")
 
     W = ops.fwd(omega)
+    grads = ops.gradients(W)
     scale = float(np.max(np.abs(omega)))
-    max_div = ops.max_divergence(W)
+    max_div = max_divergence(grads)
     if scale > 0 and max_div > DIV_TOL * scale:
         raise ValueError(
             f"vorticity is not divergence-free: max |div| = {max_div:.3e} "
             f"exceeds {DIV_TOL:.1e} x max |omega|"
         )
-    defect = ops.helical_defect(W)
+    defect = ops.helical_defect(W, omega, grads)
+    del grads  # nine full fields, freed before the remainder is built
     if defect > DEFECT_TOL:
         raise ValueError(
             f"vorticity is not helical: masked defect {defect:.3e} exceeds {DEFECT_TOL:.1e}"
@@ -345,7 +336,7 @@ def decompose(
     )
 
     residual = omega - a * w_lo
-    v_hat, correction = ops.inverse_curl(ops.fwd(residual), return_correction=True)
+    v_hat, correction = ops.inverse_curl(ops.fwd(residual))
 
     l2_v = ops.l2_norm(v_hat)
     grad_sq = ops.grad_norm_sq(v_hat)

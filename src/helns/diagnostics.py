@@ -47,7 +47,7 @@ from .radial import (
     uniform_radii,
 )
 from .solver import _PAIRS, _ROWS
-from .spectral import SpectralOps
+from .spectral import SpectralOps, max_divergence
 
 logger = logging.getLogger(__name__)
 
@@ -62,26 +62,6 @@ DEFAULT_C0 = 0.016
 #: Largest helical defect of a field accepted by :func:`ladyzhenskaya_ratio`.
 HELICAL_DEFECT_TOL = 1e-3
 
-#: Exact CSV column order of the diagnostics stream.
-CSV_COLUMNS = (
-    "t",
-    "l2_v",
-    "l2_grad_v",
-    "sqrt_t_l2_grad_v",
-    "l2_uperp",
-    "l2_grad_uperp",
-    "l2_lap_uperp",
-    "l2_Nbar",
-    "helical_defect",
-    "max_div",
-    "circulation_a",
-    "cum_enstrophy",
-    "k_perp",
-    "K_perp",
-    "Kcal_perp",
-)
-
-
 def format_float(x: float) -> str:
     """Canonical floating-point formatting of the CSV contract (17 sig. digits)."""
     return f"{x:.17g}"
@@ -89,7 +69,7 @@ def format_float(x: float) -> str:
 
 @dataclass
 class DiagnosticsRecord:
-    """One output-time row of the diagnostics stream.
+    """One output-time row of the diagnostics stream, fields in column order.
 
     All entries are nonnegative except none; the ``sqrt_t_l2_grad_v`` column
     always equals ``sqrt(t) * l2_grad_v`` to relative 1e-14.
@@ -131,6 +111,10 @@ class DiagnosticsRecord:
     @staticmethod
     def csv_header() -> str:
         return ",".join(CSV_COLUMNS)
+
+
+#: Exact CSV column order of the diagnostics stream: the record's fields.
+CSV_COLUMNS = tuple(f.name for f in dataclass_fields(DiagnosticsRecord))
 
 
 def write_records_csv(records, path) -> None:
@@ -175,7 +159,7 @@ def ladyzhenskaya_ratio(v_hat: np.ndarray, ops: SpectralOps) -> float:
     v = ops.inv(v_hat)
     mag_sq = np.sum(v * v, axis=0)
     l4 = float(np.sum(mag_sq**2) * ops.grid.cell_volume) ** 0.25
-    defect = ops.helical_defect(v_hat)
+    defect = ops.helical_defect(v_hat, v, ops.gradients(v_hat))
     if defect > HELICAL_DEFECT_TOL:
         raise ValueError(
             f"Ladyzhenskaya ratio requires a helical field: defect {defect:.3e}"
@@ -332,10 +316,10 @@ class RecordBuilder:
         """The record of ``state`` built from its solver ``stage``.
 
         ``stage`` (a :class:`~helns.solver.Stage` of ``state``) supplies the
-        physical v for the source norm and, at a != 0, the gradients for the
-        helical defect, the divergence and the background cross term, so
-        such a record does no 3D transform; at a = 0 the defect and the
-        divergence take their 10 inverse transforms.
+        physical v and, at a != 0, the nine gradients from which the source
+        norm, the helical defect, the divergence and the background cross
+        term are taken, so such a record does no 3D transform; at a = 0 the
+        gradients take their 9 inverse transforms here.
         """
         ops = self.ops
         grid = self.grid
@@ -355,11 +339,9 @@ class RecordBuilder:
 
         grads = stage.grads
         if grads is None:
-            defect = ops.helical_defect(v_hat)
-            max_div = ops.max_divergence(v_hat)
-        else:
-            defect = ops.helical_defect_from_gradients(v_hat, stage.v, grads)
-            max_div = float(np.max(np.abs(grads[0, 0] + grads[1, 1] + grads[2, 2])))
+            grads = ops.gradients(v_hat)
+        defect = ops.helical_defect(v_hat, stage.v, grads)
+        max_div = max_divergence(grads)
 
         if self._prev_t is not None:
             self._cum += 0.5 * (t - self._prev_t) * (grad_sq + self._prev_grad_sq)

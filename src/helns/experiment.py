@@ -122,7 +122,8 @@ def _lamb2d_initial(cfg: ExperimentConfig, grid: GridSpec, ops: SpectralOps) -> 
     w_z = cfg.amplitude * (heat_gaussian(r2, cfg.s0) - heat_gaussian(r2, 1.0))
     w = np.zeros((3,) + grid.shape)
     w[2] = w_z[..., None]
-    return ops.inverse_curl(ops.fwd(w))
+    v_hat, _ = ops.inverse_curl(ops.fwd(w))
+    return v_hat
 
 
 def build_initial(cfg: ExperimentConfig, grid: GridSpec, ops: SpectralOps) -> np.ndarray:

@@ -68,18 +68,17 @@ def heat_gaussian(r2: np.ndarray, s: float | np.ndarray) -> np.ndarray:
 def oseen_utheta(r: np.ndarray, s: float) -> np.ndarray:
     """Unit-circulation azimuthal velocity (1 - e^{-r^2/(4s)}) / (2 pi r) at spread s.
 
-    The removable singularity at r = 0 evaluates to 0.
+    Evaluated as r F(r^2) with the smooth u_theta / r of the engine's
+    background, so it stays accurate at the axis, where it is 0.
     """
     r = np.asarray(r, dtype=float)
-    rsafe = np.where(r > 0, r, 1.0)
-    out = (1.0 - np.exp(-(rsafe**2) / (4.0 * s))) / (2.0 * np.pi * rsafe)
-    return np.where(r > 0, out, 0.0)
+    return r * _oseen_F(r**2, s)
 
 
 def oseen_utheta_prime(r: np.ndarray, s: float) -> np.ndarray:
-    """Radial derivative of :func:`oseen_utheta` for r > 0."""
-    E = np.exp(-(r**2) / (4.0 * s))
-    return -(1.0 - E) / (2.0 * np.pi * r**2) + heat_gaussian(r**2, s)
+    """Radial derivative F + r^2 G of :func:`oseen_utheta`; 1/(8 pi s) at r = 0."""
+    r2 = np.asarray(r, dtype=float) ** 2
+    return _oseen_F(r2, s) + r2 * _oseen_G(r2, s)
 
 
 def _oseen_F(r2: np.ndarray, s: float) -> np.ndarray:

@@ -40,40 +40,11 @@ from .spectral import SpectralOps
 __all__ = [
     "CheckResult",
     "PresetReport",
-    "PRESET_ORDER",
-    "PRESET_DESCRIPTIONS",
+    "PRESETS",
     "run_preset",
     "run_all",
     "write_summary",
 ]
-
-PRESET_ORDER = (
-    "oracle-shear",
-    "oracle-oseen",
-    "radial-convergence",
-    "poincare",
-    "ladyzhenskaya",
-    "decomposition",
-    "theorem-trend",
-    "perp-decay",
-    "rate-study",
-    "oseen-differences",
-    "invariants",
-)
-
-PRESET_DESCRIPTIONS = {
-    "oracle-shear": "columnar shear flow matches its closed-form heat solution",
-    "oracle-oseen": "zero perturbation of the Oseen vortex stays zero",
-    "radial-convergence": "radial engine: order-2 self-convergence, small final error",
-    "poincare": "seeded zero-vertical-mean fields satisfy the pitch Poincare bound",
-    "ladyzhenskaya": "fitted interpolation constant stable under pitch doubling",
-    "decomposition": "round trip recovers circulation and perturbation",
-    "theorem-trend": "monitored norms nonincreasing after transient; log ratio bounded",
-    "perp-decay": "zero-vertical-mean energy decays at the spectral-gap rate",
-    "rate-study": "weighted-tail data decay at the slow algebraic rates",
-    "oseen-differences": "difference-formula constants stable over the time lattice",
-    "invariants": "divergence, defect growth, energy identity and energy split",
-}
 
 # Invariant tolerances enforced on every preset that advances the 3D engine.
 DIV_TOL = 1e-10
@@ -417,37 +388,72 @@ def _preset_invariants(report: PresetReport, out_dir: Path) -> None:
     _check_run_invariants(report, result)
 
 
-_PRESET_FUNCS = {
-    "oracle-shear": _preset_oracle_shear,
-    "oracle-oseen": _preset_oracle_oseen,
-    "radial-convergence": _preset_radial_convergence,
-    "poincare": _preset_poincare,
-    "ladyzhenskaya": _preset_ladyzhenskaya,
-    "decomposition": _preset_decomposition,
-    "theorem-trend": _preset_theorem_trend,
-    "perp-decay": _preset_perp_decay,
-    "rate-study": _preset_rate_study,
-    "oseen-differences": _preset_oseen_differences,
-    "invariants": _preset_invariants,
+#: Every preset in run order: name -> (description, function).
+PRESETS = {
+    "oracle-shear": (
+        "columnar shear flow matches its closed-form heat solution",
+        _preset_oracle_shear,
+    ),
+    "oracle-oseen": (
+        "zero perturbation of the Oseen vortex stays zero",
+        _preset_oracle_oseen,
+    ),
+    "radial-convergence": (
+        "radial engine: order-2 self-convergence, small final error",
+        _preset_radial_convergence,
+    ),
+    "poincare": (
+        "seeded zero-vertical-mean fields satisfy the pitch Poincare bound",
+        _preset_poincare,
+    ),
+    "ladyzhenskaya": (
+        "fitted interpolation constant stable under pitch doubling",
+        _preset_ladyzhenskaya,
+    ),
+    "decomposition": (
+        "round trip recovers circulation and perturbation",
+        _preset_decomposition,
+    ),
+    "theorem-trend": (
+        "monitored norms nonincreasing after transient; log ratio bounded",
+        _preset_theorem_trend,
+    ),
+    "perp-decay": (
+        "zero-vertical-mean energy decays at the spectral-gap rate",
+        _preset_perp_decay,
+    ),
+    "rate-study": (
+        "weighted-tail data decay at the slow algebraic rates",
+        _preset_rate_study,
+    ),
+    "oseen-differences": (
+        "difference-formula constants stable over the time lattice",
+        _preset_oseen_differences,
+    ),
+    "invariants": (
+        "divergence, defect growth, energy identity and energy split",
+        _preset_invariants,
+    ),
 }
 
 
 def run_preset(name: str, out_dir=".") -> PresetReport:
     """Execute one named preset and return its report."""
-    if name not in _PRESET_FUNCS:
-        known = ", ".join(PRESET_ORDER)
+    if name not in PRESETS:
+        known = ", ".join(PRESETS)
         raise ValueError(f"unknown preset {name!r}; known presets: {known}, all")
+    description, run = PRESETS[name]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = PresetReport(name=name, description=PRESET_DESCRIPTIONS[name])
+    report = PresetReport(name=name, description=description)
     start = time.perf_counter()
-    _PRESET_FUNCS[name](report, out_dir)
+    run(report, out_dir)
     report.elapsed_seconds = time.perf_counter() - start
     return report
 
 
 def run_all(out_dir=".", names=None) -> list[PresetReport]:
-    names = PRESET_ORDER if names is None else names
+    names = list(PRESETS) if names is None else names
     return [run_preset(name, out_dir) for name in names]
 
 

@@ -22,8 +22,10 @@ products v_i v_j and one forward transform of them, 9 scalar FFTs against the
 15 of the convective form v.grad v, and equal to it up to round-off on the
 dealiased solenoidal fields the engine carries.  With background (a != 0) the
 convective form is kept: the sampled Oseen slice is not band-limited, so the
-divergence form of the coupling a(u_LO.grad v + v.grad u_LO) differs from it
-by truncation error (about 3e-4 relative L2 at 32^3, Lx = 20), not round-off.
+two forms of the coupling a(u_LO.grad v + v.grad u_LO) differ by truncation
+error, not round-off.  Against a 2x zero-padded evaluation with the analytic
+u_LO and grad u_LO, the convective loop is off by about 5e-5 relative L2 at
+32^3, Lx = 20, and the divergence form by about 3e-4.
 
 Stage 1 of each RK4 step does not depend on dt, so :func:`run_spectral3d`
 evaluates it first, as a :class:`Stage`: the physical v it inverted, at
@@ -127,8 +129,8 @@ class _Rhs:
 
     ``a == 0`` takes the divergence form -P dealias(i k_j S_ij) of the
     products S_ij = v_i v_j (9 scalar FFTs); ``a != 0`` keeps the convective
-    loop (15 FFTs), because the divergence form of the background coupling
-    is not band-limited and would change the result beyond round-off.
+    loop (15 FFTs), which is closer to the alias-free coupling than the
+    divergence form (see the module docstring).
     """
 
     def __init__(self, ops: SpectralOps, a: float):
@@ -150,7 +152,7 @@ class _Rhs:
         v = self._physical(v_hat, t)
         if self.a == 0.0:
             return self._divergence_form(v)
-        return self._convective_form(v, self._gradients(v_hat), t)
+        return self._convective_form(v, self.ops.gradients(v_hat), t)
 
     def stage(self, v_hat: np.ndarray, t: float) -> Stage:
         """The tendency together with the fields and speed it passed through."""
@@ -163,7 +165,7 @@ class _Rhs:
         umax = float(np.max(np.sqrt(u0**2 + u1**2 + v[2] ** 2)))
         if self.a == 0.0:
             return Stage(v=v, grads=None, k1=self._divergence_form(v), umax=umax)
-        grads = self._gradients(v_hat)
+        grads = self.ops.gradients(v_hat)
         return Stage(v=v, grads=grads, k1=self._convective_form(v, grads, t), umax=umax)
 
     def _physical(self, v_hat: np.ndarray, t: float) -> np.ndarray:
@@ -173,14 +175,6 @@ class _Rhs:
                 f"non-finite advection product at t={t:.6g}; aborting"
             )
         return v
-
-    def _gradients(self, v_hat: np.ndarray) -> np.ndarray:
-        """Physical grads[i, j] = d_j v_i, one component's three at a time."""
-        ops = self.ops
-        grads = np.empty((3, 3) + self.grid.shape)
-        for i in range(3):
-            grads[i] = ops.inv(ops.gradient(v_hat[i]))
-        return grads
 
     def _divergence_form(self, v: np.ndarray) -> np.ndarray:
         ops = self.ops

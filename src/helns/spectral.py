@@ -9,9 +9,11 @@ bit-exactly.
 
 :class:`SpectralOps` bundles every Fourier-multiplier operator used by the
 solver and the diagnostics: derivatives, divergence, Leray projection, the
-vertical-mean projection Q, curl / inverse curl, the 2/3-rule dealiasing and
-the helical-defect functional.  All methods are pure functions of their
-inputs; the class only caches wavenumber arrays.
+vertical-mean projection Q, curl / inverse curl and the 2/3-rule dealiasing.
+It also inverts the nine physical gradients d_j u_i of a field, from which
+the solver's convective loop, the helical-defect functional and
+:func:`max_divergence` (their trace) are evaluated.  All methods are pure
+functions of their inputs; the class only caches wavenumber arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import scipy.fft as sfft
 
 from .grid import GridSpec
 
-__all__ = ["SpectralOps"]
+__all__ = ["SpectralOps", "max_divergence"]
 
 logger = logging.getLogger(__name__)
 
@@ -122,14 +124,15 @@ class SpectralOps:
             ]
         )
 
-    def inverse_curl(self, W: np.ndarray, return_correction: bool = False):
-        """Unique zero-mean divergence-free U with curl(U) = W.
+    def inverse_curl(self, W: np.ndarray) -> tuple[np.ndarray, float]:
+        """Unique zero-mean divergence-free U with curl(U) = W, and the
+        relative magnitude of the projection W needed first.
 
         The k = 0 mode of W is always dropped (a net-circulation vorticity has
         no periodic velocity potential; that part of the field is carried
         analytically by the decomposition layer).  If W is not
-        divergence-free it is projected first and the relative magnitude of
-        the correction is reported.
+        divergence-free it is projected first; the returned correction is
+        |W - P W| / |W| (0 for a zero W).
         """
         Wsol = self.leray(W)
         rel = 0.0
@@ -138,16 +141,7 @@ class SpectralOps:
             rel = self.l2_norm(W - Wsol) / norm_w
             if rel > 1e-12:
                 logger.debug("inverse_curl: projected non-solenoidal input, relative correction %.3e", rel)
-        U = np.stack(
-            [
-                1j * (self.ky * Wsol[2] - self.kz * Wsol[1]),
-                1j * (self.kz * Wsol[0] - self.kx * Wsol[2]),
-                1j * (self.kx * Wsol[1] - self.ky * Wsol[0]),
-            ]
-        ) * self.inv_k2
-        if return_correction:
-            return U, rel
-        return U
+        return self.curl(Wsol) * self.inv_k2, rel
 
     # --- norms (spectral-exact via Parseval) ------------------------------
 
@@ -168,13 +162,19 @@ class SpectralOps:
     def lap_norm_sq(self, F: np.ndarray) -> float:
         return float(np.sum(self.k2**2 * np.abs(F) ** 2 * self._parseval))
 
-    def max_divergence(self, U: np.ndarray) -> float:
-        """max |div u| evaluated on the physical grid."""
-        return float(np.max(np.abs(self.inv(self.divergence(U)))))
+    # --- physical gradients and the helical defect ----------------------------
 
-    # --- helical defect -----------------------------------------------------
+    def gradients(self, U: np.ndarray) -> np.ndarray:
+        """Physical grads[i, j] = d_j u_i, one component's three at a time.
 
-    def helical_defect(self, U: np.ndarray) -> float:
+        Takes the coefficients U (3, ...) and does 9 inverse transforms.
+        """
+        grads = np.empty((3, 3) + self.grid.shape)
+        for i in range(3):
+            grads[i] = self.inv(self.gradient(U[i]))
+        return grads
+
+    def helical_defect(self, U: np.ndarray, u: np.ndarray, grads: np.ndarray) -> float:
         """Masked, H1-normalized helical-symmetry defect of a velocity field.
 
         Helical symmetry means the three cylindrical components about the
@@ -186,43 +186,28 @@ class SpectralOps:
         The mask keeps r <= Lx/4 to exclude wrap-around artifacts of the
         physical-space angular derivative.
 
-        Takes the coefficients U (3, ...) of the field and does 9 inverse
-        transforms: d/dx, d/dy and L d/dz plus the shift of each component.
-        Returns 0 for a zero field.
+        ``U`` holds the coefficients of the field (for the H1 norm), ``u``
+        its physical samples and ``grads`` its :meth:`gradients`; no
+        transform is done.  Returns 0 for a zero field.
         """
-        L = self.grid.pitch
-        shift = (U[1], -U[0], 0.0)
-        return self._helical_defect(U, lambda c: (
-            self.inv(self.deriv(U[c], 0)),
-            self.inv(self.deriv(U[c], 1)),
-            self.inv(L * self.deriv(U[c], 2) + shift[c]),
-        ))
-
-    def helical_defect_from_gradients(self, U: np.ndarray, u: np.ndarray, grads: np.ndarray) -> float:
-        """:meth:`helical_defect` of U from its physical samples, no transform.
-
-        ``u`` holds the physical components of U and ``grads[i, j]`` their
-        physical derivatives d_j u_i, as a solver stage provides them.
-        """
-        L = self.grid.pitch
-        shift = (u[1], -u[0], 0.0)
-        return self._helical_defect(
-            U, lambda c: (grads[c, 0], grads[c, 1], L * grads[c, 2] + shift[c])
-        )
-
-    def _helical_defect(self, U: np.ndarray, parts) -> float:
-        """Masked defect sum; ``parts(c)`` gives d/dx u_c, d/dy u_c and
-        L d/dz u_c plus the shift of component c on the grid."""
         h1_sq = self.l2_norm_sq(U) + self.grad_norm_sq(U)
         if h1_sq == 0.0:
             return 0.0
+        L = self.grid.pitch
+        shift = (u[1], -u[0], 0.0)
         xc = self.grid.xc[..., None]
         yc = self.grid.yc[..., None]
         mask = (self.grid.r2d <= 0.25 * self.grid.Lx)[..., None]
         dV = self.grid.cell_volume
         total = 0.0
         for comp in range(3):
-            dx_c, dy_c, axial_c = parts(comp)
-            defect = xc * dy_c - yc * dx_c + axial_c
+            axial_c = L * grads[comp, 2] + shift[comp]
+            defect = xc * grads[comp, 1] - yc * grads[comp, 0] + axial_c
             total += float(np.sum((defect * mask) ** 2) * dV)
         return float(np.sqrt(total / h1_sq))
+
+
+def max_divergence(grads: np.ndarray) -> float:
+    """max |div u| on the grid, the trace of the physical gradients
+    grads[i, j] = d_j u_i (as :meth:`SpectralOps.gradients` returns them)."""
+    return float(np.max(np.abs(grads[0, 0] + grads[1, 1] + grads[2, 2])))

@@ -225,8 +225,14 @@ class TestDecompose:
     def test_report_and_profile_export(self, grid, ops, perturbation, tmp_path):
         w = oseen_vorticity(grid, 0.0) + ops.inv(ops.curl(perturbation))
         result = decompose(w, grid, 1.5, ops=ops)
-        text = result.report_text()
-        assert "a = " in text and "helical_defect" in text
+        lines = result.report_text().splitlines()
+        assert lines[0] == "helical decomposition report"
+        assert [line.split(" = ")[0] for line in lines[1:]] == [
+            "a", "m", "omega_l2m", "l2_v", "grad_l2_v", "h1_v", "c_ratio",
+            "helical_defect", "max_div", "inverse_curl_correction",
+            "mean_radial_max", "zero_mass_gap", "envelope_c3", "envelope_c4",
+        ]
+        assert lines[1] == f"a = {result.a:.17g}"
         for c in (result.envelope_c3, result.envelope_c4):
             assert np.isfinite(c) and c >= 0.0
         path = tmp_path / "profile.csv"

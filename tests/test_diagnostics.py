@@ -99,7 +99,11 @@ class TestCsvContract:
     def test_header_is_schema_order(self, tmp_path):
         path = tmp_path / "records.csv"
         write_records_csv([_mk_record(t=1.0)], path)
-        assert path.read_text().split("\n")[0] == ",".join(CSV_COLUMNS)
+        assert path.read_text().split("\n")[0] == (
+            "t,l2_v,l2_grad_v,sqrt_t_l2_grad_v,l2_uperp,l2_grad_uperp,l2_lap_uperp,"
+            "l2_Nbar,helical_defect,max_div,circulation_a,cum_enstrophy,"
+            "k_perp,K_perp,Kcal_perp"
+        )
 
     def test_unexpected_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -318,9 +322,10 @@ class TestRecordBuilder:
         nbar_3d = ops.l2_norm(ops.project_Q(rhs_perturbation(ops.perp(v_hat), 0.0, 0.0, ops)))
         assert rec.l2_Nbar == pytest.approx(nbar_3d, rel=1e-13)
         assert rec.l2_Nbar == source_norm(v_hat, ops).value
-        defect = ops.helical_defect(v_hat)
-        assert abs(rec.helical_defect - defect) <= 1e-12 * defect
-        assert abs(rec.max_div - ops.max_divergence(v_hat)) <= 1e-15
+        grads = ops.gradients(v_hat)
+        assert rec.helical_defect == ops.helical_defect(v_hat, ops.inv(v_hat), grads)
+        spectral_div = float(np.max(np.abs(ops.inv(ops.divergence(v_hat)))))
+        assert abs(rec.max_div - spectral_div) <= 1e-15
         cross = _cross_term_2d(v_hat, t, grid, ops)
         lo_sq = oseen_grad_l2_sq(t, grid.pitch)
         grad_u_sq = ops.grad_norm_sq(v_hat) + 2.0 * a * cross + a * a * lo_sq

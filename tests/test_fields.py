@@ -11,12 +11,13 @@ from helns.fields import (
     oseen_grad_l2_sq,
     oseen_l2_difference_sq,
     oseen_utheta,
+    oseen_utheta_prime,
     oseen_vorticity,
     random_helical_perturbation,
     shear_flow,
 )
 from helns.grid import GridSpec
-from helns.spectral import SpectralOps
+from helns.spectral import SpectralOps, max_divergence
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,27 @@ class TestOseenProfiles:
         assert heat_gaussian(r**2, 1.0 + t) == pytest.approx(
             heat_gaussian((r / np.sqrt(s)) ** 2, 1.0) / s, rel=1e-14
         )
+
+    @pytest.mark.parametrize("s", [1.0, 33.0])
+    def test_utheta_is_accurate_at_the_axis(self, s):
+        # 1 - e^{-q} cancels for small q = r^2/(4s); -expm1 does not
+        r = np.array([1e-9, 1e-7, 1e-6, 1e-4, 1e-3 * np.sqrt(s)])
+        ref = -np.expm1(-(r**2) / (4.0 * s)) / (2.0 * np.pi * r)
+        assert np.all(np.abs(oseen_utheta(r, s) - ref) <= 1e-13 * ref)
+        assert oseen_utheta(0.0, s) == 0.0
+        assert oseen_utheta_prime(0.0, s) == 1.0 / (8.0 * np.pi * s)
+
+    @pytest.mark.parametrize("s", [1.0, 33.0])
+    def test_utheta_and_derivative_match_expm1_reference(self, s):
+        r = np.logspace(-9, 2.5, 400)
+        q = r**2 / (4.0 * s)
+        ref = -np.expm1(-q) / (2.0 * np.pi * r)
+        ref_prime = np.expm1(-q) / (2.0 * np.pi * r**2) + heat_gaussian(r**2, s)
+        # the direct branch 1 - e^{-q} of the shared u_theta / r loses up to
+        # ~1e-10 relative just above its series threshold q = 1e-6
+        assert np.all(np.abs(oseen_utheta(r, s) - ref) <= 1e-10 * ref)
+        assert np.all(np.abs(oseen_utheta_prime(r, s) - ref_prime)
+                      <= 1e-10 * np.abs(ref_prime) + 1e-16 / s)
 
     def test_unit_circulation(self, grid):
         # the circulation Reynolds number is (1/(2 pi L)) int w_z dV = 1
@@ -111,7 +133,7 @@ class TestShearFlow:
 
     def test_zero_divergence(self, grid, ops):
         u, _ = shear_flow(grid, 0.0)
-        assert ops.max_divergence(ops.fwd(u)) < 1e-12
+        assert max_divergence(ops.gradients(ops.fwd(u))) < 1e-12
 
 
 class TestPerturbationGenerator:
@@ -124,8 +146,9 @@ class TestPerturbationGenerator:
     def test_divergence_free_and_helical(self, grid, ops):
         spec = PerturbationSpec(seed=1, amplitude=0.1, sigma=2.0)
         v = random_helical_perturbation(spec, grid, ops)
-        assert ops.max_divergence(v) < 1e-13
-        assert ops.helical_defect(v) < 1e-8
+        grads = ops.gradients(v)
+        assert max_divergence(grads) < 1e-13
+        assert ops.helical_defect(v, ops.inv(v), grads) < 1e-8
 
     def test_seed_reproducibility(self, grid, ops):
         spec = PerturbationSpec(seed=7, amplitude=0.2, sigma=2.0)

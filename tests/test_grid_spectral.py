@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helns.grid import GridSpec
-from helns.spectral import SpectralOps
+from helns.spectral import SpectralOps, max_divergence
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +94,7 @@ class TestProjections:
     def test_leray_removes_divergence(self, grid, ops):
         rng = np.random.default_rng(3)
         F = ops.fwd(_smooth_field(grid, rng))
-        assert ops.max_divergence(ops.leray(F)) < 1e-12
+        assert max_divergence(ops.gradients(ops.leray(F))) < 1e-12
 
     def test_leray_idempotent(self, grid, ops):
         rng = np.random.default_rng(4)
@@ -125,8 +125,9 @@ class TestCurl:
         U = ops.leray(ops.fwd(_smooth_field(grid, rng)))
         U -= ops.fwd(ops.inv(U).mean(axis=(1, 2, 3))[:, None, None, None] * np.ones(grid.shape))
         W = ops.curl(U)
-        V = ops.inverse_curl(W)
+        V, correction = ops.inverse_curl(W)
         assert ops.l2_norm(V - U) / ops.l2_norm(U) < 1e-12
+        assert correction < 1e-14
 
     def test_curl_of_gradient_vanishes(self, grid, ops):
         rng = np.random.default_rng(8)
@@ -135,9 +136,31 @@ class TestCurl:
         assert ops.l2_norm(ops.curl(G)) < 1e-12
 
 
+def _defect(ops, U):
+    return ops.helical_defect(U, ops.inv(U), ops.gradients(U))
+
+
+def _coefficient_defect(ops, U):
+    """Reference defect: d/dx u_c, d/dy u_c and L d/dz u_c plus the shift of
+    component c, each inverted from the coefficients."""
+    L = ops.grid.pitch
+    shift = (U[1], -U[0], 0.0)
+    xc = ops.grid.xc[..., None]
+    yc = ops.grid.yc[..., None]
+    mask = (ops.grid.r2d <= 0.25 * ops.grid.Lx)[..., None]
+    total = 0.0
+    for c in range(3):
+        dx_c = ops.inv(ops.deriv(U[c], 0))
+        dy_c = ops.inv(ops.deriv(U[c], 1))
+        axial_c = ops.inv(L * ops.deriv(U[c], 2) + shift[c])
+        defect = xc * dy_c - yc * dx_c + axial_c
+        total += float(np.sum((defect * mask) ** 2) * ops.grid.cell_volume)
+    return float(np.sqrt(total / (ops.l2_norm_sq(U) + ops.grad_norm_sq(U))))
+
+
 class TestHelicalDefect:
     def test_zero_for_zero_field(self, grid, ops):
-        assert ops.helical_defect(ops.fwd(np.zeros((3,) + grid.shape))) == 0.0
+        assert _defect(ops, ops.fwd(np.zeros((3,) + grid.shape))) == 0.0
 
     def test_zero_for_axisymmetric_columnar_field(self):
         # u = f(r) e_z is invariant under the helical symmetry; the residual
@@ -147,14 +170,24 @@ class TestHelicalDefect:
         u = np.zeros((3,) + g.shape)
         u[2] = f[..., None]
         g_ops = SpectralOps(g)
-        assert g_ops.helical_defect(g_ops.fwd(u)) < 1e-6
+        assert _defect(g_ops, g_ops.fwd(u)) < 1e-6
 
     def test_large_for_non_helical_field(self, grid, ops):
         u = np.zeros((3,) + grid.shape)
         u[0] = np.cos(2 * np.pi * grid.x / grid.Lx)[:, None, None] * np.exp(
             -grid.r2d[..., None] ** 2
         )
-        assert ops.helical_defect(ops.fwd(u)) > 1e-2
+        assert _defect(ops, ops.fwd(u)) > 1e-2
+
+    @pytest.mark.parametrize("seed", [10, 11])
+    def test_gradient_forms_match_coefficient_references(self, grid, ops, seed):
+        # neither field is solenoidal nor helical, so both quantities are O(1)
+        U = ops.fwd(_smooth_field(grid, np.random.default_rng(seed)))
+        grads = ops.gradients(U)
+        defect = ops.helical_defect(U, ops.inv(U), grads)
+        assert defect == pytest.approx(_coefficient_defect(ops, U), rel=1e-12)
+        spectral_div = float(np.max(np.abs(ops.inv(ops.divergence(U)))))
+        assert max_divergence(grads) == pytest.approx(spectral_div, rel=1e-12)
 
 
 class TestThreads:

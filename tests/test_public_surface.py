@@ -7,7 +7,9 @@ import inspect
 import pytest
 
 import helns
-from helns import decomposition, diagnostics, experiment, fields, radial, solver, spectral
+from helns import (
+    decomposition, diagnostics, experiment, fields, presets, radial, solver, spectral,
+)
 
 SUBMODULES = (
     "cli", "config", "decomposition", "diagnostics", "experiment", "fields",
@@ -47,6 +49,13 @@ REMOVED_NAMES = (
     (diagnostics, "norms"),
     (decomposition.DecompositionResult, "reconstruct_vorticity"),
     (spectral.SpectralOps, "laplacian"),
+    (spectral.SpectralOps, "max_divergence"),
+    (spectral.SpectralOps, "helical_defect_from_gradients"),
+    (spectral.SpectralOps, "_helical_defect"),
+    (solver._Rhs, "_gradients"),
+    (presets, "PRESET_ORDER"),
+    (presets, "PRESET_DESCRIPTIONS"),
+    (presets, "_PRESET_FUNCS"),
 )
 
 REMOVED_PARAMETERS = (
@@ -74,6 +83,7 @@ REMOVED_PARAMETERS = (
     (radial.RadialProfile.is_uniform, ("rtol",)),
     (solver.rhs_perturbation, ("grid", "params")),
     (decomposition.weighted_l2m_norm, ("pitch",)),
+    (spectral.SpectralOps.inverse_curl, ("return_correction",)),
 )
 
 # Arguments that every caller passes, so they carry no default.

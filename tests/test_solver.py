@@ -7,12 +7,14 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from helns.config import ExperimentConfig
+from helns.decomposition import decompose
 from helns import experiment, solver
 from helns.experiment import InstabilityError, run_experiment
 from helns.fields import (
     PerturbationSpec,
     oseen_gradient_xy,
     oseen_velocity_xy,
+    oseen_vorticity,
     random_helical_perturbation,
 )
 from helns.grid import GridSpec
@@ -102,6 +104,31 @@ class TestNonlinearTerm:
 
         err = ops.l2_norm(rhs_small - rhs_ref) / ops.l2_norm(rhs_ref)
         assert err < 1e-12
+
+    def test_background_coupling_matches_padded_analytic_reference(self):
+        # the a != 0 convective loop against the coupling evaluated on a 2x
+        # zero-padded grid with the analytic u_LO and grad u_LO: 5.3e-5 here,
+        # where the divergence form of the same coupling is 3.0e-4 off
+        grid = GridSpec.cube(32, 20.0, 1.0)
+        grid2 = GridSpec.cube(64, 20.0, 1.0)
+        ops, ops2 = SpectralOps(grid), SpectralOps(grid2)
+        v_hat = _engine_field(grid, ops, 0, 0.1)
+        rhs = rhs_perturbation(v_hat, 0.0, 1.0, ops)
+
+        G = _pad_spectrum(v_hat, grid, grid2)
+        v = ops2.inv(G)
+        ulo = oseen_velocity_xy(grid2, 0.0)[..., None]
+        glo = oseen_gradient_xy(grid2, 0.0)[..., None]
+        adv = np.empty_like(v)
+        for i in range(3):
+            grad_i = ops2.inv(ops2.gradient(G[i]))
+            adv[i] = v[0] * grad_i[0] + v[1] * grad_i[1] + v[2] * grad_i[2]
+            adv[i] += ulo[0] * grad_i[0] + ulo[1] * grad_i[1]
+            if i < 2:
+                adv[i] += v[0] * glo[i, 0] + v[1] * glo[i, 1]
+        ref = -ops.leray(ops.dealias(_truncate_spectrum(ops2.fwd(adv), grid, grid2)))
+
+        assert ops.l2_norm(rhs - ref) <= 1e-4 * ops.l2_norm(ref)
 
     def test_nonlinearity_conserves_energy(self, grid, ops):
         # <v, P(v . grad v)> = 0 for solenoidal v; the 2/3 rule keeps the
@@ -331,3 +358,55 @@ class TestInstabilityGuard:
         csv_path = excinfo.value.csv_path
         assert csv_path is not None and csv_path.exists()
         assert len(csv_path.read_text().strip().split("\n")) >= 2
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Running count of the scalar 3D FFTs done by SpectralOps.fwd and inv."""
+    count = [0]
+    for name in ("fwd", "inv"):
+        original = getattr(SpectralOps, name)
+
+        def counted(ops, F, _original=original):
+            count[0] += int(np.prod(F.shape[:-3]))
+            return _original(ops, F)
+
+        monkeypatch.setattr(SpectralOps, name, counted)
+    return count
+
+
+class TestTransformBudget:
+    @pytest.mark.parametrize("a,per_step,per_record", [(0.0, 36, 9), (1.0, 60, 0)])
+    def test_run_costs_the_documented_transforms(self, tmp_path, monkeypatch, transforms,
+                                                 a, per_step, per_record):
+        steps = []
+        real_step = solver.step_spectral3d
+
+        def counted_step(*args, **kwargs):
+            steps.append(None)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "step_spectral3d", counted_step)
+        cfg = ExperimentConfig(
+            nx=16, ny=16, nz=16, Lx=20.0, a=a, kind="perturbed-oseen", seed=0,
+            amplitude=0.1, sigma=1.2, t_end=0.2, dt=0.05, output_dt=0.1,
+            snapshot_dt=0.1,
+        )
+        result = run_experiment(cfg, tmp_path, quiet=True)
+        initial = 3  # the forward transform of the stream field
+        t_end_stage = per_step // 4  # the stage of the record due at t_end
+        assert (len(steps), len(result.records), len(result.snapshot_paths)) == (4, 3, 3)
+        assert transforms[0] == (
+            initial + per_step * len(steps) + t_end_stage
+            + per_record * len(result.records) + 3 * len(result.snapshot_paths)
+        )
+
+    def test_decompose_costs_15_transforms(self, transforms):
+        grid = GridSpec.cube(32, 20.0, 1.0)
+        ops = SpectralOps(grid)
+        spec = PerturbationSpec(seed=2, amplitude=0.1, sigma=1.2)
+        v_hat = random_helical_perturbation(spec, grid, ops)
+        omega = oseen_vorticity(grid, 0.0) + ops.inv(ops.curl(v_hat))
+        transforms[0] = 0
+        decompose(omega, grid, 1.5, ops=ops)
+        assert transforms[0] == 15
