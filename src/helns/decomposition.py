@@ -7,8 +7,9 @@ A divergence-free helical vorticity field on the periodic box is split as
 where ``a`` is the circulation Reynolds number (total vertical vorticity per
 vertical period divided by the pitch), ``u_LO`` is the unit Lamb-Oseen
 velocity, and ``v`` is a square-integrable remainder.  The module also
-provides weighted vorticity norms, angular ring averaging of grid fields to
-radial profiles, and the radial mean-part pipeline (Biot-Savart, Oseen
+provides weighted vorticity norms, radial profiles of grid fields as the
+exact angular means of their trigonometric interpolants (Bessel sums over
+|k| shells), and the radial mean-part pipeline (Biot-Savart, Oseen
 extraction and pointwise tail envelopes) used for reporting.
 """
 
@@ -18,6 +19,7 @@ import logging
 from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
 
 import numpy as np
+from scipy.special import j0, j1
 
 from .fields import oseen_vorticity
 from .grid import GridSpec
@@ -99,61 +101,29 @@ def _default_radii(grid: GridSpec) -> np.ndarray:
     return np.arange(grid.nx // 2) * grid.dx
 
 
-def _ring_points(grid: GridSpec, r: float, n_theta: int):
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    x = grid.center[0] + r * np.cos(theta)
-    y = grid.center[1] + r * np.sin(theta)
-    return theta, x, y
+def _shell_spectra(fields, grid: GridSpec):
+    """Centred 2D spectra of ``fields`` and the |k| shell of every mode.
 
-
-def _eval_spectral(spectra, kxf, kyf, x: np.ndarray, y: np.ndarray, scale: float):
-    """Trigonometric interpolation of 2D fields at scattered points.
-
-    ``spectra`` is a (n_fields, nx, ny) stack of unnormalized 2D FFT
-    coefficient arrays and ``kxf``/``kyf`` are their angular wavenumbers.
-    The point bases ``ex``/``ey`` are built once for all fields and each
-    field is evaluated as one matrix product ``sum((ex @ F) * ey, axis=1)``,
-    which BLAS runs.  The returned values are exact for the underlying
-    trigonometric polynomials.
+    Returns ``(F, shells, inverse, cos_phi, sin_phi)``: ``F`` is the stack
+    ``fft2(f) / (nx ny) * exp(i k.c)``, the coefficients of the trigonometric
+    interpolant about the axis ``c``; ``shells`` holds the distinct |k| and
+    ``inverse`` maps each mode to its shell; ``(cos_phi, sin_phi) = k/|k|``
+    (both 0 at k = 0).
     """
-    ex = np.exp(1j * np.outer(x, kxf))
-    ey = np.exp(1j * np.outer(y, kyf))
-    return np.sum((ex @ spectra) * ey, axis=-1).real * scale
+    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)[:, None]
+    ky = 2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy)[None, :]
+    kmag = np.hypot(kx, ky)
+    shells, inverse = np.unique(kmag, return_inverse=True)
+    kinv = 1.0 / np.where(kmag > 0.0, kmag, 1.0)
+    cx, cy = grid.center
+    phase = np.exp(1j * (kx * cx + ky * cy)) / (grid.nx * grid.ny)
+    F = np.fft.fft2(fields) * phase
+    return F, shells, inverse.ravel(), kx * kinv, ky * kinv
 
 
-def _ring_average_many(
-    fields,
-    grid: GridSpec,
-    radii: np.ndarray,
-    n_theta: int,
-    projector=None,
-):
-    """Angular means of several 2D fields on concentric rings.
-
-    The fields are sampled through their trigonometric interpolants: one
-    2D FFT per field, wavenumbers built once per call, and per ring one
-    matrix product per field against the ring's point bases (see
-    :func:`_eval_spectral`).  ``projector(theta, values, r) -> values`` may
-    recombine the raw component values at each ring point (e.g. into
-    cylindrical components) before the angular mean is taken.
-    """
-    fields = [np.asarray(f, dtype=float) for f in fields]
-    for f in fields:
-        if f.shape != (grid.nx, grid.ny):
-            raise ValueError("ring averaging expects 2D (nx, ny) fields")
-    spectra = np.stack([np.fft.fft2(f) for f in fields])
-    kxf = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
-    kyf = 2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy)
-    scale = 1.0 / (grid.nx * grid.ny)
-    means = np.zeros((len(fields), radii.size))
-    for j, r in enumerate(radii):
-        theta, x, y = _ring_points(grid, float(r), n_theta if r > 0 else 1)
-        vals = _eval_spectral(spectra, kxf, kyf, x, y, scale)
-        if projector is not None:
-            vals = projector(theta, vals, float(r))
-        for c, v in enumerate(vals):
-            means[c, j] = float(np.mean(v))
-    return means
+def _shell_sum(weights: np.ndarray, inverse: np.ndarray, n_shells: int) -> np.ndarray:
+    """Sum of real mode weights over each |k| shell."""
+    return np.bincount(inverse, weights=weights.ravel(), minlength=n_shells)
 
 
 def ring_average(
@@ -161,29 +131,22 @@ def ring_average(
     grid: GridSpec,
     *,
     radii: np.ndarray | None = None,
-    n_theta: int = 256,
 ) -> RadialProfile:
-    """Angular average of a 2D scalar field about the vortex axis.
+    """Exact angular mean of a 2D scalar field's interpolant about the axis.
 
-    The default radii are nx/2 uniform rings spaced by one cell width.  The
-    trigonometric interpolant is evaluated exactly at the ring points, so
-    the angular mean of a divergence-free field's radial component vanishes
-    to rounding.
+    With ``F`` the interpolant's coefficients about the axis, the mean over
+    the circle of radius r is ``Re sum_k F J0(|k| r)`` (Jacobi-Anger), so the
+    mode sums are grouped by |k| shell and J0 is evaluated once per (radius,
+    shell).  The default radii are nx/2 uniform rings spaced by one cell
+    width; at r = 0 the mean is the value at the axis.
     """
-    if radii is None:
-        radii = _default_radii(grid)
-    means = _ring_average_many([field], grid, np.asarray(radii, float), n_theta)
-    return RadialProfile(np.asarray(radii, float), means[0])
-
-
-def _to_cylindrical(theta, vals, r):
-    """Recombine (f_x, f_y, f_z) point values into (f_r, f_theta, f_z)."""
-    fx, fy, fz = vals
-    ct, st = np.cos(theta), np.sin(theta)
-    if r == 0.0:
-        # Cylindrical horizontal components have no angular mean at the axis.
-        return [np.zeros_like(fx), np.zeros_like(fx), fz]
-    return [fx * ct + fy * st, -fx * st + fy * ct, fz]
+    field = np.asarray(field, dtype=float)
+    if field.shape != (grid.nx, grid.ny):
+        raise ValueError("ring averaging expects a 2D (nx, ny) field")
+    radii = _default_radii(grid) if radii is None else np.asarray(radii, float)
+    F, shells, inverse, _, _ = _shell_spectra(field, grid)
+    means = j0(np.outer(radii, shells)) @ _shell_sum(F.real, inverse, shells.size)
+    return RadialProfile(radii, means)
 
 
 def ring_average_cylindrical(
@@ -191,21 +154,30 @@ def ring_average_cylindrical(
     grid: GridSpec,
     *,
     radii: np.ndarray | None = None,
-    n_theta: int = 256,
 ) -> tuple[RadialProfile, RadialProfile, RadialProfile]:
-    """Angular averages of the cylindrical components of a 2D vector field.
+    """Exact angular means of the cylindrical components of a 2D vector field.
 
     ``u`` holds (u_x, u_y, u_z) samples of shape (3, nx, ny); the return
-    value is the triple of profiles (u_r, u_theta, u_z).
+    value is the triple of profiles (u_r, u_theta, u_z).  The means of the
+    interpolant are ``Re sum_k i (F_x cos phi + F_y sin phi) J1(|k| r)`` for
+    u_r, ``Re sum_k i (F_y cos phi - F_x sin phi) J1(|k| r)`` for u_theta and
+    the scalar J0 sum for u_z, where ``(cos phi, sin phi) = k/|k|``.  Since
+    J1(0) = 0 the horizontal means vanish exactly at the axis, and the u_r
+    mean of a divergence-free field vanishes to rounding.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (3, grid.nx, grid.ny):
         raise ValueError("expected a z-averaged vector field of shape (3, nx, ny)")
-    if radii is None:
-        radii = _default_radii(grid)
-    radii = np.asarray(radii, float)
-    means = _ring_average_many(list(u), grid, radii, n_theta, projector=_to_cylindrical)
-    return tuple(RadialProfile(radii, means[c]) for c in range(3))
+    radii = _default_radii(grid) if radii is None else np.asarray(radii, float)
+    (Fx, Fy, Fz), shells, inverse, cos_phi, sin_phi = _shell_spectra(u, grid)
+    n = shells.size
+    rho = np.outer(radii, shells)
+    J1 = j1(rho)
+    # Re(i z) = -Im(z)
+    u_r = J1 @ _shell_sum(-(Fx * cos_phi + Fy * sin_phi).imag, inverse, n)
+    u_theta = J1 @ _shell_sum(-(Fy * cos_phi - Fx * sin_phi).imag, inverse, n)
+    u_z = j0(rho) @ _shell_sum(Fz.real, inverse, n)
+    return tuple(RadialProfile(radii, v) for v in (u_r, u_theta, u_z))
 
 
 # --- decomposition --------------------------------------------------------------

@@ -88,7 +88,7 @@ def _oseen_F(r2: np.ndarray, s: float) -> np.ndarray:
     qs = np.where(small, q, 1.0)
     series = (1.0 - qs / 2.0 + qs**2 / 6.0) / (8.0 * np.pi * s)
     r2safe = np.where(small, 1.0, r2)
-    direct = (1.0 - np.exp(-q)) / (2.0 * np.pi * r2safe)
+    direct = -np.expm1(-q) / (2.0 * np.pi * r2safe)
     return np.where(small, series, direct)
 
 

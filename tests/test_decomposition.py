@@ -17,6 +17,8 @@ from helns.fields import (
     random_helical_perturbation,
     shear_flow,
 )
+from scipy.special import j0, j1
+
 from helns.grid import GridSpec
 from helns.radial import RadialProfile, uniform_radii
 from helns.spectral import SpectralOps
@@ -45,7 +47,7 @@ class TestRingAverage:
         y = grid.y[None, :]
         f = 0.3 + np.cos(kx * x) * np.sin(ky * y)
         radii = np.array([0.0, 1.0, 2.5, 4.0])
-        prof = ring_average(f, grid, radii=radii, n_theta=128)
+        prof = ring_average(f, grid, radii=radii)
         cx, cy = grid.center
         for i, r in enumerate(radii):
             theta = 2 * np.pi * np.arange(128) / 128
@@ -72,6 +74,41 @@ class TestRingAverage:
         assert np.max(np.abs(u_z.values)) == 0.0
 
 
+class TestSingleModeRings:
+    """One plane wave f = cos(k.(x - c)) with |k| r far beyond 256 on the rings.
+
+    Its exact ring mean is J0(|k| r); the ring means of grad f (radial) and
+    of its rotation z x grad f are d/dr J0(|k| r) = -|k| J1(|k| r) in u_r and
+    u_theta respectively.  Sampling 256 points per ring aliases these modes.
+    """
+
+    @pytest.fixture(scope="class")
+    def wave(self):
+        grid = GridSpec.cube(128, 40.0, 1.0)
+        k = 2 * np.pi * 60 / 40
+        phase = k * grid.xc + k * grid.yc
+        return grid, k, np.cos(phase), -k * np.sin(phase)
+
+    def test_scalar_mean_is_j0(self, wave):
+        grid, k, f, _ = wave
+        prof = ring_average(f, grid)
+        assert np.sqrt(2) * k * prof.r[-1] > 256
+        assert np.max(np.abs(prof.values - j0(np.sqrt(2) * k * prof.r))) <= 1e-12
+
+    @pytest.mark.parametrize("rotational", [False, True], ids=["radial", "rotational"])
+    def test_gradient_mean_is_j1(self, wave, rotational):
+        grid, k, f, df = wave
+        # grad f = (df, df); z x grad f = (-df, df)
+        u = np.stack([-df if rotational else df, df, f])
+        u_r, u_theta, u_z = ring_average_cylindrical(u, grid)
+        kabs = np.sqrt(2) * k
+        expected = -kabs * j1(kabs * u_r.r)
+        along, across = (u_theta, u_r) if rotational else (u_r, u_theta)
+        assert np.max(np.abs(along.values - expected)) <= 1e-12 * kabs
+        assert np.max(np.abs(across.values)) <= 1e-12 * kabs
+        assert np.max(np.abs(u_z.values - j0(kabs * u_z.r))) <= 1e-12
+
+
 def _reference_ring_means(f, grid, radii, n_theta):
     """Ring means of a 2D field by the direct trigonometric sum, point by point.
 
@@ -95,8 +132,35 @@ def _reference_ring_means(f, grid, radii, n_theta):
     return [np.asarray(v) for v in means]
 
 
+def _bessel_ring_means(u, grid, radii):
+    """Exact ring means of (u_x, u_y, u_z) mode by mode from J0 and J1.
+
+    Over the circle c + r e_theta, e^{ik.x} averages to e^{ik.c} J0(|k| r),
+    and e^{ik.x} (cos theta, sin theta) to e^{ik.c} i J1(|k| r) k/|k|.
+    Returns the (u_r, u_theta, u_z) means.
+    """
+    kx = 2 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
+    ky = 2 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy)
+    cx, cy = grid.center
+    Fx, Fy, Fz = (np.fft.fft2(c) / (grid.nx * grid.ny) for c in u)
+    means = np.zeros((3, radii.size))
+    for a, p in enumerate(kx):
+        for b, q in enumerate(ky):
+            kabs = np.hypot(p, q)
+            c, s = (p / kabs, q / kabs) if kabs > 0 else (0.0, 0.0)
+            shift = np.exp(1j * (p * cx + q * cy))
+            J0, J1 = j0(kabs * radii), j1(kabs * radii)
+            means[0] += (shift * 1j * (Fx[a, b] * c + Fy[a, b] * s)).real * J1
+            means[1] += (shift * 1j * (Fy[a, b] * c - Fx[a, b] * s)).real * J1
+            means[2] += (shift * Fz[a, b]).real * J0
+    return means
+
+
 class TestRingKernelReference:
-    """ring_average(_cylindrical) against the direct trigonometric sum."""
+    """ring_average(_cylindrical) against the direct trigonometric sum on
+    256-point rings and against the mode-by-mode J0/J1 means."""
+
+    RADII = np.array([0.0, 0.3, 1.25, 4.0, 7.5])
 
     @pytest.fixture(scope="class")
     def small(self):
@@ -104,19 +168,24 @@ class TestRingKernelReference:
         u = np.random.default_rng(7).standard_normal((3, 16, 16)) + 0.4
         return grid, u
 
-    @pytest.mark.parametrize("n_theta", [256, 37])
+    @pytest.mark.parametrize("n_theta", [256])
     def test_scalar_matches_direct_sum(self, small, n_theta):
         grid, u = small
-        radii = np.array([0.0, 0.3, 1.25, 4.0, 7.5])
-        prof = ring_average(u[0], grid, radii=radii, n_theta=n_theta)
-        ref = [v.mean() for v in _reference_ring_means(u[0], grid, radii, n_theta)]
+        prof = ring_average(u[0], grid, radii=self.RADII)
+        ref = [v.mean() for v in _reference_ring_means(u[0], grid, self.RADII, n_theta)]
         assert np.max(np.abs(prof.values - ref)) <= 1e-13 * np.max(np.abs(u[0]))
 
-    @pytest.mark.parametrize("n_theta", [256, 37])
+    def test_scalar_matches_bessel_sum(self, small):
+        grid, u = small
+        prof = ring_average(u[2], grid, radii=self.RADII)
+        ref = _bessel_ring_means(u, grid, self.RADII)[2]
+        assert np.max(np.abs(prof.values - ref)) <= 1e-13 * np.max(np.abs(u[2]))
+
+    @pytest.mark.parametrize("n_theta", [256])
     def test_cylindrical_matches_direct_sum(self, small, n_theta):
         grid, u = small
-        radii = np.array([0.0, 0.3, 1.25, 4.0, 7.5])
-        got = ring_average_cylindrical(u, grid, radii=radii, n_theta=n_theta)
+        radii = self.RADII
+        got = ring_average_cylindrical(u, grid, radii=radii)
         fx, fy, fz = (_reference_ring_means(c, grid, radii, n_theta) for c in u)
         ref_r, ref_t = [], []
         for j, r in enumerate(radii):
@@ -130,6 +199,15 @@ class TestRingKernelReference:
         tol = 1e-13 * np.max(np.abs(u))
         for prof, ref in zip(got, (ref_r, ref_t, ref_z)):
             assert np.max(np.abs(prof.values - np.asarray(ref))) <= tol
+        assert got[0].values[0] == 0.0 and got[1].values[0] == 0.0
+
+    def test_cylindrical_matches_bessel_sum(self, small):
+        grid, u = small
+        got = ring_average_cylindrical(u, grid, radii=self.RADII)
+        ref = _bessel_ring_means(u, grid, self.RADII)
+        tol = 1e-13 * np.max(np.abs(u))
+        for prof, ref_c in zip(got, ref):
+            assert np.max(np.abs(prof.values - ref_c)) <= tol
         assert got[0].values[0] == 0.0 and got[1].values[0] == 0.0
 
 

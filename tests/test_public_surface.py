@@ -31,6 +31,10 @@ REMOVED_NAMES = (
     (decomposition, "circulation_from_profile"),
     (decomposition, "_embed_mean_velocity"),
     (decomposition, "_eval_bilinear"),
+    (decomposition, "_eval_spectral"),
+    (decomposition, "_ring_points"),
+    (decomposition, "_ring_average_many"),
+    (decomposition, "_to_cylindrical"),
     (decomposition.DecompositionResult, "v_physical"),
     (solver, "_cfl_dt"),
     (solver.SimulationState, "u_physical"),
@@ -66,8 +70,8 @@ REMOVED_PARAMETERS = (
     (spectral.SpectralOps.helical_defect, ("mask_radius",)),
     (decomposition.decompose,
      ("mean_route", "ring_method", "n_theta", "defect_tol", "div_tol")),
-    (decomposition.ring_average, ("method",)),
-    (decomposition.ring_average_cylindrical, ("method",)),
+    (decomposition.ring_average, ("method", "n_theta")),
+    (decomposition.ring_average_cylindrical, ("method", "n_theta")),
     (diagnostics.rate_study,
      ("a", "amplitude", "delta", "s0", "t_end", "dt", "pitch", "n_observations",
       "super_rate_threshold")),
