@@ -15,6 +15,10 @@ value to zero.  The outer boundary value is held fixed, which requires the
 data to have decayed at r = R; a :class:`DomainTooSmallError` is raised
 otherwise.
 
+The implicit matrix I - dt/2 A is the same on every step of a fixed-dt run,
+so :func:`run_radial` factors it once (LAPACK's tridiagonal LU, ``dgttrf``)
+and each step costs the explicit half-step plus one O(n) ``dgttrs`` solve.
+
 Also here: the radial Biot-Savart formulas, the Oseen-extraction step, the
 weighted L2_m norms for profiles, the pointwise tail envelopes and the
 heat-similarity (Kummer) profile with a prescribed power-law tail.
@@ -22,11 +26,13 @@ heat-similarity (Kummer) profile with a prescribed power-law tail.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import hyp1f1
 
 from .fields import heat_gaussian, oseen_utheta
@@ -131,30 +137,57 @@ def _check_boundary(profile: RadialProfile, tol: float) -> None:
         )
 
 
+class _CNSystem(NamedTuple):
+    """The fixed parts of a CN run: the rows of A and the LU factors of I - dt/2 A."""
+
+    lo: np.ndarray  # sub-diagonal of A, aligned with h[:-1]
+    di: np.ndarray
+    up: np.ndarray  # super-diagonal of A, aligned with h[1:]
+    lu: tuple  # dgttrf's (dl, d, du, du2, ipiv)
+
+
+def _positive_finite(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _cn_system(r: np.ndarray, dt: float, parity: str) -> _CNSystem:
+    """Factor I - dt/2 A for steps of size dt on the grid r."""
+    up, di, lo = radial_laplacian_banded(r, parity)
+    *lu, info = dgttrf(-0.5 * dt * lo[1:], 1.0 - 0.5 * dt * di, -0.5 * dt * up[:-1])
+    if info != 0:
+        raise ValueError(f"Crank-Nicolson matrix factorization failed (dgttrf info={info})")
+    return _CNSystem(lo[1:], di, up[:-1], tuple(lu))
+
+
 def step_radial(
     profile: RadialProfile,
     dt: float,
     parity: str = "even",
     boundary_tol: float = 1e-6,
-    _banded: np.ndarray | None = None,
+    _system: _CNSystem | None = None,
 ) -> RadialProfile:
-    """One Crank-Nicolson step of the radial heat equation (second order in dt and dr)."""
+    """One Crank-Nicolson step of the radial heat equation (second order in dt and dr).
+
+    Solves (I - dt/2 A) h_new = (I + dt/2 A) h.  A standalone call factors the
+    matrix itself; :func:`run_radial` passes the system it factored once for
+    the run, which must match ``dt``, ``parity`` and the profile's grid.
+    """
+    _positive_finite("dt", dt)
     if not profile.is_uniform():
         raise ValueError("the radial engine requires a uniform radial grid")
     _check_boundary(profile, boundary_tol)
-    A = radial_laplacian_banded(profile.r, parity) if _banded is None else _banded
-    up, di, lo = A
+    system = _cn_system(profile.r, dt, parity) if _system is None else _system
     h = profile.values
     rhs = h + 0.5 * dt * (
-        np.concatenate(([0.0], lo[1:] * h[:-1]))
-        + di * h
-        + np.concatenate((up[:-1] * h[1:], [0.0]))
+        np.concatenate(([0.0], system.lo * h[:-1]))
+        + system.di * h
+        + np.concatenate((system.up * h[1:], [0.0]))
     )
-    ab = np.zeros((3, h.size))
-    ab[0, 1:] = -0.5 * dt * up[:-1]
-    ab[1, :] = 1.0 - 0.5 * dt * di
-    ab[2, :-1] = -0.5 * dt * lo[1:]
-    return profile.with_values(solve_banded((1, 1), ab, rhs))
+    h_new, info = dgttrs(*system.lu, rhs, overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"Crank-Nicolson solve failed (dgttrs info={info})")
+    return profile.with_values(h_new)
 
 
 def run_radial(
@@ -168,16 +201,21 @@ def run_radial(
 ) -> RadialProfile:
     """Advance a profile to t_end with fixed CN steps.
 
+    ``dt`` is shrunk to t_end / ceil(t_end / dt) so the steps land on t_end;
+    both must be finite and positive.  The CN matrix is factored once and
+    every step is one :func:`step_radial` call with that system.
     ``observer(t, profile)`` is called after every ``observe_every``-th step.
     """
+    _positive_finite("t_end", t_end)
+    _positive_finite("dt", dt)
     nsteps = max(1, int(np.ceil(t_end / dt)))
     dt = t_end / nsteps
-    banded = radial_laplacian_banded(profile.r, parity)
+    system = _cn_system(profile.r, dt, parity)
     _check_boundary(profile, boundary_tol)
     t = 0.0
     for k in range(nsteps):
         profile = step_radial(
-            profile, dt, parity=parity, boundary_tol=np.inf, _banded=banded
+            profile, dt, parity=parity, boundary_tol=np.inf, _system=system
         )
         t += dt
         if observer is not None and (k + 1) % observe_every == 0:

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from helns.fields import (
     PerturbationSpec,
+    _oseen_G,
     heat_gaussian,
     oseen_grad_l2_difference_sq,
     oseen_grad_l2_sq,
@@ -70,6 +71,22 @@ class TestOseenProfiles:
         assert np.all(np.abs(oseen_utheta(r, s) - ref) <= 1e-12 * ref)
         assert np.all(np.abs(oseen_utheta_prime(r, s) - ref_prime)
                       <= 1e-12 * np.abs(ref_prime) + 1e-16 / s)
+
+    @pytest.mark.parametrize("s", [1.0, 33.0])
+    def test_gradient_factor_matches_high_precision_reference(self, s):
+        # the direct form 2q e^{-q} - 2(1 - e^{-q}) of (dF/dr)/r cancels to
+        # O(q^2) and lost ~1e-10 relative just above a series threshold q = 1e-3
+        mpmath = pytest.importorskip("mpmath")
+        q = np.logspace(-6, np.log10(50.0), 400)
+        r2 = 4.0 * s * q
+        with mpmath.workdps(40):
+            def reference(x):
+                x = mpmath.mpf(float(x))
+                Q = x / (4 * mpmath.mpf(s))
+                E = mpmath.exp(-Q)
+                return float((2 * Q * E - 2 * (1 - E)) / (2 * mpmath.pi * x**2))
+            ref = np.array([reference(x) for x in r2])
+        assert np.all(np.abs(_oseen_G(r2, s) - ref) <= 1e-13 * np.abs(ref))
 
     def test_unit_circulation(self, grid):
         # the circulation Reynolds number is (1/(2 pi L)) int w_z dV = 1

@@ -82,7 +82,7 @@ REMOVED_PARAMETERS = (
     (diagnostics.transient_time, ("rtol",)),
     (diagnostics.PoincareSweepReport.passed, ("margin",)),
     (experiment.run_experiment, ("guard_factor",)),
-    (radial.step_radial, ("source",)),
+    (radial.step_radial, ("source", "_banded")),
     (radial.run_radial, ("source_fn",)),
     (radial.RadialProfile.is_uniform, ("rtol",)),
     (solver.rhs_perturbation, ("grid", "params")),

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from helns import radial
 from helns.fields import shear_f, shear_g
 from helns.radial import (
     DomainTooSmallError,
@@ -12,6 +14,7 @@ from helns.radial import (
     oseen_extraction,
     profile_l2_norm_2d,
     radial_biot_savart,
+    radial_laplacian_banded,
     run_radial,
     step_radial,
     uniform_radii,
@@ -104,6 +107,96 @@ class TestHeatEngine:
             boundary_tol=1.0,
         )
         assert seen == pytest.approx([0.05, 0.10])
+
+
+def _cn_reference(profile, t_end, dt, parity):
+    """CN steps to t_end, each a fresh banded solve of (I - dt/2 A) h_new = (I + dt/2 A) h."""
+    nsteps = max(1, int(np.ceil(t_end / dt)))
+    dt = t_end / nsteps
+    up, di, lo = radial_laplacian_banded(profile.r, parity)
+    h = profile.values
+    for _ in range(nsteps):
+        rhs = h + 0.5 * dt * (
+            np.concatenate(([0.0], lo[1:] * h[:-1]))
+            + di * h
+            + np.concatenate((up[:-1] * h[1:], [0.0]))
+        )
+        ab = np.zeros((3, h.size))
+        ab[0, 1:] = -0.5 * dt * up[:-1]
+        ab[1, :] = 1.0 - 0.5 * dt * di
+        ab[2, :-1] = -0.5 * dt * lo[1:]
+        h = solve_banded((1, 1), ab, rhs)
+    return h
+
+
+def _counting(calls, func):
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+
+    return wrapper
+
+
+class TestFactoredEngine:
+    @pytest.mark.parametrize(
+        "parity,initial",
+        [("even", lambda r: _gaussian(r, 1.0)), ("odd", lambda r: shear_g(r, 0.0))],
+    )
+    def test_run_matches_per_step_banded_solve(self, parity, initial):
+        r = uniform_radii(40.0, 1024)
+        prof = RadialProfile(r, initial(r))
+        out = run_radial(prof, 0.3, 1.0 / 256, parity=parity)
+        ref = _cn_reference(prof, 0.3, 1.0 / 256, parity)
+        assert np.max(np.abs(out.values - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_standalone_step_is_the_first_run_step(self, parity):
+        r = uniform_radii(20.0, 512)
+        prof = RadialProfile(r, shear_g(r, 0.0))
+        dt = 1.0 / 64
+        alone = step_radial(prof, dt, parity=parity)
+        first = run_radial(prof, dt, dt, parity=parity)
+        assert alone.values.tobytes() == first.values.tobytes()
+
+    def test_run_factors_once_and_steps_through_step_radial(self, monkeypatch):
+        factors, steps = [], []
+        monkeypatch.setattr(radial, "dgttrf", _counting(factors, radial.dgttrf))
+        monkeypatch.setattr(radial, "step_radial", _counting(steps, radial.step_radial))
+        r = uniform_radii(10.0, 128)
+        run_radial(RadialProfile(r, _gaussian(r, 1.0)), 0.25, 0.01, parity="even")
+        assert len(factors) == 1
+        assert len(steps) == 25
+
+    @pytest.mark.parametrize("routine", ["dgttrf", "dgttrs"])
+    def test_lapack_failure_is_reported(self, routine, monkeypatch):
+        real = getattr(radial, routine)
+        monkeypatch.setattr(radial, routine, lambda *a, **k: (*real(*a, **k)[:-1], 1))
+        r = uniform_radii(10.0, 64)
+        with pytest.raises(ValueError, match=f"{routine} info=1"):
+            step_radial(RadialProfile(r, _gaussian(r, 1.0)), 0.01)
+
+    @pytest.mark.parametrize(
+        "t_end,dt,name",
+        [
+            (1.0, 0.0, "dt"),
+            (1.0, -0.1, "dt"),
+            (1.0, np.nan, "dt"),
+            (1.0, np.inf, "dt"),
+            (-1.0, 0.1, "t_end"),
+            (0.0, 0.1, "t_end"),
+            (np.inf, 0.1, "t_end"),
+        ],
+    )
+    def test_run_rejects_bad_times(self, t_end, dt, name):
+        r = uniform_radii(10.0, 64)
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            run_radial(RadialProfile(r, _gaussian(r, 1.0)), t_end, dt)
+
+    @pytest.mark.parametrize("dt", [-0.5, 0.0, np.nan, np.inf])
+    def test_step_rejects_bad_dt(self, dt):
+        r = uniform_radii(10.0, 64)
+        with pytest.raises(ValueError, match="^dt must be finite and > 0"):
+            step_radial(RadialProfile(r, _gaussian(r, 1.0)), dt)
 
 
 class TestBiotSavart:
