@@ -18,7 +18,6 @@ from .fields import (
 from .radial import (
     RadialProfile,
     DomainTooSmallError,
-    step_radial,
     run_radial,
     radial_biot_savart,
     oseen_extraction,
@@ -61,7 +60,6 @@ __all__ = [
     "random_helical_perturbation",
     "RadialProfile",
     "DomainTooSmallError",
-    "step_radial",
     "run_radial",
     "radial_biot_savart",
     "oseen_extraction",

@@ -298,7 +298,7 @@ def decompose(
     # Radial mean-part pipeline (always computed, for the report).
     wbar = omega.mean(axis=-1)
     _, w_theta_bar, w_z_bar = ring_average_cylindrical(wbar, grid)
-    u_theta_bar, u_z_bar = radial_biot_savart(w_theta_bar, w_z_bar, tail_tol=np.inf)
+    u_theta_bar, u_z_bar = radial_biot_savart(w_theta_bar, w_z_bar)
     v_theta_bar = oseen_extraction(u_theta_bar, a, spread=background_spread)
     w_z_resid = mean_vorticity_from_utheta(w_z_bar, a, spread=background_spread)
     fwd_curve, bwd_curve = zero_mass_check(w_z_resid)

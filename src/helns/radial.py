@@ -15,9 +15,12 @@ value to zero.  The outer boundary value is held fixed, which requires the
 data to have decayed at r = R; a :class:`DomainTooSmallError` is raised
 otherwise.
 
-The implicit matrix I - dt/2 A is the same on every step of a fixed-dt run,
-so :func:`run_radial` factors it once (LAPACK's tridiagonal LU, ``dgttrf``)
-and each step costs the explicit half-step plus one O(n) ``dgttrs`` solve.
+:func:`run_radial` is the engine's one entry point.  It checks its inputs
+once (step sizes, observation stride, uniform grid, decay at r = R), factors
+the implicit matrix I - dt/2 A once (LAPACK's tridiagonal LU, ``dgttrf``),
+and each step, :func:`step_radial` on the bare value array, costs the
+explicit half-step plus one O(n) ``dgttrs`` solve.  Observations are made at
+the exact times k dt, the last at t_end itself.
 
 Also here: the radial Biot-Savart formulas, the Oseen-extraction step, the
 weighted L2_m norms for profiles, the pointwise tail envelopes and the
@@ -27,7 +30,7 @@ heat-similarity (Kummer) profile with a prescribed power-law tail.
 from __future__ import annotations
 
 import math
-import warnings
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -41,7 +44,7 @@ __all__ = [
     "RadialProfile",
     "DomainTooSmallError",
     "uniform_radii",
-    "radial_laplacian_banded",
+    "radial_laplacian",
     "step_radial",
     "run_radial",
     "radial_biot_savart",
@@ -97,34 +100,38 @@ class RadialProfile:
 # --- Crank-Nicolson engine ---------------------------------------------------
 
 
-def radial_laplacian_banded(r: np.ndarray, parity: str = "even") -> np.ndarray:
-    """Tridiagonal radial Laplacian as rows (upper, diagonal, lower).
+def radial_laplacian(
+    r: np.ndarray, parity: str = "even"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tridiagonal radial Laplacian A as (lower, diagonal, upper) diagonals.
 
-    Even parity uses the finite-volume form with the Neumann axis cell
-    4 (h_1 - h_0) / dr^2; odd parity pins h(0) = 0 and adds the -1/r^2 term.
-    The outer row is zero so the boundary value is held fixed.
+    ``lower[i] = A[i+1, i]`` and ``upper[i] = A[i, i+1]``, the alignment of
+    LAPACK's tridiagonal routines.  Even parity uses the finite-volume form
+    with the Neumann axis cell 4 (h_1 - h_0) / dr^2; odd parity pins h(0) = 0
+    and adds the -1/r^2 term.  The outer row is zero so the boundary value
+    is held fixed.
     """
     n = r.size
     dr = r[1] - r[0]
-    lo = np.zeros(n)
+    lo = np.zeros(n - 1)
     di = np.zeros(n)
-    up = np.zeros(n)
-    j = np.arange(1, n - 1)
+    up = np.zeros(n - 1)
+    ri = r[1:-1]
     if parity == "even":
         di[0] = -4.0 / dr**2
         up[0] = 4.0 / dr**2
-        rp = r[j] + dr / 2.0
-        rm = r[j] - dr / 2.0
-        lo[j] = rm / (r[j] * dr**2)
-        up[j] = rp / (r[j] * dr**2)
-        di[j] = -(rp + rm) / (r[j] * dr**2)
+        rp = ri + dr / 2.0
+        rm = ri - dr / 2.0
+        lo[:-1] = rm / (ri * dr**2)
+        up[1:] = rp / (ri * dr**2)
+        di[1:-1] = -(rp + rm) / (ri * dr**2)
     elif parity == "odd":
-        lo[j] = 1.0 / dr**2 - 1.0 / (2.0 * r[j] * dr)
-        up[j] = 1.0 / dr**2 + 1.0 / (2.0 * r[j] * dr)
-        di[j] = -2.0 / dr**2 - 1.0 / r[j] ** 2
+        lo[:-1] = 1.0 / dr**2 - 1.0 / (2.0 * ri * dr)
+        up[1:] = 1.0 / dr**2 + 1.0 / (2.0 * ri * dr)
+        di[1:-1] = -2.0 / dr**2 - 1.0 / ri**2
     else:
         raise ValueError(f"unknown parity {parity!r} (expected 'even' or 'odd')")
-    return np.vstack([up, di, lo])
+    return lo, di, up
 
 
 def _check_boundary(profile: RadialProfile, tol: float) -> None:
@@ -138,11 +145,12 @@ def _check_boundary(profile: RadialProfile, tol: float) -> None:
 
 
 class _CNSystem(NamedTuple):
-    """The fixed parts of a CN run: the rows of A and the LU factors of I - dt/2 A."""
+    """The fixed parts of a CN run: dt/2, the diagonals of A and the LU of I - dt/2 A."""
 
-    lo: np.ndarray  # sub-diagonal of A, aligned with h[:-1]
+    half_dt: float
+    lo: np.ndarray
     di: np.ndarray
-    up: np.ndarray  # super-diagonal of A, aligned with h[1:]
+    up: np.ndarray
     lu: tuple  # dgttrf's (dl, d, du, du2, ipiv)
 
 
@@ -153,33 +161,16 @@ def _positive_finite(name: str, value: float) -> None:
 
 def _cn_system(r: np.ndarray, dt: float, parity: str) -> _CNSystem:
     """Factor I - dt/2 A for steps of size dt on the grid r."""
-    up, di, lo = radial_laplacian_banded(r, parity)
-    *lu, info = dgttrf(-0.5 * dt * lo[1:], 1.0 - 0.5 * dt * di, -0.5 * dt * up[:-1])
+    lo, di, up = radial_laplacian(r, parity)
+    *lu, info = dgttrf(-0.5 * dt * lo, 1.0 - 0.5 * dt * di, -0.5 * dt * up)
     if info != 0:
         raise ValueError(f"Crank-Nicolson matrix factorization failed (dgttrf info={info})")
-    return _CNSystem(lo[1:], di, up[:-1], tuple(lu))
+    return _CNSystem(0.5 * dt, lo, di, up, tuple(lu))
 
 
-def step_radial(
-    profile: RadialProfile,
-    dt: float,
-    parity: str = "even",
-    boundary_tol: float = 1e-6,
-    _system: _CNSystem | None = None,
-) -> RadialProfile:
-    """One Crank-Nicolson step of the radial heat equation (second order in dt and dr).
-
-    Solves (I - dt/2 A) h_new = (I + dt/2 A) h.  A standalone call factors the
-    matrix itself; :func:`run_radial` passes the system it factored once for
-    the run, which must match ``dt``, ``parity`` and the profile's grid.
-    """
-    _positive_finite("dt", dt)
-    if not profile.is_uniform():
-        raise ValueError("the radial engine requires a uniform radial grid")
-    _check_boundary(profile, boundary_tol)
-    system = _cn_system(profile.r, dt, parity) if _system is None else _system
-    h = profile.values
-    rhs = h + 0.5 * dt * (
+def step_radial(h: np.ndarray, system: _CNSystem) -> np.ndarray:
+    """One CN step of :func:`run_radial`: solve (I - dt/2 A) h_new = (I + dt/2 A) h."""
+    rhs = h + system.half_dt * (
         np.concatenate(([0.0], system.lo * h[:-1]))
         + system.di * h
         + np.concatenate((system.up * h[1:], [0.0]))
@@ -187,7 +178,7 @@ def step_radial(
     h_new, info = dgttrs(*system.lu, rhs, overwrite_b=1)
     if info != 0:
         raise ValueError(f"Crank-Nicolson solve failed (dgttrs info={info})")
-    return profile.with_values(h_new)
+    return h_new
 
 
 def run_radial(
@@ -199,28 +190,35 @@ def run_radial(
     observe_every: int = 1,
     boundary_tol: float = 1e-6,
 ) -> RadialProfile:
-    """Advance a profile to t_end with fixed CN steps.
+    """Advance a profile to t_end with fixed CN steps (one step: ``run_radial(p, dt, dt)``).
 
     ``dt`` is shrunk to t_end / ceil(t_end / dt) so the steps land on t_end;
-    both must be finite and positive.  The CN matrix is factored once and
-    every step is one :func:`step_radial` call with that system.
-    ``observer(t, profile)`` is called after every ``observe_every``-th step.
+    both must be finite and positive, and so must t_end / dt.  The grid must
+    be uniform and the profile decayed to ``boundary_tol`` of its maximum at
+    r = R.  The CN matrix is factored once and every step is one
+    :func:`step_radial` call on the value array.  ``observer(t, profile)`` is
+    called after every ``observe_every``-th step (an integer >= 1) with
+    t = k dt, and t = t_end after the last step.
     """
-    _positive_finite("t_end", t_end)
     _positive_finite("dt", dt)
-    nsteps = max(1, int(np.ceil(t_end / dt)))
+    _positive_finite("t_end", t_end)
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"dt must make t_end / dt finite, got dt={dt!r} for t_end={t_end!r}")
+    if not (isinstance(observe_every, numbers.Integral) and observe_every >= 1):
+        raise ValueError(f"observe_every must be an integer >= 1, got {observe_every!r}")
+    if not profile.is_uniform():
+        raise ValueError("the radial engine requires a uniform radial grid")
+    _check_boundary(profile, boundary_tol)
+    nsteps = max(1, int(np.ceil(ratio)))
     dt = t_end / nsteps
     system = _cn_system(profile.r, dt, parity)
-    _check_boundary(profile, boundary_tol)
-    t = 0.0
-    for k in range(nsteps):
-        profile = step_radial(
-            profile, dt, parity=parity, boundary_tol=np.inf, _system=system
-        )
-        t += dt
-        if observer is not None and (k + 1) % observe_every == 0:
-            observer(t, profile)
-    return profile
+    h = profile.values
+    for k in range(1, nsteps + 1):
+        h = step_radial(h, system)
+        if observer is not None and k % observe_every == 0:
+            observer(t_end if k == nsteps else k * dt, RadialProfile(profile.r, h))
+    return profile.with_values(h)
 
 
 # --- radial Biot-Savart and Oseen extraction ---------------------------------
@@ -245,14 +243,13 @@ def _tail_estimate(values: np.ndarray, r: np.ndarray) -> float:
 
 
 def radial_biot_savart(
-    w_theta: RadialProfile, w_z: RadialProfile, tail_tol: float = 1e-8
+    w_theta: RadialProfile, w_z: RadialProfile
 ) -> tuple[RadialProfile, RadialProfile]:
     """Mean-part Biot-Savart: profiles (u_theta, u_z) from (w_theta, w_z).
 
     u_theta(r) = (1/r) int_0^r w_z rho drho   (0 at the axis),
     u_z(r)     = int_r^inf w_theta drho       (tail beyond R estimated by a
-    power-law fit of the last two samples; a warning reports the estimate
-    when it is not negligible).
+    power-law fit of the last two samples).
     """
     if not np.array_equal(w_theta.r, w_z.r):
         raise ValueError("w_theta and w_z must share a radial grid")
@@ -261,15 +258,7 @@ def radial_biot_savart(
     u_theta = np.zeros_like(integ)
     u_theta[1:] = integ[1:] / r[1:]
     full = _cumtrap(w_theta.values, r)
-    tail = _tail_estimate(w_theta.values, r)
-    u_z = (full[-1] - full) + tail
-    scale = float(np.max(np.abs(w_theta.values))) * r[-1]
-    if tail > tail_tol * max(scale, 1e-300):
-        warnings.warn(
-            f"radial Biot-Savart: w_theta tail beyond R={r[-1]:g} contributes "
-            f"an estimated {tail:.3e} to u_z",
-            stacklevel=2,
-        )
+    u_z = (full[-1] - full) + _tail_estimate(w_theta.values, r)
     return w_theta.with_values(u_theta), w_theta.with_values(u_z)
 
 

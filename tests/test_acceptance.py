@@ -55,11 +55,13 @@ def test_criterion_06_decomposition_round_trip(out_dir):
     _run("decomposition", out_dir)
 
 
+@pytest.mark.slow
 def test_criterion_07_theorem_trend(out_dir):
     # perturbation norms settle onto the decaying trend after a transient
     _run("theorem-trend", out_dir)
 
 
+@pytest.mark.slow
 def test_criterion_08_perp_decay(out_dir):
     # zero-vertical-mean energy decays exponentially in the trend run
     _run("perp-decay", out_dir)

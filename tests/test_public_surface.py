@@ -60,6 +60,8 @@ REMOVED_NAMES = (
     (presets, "PRESET_ORDER"),
     (presets, "PRESET_DESCRIPTIONS"),
     (presets, "_PRESET_FUNCS"),
+    (helns, "step_radial"),
+    (radial, "radial_laplacian_banded"),
 )
 
 REMOVED_PARAMETERS = (
@@ -82,7 +84,8 @@ REMOVED_PARAMETERS = (
     (diagnostics.transient_time, ("rtol",)),
     (diagnostics.PoincareSweepReport.passed, ("margin",)),
     (experiment.run_experiment, ("guard_factor",)),
-    (radial.step_radial, ("source", "_banded")),
+    (radial.step_radial, ("source", "_banded", "parity", "boundary_tol", "_system")),
+    (radial.radial_biot_savart, ("tail_tol",)),
     (radial.run_radial, ("source_fn",)),
     (radial.RadialProfile.is_uniform, ("rtol",)),
     (solver.rhs_perturbation, ("grid", "params")),

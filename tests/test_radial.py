@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from helns import radial
+from helns.diagnostics import rate_study
 from helns.fields import shear_f, shear_g
 from helns.radial import (
     DomainTooSmallError,
@@ -14,9 +15,8 @@ from helns.radial import (
     oseen_extraction,
     profile_l2_norm_2d,
     radial_biot_savart,
-    radial_laplacian_banded,
+    radial_laplacian,
     run_radial,
-    step_radial,
     uniform_radii,
     weighted_l2m_norm_profile,
     zero_mass_check,
@@ -63,7 +63,7 @@ class TestHeatEngine:
     def test_odd_parity_pins_axis(self):
         r = uniform_radii(10.0, 256)
         prof = RadialProfile(r, r * np.exp(-(r**2)))
-        out = step_radial(prof, 1e-3, parity="odd")
+        out = run_radial(prof, 1e-3, 1e-3, parity="odd")
         assert out.values[0] == 0.0
 
     def test_constant_is_even_steady_state(self):
@@ -106,25 +106,31 @@ class TestHeatEngine:
             observe_every=5,
             boundary_tol=1.0,
         )
-        assert seen == pytest.approx([0.05, 0.10])
+        # exact times k dt, the last one t_end itself
+        assert seen == [5 * 0.01, 0.1]
+
+    def test_rate_study_times_are_on_the_grid(self):
+        times = rate_study(initial="gaussian").times
+        assert np.array_equal(times, np.arange(1, 101) * 0.32)
+        assert times[-1] == 32.0
 
 
 def _cn_reference(profile, t_end, dt, parity):
     """CN steps to t_end, each a fresh banded solve of (I - dt/2 A) h_new = (I + dt/2 A) h."""
     nsteps = max(1, int(np.ceil(t_end / dt)))
     dt = t_end / nsteps
-    up, di, lo = radial_laplacian_banded(profile.r, parity)
+    lo, di, up = radial_laplacian(profile.r, parity)
     h = profile.values
     for _ in range(nsteps):
         rhs = h + 0.5 * dt * (
-            np.concatenate(([0.0], lo[1:] * h[:-1]))
+            np.concatenate(([0.0], lo * h[:-1]))
             + di * h
-            + np.concatenate((up[:-1] * h[1:], [0.0]))
+            + np.concatenate((up * h[1:], [0.0]))
         )
         ab = np.zeros((3, h.size))
-        ab[0, 1:] = -0.5 * dt * up[:-1]
+        ab[0, 1:] = -0.5 * dt * up
         ab[1, :] = 1.0 - 0.5 * dt * di
-        ab[2, :-1] = -0.5 * dt * lo[1:]
+        ab[2, :-1] = -0.5 * dt * lo
         h = solve_banded((1, 1), ab, rhs)
     return h
 
@@ -149,15 +155,6 @@ class TestFactoredEngine:
         ref = _cn_reference(prof, 0.3, 1.0 / 256, parity)
         assert np.max(np.abs(out.values - ref)) <= 1e-15 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("parity", ["even", "odd"])
-    def test_standalone_step_is_the_first_run_step(self, parity):
-        r = uniform_radii(20.0, 512)
-        prof = RadialProfile(r, shear_g(r, 0.0))
-        dt = 1.0 / 64
-        alone = step_radial(prof, dt, parity=parity)
-        first = run_radial(prof, dt, dt, parity=parity)
-        assert alone.values.tobytes() == first.values.tobytes()
-
     def test_run_factors_once_and_steps_through_step_radial(self, monkeypatch):
         factors, steps = [], []
         monkeypatch.setattr(radial, "dgttrf", _counting(factors, radial.dgttrf))
@@ -167,13 +164,31 @@ class TestFactoredEngine:
         assert len(factors) == 1
         assert len(steps) == 25
 
+    @pytest.mark.parametrize(
+        "observe_every,observations", [(None, 0), (1, 25), (5, 5), (7, 3)]
+    )
+    def test_profiles_are_built_only_for_observations_and_result(
+        self, observe_every, observations, monkeypatch
+    ):
+        r = uniform_radii(10.0, 128)
+        prof = RadialProfile(r, _gaussian(r, 1.0))
+        built = []
+        monkeypatch.setattr(
+            RadialProfile, "__post_init__", _counting(built, RadialProfile.__post_init__)
+        )
+        kwargs = {} if observe_every is None else {
+            "observer": lambda t, p: None, "observe_every": observe_every
+        }
+        run_radial(prof, 0.25, 0.01, **kwargs)
+        assert len(built) == observations + 1
+
     @pytest.mark.parametrize("routine", ["dgttrf", "dgttrs"])
     def test_lapack_failure_is_reported(self, routine, monkeypatch):
         real = getattr(radial, routine)
         monkeypatch.setattr(radial, routine, lambda *a, **k: (*real(*a, **k)[:-1], 1))
         r = uniform_radii(10.0, 64)
         with pytest.raises(ValueError, match=f"{routine} info=1"):
-            step_radial(RadialProfile(r, _gaussian(r, 1.0)), 0.01)
+            run_radial(RadialProfile(r, _gaussian(r, 1.0)), 0.01, 0.01)
 
     @pytest.mark.parametrize(
         "t_end,dt,name",
@@ -196,7 +211,26 @@ class TestFactoredEngine:
     def test_step_rejects_bad_dt(self, dt):
         r = uniform_radii(10.0, 64)
         with pytest.raises(ValueError, match="^dt must be finite and > 0"):
-            step_radial(RadialProfile(r, _gaussian(r, 1.0)), dt)
+            run_radial(RadialProfile(r, _gaussian(r, 1.0)), dt, dt)
+
+    def test_run_rejects_a_step_count_that_overflows(self):
+        r = uniform_radii(10.0, 64)
+        with pytest.raises(ValueError, match="^dt must make t_end / dt finite"):
+            run_radial(RadialProfile(r, _gaussian(r, 1.0)), 1.0, 1e-320)
+
+    @pytest.mark.parametrize("observe_every", [0, -1, 2.5])
+    def test_run_rejects_bad_observe_every(self, observe_every):
+        r = uniform_radii(10.0, 64)
+        with pytest.raises(ValueError, match="^observe_every must be an integer >= 1"):
+            run_radial(
+                RadialProfile(r, _gaussian(r, 1.0)), 0.1, 0.01,
+                observer=lambda t, p: None, observe_every=observe_every,
+            )
+
+    def test_run_rejects_a_nonuniform_grid(self):
+        r = np.concatenate((uniform_radii(5.0, 32), [5.5, 7.0, 10.0]))
+        with pytest.raises(ValueError, match="uniform radial grid"):
+            run_radial(RadialProfile(r, _gaussian(r, 0.1)), 0.1, 0.01)
 
 
 class TestBiotSavart:
