@@ -4,10 +4,13 @@ A configuration file has five sections::
 
     [grid]      nx, ny, nz, Lx, pitch
     [physics]   a
-    [initial]   kind, seed, amplitude, modes, sigma, m, s0
+    [initial]   kind, seed, amplitude, modes, sigma, s0
     [time]      t_end, cfl, dt, output_dt
     [output]    csv, snapshot_dt, snapshot_dir
 
+The keys are the fields of :class:`ExperimentConfig`, and each is parsed by
+the type its field declares.  ``t_end`` and a nonzero ``snapshot_dt`` are
+whole multiples of ``output_dt``, so every output falls on that grid.
 Validation reports *all* violations at once (:class:`ConfigError` carries the
 list), and :func:`serialize_config` followed by :func:`parse_config` is a
 fixed point: the echoed text parses to an identical configuration.
@@ -18,6 +21,8 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass, fields as dc_fields
+
+from .solver import _output_count
 
 __all__ = [
     "ConfigError",
@@ -30,25 +35,13 @@ __all__ = [
 
 INITIAL_KINDS = ("oseen-only", "shear", "lamb2d", "perturbed-oseen")
 
-# section -> {key: (attribute, parser)}
-_SCHEMA: dict[str, dict[str, str]] = {
-    "grid": {"nx": "nx", "ny": "ny", "nz": "nz", "Lx": "Lx", "pitch": "pitch"},
-    "physics": {"a": "a"},
-    "initial": {
-        "kind": "kind",
-        "seed": "seed",
-        "amplitude": "amplitude",
-        "modes": "modes",
-        "sigma": "sigma",
-        "m": "m",
-        "s0": "s0",
-    },
-    "time": {"t_end": "t_end", "cfl": "cfl", "dt": "dt", "output_dt": "output_dt"},
-    "output": {
-        "csv": "csv",
-        "snapshot_dt": "snapshot_dt",
-        "snapshot_dir": "snapshot_dir",
-    },
+# section -> its keys, each the name of an ExperimentConfig field, in echo order
+_SCHEMA: dict[str, tuple[str, ...]] = {
+    "grid": ("nx", "ny", "nz", "Lx", "pitch"),
+    "physics": ("a",),
+    "initial": ("kind", "seed", "amplitude", "modes", "sigma", "s0"),
+    "time": ("t_end", "cfl", "dt", "output_dt"),
+    "output": ("csv", "snapshot_dt", "snapshot_dir"),
 }
 
 
@@ -80,7 +73,6 @@ class ExperimentConfig:
     amplitude: float = 0.1
     modes: tuple[int, ...] = (0, 1, 2)
     sigma: float = 1.2
-    m: float = 1.5
     s0: float = 0.5
     # [time]
     t_end: float = 1.0
@@ -124,11 +116,6 @@ class ExperimentConfig:
         elif self.kind == "perturbed-oseen" and self.sigma > self.Lx / 16.0:
             bad.append(f"[initial] sigma must not exceed Lx/16 = {self.Lx / 16.0:g} "
                        f"for kind 'perturbed-oseen', got {self.sigma}")
-        if not self.m > 1:
-            bad.append(
-                f"[initial] m must exceed 1 (weighted-space embedding into integrable "
-                f"vorticity fails otherwise), got {self.m}"
-            )
         if not self.s0 > 0:
             bad.append(f"[initial] s0 must be positive, got {self.s0}")
         if not self.t_end >= 0:
@@ -141,59 +128,41 @@ class ExperimentConfig:
             bad.append(f"[time] output_dt must be positive, got {self.output_dt}")
         if not self.csv:
             bad.append("[output] csv must be a nonempty path")
-        if self.snapshot_dt < 0:
+        if not self.snapshot_dt >= 0:
             bad.append(
                 f"[output] snapshot_dt must be nonnegative (0 disables snapshots), "
                 f"got {self.snapshot_dt}"
             )
         if self.snapshot_dt > 0 and not self.snapshot_dir:
             bad.append("[output] snapshot_dir must be nonempty when snapshots are on")
+        for section, name in (("time", "t_end"), ("output", "snapshot_dt")):
+            span = getattr(self, name)
+            if span > 0 and self.output_dt > 0:
+                try:
+                    _output_count(span, self.output_dt, name)
+                except ValueError as exc:
+                    bad.append(f"[{section}] {exc}")
         return bad
 
 
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(str(k) for k in value)
     return str(value)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render a configuration as canonical INI text."""
-    lines = [
-        "[grid]",
-        f"nx = {cfg.nx}",
-        f"ny = {cfg.ny}",
-        f"nz = {cfg.nz}",
-        f"Lx = {_fmt(cfg.Lx)}",
-        f"pitch = {_fmt(cfg.pitch)}",
-        "",
-        "[physics]",
-        f"a = {_fmt(cfg.a)}",
-        "",
-        "[initial]",
-        f"kind = {cfg.kind}",
-        f"seed = {cfg.seed}",
-        f"amplitude = {_fmt(cfg.amplitude)}",
-        "modes = " + ",".join(str(k) for k in cfg.modes),
-        f"sigma = {_fmt(cfg.sigma)}",
-        f"m = {_fmt(cfg.m)}",
-        f"s0 = {_fmt(cfg.s0)}",
-        "",
-        "[time]",
-        f"t_end = {_fmt(cfg.t_end)}",
-        f"cfl = {_fmt(cfg.cfl)}",
-    ]
-    if cfg.dt is not None:
-        lines.append(f"dt = {_fmt(cfg.dt)}")
-    lines += [
-        f"output_dt = {_fmt(cfg.output_dt)}",
-        "",
-        "[output]",
-        f"csv = {cfg.csv}",
-        f"snapshot_dt = {_fmt(cfg.snapshot_dt)}",
-        f"snapshot_dir = {cfg.snapshot_dir}",
-        "",
-    ]
+    """Render a configuration as canonical INI text (``dt`` only when fixed)."""
+    lines = []
+    for section, names in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for name in names:
+            value = getattr(cfg, name)
+            if value is not None:
+                lines.append(f"{name} = {_fmt(value)}")
+        lines.append("")
     return "\n".join(lines)
 
 
@@ -229,6 +198,21 @@ def _parse_modes(text: str, where: str, bad: list[str]) -> tuple[int, ...] | Non
     return tuple(values)
 
 
+def _parse_str(text: str, where: str, bad: list[str]) -> str:
+    return text.strip()
+
+
+# declared field type (a string under postponed annotations) -> value parser
+_PARSERS = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "float | None": _parse_float,
+    "str": _parse_str,
+    "tuple[int, ...]": _parse_modes,
+}
+_FIELD_TYPES = {f.name: f.type for f in dc_fields(ExperimentConfig)}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse INI text into a validated :class:`ExperimentConfig`.
 
@@ -244,29 +228,17 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([f"INI syntax error: {exc}"]) from exc
 
     cfg = ExperimentConfig()
-    valid_fields = {f.name for f in dc_fields(ExperimentConfig)}
     for section in parser.sections():
         if section not in _SCHEMA:
             bad.append(f"unknown section [{section}]")
             continue
-        keys = _SCHEMA[section]
         for key, raw in parser.items(section):
-            if key not in keys:
+            if key not in _SCHEMA[section]:
                 bad.append(f"unknown key {key!r} in section [{section}]")
                 continue
-            attr = keys[key]
-            assert attr in valid_fields
-            where = f"[{section}] {key}"
-            if attr in ("nx", "ny", "nz", "seed"):
-                value = _parse_int(raw, where, bad)
-            elif attr in ("kind", "csv", "snapshot_dir"):
-                value = raw.strip()
-            elif attr == "modes":
-                value = _parse_modes(raw, where, bad)
-            else:
-                value = _parse_float(raw, where, bad)
+            value = _PARSERS[_FIELD_TYPES[key]](raw, f"[{section}] {key}", bad)
             if value is not None:
-                setattr(cfg, attr, value)
+                setattr(cfg, key, value)
 
     bad.extend(cfg.validate())
     if bad:

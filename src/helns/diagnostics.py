@@ -39,10 +39,10 @@ from .fields import (
 from .grid import GridSpec
 from .radial import (
     RadialProfile,
+    _forward_biot_savart,
     kummer_tail_profile,
     oseen_extraction,
     profile_l2_norm_2d,
-    radial_biot_savart,
     run_radial,
     uniform_radii,
 )
@@ -620,10 +620,9 @@ def rate_study(
     profile = RadialProfile(r, w0)
     times: list[float] = []
     values: list[float] = []
-    zero_w = RadialProfile(r, np.zeros_like(r))
 
     def record(t: float, prof: RadialProfile) -> None:
-        u_theta, _ = radial_biot_savart(zero_w, prof)
+        u_theta = prof.with_values(_forward_biot_savart(prof.values, prof.r)[1])
         v_theta = oseen_extraction(u_theta, a, spread=1.0 + t)
         times.append(t)
         values.append(profile_l2_norm_2d(v_theta) * np.sqrt(2.0 * np.pi * pitch))

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .diagnostics import DiagnosticsRecord, RecordBuilder, write_records_csv
 from .diagnostics import energy_identity_residual, orthogonal_split_residual
 from .fields import (
@@ -35,7 +35,7 @@ from .fields import (
 )
 from .grid import GridSpec
 from .snapshot import write_snapshot
-from .solver import SimulationState, SolverConfig, Stage, run_spectral3d
+from .solver import SimulationState, SolverConfig, Stage, _output_count, run_spectral3d
 from .spectral import SpectralOps
 
 __all__ = [
@@ -116,8 +116,6 @@ def _lamb2d_initial(cfg: ExperimentConfig, grid: GridSpec, ops: SpectralOps) -> 
     Gaussians G(s) = exp(-r^2/(4s)) / (4 pi s): the two masses cancel, so the
     induced velocity is localized and the circulation is exactly zero.
     """
-    if not cfg.s0 > 0:
-        raise ValueError(f"lamb2d spread s0 must be positive, got {cfg.s0}")
     r2 = grid.xc**2 + grid.yc**2
     w_z = cfg.amplitude * (heat_gaussian(r2, cfg.s0) - heat_gaussian(r2, 1.0))
     w = np.zeros((3,) + grid.shape)
@@ -164,12 +162,18 @@ def run_experiment(
 ) -> RunResult:
     """Run the configured experiment, writing CSV and snapshot artifacts.
 
+    The configuration is validated first, as :func:`~helns.config.parse_config`
+    does, and a violation raises :class:`~helns.config.ConfigError`.  A
+    snapshot is written with every ``snapshot_dt / output_dt``-th record.
     The energy identity is evaluated at every record exactly for
     circulation-free (a = 0) runs, where the instantaneous identity holds
     without background exchange terms; its tendency is the stage-1 k1 the
     solver hands to the observer.  The run aborts once the
     perturbation energy exceeds ``GUARD_FACTOR`` times its initial value.
     """
+    bad = cfg.validate()
+    if bad:
+        raise ConfigError(bad)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = build_grid(cfg)
@@ -187,16 +191,15 @@ def run_experiment(
     pythagoras_max = 0.0
     energy_max = 0.0 if check_energy else None
     guard_sq = None
-    # snapshots are due at the times snap_k * snapshot_dt
-    snap_k = 0 if cfg.snapshot_dt > 0 else None
-    snap_index = 0
+    # a snapshot goes with every snap_every-th record, the first included
+    snap_every = _output_count(cfg.snapshot_dt, cfg.output_dt, "snapshot_dt")
 
     def flush() -> None:
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         write_records_csv(records, csv_path)
 
     def observer(state: SimulationState, stage: Stage) -> None:
-        nonlocal pythagoras_max, energy_max, guard_sq, snap_k, snap_index
+        nonlocal pythagoras_max, energy_max, guard_sq
         rec = builder(state, stage)
         records.append(rec)
         pythagoras_max = max(pythagoras_max, orthogonal_split_residual(state.v_hat, ops))
@@ -214,14 +217,11 @@ def run_experiment(
                 f"{csv_path}",
                 csv_path=csv_path,
             )
-        if snap_k is not None and state.t >= snap_k * cfg.snapshot_dt - 1e-9:
+        if snap_every and (len(records) - 1) % snap_every == 0:
             snap_dir.mkdir(parents=True, exist_ok=True)
-            path = snap_dir / f"snapshot_{snap_index:04d}.hlxf"
+            path = snap_dir / f"snapshot_{len(snapshot_paths):04d}.hlxf"
             write_snapshot(path, grid, state.t, total_vorticity(state, cfg.a, ops))
             snapshot_paths.append(path)
-            snap_index += 1
-            while snap_k * cfg.snapshot_dt <= state.t + 1e-9:
-                snap_k += 1
 
     solver_cfg = SolverConfig(
         t_end=cfg.t_end,

@@ -35,9 +35,8 @@ class GridSpec:
     pitch : float
         Helical pitch parameter L.  The vertical box length is ``2*pi*pitch``
         exactly.
-    center : tuple of float, optional
-        Horizontal coordinates of the vortex axis.  Defaults to the box
-        center ``(Lx/2, Ly/2)``.
+
+    The vortex axis runs through the box center :attr:`center`.
     """
 
     nx: int
@@ -46,7 +45,6 @@ class GridSpec:
     Lx: float
     Ly: float
     pitch: float
-    center: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         _validate_samples("nx", self.nx)
@@ -60,8 +58,6 @@ class GridSpec:
             )
         if not self.pitch > 0:
             raise ValueError(f"pitch must be positive, got {self.pitch}")
-        if self.center is None:
-            object.__setattr__(self, "center", (self.Lx / 2.0, self.Ly / 2.0))
 
     @classmethod
     def cube(cls, n: int, Lx: float, pitch: float) -> "GridSpec":
@@ -74,6 +70,11 @@ class GridSpec:
     def Lz(self) -> float:
         """Vertical box length, exactly ``2*pi*pitch``."""
         return 2.0 * np.pi * self.pitch
+
+    @property
+    def center(self) -> tuple[float, float]:
+        """Horizontal coordinates of the vortex axis, the box center."""
+        return (self.Lx / 2.0, self.Ly / 2.0)
 
     @property
     def shape(self) -> tuple[int, int, int]:

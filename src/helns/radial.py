@@ -230,6 +230,14 @@ def _cumtrap(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _forward_biot_savart(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Enclosed integral I(r) = int_0^r w rho drho and velocity I(r)/r (0 at the axis)."""
+    integ = _cumtrap(w * r, r)
+    u = np.zeros_like(integ)
+    u[1:] = integ[1:] / r[1:]
+    return integ, u
+
+
 def _tail_estimate(values: np.ndarray, r: np.ndarray) -> float:
     """Estimated truncated tail of int_R^inf f dr assuming power decay."""
     f1, f0 = abs(values[-1]), abs(values[-2])
@@ -254,9 +262,7 @@ def radial_biot_savart(
     if not np.array_equal(w_theta.r, w_z.r):
         raise ValueError("w_theta and w_z must share a radial grid")
     r = w_z.r
-    integ = _cumtrap(w_z.values * r, r)
-    u_theta = np.zeros_like(integ)
-    u_theta[1:] = integ[1:] / r[1:]
+    _, u_theta = _forward_biot_savart(w_z.values, r)
     full = _cumtrap(w_theta.values, r)
     u_z = (full[-1] - full) + _tail_estimate(w_theta.values, r)
     return w_theta.with_values(u_theta), w_theta.with_values(u_z)
@@ -294,9 +300,7 @@ def zero_mass_check(w_z_bar: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
     the two agree at every radius, certifying int_0^inf w r dr = 0.
     """
     r = w_z_bar.r
-    integ = _cumtrap(w_z_bar.values * r, r)
-    fwd = np.zeros_like(integ)
-    fwd[1:] = integ[1:] / r[1:]
+    integ, fwd = _forward_biot_savart(w_z_bar.values, r)
     bwd = np.zeros_like(integ)
     bwd[1:] = -(integ[-1] - integ[1:]) / r[1:]
     return fwd, bwd

@@ -34,8 +34,12 @@ and max |v + a u_LO|.  The observer of an output time receives that stage
 with the state, so a diagnostics record reuses its fields instead of
 transforming the state again; the step then takes its CFL bound from the
 stage and hands k1 to :func:`step_spectral3d`, which requires it.  The one
-stage that no step consumes is the one at t_end, evaluated only when a record
-is due there.
+stage that no step consumes is the one at t_end, evaluated only for the
+record there.
+
+Outputs fall on the grid k * output_dt, and t_end is one of its points:
+:class:`SolverConfig` rejects a t_end that is not a whole multiple of
+output_dt, so the final state is always recorded.
 
 The radial 2.5D engine lives in :mod:`helns.radial` and is driven
 separately (:func:`helns.radial.run_radial`).
@@ -64,14 +68,28 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
+def _output_count(span: float, output_dt: float, name: str) -> int:
+    """The number of output intervals in ``span``, a nonnegative time from t = 0.
+
+    ``span`` must be a whole multiple of ``output_dt`` to relative 1e-9.
+    Otherwise, a non-finite ratio included, a ValueError names ``name``.
+    """
+    ratio = span / output_dt
+    if np.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * ratio:
+        return round(ratio)
+    raise ValueError(
+        f"{name} must be a whole multiple of output_dt = {output_dt!r}, got {span!r}"
+    )
+
+
 @dataclass
 class SolverConfig:
     """Time-integration policy of the 3D engine.
 
     ``dt`` fixes the step size; when it is None the step is CFL-limited with
-    the given advective CFL number against max |u| + |a u_LO|.  ``a`` is the
-    circulation Reynolds number of the background ``a * u_LO(t)``; no
-    smallness is assumed on it.
+    the given advective CFL number against max |u| + |a u_LO|.  ``t_end`` is
+    a whole multiple of ``output_dt``.  ``a`` is the circulation Reynolds
+    number of the background ``a * u_LO(t)``; no smallness is assumed on it.
     """
 
     t_end: float = 1.0
@@ -91,6 +109,7 @@ class SolverConfig:
             raise ValueError("fixed dt must be positive")
         if not self.output_dt > 0:
             raise ValueError("output_dt must be positive")
+        _output_count(self.t_end, self.output_dt, "t_end")
 
 
 @dataclass
@@ -246,13 +265,13 @@ def run_spectral3d(
     """Advance the perturbation to t_end, calling ``observer`` at output times.
 
     ``observer(state, stage)`` is invoked at t = 0 and then whenever the
-    simulation reaches the next multiple k * ``config.output_dt``, whose
-    time the state then carries exactly (as it does t_end); ``stage``
-    is the :class:`Stage` of ``state``, evaluated before the observer runs
-    and then consumed by the step that follows.  A record due at t_end costs
-    one extra stage evaluation there; without an observer none is made.  The
-    step size is ``config.dt`` when fixed — reduced transiently if it
-    violates the CFL bound — or the CFL-limited value otherwise.  The CFL
+    simulation reaches the next output time k * ``config.output_dt``, which
+    the state then carries exactly; the last output time is t_end itself.
+    ``stage`` is the :class:`Stage` of ``state``, evaluated before the
+    observer runs and then consumed by the step that follows.  The record at
+    t_end costs one extra stage evaluation there; without an observer none is
+    made.  The step size is ``config.dt`` when fixed — reduced transiently if
+    it violates the CFL bound — or the CFL-limited value otherwise.  The CFL
     bound uses the stage's max |v + a u_LO|, and its tendency is handed on to
     :func:`step_spectral3d`.
     """
@@ -264,10 +283,11 @@ def run_spectral3d(
     if observer is not None:
         observer(state, stage)
     h = min(grid.dx, grid.dy, grid.dz)
-    k = 1  # output k falls at k * output_dt exactly
-    while state.t < config.t_end - 1e-12:
-        next_output = k * config.output_dt
-        target = min(next_output, config.t_end)
+    n_out = _output_count(config.t_end, config.output_dt, "t_end")
+    k = 1
+    while k <= n_out:
+        # output k falls exactly on k * output_dt, the last on t_end
+        target = config.t_end if k == n_out else k * config.output_dt
         umax = stage.umax
         dt_cfl = config.cfl * h / umax if umax != 0.0 else np.inf
         dt = min(config.dt, dt_cfl) if config.dt is not None else dt_cfl
@@ -276,19 +296,16 @@ def run_spectral3d(
                 "t=%.4g: fixed dt=%.3g violates CFL bound %.3g; step reduced",
                 state.t, config.dt, dt_cfl,
             )
-        if not np.isfinite(dt):
-            dt = config.t_end - state.t
         dt = min(dt, target - state.t)
         # release the stage's physical fields for the duration of the step
         k1, stage = stage.k1, None
         state = step_spectral3d(state, dt, rhs, ops, k1=k1)
-        if state.t >= target - 1e-12:
-            state.t = target  # land exactly on the output time or t_end
-        due = state.t >= next_output - 1e-12
-        if due:
+        landed = state.t >= target - 1e-12
+        if landed:
+            state.t = target
             k += 1
-        if state.t < config.t_end - 1e-12 or (due and observer is not None):
+        if k <= n_out or (landed and observer is not None):
             stage = rhs.stage(state.v_hat, state.t)
-        if due and observer is not None:
+        if landed and observer is not None:
             observer(state, stage)
     return state

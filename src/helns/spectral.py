@@ -8,7 +8,7 @@ the ``1/(nx*ny*nz)`` factor, so coefficient files are reproducible
 bit-exactly.
 
 :class:`SpectralOps` bundles every Fourier-multiplier operator used by the
-solver and the diagnostics: derivatives, divergence, Leray projection, the
+solver and the diagnostics: divergence, Leray projection, the
 vertical-mean projection Q, curl / inverse curl and the 2/3-rule dealiasing.
 It also inverts the nine physical gradients d_j u_i of a field, from which
 the solver's convective loop, the helical-defect functional and
@@ -71,15 +71,6 @@ class SpectralOps:
         return sfft.fft2(f, axes=(-2, -1), workers=self._workers)
 
     # --- multipliers -----------------------------------------------------
-
-    def deriv(self, F: np.ndarray, axis: int) -> np.ndarray:
-        """Spectral partial derivative along axis 0 (x), 1 (y) or 2 (z)."""
-        k = (self.kx, self.ky, self.kz)[axis]
-        return 1j * k * F
-
-    def gradient(self, F: np.ndarray) -> np.ndarray:
-        """Stack (d/dx F, d/dy F, d/dz F) along a new leading axis."""
-        return np.stack([self.deriv(F, ax) for ax in range(3)])
 
     def divergence(self, U: np.ndarray) -> np.ndarray:
         """Spectral divergence of a vector coefficient array (3, ...)."""
@@ -170,8 +161,9 @@ class SpectralOps:
         Takes the coefficients U (3, ...) and does 9 inverse transforms.
         """
         grads = np.empty((3, 3) + self.grid.shape)
+        k = (self.kx, self.ky, self.kz)
         for i in range(3):
-            grads[i] = self.inv(self.gradient(U[i]))
+            grads[i] = self.inv(np.stack([1j * k_j * U[i] for k_j in k]))
         return grads
 
     def helical_defect(self, U: np.ndarray, u: np.ndarray, grads: np.ndarray) -> float:

@@ -289,7 +289,7 @@ def _cross_term_2d(v_hat, t, grid, ops):
     total = 0.0
     for i in range(2):
         for j in range(2):
-            dq = ops.inv(ops.deriv(q_hat[i], j))[:, :, 0]
+            dq = ops.inv(1j * grid.kvec[j] * q_hat[i])[:, :, 0]
             total += float(np.sum(dq * glo[i, j]))
     return total * grid.dx * grid.dy * grid.Lz
 

@@ -1,5 +1,6 @@
 """I/O contracts: HLXF snapshots, INI configuration and the command line."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -167,10 +168,27 @@ class TestConfig:
         assert any("shear" in v for v in cfg.validate())
 
     def test_lamb2d_run_rejects_nonpositive_spread(self, tmp_path):
-        # a config built in code skips parse_config's validation
+        # run_experiment validates a config built in code as parse_config does
         cfg = ExperimentConfig(nx=16, ny=16, nz=16, a=0.0, kind="lamb2d", s0=0.0)
         with pytest.raises(ValueError, match="s0 must be positive"):
             run_experiment(cfg, tmp_path, quiet=True)
+
+    @pytest.mark.parametrize("key,value", [("t_end", 0.45), ("snapshot_dt", 0.15)])
+    def test_run_rejects_time_off_the_output_grid(self, tmp_path, key, value):
+        # the state at such a time would never reach a record
+        cfg = ExperimentConfig(nx=16, ny=16, nz=16, output_dt=0.1, **{key: value})
+        with pytest.raises(ConfigError, match=f"{key} must be a whole multiple"):
+            run_experiment(cfg, tmp_path, quiet=True)
+        assert not (tmp_path / cfg.csv).exists()
+
+    def test_readme_default_config_is_the_default(self):
+        # README's complete INI example, comments stripped, lists every key
+        # the parser accepts with its default value
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("config with the default values:", 1)[1]
+        block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+        text = "\n".join(line.split(";", 1)[0].rstrip() for line in block.splitlines())
+        assert parse_config(text) == ExperimentConfig()
 
     def test_modes_parsing(self):
         text = serialize_config(ExperimentConfig()).replace(
@@ -230,6 +248,12 @@ class TestCli:
         )
         assert cli.main(["simulate", "--config", str(ini)]) == 2
         assert "cfl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("t_end", 0.45), ("snapshot_dt", 0.15)])
+    def test_simulate_time_off_the_output_grid_exits_2(self, tmp_path, capsys, key, value):
+        ini = _write_config(tmp_path, output_dt=0.1, **{key: value})
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == 2
+        assert f"{key} must be a whole multiple of output_dt" in capsys.readouterr().err
 
     def test_simulate_too_wide_envelope_exits_2(self, tmp_path, capsys):
         ini = _write_config(tmp_path, Lx=16.0, sigma=1.2)  # Lx/16 = 1 < sigma

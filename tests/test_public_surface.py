@@ -8,7 +8,8 @@ import pytest
 
 import helns
 from helns import (
-    decomposition, diagnostics, experiment, fields, presets, radial, solver, spectral,
+    config, decomposition, diagnostics, experiment, fields, grid, presets, radial, solver,
+    spectral,
 )
 
 SUBMODULES = (
@@ -62,6 +63,8 @@ REMOVED_NAMES = (
     (presets, "_PRESET_FUNCS"),
     (helns, "step_radial"),
     (radial, "radial_laplacian_banded"),
+    (spectral.SpectralOps, "deriv"),
+    (spectral.SpectralOps, "gradient"),
 )
 
 REMOVED_PARAMETERS = (
@@ -91,6 +94,7 @@ REMOVED_PARAMETERS = (
     (solver.rhs_perturbation, ("grid", "params")),
     (decomposition.weighted_l2m_norm, ("pitch",)),
     (spectral.SpectralOps.inverse_curl, ("return_correction",)),
+    (grid.GridSpec, ("center",)),
 )
 
 # Arguments that every caller passes, so they carry no default.
@@ -125,3 +129,4 @@ def test_removed_options_are_gone():
     assert not {"engine", "snapshots", "snapshot_dt", "background"} & config_fields
     result_fields = {f.name for f in dataclasses.fields(decomposition.DecompositionResult)}
     assert "mean_route" not in result_fields
+    assert "m" not in {f.name for f in dataclasses.fields(config.ExperimentConfig)}
