@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, fields as dc_fields
 
 from .solver import _output_count
@@ -87,6 +88,12 @@ class ExperimentConfig:
     def validate(self) -> list[str]:
         """Return every violated constraint (empty when valid)."""
         bad: list[str] = []
+        for section, names in _SCHEMA.items():
+            for name in names:
+                value = getattr(self, name)
+                if _PARSERS[_FIELD_TYPES[name]] is _parse_float and value is not None \
+                        and not math.isfinite(value):
+                    bad.append(f"[{section}] {name} must be finite, got {value!r}")
         for name in ("nx", "ny", "nz"):
             n = getattr(self, name)
             if n < 8 or n % 2 != 0:
@@ -180,7 +187,7 @@ def _parse_float(text: str, where: str, bad: list[str]) -> float | None:
     except ValueError:
         bad.append(f"{where} must be a number, got {text!r}")
         return None
-    if not (value == value and abs(value) != float("inf")):
+    if not math.isfinite(value):
         bad.append(f"{where} must be finite, got {text!r}")
         return None
     return value

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dataclass_field, fields as dataclass
 import numpy as np
 from scipy.special import j0, j1
 
-from .fields import oseen_vorticity
+from .fields import heat_gaussian
 from .grid import GridSpec
 from .radial import (
     RadialProfile,
@@ -293,7 +293,6 @@ def decompose(
         raise ValueError("weighted vorticity norm is not finite")
 
     a = circulation_a(omega, grid)
-    w_lo = oseen_vorticity(grid, background_spread - 1.0)
 
     # Radial mean-part pipeline (always computed, for the report).
     wbar = omega.mean(axis=-1)
@@ -307,8 +306,13 @@ def decompose(
         w_theta_bar, u_z_bar, v_theta_bar, w_z_resid, m, grid.pitch
     )
 
-    residual = omega - a * w_lo
-    v_hat, correction = ops.inverse_curl(ops.fwd(residual))
+    # Residual coefficients W - a fwd(w_LO), formed in W.  The Oseen vorticity
+    # is vertical and z-independent, so its transform lives on the kz = 0
+    # plane of the z component, where it is nz times the 2D transform of the
+    # Gaussian.
+    w_lo_plane = ops.fwd_plane(heat_gaussian(grid.r2d**2, background_spread))
+    W[2, :, :, 0] -= (a * grid.nz) * w_lo_plane
+    v_hat, correction = ops.inverse_curl(W)
 
     l2_v = ops.l2_norm(v_hat)
     grad_sq = ops.grad_norm_sq(v_hat)

@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fields import (
     PerturbationSpec,
@@ -691,6 +690,8 @@ def oseen_difference_check(
     ratio rho; the fitted constants depend on rho alone, which keeps their
     lattice spread well inside the 10% stability requirement.
     """
+    from scipy.integrate import quad  # deferred: keeps `import helns` lean
+
     entries = []
     for t1 in t1_values:
         for rho in rho_values:

@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import hyp1f1
 
 from .fields import heat_gaussian, oseen_utheta
@@ -152,6 +151,7 @@ class _CNSystem(NamedTuple):
     di: np.ndarray
     up: np.ndarray
     lu: tuple  # dgttrf's (dl, d, du, du2, ipiv)
+    dgttrs: object  # LAPACK's solve with that LU, imported with the first factorization
 
 
 def _positive_finite(name: str, value: float) -> None:
@@ -161,11 +161,13 @@ def _positive_finite(name: str, value: float) -> None:
 
 def _cn_system(r: np.ndarray, dt: float, parity: str) -> _CNSystem:
     """Factor I - dt/2 A for steps of size dt on the grid r."""
+    from scipy.linalg.lapack import dgttrf, dgttrs  # deferred: keeps `import helns` lean
+
     lo, di, up = radial_laplacian(r, parity)
     *lu, info = dgttrf(-0.5 * dt * lo, 1.0 - 0.5 * dt * di, -0.5 * dt * up)
     if info != 0:
         raise ValueError(f"Crank-Nicolson matrix factorization failed (dgttrf info={info})")
-    return _CNSystem(0.5 * dt, lo, di, up, tuple(lu))
+    return _CNSystem(0.5 * dt, lo, di, up, tuple(lu), dgttrs)
 
 
 def step_radial(h: np.ndarray, system: _CNSystem) -> np.ndarray:
@@ -175,7 +177,7 @@ def step_radial(h: np.ndarray, system: _CNSystem) -> np.ndarray:
         + system.di * h
         + np.concatenate((system.up * h[1:], [0.0]))
     )
-    h_new, info = dgttrs(*system.lu, rhs, overwrite_b=1)
+    h_new, info = system.dgttrs(*system.lu, rhs, overwrite_b=1)
     if info != 0:
         raise ValueError(f"Crank-Nicolson solve failed (dgttrs info={info})")
     return h_new

@@ -14,7 +14,8 @@ annihilates, so it is never formed.
 Time stepping is classical RK4 on the integrating-factor variable
 e^{|k|^2 t} v_hat, which propagates the stiff viscous term exactly (the heat
 semigroup is a diagonal Fourier multiplier).  Every nonlinear product is
-dealiased by the 2/3 rule and re-projected.
+dealiased by the 2/3 rule and re-projected, both on the kept block of modes
+only (:meth:`SpectralOps.band_tendency`).
 
 The nonlinearity has two branches.  Without background (a = 0) it is taken in
 divergence form, P div(v (x) v): one inverse transform of v, the six symmetric
@@ -200,9 +201,7 @@ class _Rhs:
         prod = np.empty((6,) + v.shape[1:])
         for n, (i, j) in enumerate(_PAIRS):
             np.multiply(v[i], v[j], out=prod[n])
-        S = ops.fwd(prod)
-        div = np.stack([ops.divergence([S[n] for n in row]) for row in _ROWS])
-        return -ops.leray(ops.dealias(div))
+        return ops.band_tendency(ops.fwd(prod), rows=_ROWS)
 
     def _convective_form(self, v: np.ndarray, grads: np.ndarray, t: float) -> np.ndarray:
         ops = self.ops
@@ -216,7 +215,7 @@ class _Rhs:
             adv[i] += self.a * (ulo[0] * grad_i[0] + ulo[1] * grad_i[1])
             if i < 2:
                 adv[i] += self.a * (v[0] * glo[i, 0] + v[1] * glo[i, 1])
-        return -ops.leray(ops.dealias(ops.fwd(adv)))
+        return ops.band_tendency(ops.fwd(adv))
 
 
 def rhs_perturbation(v_hat: np.ndarray, t: float, a: float, ops: SpectralOps) -> np.ndarray:

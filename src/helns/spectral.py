@@ -9,11 +9,14 @@ bit-exactly.
 
 :class:`SpectralOps` bundles every Fourier-multiplier operator used by the
 solver and the diagnostics: divergence, Leray projection, the
-vertical-mean projection Q, curl / inverse curl and the 2/3-rule dealiasing.
+vertical-mean projection Q, curl / inverse curl and the 2/3-rule dealiasing,
+and the solver's tendency tail -P dealias(.), which works on the kept 2/3-rule
+block only.
 It also inverts the nine physical gradients d_j u_i of a field, from which
 the solver's convective loop, the helical-defect functional and
 :func:`max_divergence` (their trace) are evaluated.  All methods are pure
-functions of their inputs; the class only caches wavenumber arrays.
+functions of their inputs; the class only caches wavenumber arrays and
+index blocks.
 """
 
 from __future__ import annotations
@@ -44,6 +47,22 @@ class SpectralOps:
         self.inv_k2 = 1.0 / k2_safe
         self.inv_k2[0, 0, 0] = 0.0
         self.mask = grid.dealias_mask
+        self._ik = (1j * self.kx, 1j * self.ky, 1j * self.kz)
+        # The kept 2/3-rule block |kx| <= nx//3, |ky| <= ny//3, kz <= nz//3 as
+        # a gather index, with its wavenumbers and 1/|k|^2.
+        ix = np.flatnonzero(self.mask.any(axis=(1, 2)))
+        iy = np.flatnonzero(self.mask.any(axis=(0, 2)))
+        kz_kept = slice(0, grid.nz // 3 + 1)
+        self._band = (slice(None), ix[:, None], iy[None, :], kz_kept)
+        self._band_k = (self.kx[ix], self.ky[:, iy], self.kz[..., kz_kept])
+        self._band_inv_k2 = self.inv_k2[self._band[1:]]
+        # The helical-defect mask r <= Lx/4 is a disk about the box center: its
+        # rows and columns form one contiguous central block.
+        disk = grid.r2d <= 0.25 * grid.Lx
+        rows = np.flatnonzero(disk.any(axis=1))
+        cols = np.flatnonzero(disk.any(axis=0))
+        self._disk = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        self._disk_mask = disk[self._disk][..., None]
         self._parseval = grid.volume * grid.mode_weight / grid.npoints**2
         # Worker threads for the FFT backend.  Each 1D transform is computed
         # identically regardless of the worker count, so results are
@@ -74,19 +93,29 @@ class SpectralOps:
 
     def divergence(self, U: np.ndarray) -> np.ndarray:
         """Spectral divergence of a vector coefficient array (3, ...)."""
-        return (
-            1j * self.kx * U[0] + 1j * self.ky * U[1] + 1j * self.kz * U[2]
-        )
+        return _divergence((self.kx, self.ky, self.kz), U)
 
     def leray(self, U: np.ndarray) -> np.ndarray:
         """Leray projection: remove the gradient part of each k != 0 mode.
 
         The k = 0 mode (box mean) is left unchanged.
         """
-        corr = (self.kx * U[0] + self.ky * U[1] + self.kz * U[2]) * self.inv_k2
-        out = np.empty_like(U)
-        for i, k in enumerate((self.kx, self.ky, self.kz)):
-            np.subtract(U[i], k * corr, out=out[i])
+        return _leray((self.kx, self.ky, self.kz), self.inv_k2, U)
+
+    def band_tendency(self, F: np.ndarray, rows=None) -> np.ndarray:
+        """-P dealias(F) of full-spectrum coefficients F (3, ...).
+
+        Only the kept 2/3-rule block is gathered and projected; the result is
+        scattered into zeros, and equals ``-leray(dealias(F))`` value for
+        value.  With ``rows``, F holds the products S_n of a symmetric tensor
+        and the tendency is that of its divergence rows i k_j S_ij, where
+        ``rows[i]`` lists the positions of S_i0, S_i1 and S_i2 in F.
+        """
+        B = F[self._band]
+        if rows is not None:
+            B = np.stack([_divergence(self._band_k, [B[n] for n in row]) for row in rows])
+        out = np.zeros((3,) + F.shape[1:], dtype=complex)
+        out[self._band] = -_leray(self._band_k, self._band_inv_k2, B)
         return out
 
     def project_Q(self, F: np.ndarray) -> np.ndarray:
@@ -107,32 +136,35 @@ class SpectralOps:
 
     def curl(self, U: np.ndarray) -> np.ndarray:
         kx, ky, kz = self.kx, self.ky, self.kz
-        return np.stack(
-            [
-                1j * (ky * U[2] - kz * U[1]),
-                1j * (kz * U[0] - kx * U[2]),
-                1j * (kx * U[1] - ky * U[0]),
-            ]
-        )
+        out = np.empty(U.shape, dtype=complex)
+        np.subtract(ky * U[2], kz * U[1], out=out[0])
+        np.subtract(kz * U[0], kx * U[2], out=out[1])
+        np.subtract(kx * U[1], ky * U[0], out=out[2])
+        out *= 1j
+        return out
 
     def inverse_curl(self, W: np.ndarray) -> tuple[np.ndarray, float]:
         """Unique zero-mean divergence-free U with curl(U) = W, and the
-        relative magnitude of the projection W needed first.
+        relative size of the gradient part of W.
 
         The k = 0 mode of W is always dropped (a net-circulation vorticity has
         no periodic velocity potential; that part of the field is carried
-        analytically by the decomposition layer).  If W is not
-        divergence-free it is projected first; the returned correction is
-        |W - P W| / |W| (0 for a zero W).
+        analytically by the decomposition layer).  U is curl(W) / |k|^2: the
+        curl annihilates the gradient part k (k.W) / |k|^2 of a
+        non-solenoidal W, so no projection is formed.  The returned
+        correction is |W - P W| / |W| = |grad((k.W) / |k|^2)| / |W| (0 for a
+        zero W).
         """
-        Wsol = self.leray(W)
         rel = 0.0
         norm_w = self.l2_norm(W)
         if norm_w > 0:
-            rel = self.l2_norm(W - Wsol) / norm_w
+            corr = (self.kx * W[0] + self.ky * W[1] + self.kz * W[2]) * self.inv_k2
+            rel = float(np.sqrt(self.grad_norm_sq(corr))) / norm_w
             if rel > 1e-12:
-                logger.debug("inverse_curl: projected non-solenoidal input, relative correction %.3e", rel)
-        return self.curl(Wsol) * self.inv_k2, rel
+                logger.debug("inverse_curl: non-solenoidal input, relative correction %.3e", rel)
+        U = self.curl(W)
+        U *= self.inv_k2
+        return U, rel
 
     # --- norms (spectral-exact via Parseval) ------------------------------
 
@@ -161,9 +193,11 @@ class SpectralOps:
         Takes the coefficients U (3, ...) and does 9 inverse transforms.
         """
         grads = np.empty((3, 3) + self.grid.shape)
-        k = (self.kx, self.ky, self.kz)
+        mult = np.empty((3,) + U.shape[1:], dtype=complex)
         for i in range(3):
-            grads[i] = self.inv(np.stack([1j * k_j * U[i] for k_j in k]))
+            for j, ik in enumerate(self._ik):
+                np.multiply(ik, U[i], out=mult[j])
+            grads[i] = self.inv(mult)
         return grads
 
     def helical_defect(self, U: np.ndarray, u: np.ndarray, grads: np.ndarray) -> float:
@@ -176,7 +210,8 @@ class SpectralOps:
         axis-singular cylindrical components.  The root-sum-square of the
         three masked L2 norms is returned, normalized by the H1 norm of u.
         The mask keeps r <= Lx/4 to exclude wrap-around artifacts of the
-        physical-space angular derivative.
+        physical-space angular derivative; only the central block of rows and
+        columns that holds it is evaluated.
 
         ``U`` holds the coefficients of the field (for the H1 norm), ``u``
         its physical samples and ``grads`` its :meth:`gradients`; no
@@ -186,10 +221,12 @@ class SpectralOps:
         if h1_sq == 0.0:
             return 0.0
         L = self.grid.pitch
-        shift = (u[1], -u[0], 0.0)
-        xc = self.grid.xc[..., None]
-        yc = self.grid.yc[..., None]
-        mask = (self.grid.r2d <= 0.25 * self.grid.Lx)[..., None]
+        bx, by = self._disk
+        grads = grads[:, :, bx, by]
+        shift = (u[1, bx, by], -u[0, bx, by], 0.0)
+        xc = self.grid.xc[bx, :, None]
+        yc = self.grid.yc[:, by, None]
+        mask = self._disk_mask
         dV = self.grid.cell_volume
         total = 0.0
         for comp in range(3):
@@ -197,6 +234,21 @@ class SpectralOps:
             defect = xc * grads[comp, 1] - yc * grads[comp, 0] + axial_c
             total += float(np.sum((defect * mask) ** 2) * dV)
         return float(np.sqrt(total / h1_sq))
+
+
+def _divergence(k, U) -> np.ndarray:
+    """i k . U for a broadcastable wavenumber triple k."""
+    kx, ky, kz = k
+    return 1j * kx * U[0] + 1j * ky * U[1] + 1j * kz * U[2]
+
+
+def _leray(k, inv_k2, U: np.ndarray) -> np.ndarray:
+    """U - k (k . U) / |k|^2 for a wavenumber triple k and its 1/|k|^2."""
+    corr = (k[0] * U[0] + k[1] * U[1] + k[2] * U[2]) * inv_k2
+    out = np.empty_like(U)
+    for i, k_i in enumerate(k):
+        np.subtract(U[i], k_i * corr, out=out[i])
+    return out
 
 
 def max_divergence(grads: np.ndarray) -> float:

@@ -263,6 +263,22 @@ class TestDecompose:
             np.hypot(result.l2_v, result.grad_l2_v), rel=1e-12
         )
 
+    @pytest.mark.parametrize("a,spread", [(-2.0, 1.5), (0.7, 2.25)])
+    def test_matches_the_projected_residual_formula(self, grid, ops, perturbation, a, spread):
+        # reference: transform omega - a w_LO in 3D, project it, take the curl
+        w = a * oseen_vorticity(grid, spread - 1.0) + ops.inv(ops.curl(perturbation))
+        result = decompose(w, grid, 1.5, ops=ops, background_spread=spread)
+        a_ref = circulation_a(w, grid)
+        R = ops.fwd(w - a_ref * oseen_vorticity(grid, spread - 1.0))
+        Rsol = ops.leray(R)
+        v_ref = ops.curl(Rsol) * ops.inv_k2
+        assert result.a == a_ref
+        assert ops.l2_norm(result.v_hat - v_ref) <= 1e-13 * ops.l2_norm(v_ref)
+        # the gradient part is ~1e-9 of R, so the round-off of R's coefficients
+        # moves it by more than 1e-13 of itself (2.5e-13 at a = -2)
+        correction = ops.l2_norm(R - Rsol) / ops.l2_norm(R)
+        assert result.inverse_curl_correction == pytest.approx(correction, rel=1e-12, abs=0.0)
+
     def test_linearity_in_the_perturbation(self, grid, ops, perturbation):
         w_lo = oseen_vorticity(grid, 0.0)
         w_pert = ops.inv(ops.curl(perturbation))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from helns.fields import PerturbationSpec, random_helical_perturbation
 from helns.grid import GridSpec
+from helns.solver import rhs_perturbation
 from helns.spectral import SpectralOps, max_divergence
 
 
@@ -136,6 +138,58 @@ class TestCurl:
         assert ops.l2_norm(ops.curl(G)) < 1e-12
 
 
+    def test_inverse_curl_reports_the_gradient_part(self, grid, ops):
+        # a non-solenoidal W: the curl drops its gradient part, whose relative
+        # size is reported
+        W = ops.fwd(_smooth_field(grid, np.random.default_rng(12)))
+        Wsol = ops.leray(W)
+        V, correction = ops.inverse_curl(W)
+        assert correction > 0.1
+        assert correction == pytest.approx(ops.l2_norm(W - Wsol) / ops.l2_norm(W), rel=1e-13)
+        ref = ops.curl(Wsol) * ops.inv_k2
+        assert ops.l2_norm(V - ref) <= 1e-14 * ops.l2_norm(ref)
+
+    def test_curl_writes_one_output(self, grid, ops):
+        U = ops.fwd(_smooth_field(grid, np.random.default_rng(13)))
+        kx, ky, kz = grid.kvec
+        ref = np.stack([1j * (ky * U[2] - kz * U[1]), 1j * (kz * U[0] - kx * U[2]),
+                        1j * (kx * U[1] - ky * U[0])])
+        assert ops.curl(U).tobytes() == ref.tobytes()
+
+
+class TestBandTendency:
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_equals_full_array_projection(self, n, a):
+        # the tendency's input is taken from a real RHS call; the reference
+        # projects it with the full-array operators
+        g = GridSpec.cube(n, 20.0, 1.0)
+        g_ops = SpectralOps(g)
+        spec = PerturbationSpec(seed=n, amplitude=0.5, sigma=1.2)
+        v_hat = random_helical_perturbation(spec, g, g_ops)
+        calls = []
+        band_tendency = g_ops.band_tendency
+
+        def recorded(F, rows=None):
+            out = band_tendency(F, rows)
+            calls.append((F, rows, out))
+            return out
+
+        g_ops.band_tendency = recorded
+        rhs_perturbation(v_hat, 0.25, a, g_ops)
+        ((F, rows, out),) = calls
+        assert (rows is not None) == (a == 0.0)
+        if rows is not None:
+            F = np.stack([g_ops.divergence([F[k] for k in row]) for row in rows])
+        ref = -g_ops.leray(g_ops.dealias(F))
+        # equal everywhere; outside the kept block both are zeros, whose
+        # signs the full-array product with the mask does not keep
+        assert np.array_equal(out, ref)
+        kept = g.dealias_mask
+        assert out[:, kept].tobytes() == ref[:, kept].tobytes()
+        assert not np.any(out[:, ~kept])
+
+
 def _defect(ops, U):
     return ops.helical_defect(U, ops.inv(U), ops.gradients(U))
 
@@ -154,6 +208,20 @@ def _coefficient_defect(ops, U):
         dy_c = ops.inv(1j * ops.ky * U[c])
         axial_c = ops.inv(L * (1j * ops.kz * U[c]) + shift[c])
         defect = xc * dy_c - yc * dx_c + axial_c
+        total += float(np.sum((defect * mask) ** 2) * ops.grid.cell_volume)
+    return float(np.sqrt(total / (ops.l2_norm_sq(U) + ops.grad_norm_sq(U))))
+
+
+def _full_grid_defect(ops, U, u, grads):
+    """The defect of :meth:`SpectralOps.helical_defect` summed over the whole grid."""
+    L = ops.grid.pitch
+    shift = (u[1], -u[0], 0.0)
+    xc = ops.grid.xc[..., None]
+    yc = ops.grid.yc[..., None]
+    mask = (ops.grid.r2d <= 0.25 * ops.grid.Lx)[..., None]
+    total = 0.0
+    for c in range(3):
+        defect = xc * grads[c, 1] - yc * grads[c, 0] + L * grads[c, 2] + shift[c]
         total += float(np.sum((defect * mask) ** 2) * ops.grid.cell_volume)
     return float(np.sqrt(total / (ops.l2_norm_sq(U) + ops.grad_norm_sq(U))))
 
@@ -188,6 +256,20 @@ class TestHelicalDefect:
         assert defect == pytest.approx(_coefficient_defect(ops, U), rel=1e-12)
         spectral_div = float(np.max(np.abs(ops.inv(ops.divergence(U)))))
         assert max_divergence(grads) == pytest.approx(spectral_div, rel=1e-12)
+
+
+    @pytest.mark.parametrize("n,Lx", [(16, 20.0), (32, 20.0), (34, 13.0)])
+    def test_block_matches_full_grid(self, n, Lx):
+        g = GridSpec.cube(n, Lx, 1.0)
+        g_ops = SpectralOps(g)
+        for U in (
+            g_ops.fwd(_smooth_field(g, np.random.default_rng(n))),
+            random_helical_perturbation(PerturbationSpec(seed=n, sigma=0.6), g, g_ops),
+        ):
+            u, grads = g_ops.inv(U), g_ops.gradients(U)
+            ref = _full_grid_defect(g_ops, U, u, grads)
+            assert ref > 0.0
+            assert g_ops.helical_defect(U, u, grads) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 class TestThreads:

@@ -181,6 +181,20 @@ class TestConfig:
             run_experiment(cfg, tmp_path, quiet=True)
         assert not (tmp_path / cfg.csv).exists()
 
+    @pytest.mark.parametrize("name,value,extra", [
+        ("a", np.inf, {}), ("a", np.nan, {}), ("dt", np.inf, {}),
+        ("output_dt", np.inf, {}), ("Lx", np.inf, {"sigma": 1.0}),
+        ("t_end", -np.inf, {}), ("amplitude", np.nan, {}), ("snapshot_dt", np.inf, {}),
+        ("s0", np.inf, {}), ("pitch", np.inf, {}), ("cfl", np.nan, {}), ("sigma", np.nan, {}),
+    ])
+    def test_nonfinite_float_rejected_as_parse_config_does(self, tmp_path, name, value, extra):
+        # a config built in code meets the parser's "must be finite" rule
+        cfg = ExperimentConfig(nx=16, ny=16, nz=16, **{name: value}, **extra)
+        assert f"] {name} must be finite, got {value!r}" in cfg.validate()[0]
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            run_experiment(cfg, tmp_path, quiet=True)
+        assert not any(tmp_path.iterdir())
+
     def test_readme_default_config_is_the_default(self):
         # README's complete INI example, comments stripped, lists every key
         # the parser accepts with its default value

@@ -3,6 +3,9 @@
 import dataclasses
 import importlib
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,3 +133,16 @@ def test_removed_options_are_gone():
     result_fields = {f.name for f in dataclasses.fields(decomposition.DecompositionResult)}
     assert "mean_route" not in result_fields
     assert "m" not in {f.name for f in dataclasses.fields(config.ExperimentConfig)}
+
+
+def test_import_leaves_quadrature_and_lapack_unloaded():
+    # scipy.integrate and LAPACK load on first use, not with the package
+    src = Path(helns.__file__).resolve().parents[1]
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import helns; "
+        "print(' '.join(m for m in ('scipy.integrate', 'scipy.linalg.lapack') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe, str(src)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == ""

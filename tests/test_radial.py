@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
 from helns import radial
 from helns.diagnostics import rate_study
@@ -157,7 +157,7 @@ class TestFactoredEngine:
 
     def test_run_factors_once_and_steps_through_step_radial(self, monkeypatch):
         factors, steps = [], []
-        monkeypatch.setattr(radial, "dgttrf", _counting(factors, radial.dgttrf))
+        monkeypatch.setattr(lapack, "dgttrf", _counting(factors, lapack.dgttrf))
         monkeypatch.setattr(radial, "step_radial", _counting(steps, radial.step_radial))
         r = uniform_radii(10.0, 128)
         run_radial(RadialProfile(r, _gaussian(r, 1.0)), 0.25, 0.01, parity="even")
@@ -184,8 +184,8 @@ class TestFactoredEngine:
 
     @pytest.mark.parametrize("routine", ["dgttrf", "dgttrs"])
     def test_lapack_failure_is_reported(self, routine, monkeypatch):
-        real = getattr(radial, routine)
-        monkeypatch.setattr(radial, routine, lambda *a, **k: (*real(*a, **k)[:-1], 1))
+        real = getattr(lapack, routine)
+        monkeypatch.setattr(lapack, routine, lambda *a, **k: (*real(*a, **k)[:-1], 1))
         r = uniform_radii(10.0, 64)
         with pytest.raises(ValueError, match=f"{routine} info=1"):
             run_radial(RadialProfile(r, _gaussian(r, 1.0)), 0.01, 0.01)

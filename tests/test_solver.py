@@ -408,7 +408,7 @@ class TestTransformBudget:
             + per_record * len(result.records) + 3 * len(result.snapshot_paths)
         )
 
-    def test_decompose_costs_15_transforms(self, transforms):
+    def test_decompose_costs_12_transforms(self, transforms):
         grid = GridSpec.cube(32, 20.0, 1.0)
         ops = SpectralOps(grid)
         spec = PerturbationSpec(seed=2, amplitude=0.1, sigma=1.2)
@@ -416,4 +416,4 @@ class TestTransformBudget:
         omega = oseen_vorticity(grid, 0.0) + ops.inv(ops.curl(v_hat))
         transforms[0] = 0
         decompose(omega, grid, 1.5, ops=ops)
-        assert transforms[0] == 15
+        assert transforms[0] == 12
