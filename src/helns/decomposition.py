@@ -31,7 +31,7 @@ from .radial import (
     radial_biot_savart,
     zero_mass_check,
 )
-from .spectral import SpectralOps, max_divergence
+from .spectral import SpectralOps
 
 logger = logging.getLogger(__name__)
 
@@ -89,7 +89,9 @@ def weighted_l2m_norm(omega, m: float, *, grid: GridSpec) -> float:
         weight = weight[None, ..., None]
     else:
         weight = weight[..., None]
-    val = float(np.sum(weight * omega**2)) * grid.cell_volume
+    weighted = np.square(omega)
+    weighted *= weight
+    val = float(np.sum(weighted)) * grid.cell_volume
     return float(np.sqrt(val))
 
 
@@ -274,16 +276,16 @@ def decompose(
         raise ValueError("vorticity samples must be finite")
 
     W = ops.fwd(omega)
-    grads = ops.gradients(W)
-    scale = float(np.max(np.abs(omega)))
-    max_div = max_divergence(grads)
+    max_div, grads = ops.disk_gradients(W)
+    # max |omega| without an |omega| temporary (the samples are finite)
+    scale = float(max(omega.max(), -omega.min()))
     if scale > 0 and max_div > DIV_TOL * scale:
         raise ValueError(
             f"vorticity is not divergence-free: max |div| = {max_div:.3e} "
             f"exceeds {DIV_TOL:.1e} x max |omega|"
         )
     defect = ops.helical_defect(W, omega, grads)
-    del grads  # nine full fields, freed before the remainder is built
+    del grads
     if defect > DEFECT_TOL:
         raise ValueError(
             f"vorticity is not helical: masked defect {defect:.3e} exceeds {DEFECT_TOL:.1e}"

@@ -150,6 +150,9 @@ def ladyzhenskaya_ratio(v_hat: np.ndarray, ops: SpectralOps) -> float:
     The ratio is 0-homogeneous; the fitted constant of the seeded sweep is
     ``C0 = L * max(ratio)^4``.  The L2 norms are spectral-exact (Parseval);
     the L4 norm uses the pointwise Euclidean magnitude of the physical samples.
+    The helicity gate takes the gradients on the defect's disk block
+    (:meth:`SpectralOps.disk_gradients`: 3 full inverse transforms and 6 on
+    the block) besides the 3 inverse transforms of v.
     """
     l2 = ops.l2_norm(v_hat)
     if l2 == 0.0:
@@ -158,7 +161,7 @@ def ladyzhenskaya_ratio(v_hat: np.ndarray, ops: SpectralOps) -> float:
     v = ops.inv(v_hat)
     mag_sq = np.sum(v * v, axis=0)
     l4 = float(np.sum(mag_sq**2) * ops.grid.cell_volume) ** 0.25
-    defect = ops.helical_defect(v_hat, v, ops.gradients(v_hat))
+    defect = ops.helical_defect(v_hat, v, ops.disk_gradients(v_hat)[1])
     if defect > HELICAL_DEFECT_TOL:
         raise ValueError(
             f"Ladyzhenskaya ratio requires a helical field: defect {defect:.3e}"
@@ -317,8 +320,10 @@ class RecordBuilder:
         ``stage`` (a :class:`~helns.solver.Stage` of ``state``) supplies the
         physical v and, at a != 0, the nine gradients from which the source
         norm, the helical defect, the divergence and the background cross
-        term are taken, so such a record does no 3D transform; at a = 0 the
-        gradients take their 9 inverse transforms here.
+        term are taken, so such a record does no 3D transform.  At a = 0 the
+        gates take their gradients from :meth:`SpectralOps.disk_gradients`
+        here: 3 full inverse transforms for the divergence and 6 on the
+        helical-defect disk block.
         """
         ops = self.ops
         grid = self.grid
@@ -338,9 +343,11 @@ class RecordBuilder:
 
         grads = stage.grads
         if grads is None:
-            grads = ops.gradients(v_hat)
-        defect = ops.helical_defect(v_hat, stage.v, grads)
-        max_div = max_divergence(grads)
+            max_div, disk_grads = ops.disk_gradients(v_hat)
+        else:
+            bx, by = ops.disk
+            max_div, disk_grads = max_divergence(grads), grads[:, :, bx, by]
+        defect = ops.helical_defect(v_hat, stage.v, disk_grads)
 
         if self._prev_t is not None:
             self._cum += 0.5 * (t - self._prev_t) * (grad_sq + self._prev_grad_sq)

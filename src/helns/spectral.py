@@ -12,11 +12,17 @@ solver and the diagnostics: divergence, Leray projection, the
 vertical-mean projection Q, curl / inverse curl and the 2/3-rule dealiasing,
 and the solver's tendency tail -P dealias(.), which works on the kept 2/3-rule
 block only.
-It also inverts the nine physical gradients d_j u_i of a field, from which
-the solver's convective loop, the helical-defect functional and
-:func:`max_divergence` (their trace) are evaluated.  All methods are pure
-functions of their inputs; the class only caches wavenumber arrays and
-index blocks.
+It also inverts the nine physical gradients d_j u_i of a field, which the
+solver's convective loop reads on the whole grid.  The input gates of a
+record or a decomposition read less: :func:`max_divergence` only the trace
+d_i u_i, and the helical-defect functional only the central block of rows
+and columns that holds its r <= Lx/4 disk.
+:meth:`SpectralOps.disk_gradients` therefore inverts the three diagonal
+gradients on the whole grid and the six others on that block only
+(:meth:`SpectralOps.inv_disk`), and gives the same bits as the nine full
+inverses.  All methods but :meth:`SpectralOps.inv_disk`, which overwrites its
+input, are pure functions of their inputs; the class only caches wavenumber
+arrays and index blocks.
 """
 
 from __future__ import annotations
@@ -57,12 +63,14 @@ class SpectralOps:
         self._band_k = (self.kx[ix], self.ky[:, iy], self.kz[..., kz_kept])
         self._band_inv_k2 = self.inv_k2[self._band[1:]]
         # The helical-defect mask r <= Lx/4 is a disk about the box center: its
-        # rows and columns form one contiguous central block.
+        # rows and columns form one contiguous central block, the (x, y)
+        # slices ``disk`` on which the defect's gradients are taken.
         disk = grid.r2d <= 0.25 * grid.Lx
         rows = np.flatnonzero(disk.any(axis=1))
         cols = np.flatnonzero(disk.any(axis=0))
-        self._disk = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-        self._disk_mask = disk[self._disk][..., None]
+        self.disk = (slice(int(rows[0]), int(rows[-1]) + 1),
+                     slice(int(cols[0]), int(cols[-1]) + 1))
+        self._disk_mask = disk[self.disk][..., None]
         self._parseval = grid.volume * grid.mode_weight / grid.npoints**2
         # Worker threads for the FFT backend.  Each 1D transform is computed
         # identically regardless of the worker count, so results are
@@ -81,6 +89,24 @@ class SpectralOps:
     def inv(self, F: np.ndarray) -> np.ndarray:
         """Inverse rfft over the last three axes (carries 1/N)."""
         return sfft.irfftn(F, s=self.grid.shape, axes=(-3, -2, -1), workers=self._workers)
+
+    def inv_disk(self, F: np.ndarray) -> np.ndarray:
+        """:meth:`inv` of one coefficient field, sampled on the disk block only.
+
+        The passes of ``irfftn`` are taken in its order and left unscaled: x
+        on every line, y on the block's rows, then ``irfft`` along z on the
+        block's columns.  ``irfftn`` applies 1/N once, in its last pass, so
+        one multiply by 1/N at the end gives ``inv(F)[disk block]`` bit for
+        bit (1/n per pass would not).  The x and y passes run in place: F is
+        overwritten.
+        """
+        bx, by = self.disk
+        w = self._workers
+        f = sfft.ifft(F, axis=0, norm="forward", workers=w, overwrite_x=True)
+        f = sfft.ifft(f[bx], axis=1, norm="forward", workers=w, overwrite_x=True)
+        f = sfft.irfft(f[:, by], n=self.grid.nz, axis=2, norm="forward", workers=w)
+        f *= 1.0 / self.grid.npoints
+        return f
 
     def fwd_plane(self, f: np.ndarray) -> np.ndarray:
         """Forward 2D FFT over the last two (x, y) axes (unnormalized).
@@ -200,6 +226,35 @@ class SpectralOps:
             grads[i] = self.inv(mult)
         return grads
 
+    def disk_gradients(self, U: np.ndarray) -> tuple[float, np.ndarray]:
+        """max |div u| on the grid and grads[i, j] = d_j u_i on the disk block.
+
+        The divergence is the trace d_0 u_0 + d_1 u_1 + d_2 u_2, so the three
+        diagonal gradients are inverted on the whole grid; the six others only
+        on the block that holds the helical-defect disk (:meth:`inv_disk`).
+        The results equal ``max_divergence(gradients(U))`` and
+        ``gradients(U)[:, :, bx, by]`` bit for bit, from 3 full inverse
+        transforms and 6 on the block, all of one multiplier buffer.
+        """
+        bx, by = self.disk
+        nbx, nby = bx.stop - bx.start, by.stop - by.start
+        grads = np.empty((3, 3, nbx, nby, self.grid.nz))
+        mult = np.empty(U.shape[1:], dtype=complex)
+        div = None
+        for i in range(3):
+            for j, ik in enumerate(self._ik):
+                np.multiply(ik, U[i], out=mult)
+                if i != j:
+                    grads[i, j] = self.inv_disk(mult)
+                    continue
+                d_ii = self.inv(mult)
+                grads[i, i] = d_ii[bx, by]
+                if div is None:
+                    div = d_ii
+                else:
+                    div += d_ii  # (d_00 + d_11) + d_22, as max_divergence sums
+        return float(np.max(np.abs(div))), grads
+
     def helical_defect(self, U: np.ndarray, u: np.ndarray, grads: np.ndarray) -> float:
         """Masked, H1-normalized helical-symmetry defect of a velocity field.
 
@@ -214,15 +269,15 @@ class SpectralOps:
         columns that holds it is evaluated.
 
         ``U`` holds the coefficients of the field (for the H1 norm), ``u``
-        its physical samples and ``grads`` its :meth:`gradients`; no
-        transform is done.  Returns 0 for a zero field.
+        its physical samples on the whole grid and ``grads`` its gradients on
+        the disk block, as :meth:`disk_gradients` returns them; no transform
+        is done.  Returns 0 for a zero field.
         """
         h1_sq = self.l2_norm_sq(U) + self.grad_norm_sq(U)
         if h1_sq == 0.0:
             return 0.0
         L = self.grid.pitch
-        bx, by = self._disk
-        grads = grads[:, :, bx, by]
+        bx, by = self.disk
         shift = (u[1, bx, by], -u[0, bx, by], 0.0)
         xc = self.grid.xc[bx, :, None]
         yc = self.grid.yc[:, by, None]

@@ -322,7 +322,8 @@ class TestRecordBuilder:
         nbar_3d = ops.l2_norm(ops.project_Q(rhs_perturbation(ops.perp(v_hat), 0.0, 0.0, ops)))
         assert rec.l2_Nbar == pytest.approx(nbar_3d, rel=1e-13)
         assert rec.l2_Nbar == source_norm(v_hat, ops).value
-        grads = ops.gradients(v_hat)
+        bx, by = ops.disk
+        grads = ops.gradients(v_hat)[:, :, bx, by]
         assert rec.helical_defect == ops.helical_defect(v_hat, ops.inv(v_hat), grads)
         spectral_div = float(np.max(np.abs(ops.inv(ops.divergence(v_hat)))))
         assert abs(rec.max_div - spectral_div) <= 1e-15

@@ -191,7 +191,7 @@ class TestBandTendency:
 
 
 def _defect(ops, U):
-    return ops.helical_defect(U, ops.inv(U), ops.gradients(U))
+    return ops.helical_defect(U, ops.inv(U), ops.disk_gradients(U)[1])
 
 
 def _coefficient_defect(ops, U):
@@ -251,11 +251,11 @@ class TestHelicalDefect:
     def test_gradient_forms_match_coefficient_references(self, grid, ops, seed):
         # neither field is solenoidal nor helical, so both quantities are O(1)
         U = ops.fwd(_smooth_field(grid, np.random.default_rng(seed)))
-        grads = ops.gradients(U)
+        max_div, grads = ops.disk_gradients(U)
         defect = ops.helical_defect(U, ops.inv(U), grads)
         assert defect == pytest.approx(_coefficient_defect(ops, U), rel=1e-12)
         spectral_div = float(np.max(np.abs(ops.inv(ops.divergence(U)))))
-        assert max_divergence(grads) == pytest.approx(spectral_div, rel=1e-12)
+        assert max_div == pytest.approx(spectral_div, rel=1e-12)
 
 
     @pytest.mark.parametrize("n,Lx", [(16, 20.0), (32, 20.0), (34, 13.0)])
@@ -266,10 +266,39 @@ class TestHelicalDefect:
             g_ops.fwd(_smooth_field(g, np.random.default_rng(n))),
             random_helical_perturbation(PerturbationSpec(seed=n, sigma=0.6), g, g_ops),
         ):
-            u, grads = g_ops.inv(U), g_ops.gradients(U)
-            ref = _full_grid_defect(g_ops, U, u, grads)
+            u = g_ops.inv(U)
+            ref = _full_grid_defect(g_ops, U, u, g_ops.gradients(U))
             assert ref > 0.0
-            assert g_ops.helical_defect(U, u, grads) == pytest.approx(ref, rel=1e-14, abs=0.0)
+            defect = g_ops.helical_defect(U, u, g_ops.disk_gradients(U)[1])
+            assert defect == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+class TestDiskGradients:
+    # 34 and 48 are where 1/n per pass, instead of 1/N once, changes the bits
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (32, 32, 32), (34, 34, 34),
+                                       (48, 48, 48), (24, 16, 20)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_bitwise_equal_to_full_gradients(self, shape):
+        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g_ops = SpectralOps(g)
+        bx, by = g_ops.disk
+        for U in (
+            g_ops.fwd(np.random.default_rng(shape[0]).standard_normal((3,) + g.shape)),
+            random_helical_perturbation(PerturbationSpec(seed=shape[1], sigma=1.2), g, g_ops),
+        ):
+            full = g_ops.gradients(U)
+            max_div, grads = g_ops.disk_gradients(U)
+            assert max_div == max_divergence(full)
+            assert grads.tobytes() == np.ascontiguousarray(full[:, :, bx, by]).tobytes()
+            assert g_ops.inv_disk(U[0].copy()).tobytes() == np.ascontiguousarray(
+                g_ops.inv(U[0])[bx, by]).tobytes()
+
+    def test_block_holds_the_disk(self):
+        g = GridSpec(nx=24, ny=16, nz=20, Lx=20.0, Ly=20.0, pitch=1.0)
+        bx, by = SpectralOps(g).disk
+        disk = g.r2d <= 0.25 * g.Lx
+        assert disk[bx, by].sum() == disk.sum()
+        assert disk[bx, by].any(axis=1).all() and disk[bx, by].any(axis=0).all()
 
 
 class TestThreads:

@@ -356,6 +356,29 @@ class TestCli:
         a_line = next(line for line in report.splitlines() if line.startswith("a = "))
         assert float(a_line.split("=")[1]) == pytest.approx(0.8, abs=1e-8)
 
+    def test_decompose_is_bitwise_independent_of_thread_count(self, tmp_path, monkeypatch):
+        grid = GridSpec.cube(32, 20.0, 1.0)
+        ops = SpectralOps(grid)
+        spec = PerturbationSpec(seed=4, amplitude=0.1, sigma=1.2)
+        state = SimulationState(
+            grid=grid, t=0.0, v_hat=random_helical_perturbation(spec, grid, ops)
+        )
+        snap_path = tmp_path / "state.hlxf"
+        write_snapshot(snap_path, grid, 0.0, total_vorticity(state, 0.8, ops))
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HELNS_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            assert cli.main(["decompose", str(snap_path), "--out", str(out),
+                             "--quiet"]) == 0
+            outs.append(out)
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert "decomposition_report.txt" in files
+        assert any(name.startswith("profile_") for name in files)
+        assert files == sorted(p.name for p in outs[1].iterdir())
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_decompose_readme_example_snapshots(self, tmp_path, capsys):
         # README's default config plus snapshot_dt = 0.1: at 32^3 the seeded
         # perturbation fails the helical gate at t = 0 and passes by t = 0.3

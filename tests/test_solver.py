@@ -1,6 +1,7 @@
 """Time integration: exactness, consistency and convergence order."""
 
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.interpolate import CubicSpline
 
 from helns.config import ExperimentConfig
 from helns.decomposition import decompose
+from helns.diagnostics import RecordBuilder, ladyzhenskaya_ratio
 from helns import experiment, solver
 from helns.experiment import InstabilityError, run_experiment
 from helns.fields import (
@@ -369,17 +371,24 @@ class TestInstabilityGuard:
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """Running count of the scalar 3D FFTs done by SpectralOps.fwd and inv."""
-    count = [0]
-    for name in ("fwd", "inv"):
+    """Running count of the scalar 3D FFTs done by SpectralOps.fwd, inv and
+    inv_disk (the inverse on the helical-defect disk block), by method."""
+    count = Counter()
+    for name in ("fwd", "inv", "inv_disk"):
         original = getattr(SpectralOps, name)
 
-        def counted(ops, F, _original=original):
-            count[0] += int(np.prod(F.shape[:-3]))
+        def counted(ops, F, _original=original, _name=name):
+            count[_name] += int(np.prod(F.shape[:-3]))
             return _original(ops, F)
 
         monkeypatch.setattr(SpectralOps, name, counted)
     return count
+
+
+def _helical_vorticity(grid, ops):
+    spec = PerturbationSpec(seed=2, amplitude=0.1, sigma=1.2)
+    v_hat = random_helical_perturbation(spec, grid, ops)
+    return oseen_vorticity(grid, 0.0) + ops.inv(ops.curl(v_hat))
 
 
 class TestTransformBudget:
@@ -402,18 +411,39 @@ class TestTransformBudget:
         result = run_experiment(cfg, tmp_path, quiet=True)
         initial = 3  # the forward transform of the stream field
         t_end_stage = per_step // 4  # the stage of the record due at t_end
+        # an a = 0 record: 3 full inverse transforms and 6 on the disk block
+        per_record_disk = 6 if a == 0.0 else 0
         assert (len(steps), len(result.records), len(result.snapshot_paths)) == (4, 3, 3)
-        assert transforms[0] == (
+        assert transforms["fwd"] + transforms["inv"] == (
             initial + per_step * len(steps) + t_end_stage
-            + per_record * len(result.records) + 3 * len(result.snapshot_paths)
+            + (per_record - per_record_disk) * len(result.records)
+            + 3 * len(result.snapshot_paths)
         )
+        assert transforms["inv_disk"] == per_record_disk * len(result.records)
 
     def test_decompose_costs_12_transforms(self, transforms):
         grid = GridSpec.cube(32, 20.0, 1.0)
         ops = SpectralOps(grid)
-        spec = PerturbationSpec(seed=2, amplitude=0.1, sigma=1.2)
-        v_hat = random_helical_perturbation(spec, grid, ops)
-        omega = oseen_vorticity(grid, 0.0) + ops.inv(ops.curl(v_hat))
-        transforms[0] = 0
+        omega = _helical_vorticity(grid, ops)
+        transforms.clear()
         decompose(omega, grid, 1.5, ops=ops)
-        assert transforms[0] == 12
+        assert dict(transforms) == {"fwd": 3, "inv": 3, "inv_disk": 6}
+
+    def test_gates_never_invert_the_full_gradients(self, monkeypatch):
+        full_gradients = []
+        original = SpectralOps.gradients
+
+        def counted(ops, U):
+            full_gradients.append(None)
+            return original(ops, U)
+
+        monkeypatch.setattr(SpectralOps, "gradients", counted)
+        grid = GridSpec.cube(32, 20.0, 1.0)
+        ops = SpectralOps(grid)
+        decompose(_helical_vorticity(grid, ops), grid, 1.5, ops=ops)
+        spec = PerturbationSpec(seed=3, amplitude=0.1, sigma=1.2)
+        v_hat = random_helical_perturbation(spec, grid, ops)
+        ladyzhenskaya_ratio(v_hat, ops)
+        state = SimulationState(grid=grid, t=0.0, v_hat=v_hat)
+        RecordBuilder(grid, ops, 0.0)(state, solver._Rhs(ops, 0.0).stage(v_hat, 0.0))
+        assert full_gradients == []
