@@ -183,10 +183,18 @@ class GridSpec:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Boolean 2/3-rule mask: True where coefficients are kept."""
-        ix = np.abs(np.fft.fftfreq(self.nx) * self.nx) <= self.nx // 3
-        iy = np.abs(np.fft.fftfreq(self.ny) * self.ny) <= self.ny // 3
-        iz = np.abs(np.fft.rfftfreq(self.nz) * self.nz) <= self.nz // 3
+        """Boolean 2/3-rule mask: True where coefficients are kept.
+
+        The kept modes are |k_i| <= n_i//3 in integer wavenumber units, taken
+        from the integer index (``fftfreq(n) * n`` is not integer-exact: at
+        n = 20 it gives 6.000000000000001 for the mode 6).
+        """
+        def kept(n):
+            i = np.arange(n)
+            return np.minimum(i, n - i) <= n // 3
+
+        ix, iy = kept(self.nx), kept(self.ny)
+        iz = np.arange(self.nz // 2 + 1) <= self.nz // 3
         return (
             ix.reshape(-1, 1, 1) & iy.reshape(1, -1, 1) & iz.reshape(1, 1, -1)
         )

@@ -14,8 +14,21 @@ annihilates, so it is never formed.
 Time stepping is classical RK4 on the integrating-factor variable
 e^{|k|^2 t} v_hat, which propagates the stiff viscous term exactly (the heat
 semigroup is a diagonal Fourier multiplier).  Every nonlinear product is
-dealiased by the 2/3 rule and re-projected, both on the kept block of modes
-only (:meth:`SpectralOps.band_tendency`).
+dealiased by the 2/3 rule and re-projected.
+
+The engine's coefficients live on the kept 2/3-rule block
+(3, nbx, nby, nz//3 + 1) of modes |kx| <= nx//3, |ky| <= ny//3,
+kz <= nz//3, outside which the state and every tendency are exactly zero
+(see :mod:`helns.spectral`): the state, the stage tendencies k1-k4 and the
+RK4 combinations are block arrays, each stage inverts the block with
+:meth:`SpectralOps.inv_band` and transforms its products back with
+:meth:`SpectralOps.fwd_band`, and the tail -P dealias(.) is
+:meth:`SpectralOps.band_tendency`.  Each of these gives, on the block, the
+bits the full-array operation gives, and the RK4 combinations are taken
+element by element, so the engine's states are the full-array engine's
+states bit for bit.  The full shape is formed only at the boundary: a
+:class:`SimulationState` scatters ``v_hat`` when it is read, and
+:func:`rhs_perturbation` takes and returns full-shape arrays.
 
 The nonlinearity has two branches.  Without background (a = 0) it is taken in
 divergence form, P div(v (x) v): one inverse transform of v, the six symmetric
@@ -30,11 +43,11 @@ u_LO and grad u_LO, the convective loop is off by about 5e-5 relative L2 at
 
 Stage 1 of each RK4 step does not depend on dt, so :func:`run_spectral3d`
 evaluates it first, as a :class:`Stage`: the physical v it inverted, at
-a != 0 the nine physical gradients of the convective loop, the tendency k1
-and max |v + a u_LO|.  The observer of an output time receives that stage
-with the state, so a diagnostics record reuses its fields instead of
-transforming the state again; the step then takes its CFL bound from the
-stage and hands k1 to :func:`step_spectral3d`, which requires it.  The one
+a != 0 the nine physical gradients of the convective loop, the block
+tendency k1 and max |v + a u_LO|.  The observer of an output time receives
+that stage with the state, so a diagnostics record reuses its fields
+instead of transforming the state again; the step then takes its CFL bound
+from the stage and hands k1 to :func:`step_spectral3d`, which requires it.  The one
 stage that no step consumes is the one at t_end, evaluated only for the
 record there.
 
@@ -113,23 +126,52 @@ class SolverConfig:
         _output_count(self.t_end, self.output_dt, "t_end")
 
 
-@dataclass
 class SimulationState:
-    """Current time and spectral perturbation coefficients."""
+    """Current time and spectral perturbation coefficients.
 
-    grid: GridSpec
-    t: float
-    v_hat: np.ndarray
+    ``v_hat`` is the full-shape coefficient array (3, nx, ny, nz//2 + 1).
+    The engine's own states hold only its kept 2/3-rule block, outside which
+    it is zero (:meth:`block`), and scatter ``v_hat`` on its first access;
+    from then on that array is the state's storage, so a write into it
+    reaches the step that reads the state next.
+    """
+
+    def __init__(self, grid: GridSpec, t: float, v_hat: np.ndarray):
+        self.grid = grid
+        self.t = t
+        self._v_hat = v_hat
+        self._ops = self._block = None
+
+    @classmethod
+    def _of_block(cls, ops: SpectralOps, t: float, block: np.ndarray) -> SimulationState:
+        state = cls(ops.grid, t, None)
+        state._ops, state._block = ops, block
+        return state
+
+    @property
+    def v_hat(self) -> np.ndarray:
+        if self._v_hat is None:
+            self._v_hat = self._ops.scatter(self._block)
+            self._ops = self._block = None
+        return self._v_hat
+
+    def block(self, ops: SpectralOps) -> np.ndarray:
+        """The kept block (3, nbx, nby, nz//3 + 1) of ``v_hat``, as
+        ``ops.gather(v_hat)`` returns it."""
+        return self._block if self._v_hat is None else ops.gather(self._v_hat)
 
 
 @dataclass
 class Stage:
     """Stage 1 of the RK4 step from one state, as the diagnostics reuse it.
 
-    ``v`` is the physical perturbation velocity the stage inverted.
-    ``grads[i, j]`` is the physical d_j v_i of the convective loop (a != 0;
-    None at a = 0, whose divergence form forms no gradient).  ``k1`` is the
-    tendency and ``umax`` the max of |v + a u_LO| on the grid.
+    ``v`` is the physical perturbation velocity (3, nx, ny, nz) the stage
+    inverted.  ``grads[i, j]`` (3, 3, nx, ny, nz) is the physical d_j v_i of
+    the convective loop (a != 0; None at a = 0, whose divergence form forms
+    no gradient).  ``k1`` is the tendency on the kept 2/3-rule block
+    (3, nbx, nby, nz//3 + 1), outside which it is zero
+    (:meth:`SpectralOps.scatter` gives its full shape), and ``umax`` the max
+    of |v + a u_LO| on the grid.
     """
 
     v: np.ndarray
@@ -147,10 +189,12 @@ _ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 class _Rhs:
     """Perturbation-equation tendency with cached background slices.
 
-    ``a == 0`` takes the divergence form -P dealias(i k_j S_ij) of the
-    products S_ij = v_i v_j (9 scalar FFTs); ``a != 0`` keeps the convective
-    loop (15 FFTs), which is closer to the alias-free coupling than the
-    divergence form (see the module docstring).
+    Takes and returns coefficients on the kept 2/3-rule block.  ``a == 0``
+    takes the divergence form -P dealias(i k_j S_ij) of the products
+    S_ij = v_i v_j (9 scalar FFTs); ``a != 0`` keeps the convective loop
+    (15 FFTs), which is closer to the alias-free coupling than the
+    divergence form (see the module docstring).  The physical products are
+    formed in one work array, allocated on first use and kept.
     """
 
     def __init__(self, ops: SpectralOps, a: float):
@@ -159,6 +203,7 @@ class _Rhs:
         self.a = a
         self._cache_t = None
         self._cache = None
+        self._work = None
 
     def _background(self, t: float):
         if self._cache_t != t:
@@ -168,15 +213,15 @@ class _Rhs:
             self._cache_t = t
         return self._cache
 
-    def __call__(self, v_hat: np.ndarray, t: float) -> np.ndarray:
-        v = self._physical(v_hat, t)
+    def __call__(self, vb: np.ndarray, t: float) -> np.ndarray:
+        v = self._physical(vb, t)
         if self.a == 0.0:
             return self._divergence_form(v)
-        return self._convective_form(v, self.ops.gradients(v_hat), t)
+        return self._convective_form(v, self.ops.band_gradients(vb), t)
 
-    def stage(self, v_hat: np.ndarray, t: float) -> Stage:
+    def stage(self, vb: np.ndarray, t: float) -> Stage:
         """The tendency together with the fields and speed it passed through."""
-        v = self._physical(v_hat, t)
+        v = self._physical(vb, t)
         u0, u1 = v[0], v[1]
         if self.a != 0.0:
             ulo, _ = self._background(t)
@@ -185,28 +230,34 @@ class _Rhs:
         umax = float(np.max(np.sqrt(u0**2 + u1**2 + v[2] ** 2)))
         if self.a == 0.0:
             return Stage(v=v, grads=None, k1=self._divergence_form(v), umax=umax)
-        grads = self.ops.gradients(v_hat)
+        grads = self.ops.band_gradients(vb)
         return Stage(v=v, grads=grads, k1=self._convective_form(v, grads, t), umax=umax)
 
-    def _physical(self, v_hat: np.ndarray, t: float) -> np.ndarray:
-        v = self.ops.inv(v_hat)
+    def _physical(self, vb: np.ndarray, t: float) -> np.ndarray:
+        v = self.ops.inv_band(vb)
         if not np.all(np.isfinite(v)):
             raise FloatingPointError(
                 f"non-finite advection product at t={t:.6g}; aborting"
             )
         return v
 
+    def _products(self) -> np.ndarray:
+        """The work array: the six S_ij (a = 0) or the three advection terms."""
+        if self._work is None:
+            self._work = np.empty((6 if self.a == 0.0 else 3,) + self.grid.shape)
+        return self._work
+
     def _divergence_form(self, v: np.ndarray) -> np.ndarray:
         ops = self.ops
-        prod = np.empty((6,) + v.shape[1:])
+        prod = self._products()
         for n, (i, j) in enumerate(_PAIRS):
             np.multiply(v[i], v[j], out=prod[n])
-        return ops.band_tendency(ops.fwd(prod), rows=_ROWS)
+        return ops.band_tendency(ops.fwd_band(prod), rows=_ROWS)
 
     def _convective_form(self, v: np.ndarray, grads: np.ndarray, t: float) -> np.ndarray:
         ops = self.ops
         ulo, glo = self._background(t)
-        adv = np.empty_like(v)
+        adv = self._products()
         for i in range(3):
             grad_i = grads[i]
             adv[i] = (
@@ -215,18 +266,20 @@ class _Rhs:
             adv[i] += self.a * (ulo[0] * grad_i[0] + ulo[1] * grad_i[1])
             if i < 2:
                 adv[i] += self.a * (v[0] * glo[i, 0] + v[1] * glo[i, 1])
-        return ops.band_tendency(ops.fwd(adv))
+        return ops.band_tendency(ops.fwd_band(adv))
 
 
 def rhs_perturbation(v_hat: np.ndarray, t: float, a: float, ops: SpectralOps) -> np.ndarray:
     """Projected advective tendency -P[v.grad v + a(u_LO.grad v + v.grad u_LO)].
 
-    The viscous term is excluded: it is applied exactly by the integrating
-    factor of :func:`step_spectral3d`.  For a = 0 the product is taken in
-    divergence form, which equals v.grad v only for solenoidal v (the
-    fields the engine carries).
+    Full-shape coefficients in and out.  Only the kept 2/3-rule block of
+    ``v_hat`` is read (the engine's fields are zero outside it), and the
+    tendency is zero outside that block.  The viscous term is excluded: it
+    is applied exactly by the integrating factor of :func:`step_spectral3d`.
+    For a = 0 the product is taken in divergence form, which equals
+    v.grad v only for solenoidal v (the fields the engine carries).
     """
-    return _Rhs(ops, a)(v_hat, t)
+    return ops.scatter(_Rhs(ops, a)(ops.gather(v_hat), t))
 
 
 def step_spectral3d(
@@ -236,22 +289,25 @@ def step_spectral3d(
     ops: SpectralOps,
     k1: np.ndarray,
 ) -> SimulationState:
-    """One integrating-factor RK4 step of the 3D engine.
+    """One integrating-factor RK4 step of the 3D engine, on the kept block.
 
     RK4 is applied to the variable e^{|k|^2 t} v_hat; the multipliers
     e^{-|k|^2 dt/2} and e^{-|k|^2 dt} propagate the viscous term exactly
-    between stage times.  ``k1`` is the stage-1 tendency
-    ``rhs(state.v_hat, state.t)``, which does not depend on dt.
+    between stage times.  The state is read as its kept 2/3-rule block
+    (:meth:`SimulationState.block`), ``rhs(block, t)`` returns the tendency
+    on that block, and ``k1`` is the stage-1 tendency
+    ``rhs(state.block(ops), state.t)``, which does not depend on dt.  The
+    returned state holds the new block.
     """
-    Eh = np.exp(-ops.k2 * (dt / 2.0))
+    Eh = np.exp(-ops.band_k2 * (dt / 2.0))
     Ef = Eh * Eh
-    v = state.v_hat
+    v = state.block(ops)
     t = state.t
     k2 = rhs(Eh * (v + (dt / 2.0) * k1), t + dt / 2.0)
     k3 = rhs(Eh * v + (dt / 2.0) * k2, t + dt / 2.0)
     k4 = rhs(Ef * v + dt * Eh * k3, t + dt)
     v_new = Ef * v + (dt / 6.0) * (Ef * k1 + 2.0 * Eh * (k2 + k3) + k4)
-    return SimulationState(grid=state.grid, t=t + dt, v_hat=v_new)
+    return SimulationState._of_block(ops, t + dt, v_new)
 
 
 def run_spectral3d(
@@ -277,8 +333,8 @@ def run_spectral3d(
     if ops is None:
         ops = SpectralOps(grid)
     rhs = _Rhs(ops, config.a)
-    state = SimulationState(grid=grid, t=0.0, v_hat=ops.leray(ops.dealias(v0_hat)))
-    stage = rhs.stage(state.v_hat, state.t)
+    state = SimulationState._of_block(ops, 0.0, ops.gather(ops.leray(ops.dealias(v0_hat))))
+    stage = rhs.stage(state.block(ops), state.t)
     if observer is not None:
         observer(state, stage)
     h = min(grid.dx, grid.dy, grid.dz)
@@ -304,7 +360,7 @@ def run_spectral3d(
             state.t = target
             k += 1
         if k <= n_out or (landed and observer is not None):
-            stage = rhs.stage(state.v_hat, state.t)
+            stage = rhs.stage(state.block(ops), state.t)
         if landed and observer is not None:
             observer(state, stage)
     return state

@@ -10,8 +10,21 @@ bit-exactly.
 :class:`SpectralOps` bundles every Fourier-multiplier operator used by the
 solver and the diagnostics: divergence, Leray projection, the
 vertical-mean projection Q, curl / inverse curl and the 2/3-rule dealiasing,
-and the solver's tendency tail -P dealias(.), which works on the kept 2/3-rule
-block only.
+and the solver's tendency tail -P dealias(.).
+
+The 3D engine carries its coefficients as the kept 2/3-rule block
+|kx| <= nx//3, |ky| <= ny//3, kz <= nz//3 only, an array
+(..., nbx, nby, nz//3 + 1) whose x and y rows are the kept indices in
+ascending order (:meth:`SpectralOps.gather` and :meth:`SpectralOps.scatter`
+move between it and the full shape).  Its transforms are pruned to the lines
+that can be nonzero: :meth:`SpectralOps.inv_band` takes the passes of
+``irfftn`` in its order (x, then y, then ``irfft`` along z) and
+:meth:`SpectralOps.fwd_band` those of ``rfftn`` (``rfft`` along z, then x,
+then y), each on the kept lines only.  Every line they do transform is the
+line the full transform does, by the same 1D transform, and the lines they
+skip are zero or are cut away, so both give the full transforms' bits on
+the block; the inverse applies its 1/N once at the end, as ``irfftn`` does
+in its last pass.
 It also inverts the nine physical gradients d_j u_i of a field, which the
 solver's convective loop reads on the whole grid.  The input gates of a
 record or a decomposition read less: :func:`max_divergence` only the trace
@@ -21,8 +34,9 @@ and columns that holds its r <= Lx/4 disk.
 gradients on the whole grid and the six others on that block only
 (:meth:`SpectralOps.inv_disk`), and gives the same bits as the nine full
 inverses.  All methods but :meth:`SpectralOps.inv_disk`, which overwrites its
-input, are pure functions of their inputs; the class only caches wavenumber
-arrays and index blocks.
+input, are pure functions of their inputs; the class caches wavenumber
+arrays, index blocks and the work buffers of :meth:`SpectralOps.inv_band`,
+so one instance is not to be shared between threads.
 """
 
 from __future__ import annotations
@@ -55,13 +69,22 @@ class SpectralOps:
         self.mask = grid.dealias_mask
         self._ik = (1j * self.kx, 1j * self.ky, 1j * self.kz)
         # The kept 2/3-rule block |kx| <= nx//3, |ky| <= ny//3, kz <= nz//3 as
-        # a gather index, with its wavenumbers and 1/|k|^2.
+        # a gather index over any leading axes, with its wavenumbers, |k|^2
+        # and 1/|k|^2.  Along x and y the kept indices are the two runs
+        # 0 .. n//3 and n - n//3 .. n - 1 (``_runs``).
         ix = np.flatnonzero(self.mask.any(axis=(1, 2)))
         iy = np.flatnonzero(self.mask.any(axis=(0, 2)))
-        kz_kept = slice(0, grid.nz // 3 + 1)
-        self._band = (slice(None), ix[:, None], iy[None, :], kz_kept)
-        self._band_k = (self.kx[ix], self.ky[:, iy], self.kz[..., kz_kept])
-        self._band_inv_k2 = self.inv_k2[self._band[1:]]
+        kept = (ix[:, None], iy[None, :], slice(0, grid.nz // 3 + 1))
+        self._band = (Ellipsis,) + kept
+        self.band_k2 = self.k2[kept]
+        self.band_shape = self.band_k2.shape
+        self._band_k = (self.kx[ix], self.ky[:, iy], self.kz[..., kept[2]])
+        self._band_ik = tuple(1j * k for k in self._band_k)
+        self._band_inv_k2 = self.inv_k2[kept]
+        self._runs = (_runs(grid.nx), _runs(grid.ny))
+        # inv_band's zero-padded x- and y-pass buffers, by leading shape,
+        # allocated on first use
+        self._inv_buffers = {}
         # The helical-defect mask r <= Lx/4 is a disk about the box center: its
         # rows and columns form one contiguous central block, the (x, y)
         # slices ``disk`` on which the defect's gradients are taken.
@@ -108,6 +131,80 @@ class SpectralOps:
         f *= 1.0 / self.grid.npoints
         return f
 
+    def inv_band(self, B: np.ndarray) -> np.ndarray:
+        """``inv(scatter(B))`` of kept-block coefficients B, bit for bit.
+
+        The passes of ``irfftn`` are taken in its order and left unscaled,
+        each on the lines that can be nonzero: x on the block's ky columns
+        and kz <= nz//3, then y on kz <= nz//3, then ``irfft`` along z.
+        Every line they transform is the line ``irfftn`` transforms, and
+        ``irfftn`` applies 1/N once, in its last pass, so one multiply by 1/N
+        at the end gives its bits (as in :meth:`inv_disk`).  The x and y
+        passes run in place on two zero-padded buffers kept between calls;
+        the rows the previous call overwrote are zeroed again before each
+        use, and the y buffer's kz > nz//3 columns are never written.  B is
+        not modified.
+        """
+        (xlo, xgap, xhi), (ylo, ygap, yhi) = self._runs
+        mx, my = xlo.stop, ylo.stop
+        nzk = self.band_shape[2]
+        lead = B.shape[:-3]
+        buffers = self._inv_buffers.get(lead)
+        if buffers is None:
+            nx, ny, nzr = self.k2.shape
+            buffers = (np.empty(lead + (nx, self.band_shape[1], nzk), dtype=complex),
+                       np.zeros(lead + (nx, ny, nzr), dtype=complex))
+            self._inv_buffers[lead] = buffers
+        X, Y = buffers
+        w = self._workers
+        X[..., xlo, :, :] = B[..., :mx, :, :]
+        X[..., xgap, :, :] = 0.0
+        X[..., xhi, :, :] = B[..., mx:, :, :]
+        X = sfft.ifft(X, axis=-3, norm="forward", workers=w, overwrite_x=True)
+        Yk = Y[..., :nzk]
+        Yk[..., ylo, :] = X[..., :my, :]
+        Yk[..., ygap, :] = 0.0
+        Yk[..., yhi, :] = X[..., my:, :]
+        G = sfft.ifft(Yk, axis=-2, norm="forward", workers=w, overwrite_x=True)
+        if not np.may_share_memory(G, Y):  # the pass ran out of place
+            Yk[...] = G
+        f = sfft.irfft(Y, n=self.grid.nz, axis=-1, norm="forward", workers=w)
+        f *= 1.0 / self.grid.npoints
+        return f
+
+    def fwd_band(self, f: np.ndarray) -> np.ndarray:
+        """``gather(fwd(f))`` from passes pruned to the kept block, bit for bit.
+
+        The passes of ``rfftn`` in its order: ``rfft`` along z, cut to
+        kz <= nz//3, then the x pass, cut to the kept kx rows, then the y
+        pass, cut to the kept ky columns.  Every kept coefficient comes from
+        the same 1D transforms of the same lines as in ``rfftn``.  The x and
+        y passes run in place on the z pass's output.
+        """
+        (xlo, _, xhi), (ylo, _, yhi) = self._runs
+        mx, my = xlo.stop, ylo.stop
+        w = self._workers
+        F = sfft.rfft(f, axis=-1, workers=w)[..., : self.band_shape[2]]
+        F = sfft.fft(F, axis=-3, workers=w, overwrite_x=True)
+        out = np.empty(f.shape[:-3] + self.band_shape, dtype=complex)
+        for rows, run in ((slice(0, mx), xlo), (slice(mx, None), xhi)):
+            G = sfft.fft(F[..., run, :, :], axis=-2, workers=w, overwrite_x=True)
+            out[..., rows, :my, :] = G[..., ylo, :]
+            out[..., rows, my:, :] = G[..., yhi, :]
+        return out
+
+    def gather(self, F: np.ndarray) -> np.ndarray:
+        """The kept 2/3-rule block (..., nbx, nby, nz//3 + 1) of full-spectrum
+        coefficients F (..., nx, ny, nz//2 + 1)."""
+        return F[self._band]
+
+    def scatter(self, B: np.ndarray) -> np.ndarray:
+        """Full-spectrum coefficients that hold the kept block B and are zero
+        elsewhere; ``gather(scatter(B))`` is B."""
+        F = np.zeros(B.shape[:-3] + self.k2.shape, dtype=complex)
+        F[self._band] = B
+        return F
+
     def fwd_plane(self, f: np.ndarray) -> np.ndarray:
         """Forward 2D FFT over the last two (x, y) axes (unnormalized).
 
@@ -128,21 +225,18 @@ class SpectralOps:
         """
         return _leray((self.kx, self.ky, self.kz), self.inv_k2, U)
 
-    def band_tendency(self, F: np.ndarray, rows=None) -> np.ndarray:
-        """-P dealias(F) of full-spectrum coefficients F (3, ...).
+    def band_tendency(self, B: np.ndarray, rows=None) -> np.ndarray:
+        """-P dealias(F) on the kept block: B is ``gather(F)`` and the result
+        is ``gather(-leray(dealias(F)))`` value for value.
 
-        Only the kept 2/3-rule block is gathered and projected; the result is
-        scattered into zeros, and equals ``-leray(dealias(F))`` value for
-        value.  With ``rows``, F holds the products S_n of a symmetric tensor
-        and the tendency is that of its divergence rows i k_j S_ij, where
-        ``rows[i]`` lists the positions of S_i0, S_i1 and S_i2 in F.
+        With ``rows``, B holds the products S_n of a symmetric tensor and the
+        tendency is that of its divergence rows i k_j S_ij, where ``rows[i]``
+        lists the positions of S_i0, S_i1 and S_i2 in B.
         """
-        B = F[self._band]
         if rows is not None:
             B = np.stack([_divergence(self._band_k, [B[n] for n in row]) for row in rows])
-        out = np.zeros((3,) + F.shape[1:], dtype=complex)
-        out[self._band] = -_leray(self._band_k, self._band_inv_k2, B)
-        return out
+        out = _leray(self._band_k, self._band_inv_k2, B)
+        return np.negative(out, out=out)
 
     def project_Q(self, F: np.ndarray) -> np.ndarray:
         """Vertical-mean projection: keep exactly the kz = 0 modes."""
@@ -161,11 +255,19 @@ class SpectralOps:
         return F * self.mask
 
     def curl(self, U: np.ndarray) -> np.ndarray:
-        kx, ky, kz = self.kx, self.ky, self.kz
+        """i k x U: component c is i (k_a U_b - k_b U_a) for (c, a, b) cyclic.
+
+        Each product is written into the output or into one scratch
+        component, by the same multiply the expression ``k_a * U_b`` does.
+        """
+        k = (self.kx, self.ky, self.kz)
         out = np.empty(U.shape, dtype=complex)
-        np.subtract(ky * U[2], kz * U[1], out=out[0])
-        np.subtract(kz * U[0], kx * U[2], out=out[1])
-        np.subtract(kx * U[1], ky * U[0], out=out[2])
+        tmp = np.empty(U.shape[1:], dtype=complex)
+        for c in range(3):
+            a, b = (c + 1) % 3, (c + 2) % 3
+            np.multiply(k[a], U[b], out=out[c])
+            np.multiply(k[b], U[a], out=tmp)
+            np.subtract(out[c], tmp, out=out[c])
         out *= 1j
         return out
 
@@ -218,12 +320,20 @@ class SpectralOps:
 
         Takes the coefficients U (3, ...) and does 9 inverse transforms.
         """
+        return self._gradients(U, self._ik, self.inv)
+
+    def band_gradients(self, B: np.ndarray) -> np.ndarray:
+        """:meth:`gradients` of kept-block coefficients B, from :meth:`inv_band`;
+        equal to ``gradients(scatter(B))`` bit for bit."""
+        return self._gradients(B, self._band_ik, self.inv_band)
+
+    def _gradients(self, U, ik, inv) -> np.ndarray:
         grads = np.empty((3, 3) + self.grid.shape)
         mult = np.empty((3,) + U.shape[1:], dtype=complex)
         for i in range(3):
-            for j, ik in enumerate(self._ik):
-                np.multiply(ik, U[i], out=mult[j])
-            grads[i] = self.inv(mult)
+            for j, ik_j in enumerate(ik):
+                np.multiply(ik_j, U[i], out=mult[j])
+            grads[i] = inv(mult)
         return grads
 
     def disk_gradients(self, U: np.ndarray) -> tuple[float, np.ndarray]:
@@ -289,6 +399,14 @@ class SpectralOps:
             defect = xc * grads[comp, 1] - yc * grads[comp, 0] + axial_c
             total += float(np.sum((defect * mask) ** 2) * dV)
         return float(np.sqrt(total / h1_sq))
+
+
+def _runs(n: int) -> tuple[slice, slice, slice]:
+    """The kept 2/3-rule indices |k| <= n//3 of an FFT axis of n modes: the
+    run 0 .. m, the gap between the runs and the run n - m .. n - 1, where
+    m = n//3.  The first run holds the block's first m + 1 rows."""
+    m = n // 3
+    return slice(0, m + 1), slice(m + 1, n - m), slice(n - m, n)
 
 
 def _divergence(k, U) -> np.ndarray:

@@ -63,6 +63,17 @@ class TestGridSpec:
         assert grid.xc.min() == pytest.approx(-grid.Lx / 2)
         assert abs(grid.xc).max() <= grid.Lx / 2
 
+    # 10, 20 and 66 are sizes where fftfreq(n) * n puts the mode n//3 just
+    # above n//3
+    @pytest.mark.parametrize("n", [10, 16, 20, 48, 66])
+    def test_dealias_mask_keeps_modes_up_to_a_third(self, n):
+        g = GridSpec(nx=n, ny=n, nz=n, Lx=20.0, Ly=20.0, pitch=1.0)
+        m = g.dealias_mask
+        assert m.shape == g.spectral_shape
+        assert np.count_nonzero(m.any(axis=(1, 2))) == 2 * (n // 3) + 1
+        assert np.count_nonzero(m.any(axis=(0, 2))) == 2 * (n // 3) + 1
+        assert np.flatnonzero(m.any(axis=(0, 1))).tolist() == list(range(n // 3 + 1))
+
 
 class TestTransforms:
     def test_round_trip(self, grid, ops):
@@ -149,6 +160,23 @@ class TestCurl:
         ref = ops.curl(Wsol) * ops.inv_k2
         assert ops.l2_norm(V - ref) <= 1e-14 * ops.l2_norm(ref)
 
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (24, 16, 20)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_curl_equals_the_expression_form(self, shape):
+        # the six products as expressions, one subtraction each into the
+        # output, then the factor i
+        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g_ops = SpectralOps(g)
+        rng = np.random.default_rng(shape[2])
+        U = g_ops.fwd(rng.standard_normal((3,) + g.shape))
+        kx, ky, kz = g.kvec
+        ref = np.empty(U.shape, dtype=complex)
+        np.subtract(ky * U[2], kz * U[1], out=ref[0])
+        np.subtract(kz * U[0], kx * U[2], out=ref[1])
+        np.subtract(kx * U[1], ky * U[0], out=ref[2])
+        ref *= 1j
+        assert g_ops.curl(U).tobytes() == ref.tobytes()
+
     def test_curl_writes_one_output(self, grid, ops):
         U = ops.fwd(_smooth_field(grid, np.random.default_rng(13)))
         kx, ky, kz = grid.kvec
@@ -161,8 +189,9 @@ class TestBandTendency:
     @pytest.mark.parametrize("a", [0.0, 1.0])
     @pytest.mark.parametrize("n", [16, 32])
     def test_equals_full_array_projection(self, n, a):
-        # the tendency's input is taken from a real RHS call; the reference
-        # projects it with the full-array operators
+        # the tendency's input, a kept block, is taken from a real RHS call;
+        # the reference scatters it and projects it with the full-array
+        # operators
         g = GridSpec.cube(n, 20.0, 1.0)
         g_ops = SpectralOps(g)
         spec = PerturbationSpec(seed=n, amplitude=0.5, sigma=1.2)
@@ -170,24 +199,25 @@ class TestBandTendency:
         calls = []
         band_tendency = g_ops.band_tendency
 
-        def recorded(F, rows=None):
-            out = band_tendency(F, rows)
-            calls.append((F, rows, out))
+        def recorded(B, rows=None):
+            out = band_tendency(B, rows)
+            calls.append((B, rows, out))
             return out
 
         g_ops.band_tendency = recorded
-        rhs_perturbation(v_hat, 0.25, a, g_ops)
-        ((F, rows, out),) = calls
+        rhs = rhs_perturbation(v_hat, 0.25, a, g_ops)
+        ((B, rows, out),) = calls
         assert (rows is not None) == (a == 0.0)
+        assert B.shape[1:] == out.shape[1:] == g_ops.band_shape
+        F = g_ops.scatter(B)
         if rows is not None:
             F = np.stack([g_ops.divergence([F[k] for k in row]) for row in rows])
         ref = -g_ops.leray(g_ops.dealias(F))
-        # equal everywhere; outside the kept block both are zeros, whose
-        # signs the full-array product with the mask does not keep
-        assert np.array_equal(out, ref)
+        assert out.tobytes() == g_ops.gather(ref).tobytes()
+        # rhs_perturbation scatters the block: zeros outside it
         kept = g.dealias_mask
-        assert out[:, kept].tobytes() == ref[:, kept].tobytes()
-        assert not np.any(out[:, ~kept])
+        assert rhs[:, kept].tobytes() == ref[:, kept].tobytes()
+        assert not np.any(rhs[:, ~kept])
 
 
 def _defect(ops, U):
@@ -299,6 +329,61 @@ class TestDiskGradients:
         disk = g.r2d <= 0.25 * g.Lx
         assert disk[bx, by].sum() == disk.sum()
         assert disk[bx, by].any(axis=1).all() and disk[bx, by].any(axis=0).all()
+
+
+_BAND_SHAPES = [(16, 16, 16), (32, 32, 32), (34, 34, 34), (48, 48, 48), (24, 16, 20)]
+
+
+class TestBandTransforms:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def test_bitwise_equal_to_full_transforms(self, shape, threads, monkeypatch):
+        monkeypatch.setenv("HELNS_THREADS", threads)
+        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g_ops = SpectralOps(g)
+        rng = np.random.default_rng(sum(shape))
+        B = (rng.standard_normal((3,) + g_ops.band_shape)
+             + 1j * rng.standard_normal((3,) + g_ops.band_shape))
+        B_in = B.copy()
+        ref = g_ops.inv(g_ops.scatter(B))
+        # the second call reuses the buffers the first one overwrote
+        for _ in range(2):
+            assert g_ops.inv_band(B).tobytes() == ref.tobytes()
+        assert B.tobytes() == B_in.tobytes()
+        assert g_ops.band_gradients(B).tobytes() == g_ops.gradients(g_ops.scatter(B)).tobytes()
+        for ncomp in (3, 6):
+            f = rng.standard_normal((ncomp,) + g.shape)
+            assert g_ops.fwd_band(f).tobytes() == g_ops.gather(g_ops.fwd(f)).tobytes()
+
+    @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def test_block_is_the_kept_2_3_rule_modes(self, shape):
+        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g_ops = SpectralOps(g)
+        ones = np.ones((2,) + g_ops.band_shape, dtype=complex)
+        full = g_ops.scatter(ones)
+        assert full.shape == (2,) + g.spectral_shape
+        assert np.array_equal(full[0] != 0, g.dealias_mask)
+        assert g_ops.gather(full).tobytes() == ones.tobytes()
+        assert g_ops.band_k2.tobytes() == g_ops.gather(g.k_squared).tobytes()
+
+    def test_every_pass_gets_the_worker_count(self, grid, monkeypatch):
+        import scipy.fft as sfft
+
+        monkeypatch.setenv("HELNS_THREADS", "2")
+        g_ops = SpectralOps(grid)
+        workers = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            original = getattr(sfft, name)
+
+            def recorded(*args, _original=original, **kwargs):
+                workers.append(kwargs.get("workers"))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sfft, name, recorded)
+        B = np.ones((3,) + g_ops.band_shape, dtype=complex)
+        g_ops.inv_band(B)
+        g_ops.fwd_band(np.ones((6,) + grid.shape))
+        assert len(workers) == 3 + 4 and set(workers) == {2}
 
 
 class TestThreads:

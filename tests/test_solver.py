@@ -164,6 +164,95 @@ def _engine_field(grid, ops, seed, amplitude):
     return ops.leray(ops.dealias(random_helical_perturbation(spec, grid, ops)))
 
 
+def _divergence_reference(v_hat, ops):
+    """-P dealias(i k_j S_ij) of the products S_ij = v_i v_j on full arrays."""
+    v = ops.inv(v_hat)
+    S = ops.fwd(np.stack([v[i] * v[j] for i, j in solver._PAIRS]))
+    F = np.stack([ops.divergence([S[n] for n in row]) for row in solver._ROWS])
+    return -ops.leray(ops.dealias(F))
+
+
+class TestBandResidentStep:
+    """The engine steps on the kept block; a full-array RK4 is the reference."""
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    @pytest.mark.parametrize("shape", [(32, 32, 32), (24, 16, 20)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_ten_steps_equal_a_full_array_rk4(self, monkeypatch, shape, a):
+        grid = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        ops = SpectralOps(grid)
+        v0 = random_helical_perturbation(
+            PerturbationSpec(seed=3, amplitude=1.0, sigma=1.2), grid, ops)
+        steps = []
+        real_step = solver.step_spectral3d
+
+        def recording_step(state, dt, *args, **kwargs):
+            steps.append((state.t, dt))
+            return real_step(state, dt, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "step_spectral3d", recording_step)
+        config = SolverConfig(t_end=0.5, dt=0.05, output_dt=0.5, a=a)
+        final = run_spectral3d(v0, grid, config, ops=ops)
+        assert len(steps) == 10
+
+        def rhs(V, t):
+            if a == 0.0:
+                return _divergence_reference(V, ops)
+            return _convective_reference(V, t, grid, ops, a)
+
+        V = ops.leray(ops.dealias(v0))
+        for t, dt in steps:
+            Eh = np.exp(-ops.k2 * (dt / 2.0))
+            Ef = Eh * Eh
+            k1 = rhs(V, t)
+            k2 = rhs(Eh * (V + (dt / 2.0) * k1), t + dt / 2.0)
+            k3 = rhs(Eh * V + (dt / 2.0) * k2, t + dt / 2.0)
+            k4 = rhs(Ef * V + dt * Eh * k3, t + dt)
+            V = Ef * V + (dt / 6.0) * (Ef * k1 + 2.0 * Eh * (k2 + k3) + k4)
+        assert final.v_hat.shape == V.shape
+        assert ops.gather(final.v_hat).tobytes() == ops.gather(V).tobytes()
+        assert not np.any(V[:, ~grid.dealias_mask])
+        assert not np.any(final.v_hat[:, ~grid.dealias_mask])
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_public_fields_have_their_documented_shapes(self, tmp_path, a):
+        cfg = ExperimentConfig(
+            nx=16, ny=16, nz=16, Lx=20.0, a=a, kind="perturbed-oseen", seed=0,
+            amplitude=0.1, sigma=1.2, t_end=0.1, dt=0.05, output_dt=0.1,
+        )
+        result = run_experiment(cfg, tmp_path, quiet=True)
+        grid = result.grid
+        assert result.final_state.v_hat.shape == (3,) + grid.spectral_shape
+        assert result.final_state.v_hat.dtype == complex
+
+        ops = SpectralOps(grid)
+        nbx = nby = 2 * (16 // 3) + 1
+        assert ops.band_shape == (nbx, nby, 16 // 3 + 1)
+        seen = []
+        v0 = _engine_field(grid, ops, 1, 0.1)
+        config = SolverConfig(t_end=0.1, dt=0.05, output_dt=0.1, a=a)
+        run_spectral3d(v0, grid, config, observer=lambda s, st: seen.append((s, st)), ops=ops)
+        for state, stage in seen:
+            assert state.v_hat.shape == (3,) + grid.spectral_shape
+            assert stage.v.shape == (3,) + grid.shape
+            assert stage.k1.shape == (3,) + ops.band_shape
+            if a == 0.0:
+                assert stage.grads is None
+            else:
+                assert stage.grads.shape == (3, 3) + grid.shape
+        assert rhs_perturbation(v0, 0.0, a, ops).shape == (3,) + grid.spectral_shape
+
+    def test_a_write_into_v_hat_reaches_the_next_step(self, grid, ops):
+        rhs = solver._Rhs(ops, 0.0)
+        v0 = _engine_field(grid, ops, 2, 0.5)
+        state = SimulationState(grid=grid, t=0.0, v_hat=v0)
+        k1 = rhs(state.block(ops), 0.0)
+        new = step_spectral3d(state, 0.05, rhs, ops, k1)
+        assert np.array_equal(new.block(ops), ops.gather(new.v_hat))
+        new.v_hat[...] = 0.0
+        assert not np.any(new.block(ops))
+
+
 class TestRhsKernels:
     @pytest.mark.parametrize("seed,amplitude", [(0, 0.1), (3, 1.0), (11, 80.0), (12, 80.0)])
     def test_divergence_form_matches_convective_loop(self, grid, ops, seed, amplitude):
@@ -293,14 +382,16 @@ class TestRunControl:
         run_spectral3d(v0, grid, config, observer=lambda s, st: seen.append((s, st)), ops=ops)
         assert len(seen) == 3
         for state, stage in seen:
-            assert np.array_equal(stage.v, ops.inv(state.v_hat))
-            assert np.array_equal(stage.k1, rhs_perturbation(state.v_hat, state.t, a, ops))
+            # the stage works on the kept block, the state is read full-shape
+            assert stage.v.tobytes() == ops.inv(state.v_hat).tobytes()
+            ref_k1 = ops.gather(rhs_perturbation(state.v_hat, state.t, a, ops))
+            assert stage.k1.tobytes() == ref_k1.tobytes()
             if a == 0.0:
                 assert stage.grads is None
             else:
                 for i in range(3):
                     ref = ops.inv(np.stack([1j * k * state.v_hat[i] for k in grid.kvec]))
-                    assert np.array_equal(stage.grads[i], ref)
+                    assert stage.grads[i].tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("t_end,observe,expected", [
         (0.4, True, 9),    # t = 0, seven steps continued, one record at t_end
@@ -348,10 +439,10 @@ class TestRunControl:
     def test_nonfinite_state_raises(self, grid, ops):
         v_hat = np.full((3,) + grid.spectral_shape, np.nan, dtype=complex)
         state = SimulationState(grid=grid, t=0.0, v_hat=v_hat)
-        rhs = lambda v, t: rhs_perturbation(v, t, 0.0, ops)
+        rhs = solver._Rhs(ops, 0.0)
         # a finite stage-1 tendency: stage 2 meets the non-finite state
         with pytest.raises(FloatingPointError):
-            step_spectral3d(state, 0.1, rhs, ops, np.zeros_like(v_hat))
+            step_spectral3d(state, 0.1, rhs, ops, np.zeros((3,) + ops.band_shape, dtype=complex))
 
 
 class TestInstabilityGuard:
@@ -371,10 +462,12 @@ class TestInstabilityGuard:
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """Running count of the scalar 3D FFTs done by SpectralOps.fwd, inv and
-    inv_disk (the inverse on the helical-defect disk block), by method."""
+    """Running count of the scalar 3D FFTs done by SpectralOps.fwd, inv,
+    inv_disk (the inverse on the helical-defect disk block) and the pruned
+    transforms of the kept 2/3-rule block, fwd_band and inv_band, by method.
+    A pruned transform of a field counts as one scalar FFT."""
     count = Counter()
-    for name in ("fwd", "inv", "inv_disk"):
+    for name in ("fwd", "inv", "inv_disk", "fwd_band", "inv_band"):
         original = getattr(SpectralOps, name)
 
         def counted(ops, F, _original=original, _name=name):
@@ -414,12 +507,15 @@ class TestTransformBudget:
         # an a = 0 record: 3 full inverse transforms and 6 on the disk block
         per_record_disk = 6 if a == 0.0 else 0
         assert (len(steps), len(result.records), len(result.snapshot_paths)) == (4, 3, 3)
-        assert transforms["fwd"] + transforms["inv"] == (
+        assert sum(transforms.values()) - transforms["inv_disk"] == (
             initial + per_step * len(steps) + t_end_stage
             + (per_record - per_record_disk) * len(result.records)
             + 3 * len(result.snapshot_paths)
         )
         assert transforms["inv_disk"] == per_record_disk * len(result.records)
+        # every stage transforms on the kept block only
+        stages = per_step * len(steps) + t_end_stage
+        assert transforms["fwd_band"] + transforms["inv_band"] == stages
 
     def test_decompose_costs_12_transforms(self, transforms):
         grid = GridSpec.cube(32, 20.0, 1.0)
@@ -445,5 +541,6 @@ class TestTransformBudget:
         v_hat = random_helical_perturbation(spec, grid, ops)
         ladyzhenskaya_ratio(v_hat, ops)
         state = SimulationState(grid=grid, t=0.0, v_hat=v_hat)
-        RecordBuilder(grid, ops, 0.0)(state, solver._Rhs(ops, 0.0).stage(v_hat, 0.0))
+        stage = solver._Rhs(ops, 0.0).stage(ops.gather(v_hat), 0.0)
+        RecordBuilder(grid, ops, 0.0)(state, stage)
         assert full_gradients == []
