@@ -5,8 +5,8 @@ contract of the package).  On top of the records this module provides:
 
 * ratio verifiers for the helical Ladyzhenskaya inequality and the
   Poincare inequality of the zero-vertical-mean part;
-* the projected source norm |PQ(u_perp . grad u_perp)|_L2 together with its
-  interpolation-chain bound;
+* the projected source norm |PQ(u_perp . grad u_perp)|_L2 of the records,
+  taken from the solver stage's physical samples;
 * logarithmic-energy and exponential/power decay fits with recorded
   windows, residuals and confidence halfwidths;
 * the weighted-vorticity rate study on the radial engine and the
@@ -72,6 +72,9 @@ class DiagnosticsRecord:
 
     All entries are nonnegative except none; the ``sqrt_t_l2_grad_v`` column
     always equals ``sqrt(t) * l2_grad_v`` to relative 1e-14.
+    ``l2_Nbar`` is |PQ div(u_perp (x) u_perp)|_L2, the source of the
+    vertical-mean equation; the interpolation chain bounds it by
+    sqrt(DEFAULT_C0) * l2_uperp^(1/2) * l2_grad_uperp * l2_lap_uperp^(1/2) / L^(1/2).
     ``circulation_a`` records the conserved circulation Reynolds number: the
     periodic remainder carries exactly zero net vertical vorticity, so the
     column equals the analytic background coefficient.
@@ -189,58 +192,16 @@ def poincare_ratio(v_hat: np.ndarray, ops: SpectralOps) -> float:
 # --- the projected source term ---------------------------------------------------
 
 
-@dataclass
-class SourceNormReport:
-    """|N_bar|_L2 together with its interpolation-chain bound.
-
-    ``chain_factor`` is |u_perp|^(1/2) |grad u_perp| |lap u_perp|^(1/2) / L^(1/2);
-    the chain bound is sqrt(DEFAULT_C0) * chain_factor and ``c0_required`` is
-    the smallest C0 for which the bound dominates.
-    """
-
-    value: float
-    chain_factor: float
-
-    @property
-    def chain_bound(self) -> float:
-        return float(np.sqrt(DEFAULT_C0) * self.chain_factor)
-
-    @property
-    def c0_required(self) -> float:
-        if self.chain_factor == 0.0:
-            return 0.0
-        return float((self.value / self.chain_factor) ** 2)
-
-    def dominates(self) -> bool:
-        return self.value <= self.chain_bound * (1.0 + 1e-12)
-
-
-def source_norm(v_hat: np.ndarray, ops: SpectralOps) -> SourceNormReport:
-    """|PQ div(u_perp (x) u_perp)|_L2 of the zero-vertical-mean part.
+def _mean_source_norm(v: np.ndarray, ops: SpectralOps) -> float:
+    """|PQ div(u_perp (x) u_perp)|_L2 from the physical samples v.
 
     The value is the vertical mean of the solver's background-free tendency
-    of u_perp, so the product is dealiased and projected exactly like the
-    solver nonlinearity: it is the source actually feeding the
-    vertical-mean equation.  It costs the 3 inverse transforms of v; a
-    diagnostics record takes the same value from its solver stage.
-    """
-    value = _mean_source_norm(ops.inv(v_hat), ops)
-    up_hat = ops.perp(v_hat)
-    l2 = ops.l2_norm(up_hat)
-    grad = float(np.sqrt(ops.grad_norm_sq(up_hat)))
-    lap = float(np.sqrt(ops.lap_norm_sq(up_hat)))
-    chain_factor = float(
-        np.sqrt(l2) * grad * np.sqrt(lap) / np.sqrt(ops.grid.pitch)
-    )
-    return SourceNormReport(value=value, chain_factor=chain_factor)
-
-
-def _mean_source_norm(v: np.ndarray, ops: SpectralOps) -> float:
-    """The value of :func:`source_norm` from the physical samples v.
-
-    Q keeps the kz = 0 plane, which is the 2D transform of the z-sums of the
-    six products of u_perp = v - mean_z v; the planar divergence of that
-    plane is dealiased and Leray-projected like the solver tendency.
+    of u_perp = v - mean_z v, so the product is dealiased and projected
+    exactly like the solver nonlinearity: it is the source actually feeding
+    the vertical-mean equation.  Q keeps the kz = 0 plane, which is the 2D
+    transform of the z-sums of the six products of u_perp; the planar
+    divergence of that plane is dealiased and Leray-projected like the
+    solver tendency.
     """
     grid = ops.grid
     up = v - v.mean(axis=-1, keepdims=True)
@@ -267,7 +228,8 @@ def energy_identity_residual(
 
     The viscous contribution is exact by construction (integrating factor),
     so the residual reduces to the projected nonlinearity's energy input
-    2 <v, rhs>, normalized by the dissipation 2 |grad v|^2.
+    2 <v, rhs>, normalized by the dissipation 2 |grad v|^2.  Both arrays are
+    full-spectrum coefficients or both kept-block ones.
     """
     grad_sq = ops.grad_norm_sq(v_hat)
     if grad_sq == 0.0:
@@ -317,25 +279,27 @@ class RecordBuilder:
     def __call__(self, state, stage) -> DiagnosticsRecord:
         """The record of ``state`` built from its solver ``stage``.
 
-        ``stage`` (a :class:`~helns.solver.Stage` of ``state``) supplies the
-        physical v and, at a != 0, the nine gradients from which the source
-        norm, the helical defect, the divergence and the background cross
-        term are taken, so such a record does no 3D transform.  At a = 0 the
-        gates take their gradients from :meth:`SpectralOps.disk_gradients`
-        here: 3 full inverse transforms for the divergence and 6 on the
+        Every norm, the helical defect's H1 normalizer included, is read from
+        the state's kept block.  ``stage`` (a :class:`~helns.solver.Stage` of
+        ``state``) supplies the physical v and, at a != 0, the nine gradients
+        from which the source norm, the helical defect, the divergence and
+        the background cross term are taken, so such a record does no 3D
+        transform and no scatter.  At a = 0 the gates take their gradients
+        from :meth:`SpectralOps.disk_gradients` of the scattered ``v_hat``:
+        3 full inverse transforms for the divergence and 6 on the
         helical-defect disk block.
         """
         ops = self.ops
         grid = self.grid
         a = self.a
-        v_hat = state.v_hat
+        block = state.block
         t = state.t
 
-        l2_v = ops.l2_norm(v_hat)
-        grad_sq = ops.grad_norm_sq(v_hat)
+        l2_v = ops.l2_norm(block)
+        grad_sq = ops.grad_norm_sq(block)
         l2_grad_v = float(np.sqrt(grad_sq))
 
-        up_hat = ops.perp(v_hat)
+        up_hat = ops.perp(block)
         l2_uperp = ops.l2_norm(up_hat)
         l2_grad_uperp = float(np.sqrt(ops.grad_norm_sq(up_hat)))
         l2_lap_uperp = float(np.sqrt(ops.lap_norm_sq(up_hat)))
@@ -343,11 +307,11 @@ class RecordBuilder:
 
         grads = stage.grads
         if grads is None:
-            max_div, disk_grads = ops.disk_gradients(v_hat)
+            max_div, disk_grads = ops.disk_gradients(state.v_hat)
         else:
             bx, by = ops.disk
             max_div, disk_grads = max_divergence(grads), grads[:, :, bx, by]
-        defect = ops.helical_defect(v_hat, stage.v, disk_grads)
+        defect = ops.helical_defect(block, stage.v, disk_grads)
 
         if self._prev_t is not None:
             self._cum += 0.5 * (t - self._prev_t) * (grad_sq + self._prev_grad_sq)
@@ -362,7 +326,7 @@ class RecordBuilder:
             grad_lo_sq = oseen_grad_l2_sq(t, grid.pitch)
         grad_u_sq = grad_sq + 2.0 * a * cross + a * a * grad_lo_sq
         grad_mean_sq = (
-            ops.grad_norm_sq(ops.project_Q(v_hat)) + 2.0 * a * cross + a * a * grad_lo_sq
+            ops.grad_norm_sq(ops.project_Q(block)) + 2.0 * a * cross + a * a * grad_lo_sq
         )
         # Inequality constants are nonnegative up to rounding of the cross term.
         grad_u_sq = max(grad_u_sq, 0.0)

@@ -202,11 +202,9 @@ def run_experiment(
         nonlocal pythagoras_max, energy_max, guard_sq
         rec = builder(state, stage)
         records.append(rec)
-        pythagoras_max = max(pythagoras_max, orthogonal_split_residual(state.v_hat, ops))
+        pythagoras_max = max(pythagoras_max, orthogonal_split_residual(state.block, ops))
         if check_energy and rec.l2_grad_v > 0.0:
-            energy_max = max(
-                energy_max, energy_identity_residual(state.v_hat, ops.scatter(stage.k1), ops)
-            )
+            energy_max = max(energy_max, energy_identity_residual(state.block, stage.k1, ops))
         if guard_sq is None:
             guard_sq = GUARD_FACTOR * max(rec.l2_v**2, np.finfo(float).tiny)
         elif rec.l2_v**2 > guard_sq:

@@ -26,8 +26,12 @@ RK4 combinations are block arrays, each stage inverts the block with
 :meth:`SpectralOps.band_tendency`.  Each of these gives, on the block, the
 bits the full-array operation gives, and the RK4 combinations are taken
 element by element, so the engine's states are the full-array engine's
-states bit for bit.  The full shape is formed only at the boundary: a
-:class:`SimulationState` scatters ``v_hat`` when it is read, and
+states bit for bit.  Inside a run the block is the only representation:
+a :class:`SimulationState` is ``(ops, t, block)``, and the diagnostics
+records read their norms from the block (an a != 0 record scatters nothing,
+an a = 0 record scatters once, for the gradients of its gates).  The full
+shape is formed only at the boundary: ``SimulationState.v_hat`` is a fresh
+scatter of the block, allocated on every access, and
 :func:`rhs_perturbation` takes and returns full-shape arrays.
 
 The nonlinearity has two branches.  Without background (a = 0) it is taken in
@@ -126,39 +130,28 @@ class SolverConfig:
         _output_count(self.t_end, self.output_dt, "t_end")
 
 
+@dataclass
 class SimulationState:
-    """Current time and spectral perturbation coefficients.
+    """Current time and the perturbation's coefficients on the kept block.
 
-    ``v_hat`` is the full-shape coefficient array (3, nx, ny, nz//2 + 1).
-    The engine's own states hold only its kept 2/3-rule block, outside which
-    it is zero (:meth:`block`), and scatter ``v_hat`` on its first access;
-    from then on that array is the state's storage, so a write into it
-    reaches the step that reads the state next.
+    ``block`` (3, nbx, nby, nz//3 + 1) is the kept 2/3-rule block of the
+    coefficients, outside which they are zero; ``ops.gather(v_hat)`` makes
+    it from full-shape coefficients.  ``v_hat`` is their full shape
+    (3, nx, ny, nz//2 + 1), a fresh ``ops.scatter(block)`` allocated on
+    every access, so a write into it does not reach the state.
     """
 
-    def __init__(self, grid: GridSpec, t: float, v_hat: np.ndarray):
-        self.grid = grid
-        self.t = t
-        self._v_hat = v_hat
-        self._ops = self._block = None
+    ops: SpectralOps
+    t: float
+    block: np.ndarray
 
-    @classmethod
-    def _of_block(cls, ops: SpectralOps, t: float, block: np.ndarray) -> SimulationState:
-        state = cls(ops.grid, t, None)
-        state._ops, state._block = ops, block
-        return state
+    @property
+    def grid(self) -> GridSpec:
+        return self.ops.grid
 
     @property
     def v_hat(self) -> np.ndarray:
-        if self._v_hat is None:
-            self._v_hat = self._ops.scatter(self._block)
-            self._ops = self._block = None
-        return self._v_hat
-
-    def block(self, ops: SpectralOps) -> np.ndarray:
-        """The kept block (3, nbx, nby, nz//3 + 1) of ``v_hat``, as
-        ``ops.gather(v_hat)`` returns it."""
-        return self._block if self._v_hat is None else ops.gather(self._v_hat)
+        return self.ops.scatter(self.block)
 
 
 @dataclass
@@ -286,28 +279,26 @@ def step_spectral3d(
     state: SimulationState,
     dt: float,
     rhs,
-    ops: SpectralOps,
     k1: np.ndarray,
 ) -> SimulationState:
     """One integrating-factor RK4 step of the 3D engine, on the kept block.
 
     RK4 is applied to the variable e^{|k|^2 t} v_hat; the multipliers
     e^{-|k|^2 dt/2} and e^{-|k|^2 dt} propagate the viscous term exactly
-    between stage times.  The state is read as its kept 2/3-rule block
-    (:meth:`SimulationState.block`), ``rhs(block, t)`` returns the tendency
-    on that block, and ``k1`` is the stage-1 tendency
-    ``rhs(state.block(ops), state.t)``, which does not depend on dt.  The
+    between stage times.  ``rhs(block, t)`` returns the tendency on the kept
+    2/3-rule block, and ``k1`` is the stage-1 tendency
+    ``rhs(state.block, state.t)``, which does not depend on dt.  The
     returned state holds the new block.
     """
-    Eh = np.exp(-ops.band_k2 * (dt / 2.0))
+    Eh = np.exp(-state.ops.band_k2 * (dt / 2.0))
     Ef = Eh * Eh
-    v = state.block(ops)
+    v = state.block
     t = state.t
     k2 = rhs(Eh * (v + (dt / 2.0) * k1), t + dt / 2.0)
     k3 = rhs(Eh * v + (dt / 2.0) * k2, t + dt / 2.0)
     k4 = rhs(Ef * v + dt * Eh * k3, t + dt)
     v_new = Ef * v + (dt / 6.0) * (Ef * k1 + 2.0 * Eh * (k2 + k3) + k4)
-    return SimulationState._of_block(ops, t + dt, v_new)
+    return SimulationState(state.ops, t + dt, v_new)
 
 
 def run_spectral3d(
@@ -333,8 +324,8 @@ def run_spectral3d(
     if ops is None:
         ops = SpectralOps(grid)
     rhs = _Rhs(ops, config.a)
-    state = SimulationState._of_block(ops, 0.0, ops.gather(ops.leray(ops.dealias(v0_hat))))
-    stage = rhs.stage(state.block(ops), state.t)
+    state = SimulationState(ops, 0.0, ops.gather(ops.leray(ops.dealias(v0_hat))))
+    stage = rhs.stage(state.block, state.t)
     if observer is not None:
         observer(state, stage)
     h = min(grid.dx, grid.dy, grid.dz)
@@ -354,13 +345,13 @@ def run_spectral3d(
         dt = min(dt, target - state.t)
         # release the stage's physical fields for the duration of the step
         k1, stage = stage.k1, None
-        state = step_spectral3d(state, dt, rhs, ops, k1=k1)
+        state = step_spectral3d(state, dt, rhs, k1)
         landed = state.t >= target - 1e-12
         if landed:
             state.t = target
             k += 1
         if k <= n_out or (landed and observer is not None):
-            stage = rhs.stage(state.block(ops), state.t)
+            stage = rhs.stage(state.block, state.t)
         if landed and observer is not None:
             observer(state, stage)
     return state

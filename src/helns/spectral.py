@@ -16,9 +16,10 @@ The 3D engine carries its coefficients as the kept 2/3-rule block
 |kx| <= nx//3, |ky| <= ny//3, kz <= nz//3 only, an array
 (..., nbx, nby, nz//3 + 1) whose x and y rows are the kept indices in
 ascending order (:meth:`SpectralOps.gather` and :meth:`SpectralOps.scatter`
-move between it and the full shape).  Its transforms are pruned to the lines
-that can be nonzero: :meth:`SpectralOps.inv_band` takes the passes of
-``irfftn`` in its order (x, then y, then ``irfft`` along z) and
+move between it and the full shape; the norms, :meth:`SpectralOps.perp` and
+:meth:`SpectralOps.project_Q` take either shape).  Its transforms are pruned
+to the lines that can be nonzero: :meth:`SpectralOps.inv_band` takes the
+passes of ``irfftn`` in its order (x, then y, then ``irfft`` along z) and
 :meth:`SpectralOps.fwd_band` those of ``rfftn`` (``rfft`` along z, then x,
 then y), each on the kept lines only.  Every line they do transform is the
 line the full transform does, by the same 1D transform, and the lines they
@@ -295,23 +296,37 @@ class SpectralOps:
         return U, rel
 
     # --- norms (spectral-exact via Parseval) ------------------------------
+    #
+    # Each norm takes full-spectrum coefficients (..., nx, ny, nz//2 + 1) or
+    # kept-block ones (..., nbx, nby, nz//3 + 1); the two shapes never
+    # coincide, since nbx = 2 (nx//3) + 1 < nx on every grid.  A block sums
+    # only the modes that can be nonzero, and gives the full array's value to
+    # round-off.
+
+    def _norm_weights(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """|k|^2 and the Parseval weight of the shape of F."""
+        if F.shape[-3:] == self.band_shape:
+            return self.band_k2, self._parseval[..., : self.band_shape[2]]
+        return self.k2, self._parseval
 
     def l2_norm_sq(self, F: np.ndarray) -> float:
         """Squared L2(box) norm of a coefficient array (any component stack)."""
-        return float(np.sum(np.abs(F) ** 2 * self._parseval))
+        return float(np.sum(np.abs(F) ** 2 * self._norm_weights(F)[1]))
 
     def l2_norm(self, F: np.ndarray) -> float:
         return float(np.sqrt(self.l2_norm_sq(F)))
 
     def inner(self, F: np.ndarray, G: np.ndarray) -> float:
-        """L2(box) inner product of two coefficient arrays."""
-        return float(np.sum((F * np.conj(G)).real * self._parseval))
+        """L2(box) inner product of two coefficient arrays of one shape."""
+        return float(np.sum((F * np.conj(G)).real * self._norm_weights(F)[1]))
 
     def grad_norm_sq(self, F: np.ndarray) -> float:
-        return float(np.sum(self.k2 * np.abs(F) ** 2 * self._parseval))
+        k2, weight = self._norm_weights(F)
+        return float(np.sum(k2 * np.abs(F) ** 2 * weight))
 
     def lap_norm_sq(self, F: np.ndarray) -> float:
-        return float(np.sum(self.k2**2 * np.abs(F) ** 2 * self._parseval))
+        k2, weight = self._norm_weights(F)
+        return float(np.sum(k2**2 * np.abs(F) ** 2 * weight))
 
     # --- physical gradients and the helical defect ----------------------------
 
@@ -378,9 +393,10 @@ class SpectralOps:
         physical-space angular derivative; only the central block of rows and
         columns that holds it is evaluated.
 
-        ``U`` holds the coefficients of the field (for the H1 norm), ``u``
-        its physical samples on the whole grid and ``grads`` its gradients on
-        the disk block, as :meth:`disk_gradients` returns them; no transform
+        ``U`` holds the coefficients of the field, full-shape or its kept
+        block (for the H1 norm), ``u`` its physical samples on the whole grid
+        and ``grads`` its gradients on the disk block, as
+        :meth:`disk_gradients` returns them; no transform
         is done.  Returns 0 for a zero field.
         """
         h1_sq = self.l2_norm_sq(U) + self.grad_norm_sq(U)

@@ -21,7 +21,6 @@ from helns.diagnostics import (
     moving_median3,
     orthogonal_split_residual,
     poincare_ratio,
-    source_norm,
     transient_time,
     write_records_csv,
 )
@@ -244,22 +243,27 @@ class TestInequalityRatios:
             fitted_c0([], 1.0)
 
 
+def _chain_factor(rec, grid):
+    """|u_perp|^(1/2) |grad u_perp| |lap u_perp|^(1/2) / L^(1/2) from record columns."""
+    return (np.sqrt(rec.l2_uperp) * rec.l2_grad_uperp * np.sqrt(rec.l2_lap_uperp)
+            / np.sqrt(grid.pitch))
+
+
 class TestSourceNorm:
-    def test_chain_bound_dominates_for_seeded_field(self, ops, pert):
-        report = source_norm(pert, ops)
-        assert report.value > 0.0
-        assert report.chain_factor > 0.0
-        assert report.dominates()
-        assert report.c0_required < DEFAULT_C0
-        assert report.chain_bound == pytest.approx(
-            np.sqrt(DEFAULT_C0) * report.chain_factor
-        )
+    def test_chain_bound_dominates_for_seeded_field(self, grid, ops, pert):
+        rec = _record(RecordBuilder(grid, ops, a=0.0), pert, 0.0)
+        chain_factor = _chain_factor(rec, grid)
+        assert rec.l2_Nbar > 0.0
+        assert chain_factor > 0.0
+        assert rec.l2_Nbar <= np.sqrt(DEFAULT_C0) * chain_factor
+        # the smallest C0 for which the chain bound dominates
+        assert (rec.l2_Nbar / chain_factor) ** 2 < DEFAULT_C0
 
     def test_zero_field_has_zero_source(self, grid, ops):
-        report = source_norm(np.zeros((3,) + grid.spectral_shape, complex), ops)
-        assert report.value == 0.0
-        assert report.c0_required == 0.0
-        assert report.dominates()
+        zero = np.zeros((3,) + grid.spectral_shape, complex)
+        rec = _record(RecordBuilder(grid, ops, a=0.0), zero, 0.0)
+        assert rec.l2_Nbar == 0.0
+        assert _chain_factor(rec, grid) == 0.0
 
 
 class TestStructuralResiduals:
@@ -277,9 +281,10 @@ class TestStructuralResiduals:
         assert orthogonal_split_residual(pert, ops) < 1e-12
 
 
-def _record(builder, grid, ops, v_hat, t):
-    state = SimulationState(grid=grid, t=t, v_hat=v_hat)
-    return builder(state, solver._Rhs(ops, builder.a).stage(ops.gather(v_hat), t))
+def _record(builder, v_hat, t):
+    ops = builder.ops
+    block = ops.gather(v_hat)
+    return builder(SimulationState(ops, t, block), solver._Rhs(ops, builder.a).stage(block, t))
 
 
 def _cross_term_2d(v_hat, t, grid, ops):
@@ -297,8 +302,8 @@ def _cross_term_2d(v_hat, t, grid, ops):
 class TestRecordBuilder:
     def test_stream_accumulates_enstrophy(self, grid, ops, pert):
         builder = RecordBuilder(grid, ops, a=1.0)
-        rec0 = _record(builder, grid, ops, pert, 0.0)
-        rec1 = _record(builder, grid, ops, pert, 0.5)
+        rec0 = _record(builder, pert, 0.0)
+        rec1 = _record(builder, pert, 0.5)
         assert rec0.cum_enstrophy == 0.0
         expected = 0.5 * rec0.l2_grad_v**2
         assert rec1.cum_enstrophy == pytest.approx(expected, rel=1e-12)
@@ -309,7 +314,7 @@ class TestRecordBuilder:
         )
 
     def test_inequality_columns_share_prefactor_ratio(self, grid, ops, pert):
-        rec = _record(RecordBuilder(grid, ops, a=0.5), grid, ops, pert, 0.25)
+        rec = _record(RecordBuilder(grid, ops, a=0.5), pert, 0.25)
         assert rec.Kcal_perp == pytest.approx(4.5 * rec.K_perp, rel=1e-12)
         assert 0.0 <= rec.k_perp <= rec.K_perp
 
@@ -317,14 +322,13 @@ class TestRecordBuilder:
     def test_stage_record_matches_standalone_functions(self, grid, ops, pert, a):
         v_hat = ops.leray(ops.dealias(pert))  # as the engine carries it
         t = 0.3
-        rec = _record(RecordBuilder(grid, ops, a), grid, ops, v_hat, t)
+        rec = _record(RecordBuilder(grid, ops, a), v_hat, t)
         # the kz = 0 plane kernel against Q of the 3D solver tendency of u_perp
         nbar_3d = ops.l2_norm(ops.project_Q(rhs_perturbation(ops.perp(v_hat), 0.0, 0.0, ops)))
         assert rec.l2_Nbar == pytest.approx(nbar_3d, rel=1e-13)
-        assert rec.l2_Nbar == source_norm(v_hat, ops).value
         bx, by = ops.disk
         grads = ops.gradients(v_hat)[:, :, bx, by]
-        assert rec.helical_defect == ops.helical_defect(v_hat, ops.inv(v_hat), grads)
+        assert rec.helical_defect == ops.helical_defect(ops.gather(v_hat), ops.inv(v_hat), grads)
         spectral_div = float(np.max(np.abs(ops.inv(ops.divergence(v_hat)))))
         assert abs(rec.max_div - spectral_div) <= 1e-15
         cross = _cross_term_2d(v_hat, t, grid, ops)

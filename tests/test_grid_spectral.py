@@ -386,6 +386,50 @@ class TestBandTransforms:
         assert len(workers) == 3 + 4 and set(workers) == {2}
 
 
+def _random_block(g_ops, rng, ncomp=3):
+    shape = (ncomp,) + g_ops.band_shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestBlockNorms:
+    """The norms, perp and project_Q take kept-block coefficients as well."""
+
+    @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def test_block_norms_equal_full_norms(self, shape):
+        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g_ops = SpectralOps(g)
+        rng = np.random.default_rng(sum(shape) + 1)
+        B, C = _random_block(g_ops, rng), _random_block(g_ops, rng)
+        F, G = g_ops.scatter(B), g_ops.scatter(C)  # band-limited
+        pairs = ((B, F), (B[1], F[1]), (g_ops.perp(B), g_ops.perp(F)),
+                 (g_ops.project_Q(B), g_ops.project_Q(F)))
+        for name in ("l2_norm_sq", "l2_norm", "grad_norm_sq", "lap_norm_sq"):
+            norm = getattr(g_ops, name)
+            for block, full in pairs:
+                assert norm(full) > 0.0
+                assert abs(norm(block) - norm(full)) <= 1e-15 * norm(full), name
+        scale = g_ops.l2_norm(F) * g_ops.l2_norm(G)
+        assert abs(g_ops.inner(B, C) - g_ops.inner(F, G)) <= 1e-15 * scale
+
+    def test_full_shape_norms_are_unchanged(self, grid, ops):
+        # the full-shape path sums the same expression as before the dispatch
+        rng = np.random.default_rng(5)
+        F = ops.fwd(rng.standard_normal((3,) + grid.shape))
+        weight = grid.volume * grid.mode_weight / grid.npoints**2
+        assert ops.l2_norm_sq(F) == float(np.sum(np.abs(F) ** 2 * weight))
+        assert ops.grad_norm_sq(F) == float(np.sum(grid.k_squared * np.abs(F) ** 2 * weight))
+        assert ops.lap_norm_sq(F) == float(np.sum(grid.k_squared**2 * np.abs(F) ** 2 * weight))
+
+    @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def test_perp_and_project_q_commute_with_gather(self, shape):
+        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g_ops = SpectralOps(g)
+        rng = np.random.default_rng(sum(shape) + 2)
+        F = g_ops.fwd(rng.standard_normal((3,) + g.shape))  # not band-limited
+        for op in (g_ops.perp, g_ops.project_Q):
+            assert op(g_ops.gather(F)).tobytes() == g_ops.gather(op(F)).tobytes()
+
+
 class TestThreads:
     def test_worker_count_does_not_change_results(self, grid, monkeypatch):
         rng = np.random.default_rng(9)

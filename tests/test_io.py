@@ -14,11 +14,10 @@ from helns.config import (
     serialize_config,
 )
 from helns.diagnostics import DiagnosticsRecord, write_records_csv
-from helns.experiment import run_experiment, total_vorticity
-from helns.fields import PerturbationSpec, random_helical_perturbation
+from helns.experiment import run_experiment
+from helns.fields import PerturbationSpec, oseen_vorticity, random_helical_perturbation
 from helns.grid import GridSpec
 from helns.snapshot import MAGIC, read_snapshot, write_snapshot
-from helns.solver import SimulationState
 from helns.spectral import SpectralOps
 
 
@@ -285,7 +284,7 @@ class TestCli:
             calls.append(dt)
             new = real_step(state, dt, *args, **kwargs)
             if len(calls) == 3:
-                new.v_hat[...] = np.nan
+                new.block[...] = np.nan
             return new
 
         monkeypatch.setattr(solver, "step_spectral3d", poisoned_step)
@@ -308,7 +307,7 @@ class TestCli:
             calls.append(dt)
             new = real_step(state, dt, *args, **kwargs)
             if len(calls) == 2:
-                new.v_hat[...] = np.nan
+                new.block[...] = np.nan
             return new
 
         monkeypatch.setattr(solver, "step_spectral3d", poisoned_step)
@@ -340,11 +339,10 @@ class TestCli:
         grid = GridSpec.cube(32, 20.0, 1.0)
         ops = SpectralOps(grid)
         spec = PerturbationSpec(seed=2, amplitude=0.1, sigma=1.2)
-        state = SimulationState(
-            grid=grid, t=0.0, v_hat=random_helical_perturbation(spec, grid, ops)
-        )
+        v_hat = random_helical_perturbation(spec, grid, ops)
+        omega = ops.inv(ops.curl(v_hat)) + 0.8 * oseen_vorticity(grid, 0.0)
         snap_path = tmp_path / "state.hlxf"
-        write_snapshot(snap_path, grid, 0.0, total_vorticity(state, 0.8, ops))
+        write_snapshot(snap_path, grid, 0.0, omega)
         out = tmp_path / "dec"
         assert cli.main(["decompose", str(snap_path), "--out", str(out),
                          "--quiet"]) == 0
@@ -360,11 +358,10 @@ class TestCli:
         grid = GridSpec.cube(32, 20.0, 1.0)
         ops = SpectralOps(grid)
         spec = PerturbationSpec(seed=4, amplitude=0.1, sigma=1.2)
-        state = SimulationState(
-            grid=grid, t=0.0, v_hat=random_helical_perturbation(spec, grid, ops)
-        )
+        v_hat = random_helical_perturbation(spec, grid, ops)
+        omega = ops.inv(ops.curl(v_hat)) + 0.8 * oseen_vorticity(grid, 0.0)
         snap_path = tmp_path / "state.hlxf"
-        write_snapshot(snap_path, grid, 0.0, total_vorticity(state, 0.8, ops))
+        write_snapshot(snap_path, grid, 0.0, omega)
         outs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("HELNS_THREADS", threads)

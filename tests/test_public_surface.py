@@ -43,6 +43,7 @@ REMOVED_NAMES = (
     (solver, "_cfl_dt"),
     (solver.SimulationState, "u_physical"),
     (solver.SimulationState, "v_physical"),
+    (solver.SimulationState, "_of_block"),
     (helns, "OseenParams"),
     (helns, "oseen_velocity"),
     (helns, "heat_kernel_2d"),
@@ -55,6 +56,8 @@ REMOVED_NAMES = (
     (radial, "duhamel_gaussian_solution"),
     (radial.RadialProfile, "integrate_r_dr"),
     (diagnostics, "norms"),
+    (diagnostics, "source_norm"),
+    (diagnostics, "SourceNormReport"),
     (decomposition.DecompositionResult, "reconstruct_vorticity"),
     (spectral.SpectralOps, "laplacian"),
     (spectral.SpectralOps, "max_divergence"),
@@ -73,7 +76,6 @@ REMOVED_NAMES = (
 REMOVED_PARAMETERS = (
     (experiment.run_experiment, ("check_energy",)),
     (diagnostics.RecordBuilder, ("c0", "defect_mask_radius")),
-    (diagnostics.source_norm, ("c0",)),
     (diagnostics.ladyzhenskaya_ratio, ("defect_tol",)),
     (spectral.SpectralOps.helical_defect, ("mask_radius",)),
     (decomposition.decompose,
@@ -95,6 +97,8 @@ REMOVED_PARAMETERS = (
     (radial.run_radial, ("source_fn",)),
     (radial.RadialProfile.is_uniform, ("rtol",)),
     (solver.rhs_perturbation, ("grid", "params")),
+    (solver.step_spectral3d, ("ops",)),
+    (solver.SimulationState, ("grid", "v_hat")),
     (decomposition.weighted_l2m_norm, ("pitch",)),
     (spectral.SpectralOps.inverse_curl, ("return_correction",)),
     (grid.GridSpec, ("center",)),

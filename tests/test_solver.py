@@ -242,15 +242,37 @@ class TestBandResidentStep:
                 assert stage.grads.shape == (3, 3) + grid.shape
         assert rhs_perturbation(v0, 0.0, a, ops).shape == (3,) + grid.spectral_shape
 
-    def test_a_write_into_v_hat_reaches_the_next_step(self, grid, ops):
+    def test_v_hat_is_a_fresh_scatter_of_the_block(self, grid, ops):
         rhs = solver._Rhs(ops, 0.0)
         v0 = _engine_field(grid, ops, 2, 0.5)
-        state = SimulationState(grid=grid, t=0.0, v_hat=v0)
-        k1 = rhs(state.block(ops), 0.0)
-        new = step_spectral3d(state, 0.05, rhs, ops, k1)
-        assert np.array_equal(new.block(ops), ops.gather(new.v_hat))
-        new.v_hat[...] = 0.0
-        assert not np.any(new.block(ops))
+        state = SimulationState(ops, 0.0, ops.gather(v0))
+        assert state.grid is grid
+        new = step_spectral3d(state, 0.05, rhs, rhs(state.block, 0.0))
+        kept = new.block.copy()
+        v_hat = new.v_hat
+        assert v_hat.tobytes() == ops.scatter(kept).tobytes()
+        assert new.v_hat is not v_hat
+        v_hat[...] = 0.0
+        assert new.block.tobytes() == kept.tobytes()
+
+    def test_a_run_without_snapshots_scatters_nothing(self, tmp_path, monkeypatch):
+        # an a != 0 record reads its norms from the block and its gates from
+        # the stage, so only the public boundary forms the full shape
+        scatters = []
+        original = SpectralOps.scatter
+
+        def counted(ops, B):
+            scatters.append(B.shape)
+            return original(ops, B)
+
+        monkeypatch.setattr(SpectralOps, "scatter", counted)
+        cfg = ExperimentConfig(
+            nx=16, ny=16, nz=16, Lx=20.0, a=1.0, kind="perturbed-oseen", seed=0,
+            amplitude=0.1, sigma=1.2, t_end=0.2, dt=0.05, output_dt=0.1,
+        )
+        result = run_experiment(cfg, tmp_path, quiet=True)
+        assert len(result.records) == 3
+        assert scatters == []
 
 
 class TestRhsKernels:
@@ -438,11 +460,11 @@ class TestRunControl:
 
     def test_nonfinite_state_raises(self, grid, ops):
         v_hat = np.full((3,) + grid.spectral_shape, np.nan, dtype=complex)
-        state = SimulationState(grid=grid, t=0.0, v_hat=v_hat)
+        state = SimulationState(ops, 0.0, ops.gather(v_hat))
         rhs = solver._Rhs(ops, 0.0)
         # a finite stage-1 tendency: stage 2 meets the non-finite state
         with pytest.raises(FloatingPointError):
-            step_spectral3d(state, 0.1, rhs, ops, np.zeros((3,) + ops.band_shape, dtype=complex))
+            step_spectral3d(state, 0.1, rhs, np.zeros((3,) + ops.band_shape, dtype=complex))
 
 
 class TestInstabilityGuard:
@@ -540,7 +562,7 @@ class TestTransformBudget:
         spec = PerturbationSpec(seed=3, amplitude=0.1, sigma=1.2)
         v_hat = random_helical_perturbation(spec, grid, ops)
         ladyzhenskaya_ratio(v_hat, ops)
-        state = SimulationState(grid=grid, t=0.0, v_hat=v_hat)
-        stage = solver._Rhs(ops, 0.0).stage(ops.gather(v_hat), 0.0)
+        state = SimulationState(ops, 0.0, ops.gather(v_hat))
+        stage = solver._Rhs(ops, 0.0).stage(state.block, 0.0)
         RecordBuilder(grid, ops, 0.0)(state, stage)
         assert full_gradients == []
