@@ -75,6 +75,11 @@ class DiagnosticsRecord:
     ``l2_Nbar`` is |PQ div(u_perp (x) u_perp)|_L2, the source of the
     vertical-mean equation; the interpolation chain bounds it by
     sqrt(DEFAULT_C0) * l2_uperp^(1/2) * l2_grad_uperp * l2_lap_uperp^(1/2) / L^(1/2).
+    With w the kz != 0 part of v and Qu the kz = 0 part of u = v + a u_LO,
+    Ladyzhenskaya and then Young give the perp-energy inequality
+    d/dt |w|^2 + |grad w|^2 <= (C0/L) |grad Qu|^2 |w|^2 = (k_perp / 2) |w|^2.
+    ``K_perp`` and ``Kcal_perp`` (8 and 36 C0/L times |grad u|^2) cannot be
+    placed from the paper's abstract alone.
     ``circulation_a`` records the conserved circulation Reynolds number: the
     periodic remainder carries exactly zero net vertical vorticity, so the
     column equals the analytic background coefficient.
@@ -284,10 +289,9 @@ class RecordBuilder:
         ``state``) supplies the physical v and, at a != 0, the nine gradients
         from which the source norm, the helical defect, the divergence and
         the background cross term are taken, so such a record does no 3D
-        transform and no scatter.  At a = 0 the gates take their gradients
-        from :meth:`SpectralOps.disk_gradients` of the scattered ``v_hat``:
-        3 full inverse transforms for the divergence and 6 on the
-        helical-defect disk block.
+        transform.  At a = 0 the gates take the nine gradients of the block
+        (:meth:`SpectralOps.gradients`, 9 pruned inverse transforms).  No
+        record scatters.
         """
         ops = self.ops
         grid = self.grid
@@ -305,13 +309,10 @@ class RecordBuilder:
         l2_lap_uperp = float(np.sqrt(ops.lap_norm_sq(up_hat)))
         l2_nbar = _mean_source_norm(stage.v, ops)
 
-        grads = stage.grads
-        if grads is None:
-            max_div, disk_grads = ops.disk_gradients(state.v_hat)
-        else:
-            bx, by = ops.disk
-            max_div, disk_grads = max_divergence(grads), grads[:, :, bx, by]
-        defect = ops.helical_defect(block, stage.v, disk_grads)
+        grads = stage.grads if stage.grads is not None else ops.gradients(block)
+        bx, by = ops.disk
+        max_div = max_divergence(grads)
+        defect = ops.helical_defect(block, stage.v, grads[:, :, bx, by])
 
         if self._prev_t is not None:
             self._cum += 0.5 * (t - self._prev_t) * (grad_sq + self._prev_grad_sq)

@@ -147,7 +147,7 @@ def total_vorticity(state: SimulationState, a: float, ops: SpectralOps) -> np.nd
     The background curl is analytic (no discretized seam at the periodic
     wrap); only the localized perturbation goes through the spectral curl.
     """
-    w = ops.inv(ops.curl(state.v_hat))
+    w = ops.inv_band(ops.curl(state.block))
     if a != 0.0:
         w += a * oseen_vorticity(state.grid, state.t)
     return w

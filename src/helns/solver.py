@@ -23,16 +23,16 @@ kz <= nz//3, outside which the state and every tendency are exactly zero
 RK4 combinations are block arrays, each stage inverts the block with
 :meth:`SpectralOps.inv_band` and transforms its products back with
 :meth:`SpectralOps.fwd_band`, and the tail -P dealias(.) is
-:meth:`SpectralOps.band_tendency`.  Each of these gives, on the block, the
-bits the full-array operation gives, and the RK4 combinations are taken
-element by element, so the engine's states are the full-array engine's
-states bit for bit.  Inside a run the block is the only representation:
-a :class:`SimulationState` is ``(ops, t, block)``, and the diagnostics
-records read their norms from the block (an a != 0 record scatters nothing,
-an a = 0 record scatters once, for the gradients of its gates).  The full
-shape is formed only at the boundary: ``SimulationState.v_hat`` is a fresh
-scatter of the block, allocated on every access, and
-:func:`rhs_perturbation` takes and returns full-shape arrays.
+-:meth:`SpectralOps.leray` of the block (on which dealiasing is the
+identity).  Each of these gives, on the block, the bits the full-array
+operation gives, and the RK4 combinations are taken element by element, so
+the engine's states are the full-array engine's states bit for bit.  Inside
+a run the block is the only representation: a :class:`SimulationState` is
+``(ops, t, block)``, and the diagnostics records and snapshots read the
+block and scatter nothing.  The full shape is formed only at the boundary:
+``SimulationState.v_hat`` is a fresh scatter of the block, allocated on
+every access, and :func:`rhs_perturbation` takes and returns full-shape
+arrays.
 
 The nonlinearity has two branches.  Without background (a = 0) it is taken in
 divergence form, P div(v (x) v): one inverse transform of v, the six symmetric
@@ -162,9 +162,8 @@ class Stage:
     inverted.  ``grads[i, j]`` (3, 3, nx, ny, nz) is the physical d_j v_i of
     the convective loop (a != 0; None at a = 0, whose divergence form forms
     no gradient).  ``k1`` is the tendency on the kept 2/3-rule block
-    (3, nbx, nby, nz//3 + 1), outside which it is zero
-    (:meth:`SpectralOps.scatter` gives its full shape), and ``umax`` the max
-    of |v + a u_LO| on the grid.
+    (3, nbx, nby, nz//3 + 1), outside which it is zero, and ``umax`` the
+    max of |v + a u_LO| on the grid.
     """
 
     v: np.ndarray
@@ -210,7 +209,7 @@ class _Rhs:
         v = self._physical(vb, t)
         if self.a == 0.0:
             return self._divergence_form(v)
-        return self._convective_form(v, self.ops.band_gradients(vb), t)
+        return self._convective_form(v, self.ops.gradients(vb), t)
 
     def stage(self, vb: np.ndarray, t: float) -> Stage:
         """The tendency together with the fields and speed it passed through."""
@@ -223,7 +222,7 @@ class _Rhs:
         umax = float(np.max(np.sqrt(u0**2 + u1**2 + v[2] ** 2)))
         if self.a == 0.0:
             return Stage(v=v, grads=None, k1=self._divergence_form(v), umax=umax)
-        grads = self.ops.band_gradients(vb)
+        grads = self.ops.gradients(vb)
         return Stage(v=v, grads=grads, k1=self._convective_form(v, grads, t), umax=umax)
 
     def _physical(self, vb: np.ndarray, t: float) -> np.ndarray:
@@ -245,7 +244,8 @@ class _Rhs:
         prod = self._products()
         for n, (i, j) in enumerate(_PAIRS):
             np.multiply(v[i], v[j], out=prod[n])
-        return ops.band_tendency(ops.fwd_band(prod), rows=_ROWS)
+        S = ops.fwd_band(prod)
+        return -ops.leray(np.stack([ops.divergence([S[n] for n in row]) for row in _ROWS]))
 
     def _convective_form(self, v: np.ndarray, grads: np.ndarray, t: float) -> np.ndarray:
         ops = self.ops
@@ -259,7 +259,7 @@ class _Rhs:
             adv[i] += self.a * (ulo[0] * grad_i[0] + ulo[1] * grad_i[1])
             if i < 2:
                 adv[i] += self.a * (v[0] * glo[i, 0] + v[1] * glo[i, 1])
-        return ops.band_tendency(ops.fwd_band(adv))
+        return -ops.leray(ops.fwd_band(adv))
 
 
 def rhs_perturbation(v_hat: np.ndarray, t: float, a: float, ops: SpectralOps) -> np.ndarray:
@@ -324,7 +324,7 @@ def run_spectral3d(
     if ops is None:
         ops = SpectralOps(grid)
     rhs = _Rhs(ops, config.a)
-    state = SimulationState(ops, 0.0, ops.gather(ops.leray(ops.dealias(v0_hat))))
+    state = SimulationState(ops, 0.0, ops.leray(ops.gather(v0_hat)))
     stage = rhs.stage(state.block, state.t)
     if observer is not None:
         observer(state, stage)

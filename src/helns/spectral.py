@@ -9,15 +9,15 @@ bit-exactly.
 
 :class:`SpectralOps` bundles every Fourier-multiplier operator used by the
 solver and the diagnostics: divergence, Leray projection, the
-vertical-mean projection Q, curl / inverse curl and the 2/3-rule dealiasing,
-and the solver's tendency tail -P dealias(.).
+vertical-mean projection Q, curl / inverse curl and the 2/3-rule dealiasing.
 
 The 3D engine carries its coefficients as the kept 2/3-rule block
 |kx| <= nx//3, |ky| <= ny//3, kz <= nz//3 only, an array
 (..., nbx, nby, nz//3 + 1) whose x and y rows are the kept indices in
 ascending order (:meth:`SpectralOps.gather` and :meth:`SpectralOps.scatter`
-move between it and the full shape; the norms, :meth:`SpectralOps.perp` and
-:meth:`SpectralOps.project_Q` take either shape).  Its transforms are pruned
+move between it and the full shape).  The multipliers but
+:meth:`SpectralOps.dealias`, the gradients and the norms take either shape,
+and any other shape is a ValueError.  The block's transforms are pruned
 to the lines that can be nonzero: :meth:`SpectralOps.inv_band` takes the
 passes of ``irfftn`` in its order (x, then y, then ``irfft`` along z) and
 :meth:`SpectralOps.fwd_band` those of ``rfftn`` (``rfft`` along z, then x,
@@ -27,17 +27,19 @@ skip are zero or are cut away, so both give the full transforms' bits on
 the block; the inverse applies its 1/N once at the end, as ``irfftn`` does
 in its last pass.
 It also inverts the nine physical gradients d_j u_i of a field, which the
-solver's convective loop reads on the whole grid.  The input gates of a
-record or a decomposition read less: :func:`max_divergence` only the trace
-d_i u_i, and the helical-defect functional only the central block of rows
-and columns that holds its r <= Lx/4 disk.
+solver's convective loop and the records' gates read from the block.  The
+input gates of a decomposition, whose vorticity is not band-limited, read
+less: :func:`max_divergence` only the trace d_i u_i, and the helical-defect
+functional only the central block of rows and columns that holds its
+r <= Lx/4 disk.
 :meth:`SpectralOps.disk_gradients` therefore inverts the three diagonal
-gradients on the whole grid and the six others on that block only
-(:meth:`SpectralOps.inv_disk`), and gives the same bits as the nine full
-inverses.  All methods but :meth:`SpectralOps.inv_disk`, which overwrites its
-input, are pure functions of their inputs; the class caches wavenumber
-arrays, index blocks and the work buffers of :meth:`SpectralOps.inv_band`,
-so one instance is not to be shared between threads.
+gradients of full-shape coefficients on the whole grid and the six others
+on that block only (:meth:`SpectralOps.inv_disk`), and gives the same bits
+as the nine full inverses.  All methods but :meth:`SpectralOps.inv_disk`,
+which overwrites its input, are pure functions of their inputs; the class
+caches wavenumber tables, index blocks and the work buffers of
+:meth:`SpectralOps.inv_band`, so one instance is not to be shared between
+threads.
 """
 
 from __future__ import annotations
@@ -63,25 +65,25 @@ class SpectralOps:
         self.kx, self.ky, self.kz = grid.kvec
         self.k2 = grid.k_squared
         # 1/|k|^2 with the k = 0 entry zeroed (used by Leray and inverse curl)
-        k2_safe = self.k2.copy()
-        k2_safe[0, 0, 0] = 1.0
-        self.inv_k2 = 1.0 / k2_safe
-        self.inv_k2[0, 0, 0] = 0.0
+        self.inv_k2 = np.divide(1.0, self.k2, out=np.zeros_like(self.k2), where=self.k2 != 0)
         self.mask = grid.dealias_mask
-        self._ik = (1j * self.kx, 1j * self.ky, 1j * self.kz)
+        parseval = grid.volume * grid.mode_weight / grid.npoints**2
         # The kept 2/3-rule block |kx| <= nx//3, |ky| <= ny//3, kz <= nz//3 as
-        # a gather index over any leading axes, with its wavenumbers, |k|^2
-        # and 1/|k|^2.  Along x and y the kept indices are the two runs
-        # 0 .. n//3 and n - n//3 .. n - 1 (``_runs``).
+        # a gather index over any leading axes.  Along x and y the kept
+        # indices are the two runs 0 .. n//3 and n - n//3 .. n - 1 (``_runs``).
         ix = np.flatnonzero(self.mask.any(axis=(1, 2)))
         iy = np.flatnonzero(self.mask.any(axis=(0, 2)))
         kept = (ix[:, None], iy[None, :], slice(0, grid.nz // 3 + 1))
         self._band = (Ellipsis,) + kept
-        self.band_k2 = self.k2[kept]
+        # One multiplier table per coefficient shape, looked up by
+        # ``_wavenumbers``; the block's is the full table's gathered.
+        self._full = _Wavenumbers((self.kx, self.ky, self.kz), self.k2, self.inv_k2, parseval)
+        self._block = _Wavenumbers(
+            (self.kx[ix], self.ky[:, iy], self.kz[..., kept[2]]),
+            self.k2[kept], self.inv_k2[kept], parseval[..., kept[2]],
+        )
+        self.band_k2 = self._block.k2
         self.band_shape = self.band_k2.shape
-        self._band_k = (self.kx[ix], self.ky[:, iy], self.kz[..., kept[2]])
-        self._band_ik = tuple(1j * k for k in self._band_k)
-        self._band_inv_k2 = self.inv_k2[kept]
         self._runs = (_runs(grid.nx), _runs(grid.ny))
         # inv_band's zero-padded x- and y-pass buffers, by leading shape,
         # allocated on first use
@@ -95,7 +97,6 @@ class SpectralOps:
         self.disk = (slice(int(rows[0]), int(rows[-1]) + 1),
                      slice(int(cols[0]), int(cols[-1]) + 1))
         self._disk_mask = disk[self.disk][..., None]
-        self._parseval = grid.volume * grid.mode_weight / grid.npoints**2
         # Worker threads for the FFT backend.  Each 1D transform is computed
         # identically regardless of the worker count, so results are
         # bit-for-bit independent of this setting.
@@ -214,30 +215,40 @@ class SpectralOps:
         return sfft.fft2(f, axes=(-2, -1), workers=self._workers)
 
     # --- multipliers -----------------------------------------------------
+    #
+    # Each multiplier and norm reads its wavenumbers from the table of its
+    # operand's shape, full (..., nx, ny, nz//2 + 1) or kept-block
+    # (..., nbx, nby, nz//3 + 1); the two never coincide, since
+    # nbx = 2 (nx//3) + 1 < nx.  On a block a multiplier gives the full
+    # operand's bits there, and a norm the full sum to round-off.
 
-    def divergence(self, U: np.ndarray) -> np.ndarray:
-        """Spectral divergence of a vector coefficient array (3, ...)."""
-        return _divergence((self.kx, self.ky, self.kz), U)
+    def _wavenumbers(self, F: np.ndarray) -> _Wavenumbers:
+        """The multiplier table of the coefficient shape of F."""
+        if F.shape[-3:] == self.band_shape:
+            return self._block
+        if F.shape[-3:] == self.k2.shape:
+            return self._full
+        raise ValueError(f"coefficients of shape {F.shape} end in neither the full "
+                         f"shape {self.k2.shape} nor the kept block {self.band_shape}")
+
+    def divergence(self, U) -> np.ndarray:
+        """Spectral divergence i k . U of a vector coefficient array (3, ...)
+        or of a sequence of its three components."""
+        ikx, iky, ikz = self._wavenumbers(U[0]).ik
+        return ikx * U[0] + iky * U[1] + ikz * U[2]
 
     def leray(self, U: np.ndarray) -> np.ndarray:
         """Leray projection: remove the gradient part of each k != 0 mode.
 
         The k = 0 mode (box mean) is left unchanged.
         """
-        return _leray((self.kx, self.ky, self.kz), self.inv_k2, U)
-
-    def band_tendency(self, B: np.ndarray, rows=None) -> np.ndarray:
-        """-P dealias(F) on the kept block: B is ``gather(F)`` and the result
-        is ``gather(-leray(dealias(F)))`` value for value.
-
-        With ``rows``, B holds the products S_n of a symmetric tensor and the
-        tendency is that of its divergence rows i k_j S_ij, where ``rows[i]``
-        lists the positions of S_i0, S_i1 and S_i2 in B.
-        """
-        if rows is not None:
-            B = np.stack([_divergence(self._band_k, [B[n] for n in row]) for row in rows])
-        out = _leray(self._band_k, self._band_inv_k2, B)
-        return np.negative(out, out=out)
+        table = self._wavenumbers(U)
+        k = table.k
+        corr = (k[0] * U[0] + k[1] * U[1] + k[2] * U[2]) * table.inv_k2
+        out = np.empty_like(U)
+        for i, k_i in enumerate(k):
+            np.subtract(U[i], k_i * corr, out=out[i])
+        return out
 
     def project_Q(self, F: np.ndarray) -> np.ndarray:
         """Vertical-mean projection: keep exactly the kz = 0 modes."""
@@ -252,7 +263,9 @@ class SpectralOps:
         return out
 
     def dealias(self, F: np.ndarray) -> np.ndarray:
-        """2/3-rule truncation: zero all modes with any |k_i| > n_i//3."""
+        """2/3-rule truncation: zero all modes with any |k_i| > n_i//3.
+
+        Full-shape only: on the kept block it is the identity."""
         return F * self.mask
 
     def curl(self, U: np.ndarray) -> np.ndarray:
@@ -261,7 +274,7 @@ class SpectralOps:
         Each product is written into the output or into one scratch
         component, by the same multiply the expression ``k_a * U_b`` does.
         """
-        k = (self.kx, self.ky, self.kz)
+        k = self._wavenumbers(U).k
         out = np.empty(U.shape, dtype=complex)
         tmp = np.empty(U.shape[1:], dtype=complex)
         for c in range(3):
@@ -284,69 +297,55 @@ class SpectralOps:
         correction is |W - P W| / |W| = |grad((k.W) / |k|^2)| / |W| (0 for a
         zero W).
         """
+        table = self._wavenumbers(W)
+        k = table.k
         rel = 0.0
         norm_w = self.l2_norm(W)
         if norm_w > 0:
-            corr = (self.kx * W[0] + self.ky * W[1] + self.kz * W[2]) * self.inv_k2
+            corr = (k[0] * W[0] + k[1] * W[1] + k[2] * W[2]) * table.inv_k2
             rel = float(np.sqrt(self.grad_norm_sq(corr))) / norm_w
             if rel > 1e-12:
                 logger.debug("inverse_curl: non-solenoidal input, relative correction %.3e", rel)
         U = self.curl(W)
-        U *= self.inv_k2
+        U *= table.inv_k2
         return U, rel
 
     # --- norms (spectral-exact via Parseval) ------------------------------
-    #
-    # Each norm takes full-spectrum coefficients (..., nx, ny, nz//2 + 1) or
-    # kept-block ones (..., nbx, nby, nz//3 + 1); the two shapes never
-    # coincide, since nbx = 2 (nx//3) + 1 < nx on every grid.  A block sums
-    # only the modes that can be nonzero, and gives the full array's value to
-    # round-off.
-
-    def _norm_weights(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """|k|^2 and the Parseval weight of the shape of F."""
-        if F.shape[-3:] == self.band_shape:
-            return self.band_k2, self._parseval[..., : self.band_shape[2]]
-        return self.k2, self._parseval
 
     def l2_norm_sq(self, F: np.ndarray) -> float:
         """Squared L2(box) norm of a coefficient array (any component stack)."""
-        return float(np.sum(np.abs(F) ** 2 * self._norm_weights(F)[1]))
+        return float(np.sum(np.abs(F) ** 2 * self._wavenumbers(F).weight))
 
     def l2_norm(self, F: np.ndarray) -> float:
         return float(np.sqrt(self.l2_norm_sq(F)))
 
     def inner(self, F: np.ndarray, G: np.ndarray) -> float:
         """L2(box) inner product of two coefficient arrays of one shape."""
-        return float(np.sum((F * np.conj(G)).real * self._norm_weights(F)[1]))
+        return float(np.sum((F * np.conj(G)).real * self._wavenumbers(F).weight))
 
     def grad_norm_sq(self, F: np.ndarray) -> float:
-        k2, weight = self._norm_weights(F)
-        return float(np.sum(k2 * np.abs(F) ** 2 * weight))
+        table = self._wavenumbers(F)
+        return float(np.sum(table.k2 * np.abs(F) ** 2 * table.weight))
 
     def lap_norm_sq(self, F: np.ndarray) -> float:
-        k2, weight = self._norm_weights(F)
-        return float(np.sum(k2**2 * np.abs(F) ** 2 * weight))
+        table = self._wavenumbers(F)
+        return float(np.sum(table.k2**2 * np.abs(F) ** 2 * table.weight))
 
     # --- physical gradients and the helical defect ----------------------------
 
     def gradients(self, U: np.ndarray) -> np.ndarray:
         """Physical grads[i, j] = d_j u_i, one component's three at a time.
 
-        Takes the coefficients U (3, ...) and does 9 inverse transforms.
+        Takes the coefficients U (3, ...) and does 9 inverse transforms: by
+        :meth:`inv` of full-shape U, by :meth:`inv_band` of a kept block B,
+        which gives ``gradients(scatter(B))`` bit for bit.
         """
-        return self._gradients(U, self._ik, self.inv)
-
-    def band_gradients(self, B: np.ndarray) -> np.ndarray:
-        """:meth:`gradients` of kept-block coefficients B, from :meth:`inv_band`;
-        equal to ``gradients(scatter(B))`` bit for bit."""
-        return self._gradients(B, self._band_ik, self.inv_band)
-
-    def _gradients(self, U, ik, inv) -> np.ndarray:
+        table = self._wavenumbers(U)
+        inv = self.inv if table is self._full else self.inv_band
         grads = np.empty((3, 3) + self.grid.shape)
         mult = np.empty((3,) + U.shape[1:], dtype=complex)
         for i in range(3):
-            for j, ik_j in enumerate(ik):
+            for j, ik_j in enumerate(table.ik):
                 np.multiply(ik_j, U[i], out=mult[j])
             grads[i] = inv(mult)
         return grads
@@ -367,7 +366,7 @@ class SpectralOps:
         mult = np.empty(U.shape[1:], dtype=complex)
         div = None
         for i in range(3):
-            for j, ik in enumerate(self._ik):
+            for j, ik in enumerate(self._full.ik):
                 np.multiply(ik, U[i], out=mult)
                 if i != j:
                     grads[i, j] = self.inv_disk(mult)
@@ -425,19 +424,17 @@ def _runs(n: int) -> tuple[slice, slice, slice]:
     return slice(0, m + 1), slice(m + 1, n - m), slice(n - m, n)
 
 
-def _divergence(k, U) -> np.ndarray:
-    """i k . U for a broadcastable wavenumber triple k."""
-    kx, ky, kz = k
-    return 1j * kx * U[0] + 1j * ky * U[1] + 1j * kz * U[2]
+class _Wavenumbers:
+    """The multipliers of one coefficient shape, broadcastable against it:
+    the wavenumber triple ``k``, ``ik`` = i k, ``k2`` = |k|^2, ``inv_k2`` =
+    1/|k|^2 (0 at k = 0) and the Parseval ``weight`` of each mode."""
 
-
-def _leray(k, inv_k2, U: np.ndarray) -> np.ndarray:
-    """U - k (k . U) / |k|^2 for a wavenumber triple k and its 1/|k|^2."""
-    corr = (k[0] * U[0] + k[1] * U[1] + k[2] * U[2]) * inv_k2
-    out = np.empty_like(U)
-    for i, k_i in enumerate(k):
-        np.subtract(U[i], k_i * corr, out=out[i])
-    return out
+    def __init__(self, k, k2, inv_k2, weight):
+        self.k = k
+        self.ik = tuple(1j * k_i for k_i in k)
+        self.k2 = k2
+        self.inv_k2 = inv_k2
+        self.weight = weight
 
 
 def max_divergence(grads: np.ndarray) -> float:

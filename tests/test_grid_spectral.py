@@ -5,7 +5,7 @@ import pytest
 
 from helns.fields import PerturbationSpec, random_helical_perturbation
 from helns.grid import GridSpec
-from helns.solver import rhs_perturbation
+from helns.solver import _ROWS, rhs_perturbation
 from helns.spectral import SpectralOps, max_divergence
 
 
@@ -189,31 +189,34 @@ class TestBandTendency:
     @pytest.mark.parametrize("a", [0.0, 1.0])
     @pytest.mark.parametrize("n", [16, 32])
     def test_equals_full_array_projection(self, n, a):
-        # the tendency's input, a kept block, is taken from a real RHS call;
-        # the reference scatters it and projects it with the full-array
+        # the tail's input, the block transform of the products, is taken
+        # from a real RHS call; the reference scatters it and takes the
+        # divergence rows (a = 0) and -P dealias(.) with the full-array
         # operators
         g = GridSpec.cube(n, 20.0, 1.0)
         g_ops = SpectralOps(g)
         spec = PerturbationSpec(seed=n, amplitude=0.5, sigma=1.2)
         v_hat = random_helical_perturbation(spec, g, g_ops)
-        calls = []
-        band_tendency = g_ops.band_tendency
+        products, projected = [], []
+        fwd_band, leray = g_ops.fwd_band, g_ops.leray
 
-        def recorded(B, rows=None):
-            out = band_tendency(B, rows)
-            calls.append((B, rows, out))
-            return out
+        def recorded_fwd_band(f):
+            products.append(fwd_band(f))
+            return products[-1]
 
-        g_ops.band_tendency = recorded
+        def recorded_leray(U):
+            projected.append(U.shape)
+            return leray(U)
+
+        g_ops.fwd_band, g_ops.leray = recorded_fwd_band, recorded_leray
         rhs = rhs_perturbation(v_hat, 0.25, a, g_ops)
-        ((B, rows, out),) = calls
-        assert (rows is not None) == (a == 0.0)
-        assert B.shape[1:] == out.shape[1:] == g_ops.band_shape
-        F = g_ops.scatter(B)
-        if rows is not None:
-            F = np.stack([g_ops.divergence([F[k] for k in row]) for row in rows])
-        ref = -g_ops.leray(g_ops.dealias(F))
-        assert out.tobytes() == g_ops.gather(ref).tobytes()
+        (S,) = products
+        # the tail projects one block
+        assert projected == [(3,) + g_ops.band_shape]
+        F = g_ops.scatter(S)
+        if a == 0.0:
+            F = np.stack([g_ops.divergence([F[k] for k in row]) for row in _ROWS])
+        ref = -leray(g_ops.dealias(F))
         # rhs_perturbation scatters the block: zeros outside it
         kept = g.dealias_mask
         assert rhs[:, kept].tobytes() == ref[:, kept].tobytes()
@@ -350,7 +353,7 @@ class TestBandTransforms:
         for _ in range(2):
             assert g_ops.inv_band(B).tobytes() == ref.tobytes()
         assert B.tobytes() == B_in.tobytes()
-        assert g_ops.band_gradients(B).tobytes() == g_ops.gradients(g_ops.scatter(B)).tobytes()
+        assert g_ops.gradients(B).tobytes() == g_ops.gradients(g_ops.scatter(B)).tobytes()
         for ncomp in (3, 6):
             f = rng.standard_normal((ncomp,) + g.shape)
             assert g_ops.fwd_band(f).tobytes() == g_ops.gather(g_ops.fwd(f)).tobytes()
@@ -392,7 +395,27 @@ def _random_block(g_ops, rng, ncomp=3):
 
 
 class TestBlockNorms:
-    """The norms, perp and project_Q take kept-block coefficients as well."""
+    """The norms, the multipliers, perp and project_Q take kept-block
+    coefficients as well, and no third shape."""
+
+    @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def test_block_multipliers_commute_with_scatter(self, shape):
+        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g_ops = SpectralOps(g)
+        B = _random_block(g_ops, np.random.default_rng(sum(shape) + 3))
+        for op in (g_ops.divergence, g_ops.leray, g_ops.curl,
+                   lambda U: g_ops.inverse_curl(U)[0]):
+            assert op(B).tobytes() == g_ops.gather(op(g_ops.scatter(B))).tobytes()
+
+    @pytest.mark.parametrize("name", ["l2_norm_sq", "l2_norm", "inner", "grad_norm_sq",
+                                      "lap_norm_sq", "divergence", "leray", "curl",
+                                      "inverse_curl", "gradients"])
+    def test_a_third_shape_is_rejected(self, ops, name):
+        # neither 16^3 coefficient shape: full (16, 16, 9), block (11, 11, 6)
+        F = np.ones((3, 16, 16, 1), dtype=complex)
+        args = (F, F) if name == "inner" else (F,)
+        with pytest.raises(ValueError, match=r"\(16, 16, 9\).*\(11, 11, 6\)"):
+            getattr(ops, name)(*args)
 
     @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
     def test_block_norms_equal_full_norms(self, shape):

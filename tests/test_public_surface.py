@@ -20,6 +20,8 @@ SUBMODULES = (
     "grid", "presets", "radial", "snapshot", "solver", "spectral",
 )
 
+_OPS = spectral.SpectralOps(grid.GridSpec.cube(16, 20.0, 1.0))
+
 REMOVED_NAMES = (
     (helns, "PhysicalField"),
     (helns, "SpectralField"),
@@ -71,6 +73,18 @@ REMOVED_NAMES = (
     (radial, "radial_laplacian_banded"),
     (spectral.SpectralOps, "deriv"),
     (spectral.SpectralOps, "gradient"),
+    (spectral.SpectralOps, "band_gradients"),
+    (spectral.SpectralOps, "_gradients"),
+    (spectral.SpectralOps, "band_tendency"),
+    (spectral.SpectralOps, "_norm_weights"),
+    (spectral, "_divergence"),
+    (spectral, "_leray"),
+    # instance attributes, looked up on an instance
+    (_OPS, "_ik"),
+    (_OPS, "_band_k"),
+    (_OPS, "_band_ik"),
+    (_OPS, "_band_inv_k2"),
+    (_OPS, "_parseval"),
 )
 
 REMOVED_PARAMETERS = (

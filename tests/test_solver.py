@@ -255,9 +255,11 @@ class TestBandResidentStep:
         v_hat[...] = 0.0
         assert new.block.tobytes() == kept.tobytes()
 
-    def test_a_run_without_snapshots_scatters_nothing(self, tmp_path, monkeypatch):
-        # an a != 0 record reads its norms from the block and its gates from
-        # the stage, so only the public boundary forms the full shape
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_a_run_scatters_nothing(self, tmp_path, monkeypatch, a):
+        # a record reads its norms and its gates from the block or the stage,
+        # and a snapshot inverts the block's curl, so only the public
+        # boundary forms the full shape
         scatters = []
         original = SpectralOps.scatter
 
@@ -267,11 +269,12 @@ class TestBandResidentStep:
 
         monkeypatch.setattr(SpectralOps, "scatter", counted)
         cfg = ExperimentConfig(
-            nx=16, ny=16, nz=16, Lx=20.0, a=1.0, kind="perturbed-oseen", seed=0,
+            nx=16, ny=16, nz=16, Lx=20.0, a=a, kind="perturbed-oseen", seed=0,
             amplitude=0.1, sigma=1.2, t_end=0.2, dt=0.05, output_dt=0.1,
+            snapshot_dt=0.1,
         )
         result = run_experiment(cfg, tmp_path, quiet=True)
-        assert len(result.records) == 3
+        assert (len(result.records), len(result.snapshot_paths)) == (3, 3)
         assert scatters == []
 
 
@@ -526,18 +529,16 @@ class TestTransformBudget:
         result = run_experiment(cfg, tmp_path, quiet=True)
         initial = 3  # the forward transform of the stream field
         t_end_stage = per_step // 4  # the stage of the record due at t_end
-        # an a = 0 record: 3 full inverse transforms and 6 on the disk block
-        per_record_disk = 6 if a == 0.0 else 0
         assert (len(steps), len(result.records), len(result.snapshot_paths)) == (4, 3, 3)
-        assert sum(transforms.values()) - transforms["inv_disk"] == (
-            initial + per_step * len(steps) + t_end_stage
-            + (per_record - per_record_disk) * len(result.records)
-            + 3 * len(result.snapshot_paths)
-        )
-        assert transforms["inv_disk"] == per_record_disk * len(result.records)
-        # every stage transforms on the kept block only
+        # only the initial field is transformed at full shape; an a = 0
+        # record inverts its nine gradients and a snapshot its curl on the
+        # kept block
+        assert transforms["fwd"] + transforms["inv"] == initial
+        assert transforms["inv_disk"] == 0
         stages = per_step * len(steps) + t_end_stage
-        assert transforms["fwd_band"] + transforms["inv_band"] == stages
+        assert transforms["fwd_band"] + transforms["inv_band"] == (
+            stages + per_record * len(result.records) + 3 * len(result.snapshot_paths)
+        )
 
     def test_decompose_costs_12_transforms(self, transforms):
         grid = GridSpec.cube(32, 20.0, 1.0)
@@ -552,7 +553,8 @@ class TestTransformBudget:
         original = SpectralOps.gradients
 
         def counted(ops, U):
-            full_gradients.append(None)
+            if U.shape[-3:] == ops.grid.spectral_shape:
+                full_gradients.append(None)
             return original(ops, U)
 
         monkeypatch.setattr(SpectralOps, "gradients", counted)
