@@ -112,8 +112,7 @@ def _shell_spectra(fields, grid: GridSpec):
     ``inverse`` maps each mode to its shell; ``(cos_phi, sin_phi) = k/|k|``
     (both 0 at k = 0).
     """
-    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)[:, None]
-    ky = 2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy)[None, :]
+    kx, ky = grid.kx[:, None], grid.ky[None, :]
     kmag = np.hypot(kx, ky)
     shells, inverse = np.unique(kmag, return_inverse=True)
     kinv = 1.0 / np.where(kmag > 0.0, kmag, 1.0)

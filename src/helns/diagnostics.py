@@ -273,8 +273,7 @@ class RecordBuilder:
     """Build DiagnosticsRecord rows from solver states, accumulating the
     enstrophy integral by the trapezoid rule between output times."""
 
-    def __init__(self, grid: GridSpec, ops: SpectralOps, a: float):
-        self.grid = grid
+    def __init__(self, ops: SpectralOps, a: float):
         self.ops = ops
         self.a = a
         self._cum = 0.0
@@ -289,12 +288,12 @@ class RecordBuilder:
         ``state``) supplies the physical v and, at a != 0, the nine gradients
         from which the source norm, the helical defect, the divergence and
         the background cross term are taken, so such a record does no 3D
-        transform.  At a = 0 the gates take the nine gradients of the block
-        (:meth:`SpectralOps.gradients`, 9 pruned inverse transforms).  No
-        record scatters.
+        transform.  At a = 0 the gates take the block's gradients on the
+        defect's disk block (:meth:`SpectralOps.disk_gradients`: 3 whole-grid
+        and 6 disk-block pruned inverse transforms).  No record scatters.
         """
         ops = self.ops
-        grid = self.grid
+        grid = ops.grid
         a = self.a
         block = state.block
         t = state.t
@@ -309,10 +308,12 @@ class RecordBuilder:
         l2_lap_uperp = float(np.sqrt(ops.lap_norm_sq(up_hat)))
         l2_nbar = _mean_source_norm(stage.v, ops)
 
-        grads = stage.grads if stage.grads is not None else ops.gradients(block)
         bx, by = ops.disk
-        max_div = max_divergence(grads)
-        defect = ops.helical_defect(block, stage.v, grads[:, :, bx, by])
+        if stage.grads is None:
+            max_div, disk_grads = ops.disk_gradients(block)
+        else:
+            max_div, disk_grads = max_divergence(stage.grads), stage.grads[:, :, bx, by]
+        defect = ops.helical_defect(block, stage.v, disk_grads)
 
         if self._prev_t is not None:
             self._cum += 0.5 * (t - self._prev_t) * (grad_sq + self._prev_grad_sq)
@@ -323,7 +324,7 @@ class RecordBuilder:
         # leave the sums bitwise unchanged) when a = 0.
         cross = grad_lo_sq = 0.0
         if a != 0.0:
-            cross = _oseen_cross_term(grads, t, grid)
+            cross = _oseen_cross_term(stage.grads, t, grid)
             grad_lo_sq = oseen_grad_l2_sq(t, grid.pitch)
         grad_u_sq = grad_sq + 2.0 * a * cross + a * a * grad_lo_sq
         grad_mean_sq = (

@@ -147,7 +147,7 @@ def total_vorticity(state: SimulationState, a: float, ops: SpectralOps) -> np.nd
     The background curl is analytic (no discretized seam at the periodic
     wrap); only the localized perturbation goes through the spectral curl.
     """
-    w = ops.inv_band(ops.curl(state.block))
+    w = ops.inv(ops.curl(state.block))
     if a != 0.0:
         w += a * oseen_vorticity(state.grid, state.t)
     return w
@@ -182,7 +182,7 @@ def run_experiment(
     check_energy = cfg.a == 0.0
 
     v0_hat = build_initial(cfg, grid, ops)
-    builder = RecordBuilder(grid, ops, cfg.a)
+    builder = RecordBuilder(ops, cfg.a)
 
     csv_path = out_dir / cfg.csv
     snap_dir = out_dir / cfg.snapshot_dir

@@ -31,10 +31,10 @@ class GridSpec:
     nx, ny, nz : int
         Sample counts along x, y, z.  Even and at least 8.
     Lx, Ly : float
-        Horizontal box side lengths; must be equal.
+        Horizontal box side lengths; positive, finite and equal.
     pitch : float
-        Helical pitch parameter L.  The vertical box length is ``2*pi*pitch``
-        exactly.
+        Helical pitch parameter L, positive and finite.  The vertical box
+        length is ``2*pi*pitch`` exactly.
 
     The vortex axis runs through the box center :attr:`center`.
     """
@@ -50,14 +50,14 @@ class GridSpec:
         _validate_samples("nx", self.nx)
         _validate_samples("ny", self.ny)
         _validate_samples("nz", self.nz)
-        if not (self.Lx > 0 and self.Ly > 0):
-            raise ValueError("box side lengths must be positive")
+        if not (0 < self.Lx < np.inf and 0 < self.Ly < np.inf):
+            raise ValueError("box side lengths must be positive and finite")
         if self.Lx != self.Ly:
             raise ValueError(
                 f"square cross-section required (Lx = Ly), got Lx={self.Lx}, Ly={self.Ly}"
             )
-        if not self.pitch > 0:
-            raise ValueError(f"pitch must be positive, got {self.pitch}")
+        if not 0 < self.pitch < np.inf:
+            raise ValueError(f"pitch must be positive and finite, got {self.pitch}")
 
     @classmethod
     def cube(cls, n: int, Lx: float, pitch: float) -> "GridSpec":

@@ -50,8 +50,8 @@ def write_snapshot(path, grid: GridSpec, time: float, fields: np.ndarray) -> Non
     ncomp = fields.shape[0]
     if not 1 <= ncomp <= 255:
         raise ValueError("component count must be in [1, 255]")
-    if not np.all(np.isfinite(fields)):
-        raise ValueError("snapshot fields must be finite")
+    if not (np.all(np.isfinite(fields)) and np.isfinite(time)):
+        raise ValueError("snapshot fields and time must be finite")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.array([VERSION, grid.nx, grid.ny, grid.nz], dtype="<u4").tobytes())
@@ -81,6 +81,8 @@ def read_snapshot(path) -> SnapshotData:
     if version != VERSION:
         raise ValueError(f"unsupported HLXF version {int(version)}")
     Lx, Ly, pitch, time = np.frombuffer(raw, dtype="<f8", count=4, offset=20)
+    if not np.isfinite(time):
+        raise ValueError(f"snapshot time must be finite, got {time}")
     ncomp = int(np.frombuffer(raw, dtype="<u1", count=1, offset=52)[0])
     grid = GridSpec(nx=int(nx), ny=int(ny), nz=int(nz), Lx=float(Lx), Ly=float(Ly), pitch=float(pitch))
     expected = ncomp * grid.npoints

@@ -21,7 +21,7 @@ The engine's coefficients live on the kept 2/3-rule block
 kz <= nz//3, outside which the state and every tendency are exactly zero
 (see :mod:`helns.spectral`): the state, the stage tendencies k1-k4 and the
 RK4 combinations are block arrays, each stage inverts the block with
-:meth:`SpectralOps.inv_band` and transforms its products back with
+:meth:`SpectralOps.inv` and transforms its products back with
 :meth:`SpectralOps.fwd_band`, and the tail -P dealias(.) is
 -:meth:`SpectralOps.leray` of the block (on which dealiasing is the
 identity).  Each of these gives, on the block, the bits the full-array
@@ -226,7 +226,7 @@ class _Rhs:
         return Stage(v=v, grads=grads, k1=self._convective_form(v, grads, t), umax=umax)
 
     def _physical(self, vb: np.ndarray, t: float) -> np.ndarray:
-        v = self.ops.inv_band(vb)
+        v = self.ops.inv(vb)
         if not np.all(np.isfinite(v)):
             raise FloatingPointError(
                 f"non-finite advection product at t={t:.6g}; aborting"

@@ -16,30 +16,29 @@ The 3D engine carries its coefficients as the kept 2/3-rule block
 (..., nbx, nby, nz//3 + 1) whose x and y rows are the kept indices in
 ascending order (:meth:`SpectralOps.gather` and :meth:`SpectralOps.scatter`
 move between it and the full shape).  The multipliers but
-:meth:`SpectralOps.dealias`, the gradients and the norms take either shape,
-and any other shape is a ValueError.  The block's transforms are pruned
-to the lines that can be nonzero: :meth:`SpectralOps.inv_band` takes the
-passes of ``irfftn`` in its order (x, then y, then ``irfft`` along z) and
-:meth:`SpectralOps.fwd_band` those of ``rfftn`` (``rfft`` along z, then x,
-then y), each on the kept lines only.  Every line they do transform is the
-line the full transform does, by the same 1D transform, and the lines they
-skip are zero or are cut away, so both give the full transforms' bits on
-the block; the inverse applies its 1/N once at the end, as ``irfftn`` does
-in its last pass.
+:meth:`SpectralOps.dealias`, the inverse transforms, the gradients and the
+norms take either shape, and any other shape is a ValueError.  The block's
+transforms are pruned to the lines that can be nonzero:
+:meth:`SpectralOps.inv` takes the passes of ``irfftn`` in its order (x,
+then y, then ``irfft`` along z) and :meth:`SpectralOps.fwd_band` those of
+``rfftn`` (``rfft`` along z, then x, then y), each on the kept lines only.
+Every line they do transform is the line the full transform does, by the
+same 1D transform, and the lines they skip are zero or are cut away, so both
+give the full transforms' bits on the block; the inverse applies its 1/N
+once at the end, as ``irfftn`` does in its last pass.
 It also inverts the nine physical gradients d_j u_i of a field, which the
-solver's convective loop and the records' gates read from the block.  The
-input gates of a decomposition, whose vorticity is not band-limited, read
-less: :func:`max_divergence` only the trace d_i u_i, and the helical-defect
-functional only the central block of rows and columns that holds its
-r <= Lx/4 disk.
+solver's convective loop reads.  The gates of a record, a decomposition or
+the Ladyzhenskaya sweep read less: :func:`max_divergence` only the trace
+d_i u_i, and the helical-defect functional only the central block of rows
+and columns that holds its r <= Lx/4 disk.
 :meth:`SpectralOps.disk_gradients` therefore inverts the three diagonal
-gradients of full-shape coefficients on the whole grid and the six others
-on that block only (:meth:`SpectralOps.inv_disk`), and gives the same bits
-as the nine full inverses.  All methods but :meth:`SpectralOps.inv_disk`,
-which overwrites its input, are pure functions of their inputs; the class
-caches wavenumber tables, index blocks and the work buffers of
-:meth:`SpectralOps.inv_band`, so one instance is not to be shared between
-threads.
+gradients on the whole grid and the six others on that block only
+(:meth:`SpectralOps.inv_disk`, the same pruned passes, with y and z cut to
+the block), and gives the same bits as the nine whole-grid inverses.  All
+methods but :meth:`SpectralOps.inv_disk` of full-shape coefficients, which
+overwrites them, are pure functions of their inputs; the class caches
+wavenumber tables, index blocks and the work buffers of the pruned inverse,
+so one instance is not to be shared between threads.
 """
 
 from __future__ import annotations
@@ -85,8 +84,8 @@ class SpectralOps:
         self.band_k2 = self._block.k2
         self.band_shape = self.band_k2.shape
         self._runs = (_runs(grid.nx), _runs(grid.ny))
-        # inv_band's zero-padded x- and y-pass buffers, by leading shape,
-        # allocated on first use
+        # the pruned inverse's zero-padded x- and y-pass buffers, by leading
+        # shape, allocated on first use
         self._inv_buffers = {}
         # The helical-defect mask r <= Lx/4 is a disk about the box center: its
         # rows and columns form one contiguous central block, the (x, y)
@@ -112,65 +111,58 @@ class SpectralOps:
         return sfft.rfftn(f, axes=(-3, -2, -1), workers=self._workers)
 
     def inv(self, F: np.ndarray) -> np.ndarray:
-        """Inverse rfft over the last three axes (carries 1/N)."""
-        return sfft.irfftn(F, s=self.grid.shape, axes=(-3, -2, -1), workers=self._workers)
+        """Inverse rfft over the last three axes (carries 1/N): ``irfftn`` of
+        full-shape F, or ``inv(scatter(B))`` bit for bit of a kept block B."""
+        if self._wavenumbers(F) is self._full:
+            return sfft.irfftn(F, s=self.grid.shape, axes=(-3, -2, -1), workers=self._workers)
+        return self._inv_pruned(F, slice(None), slice(None))
 
     def inv_disk(self, F: np.ndarray) -> np.ndarray:
-        """:meth:`inv` of one coefficient field, sampled on the disk block only.
+        """:meth:`inv` of F, either shape, sampled on the disk block only.
 
-        The passes of ``irfftn`` are taken in its order and left unscaled: x
-        on every line, y on the block's rows, then ``irfft`` along z on the
-        block's columns.  ``irfftn`` applies 1/N once, in its last pass, so
-        one multiply by 1/N at the end gives ``inv(F)[disk block]`` bit for
-        bit (1/n per pass would not).  The x and y passes run in place: F is
-        overwritten.
+        Full-shape F is overwritten; a kept block is not.
         """
-        bx, by = self.disk
-        w = self._workers
-        f = sfft.ifft(F, axis=0, norm="forward", workers=w, overwrite_x=True)
-        f = sfft.ifft(f[bx], axis=1, norm="forward", workers=w, overwrite_x=True)
-        f = sfft.irfft(f[:, by], n=self.grid.nz, axis=2, norm="forward", workers=w)
-        f *= 1.0 / self.grid.npoints
-        return f
+        return self._inv_pruned(F, *self.disk)
 
-    def inv_band(self, B: np.ndarray) -> np.ndarray:
-        """``inv(scatter(B))`` of kept-block coefficients B, bit for bit.
-
-        The passes of ``irfftn`` are taken in its order and left unscaled,
-        each on the lines that can be nonzero: x on the block's ky columns
-        and kz <= nz//3, then y on kz <= nz//3, then ``irfft`` along z.
-        Every line they transform is the line ``irfftn`` transforms, and
-        ``irfftn`` applies 1/N once, in its last pass, so one multiply by 1/N
-        at the end gives its bits (as in :meth:`inv_disk`).  The x and y
-        passes run in place on two zero-padded buffers kept between calls;
-        the rows the previous call overwrote are zeroed again before each
-        use, and the y buffer's kz > nz//3 columns are never written.  B is
-        not modified.
-        """
-        (xlo, xgap, xhi), (ylo, ygap, yhi) = self._runs
-        mx, my = xlo.stop, ylo.stop
-        nzk = self.band_shape[2]
-        lead = B.shape[:-3]
-        buffers = self._inv_buffers.get(lead)
-        if buffers is None:
-            nx, ny, nzr = self.k2.shape
-            buffers = (np.empty(lead + (nx, self.band_shape[1], nzk), dtype=complex),
-                       np.zeros(lead + (nx, ny, nzr), dtype=complex))
-            self._inv_buffers[lead] = buffers
-        X, Y = buffers
+    def _inv_pruned(self, F: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+        """``inv(F)[..., rows, cols, :]`` from the passes of ``irfftn`` in its
+        order, unscaled: x, then y on ``rows``, then ``irfft`` along z on
+        ``cols``.  Full-shape F is transformed in place.  A kept block is
+        zero-padded into two buffers kept between calls, x running on its ky
+        columns and x and y on kz <= nz//3; each call rewrites the rows it
+        reads, and the y buffer's kz > nz//3 columns are never written.
+        ``irfftn`` applies 1/N once, in its last pass, so one multiply at the
+        end gives its bits (1/n per pass would not)."""
         w = self._workers
-        X[..., xlo, :, :] = B[..., :mx, :, :]
-        X[..., xgap, :, :] = 0.0
-        X[..., xhi, :, :] = B[..., mx:, :, :]
-        X = sfft.ifft(X, axis=-3, norm="forward", workers=w, overwrite_x=True)
-        Yk = Y[..., :nzk]
-        Yk[..., ylo, :] = X[..., :my, :]
-        Yk[..., ygap, :] = 0.0
-        Yk[..., yhi, :] = X[..., my:, :]
-        G = sfft.ifft(Yk, axis=-2, norm="forward", workers=w, overwrite_x=True)
-        if not np.may_share_memory(G, Y):  # the pass ran out of place
-            Yk[...] = G
-        f = sfft.irfft(Y, n=self.grid.nz, axis=-1, norm="forward", workers=w)
+        if self._wavenumbers(F) is self._full:
+            f = sfft.ifft(F, axis=-3, norm="forward", workers=w, overwrite_x=True)
+            f = sfft.ifft(f[..., rows, :, :], axis=-2, norm="forward", workers=w,
+                          overwrite_x=True)
+        else:
+            (xlo, xgap, xhi), (ylo, ygap, yhi) = self._runs
+            mx, my = xlo.stop, ylo.stop
+            nzk = self.band_shape[2]
+            lead = F.shape[:-3]
+            if lead not in self._inv_buffers:
+                nx, ny, nzr = self.k2.shape
+                self._inv_buffers[lead] = (
+                    np.empty(lead + (nx, self.band_shape[1], nzk), dtype=complex),
+                    np.zeros(lead + (nx, ny, nzr), dtype=complex))
+            X, Y = self._inv_buffers[lead]
+            X[..., xlo, :, :] = F[..., :mx, :, :]
+            X[..., xgap, :, :] = 0.0
+            X[..., xhi, :, :] = F[..., mx:, :, :]
+            X = sfft.ifft(X, axis=-3, norm="forward", workers=w, overwrite_x=True)
+            X = X[..., rows, :, :]  # the sampled rows, into the y buffer's first rows
+            f = Y[..., : X.shape[-3], :, :]
+            Yk = f[..., :nzk]
+            Yk[..., ylo, :] = X[..., :my, :]
+            Yk[..., ygap, :] = 0.0
+            Yk[..., yhi, :] = X[..., my:, :]
+            G = sfft.ifft(Yk, axis=-2, norm="forward", workers=w, overwrite_x=True)
+            if not np.may_share_memory(G, Y):  # the pass ran out of place
+                Yk[...] = G
+        f = sfft.irfft(f[..., cols, :], n=self.grid.nz, axis=-1, norm="forward", workers=w)
         f *= 1.0 / self.grid.npoints
         return f
 
@@ -336,18 +328,17 @@ class SpectralOps:
     def gradients(self, U: np.ndarray) -> np.ndarray:
         """Physical grads[i, j] = d_j u_i, one component's three at a time.
 
-        Takes the coefficients U (3, ...) and does 9 inverse transforms: by
-        :meth:`inv` of full-shape U, by :meth:`inv_band` of a kept block B,
-        which gives ``gradients(scatter(B))`` bit for bit.
+        Takes the coefficients U (3, ...), either shape, and does 9 inverse
+        transforms (:meth:`inv`); a kept block B gives
+        ``gradients(scatter(B))`` bit for bit.
         """
         table = self._wavenumbers(U)
-        inv = self.inv if table is self._full else self.inv_band
         grads = np.empty((3, 3) + self.grid.shape)
         mult = np.empty((3,) + U.shape[1:], dtype=complex)
         for i in range(3):
             for j, ik_j in enumerate(table.ik):
                 np.multiply(ik_j, U[i], out=mult[j])
-            grads[i] = inv(mult)
+            grads[i] = self.inv(mult)
         return grads
 
     def disk_gradients(self, U: np.ndarray) -> tuple[float, np.ndarray]:
@@ -357,16 +348,18 @@ class SpectralOps:
         diagonal gradients are inverted on the whole grid; the six others only
         on the block that holds the helical-defect disk (:meth:`inv_disk`).
         The results equal ``max_divergence(gradients(U))`` and
-        ``gradients(U)[:, :, bx, by]`` bit for bit, from 3 full inverse
-        transforms and 6 on the block, all of one multiplier buffer.
+        ``gradients(U)[:, :, bx, by]`` bit for bit, for U of either shape,
+        from 3 whole-grid inverse transforms and 6 on the block, all of one
+        multiplier buffer.
         """
         bx, by = self.disk
         nbx, nby = bx.stop - bx.start, by.stop - by.start
+        table = self._wavenumbers(U)
         grads = np.empty((3, 3, nbx, nby, self.grid.nz))
         mult = np.empty(U.shape[1:], dtype=complex)
         div = None
         for i in range(3):
-            for j, ik in enumerate(self._full.ik):
+            for j, ik in enumerate(table.ik):
                 np.multiply(ik, U[i], out=mult)
                 if i != j:
                     grads[i, j] = self.inv_disk(mult)

@@ -251,7 +251,7 @@ def _chain_factor(rec, grid):
 
 class TestSourceNorm:
     def test_chain_bound_dominates_for_seeded_field(self, grid, ops, pert):
-        rec = _record(RecordBuilder(grid, ops, a=0.0), pert, 0.0)
+        rec = _record(RecordBuilder(ops, a=0.0), pert, 0.0)
         chain_factor = _chain_factor(rec, grid)
         assert rec.l2_Nbar > 0.0
         assert chain_factor > 0.0
@@ -261,7 +261,7 @@ class TestSourceNorm:
 
     def test_zero_field_has_zero_source(self, grid, ops):
         zero = np.zeros((3,) + grid.spectral_shape, complex)
-        rec = _record(RecordBuilder(grid, ops, a=0.0), zero, 0.0)
+        rec = _record(RecordBuilder(ops, a=0.0), zero, 0.0)
         assert rec.l2_Nbar == 0.0
         assert _chain_factor(rec, grid) == 0.0
 
@@ -301,7 +301,7 @@ def _cross_term_2d(v_hat, t, grid, ops):
 
 class TestRecordBuilder:
     def test_stream_accumulates_enstrophy(self, grid, ops, pert):
-        builder = RecordBuilder(grid, ops, a=1.0)
+        builder = RecordBuilder(ops, a=1.0)
         rec0 = _record(builder, pert, 0.0)
         rec1 = _record(builder, pert, 0.5)
         assert rec0.cum_enstrophy == 0.0
@@ -314,7 +314,7 @@ class TestRecordBuilder:
         )
 
     def test_inequality_columns_share_prefactor_ratio(self, grid, ops, pert):
-        rec = _record(RecordBuilder(grid, ops, a=0.5), pert, 0.25)
+        rec = _record(RecordBuilder(ops, a=0.5), pert, 0.25)
         assert rec.Kcal_perp == pytest.approx(4.5 * rec.K_perp, rel=1e-12)
         assert 0.0 <= rec.k_perp <= rec.K_perp
 
@@ -322,7 +322,7 @@ class TestRecordBuilder:
     def test_stage_record_matches_standalone_functions(self, grid, ops, pert, a):
         v_hat = ops.leray(ops.dealias(pert))  # as the engine carries it
         t = 0.3
-        rec = _record(RecordBuilder(grid, ops, a), v_hat, t)
+        rec = _record(RecordBuilder(ops, a), v_hat, t)
         # the kz = 0 plane kernel against Q of the 3D solver tendency of u_perp
         nbar_3d = ops.l2_norm(ops.project_Q(rhs_perturbation(ops.perp(v_hat), 0.0, 0.0, ops)))
         assert rec.l2_Nbar == pytest.approx(nbar_3d, rel=1e-13)

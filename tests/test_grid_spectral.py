@@ -52,6 +52,13 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="square cross-section"):
             GridSpec(nx=16, ny=16, nz=16, Lx=1.0, Ly=2.0, pitch=1.0)
 
+    @pytest.mark.parametrize("Lx,pitch,match", [(np.inf, 1.0, "side lengths"),
+                                                (np.nan, 1.0, "side lengths"),
+                                                (20.0, np.inf, "pitch")])
+    def test_rejects_nonfinite_lengths(self, Lx, pitch, match):
+        with pytest.raises(ValueError, match=match):
+            GridSpec(nx=16, ny=16, nz=16, Lx=Lx, Ly=Lx, pitch=pitch)
+
     def test_rejects_nonpositive_pitch(self):
         with pytest.raises(ValueError, match="pitch"):
             GridSpec.cube(16, 1.0, 0.0)
@@ -351,12 +358,35 @@ class TestBandTransforms:
         ref = g_ops.inv(g_ops.scatter(B))
         # the second call reuses the buffers the first one overwrote
         for _ in range(2):
-            assert g_ops.inv_band(B).tobytes() == ref.tobytes()
+            assert g_ops.inv(B).tobytes() == ref.tobytes()
         assert B.tobytes() == B_in.tobytes()
         assert g_ops.gradients(B).tobytes() == g_ops.gradients(g_ops.scatter(B)).tobytes()
         for ncomp in (3, 6):
             f = rng.standard_normal((ncomp,) + g.shape)
             assert g_ops.fwd_band(f).tobytes() == g_ops.gather(g_ops.fwd(f)).tobytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def test_block_inverses_equal_the_scattered_calls(self, shape, threads, monkeypatch):
+        monkeypatch.setenv("HELNS_THREADS", threads)
+        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g_ops = SpectralOps(g)
+        bx, by = g_ops.disk
+        B = _random_block(g_ops, np.random.default_rng(sum(shape) + 4))
+        B_in = B.copy()
+        for field in (B, B[1]):
+            whole = g_ops.inv(g_ops.scatter(field))
+            disk = g_ops.inv_disk(g_ops.scatter(field)).tobytes()  # overwrites its input
+            assert disk == np.ascontiguousarray(whole[..., bx, by, :]).tobytes()
+            whole = whole.tobytes()
+            # whole, disk, whole: each call rewrites the buffer rows the last one used
+            assert g_ops.inv(field).tobytes() == whole
+            assert g_ops.inv_disk(field).tobytes() == disk
+            assert g_ops.inv(field).tobytes() == whole
+        max_div, grads = g_ops.disk_gradients(B)
+        ref_div, ref_grads = g_ops.disk_gradients(g_ops.scatter(B))
+        assert max_div == ref_div and grads.tobytes() == ref_grads.tobytes()
+        assert B.tobytes() == B_in.tobytes()
 
     @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
     def test_block_is_the_kept_2_3_rule_modes(self, shape):
@@ -384,9 +414,10 @@ class TestBandTransforms:
 
             monkeypatch.setattr(sfft, name, recorded)
         B = np.ones((3,) + g_ops.band_shape, dtype=complex)
-        g_ops.inv_band(B)
+        g_ops.inv(B)
         g_ops.fwd_band(np.ones((6,) + grid.shape))
-        assert len(workers) == 3 + 4 and set(workers) == {2}
+        g_ops.inv_disk(B)
+        assert len(workers) == 3 + 4 + 3 and set(workers) == {2}
 
 
 def _random_block(g_ops, rng, ncomp=3):
@@ -409,7 +440,8 @@ class TestBlockNorms:
 
     @pytest.mark.parametrize("name", ["l2_norm_sq", "l2_norm", "inner", "grad_norm_sq",
                                       "lap_norm_sq", "divergence", "leray", "curl",
-                                      "inverse_curl", "gradients"])
+                                      "inverse_curl", "gradients", "inv", "inv_disk",
+                                      "disk_gradients"])
     def test_a_third_shape_is_rejected(self, ops, name):
         # neither 16^3 coefficient shape: full (16, 16, 9), block (11, 11, 6)
         F = np.ones((3, 16, 16, 1), dtype=complex)

@@ -106,6 +106,11 @@ class TestSnapshotFormat:
         with pytest.raises(ValueError, match="finite"):
             write_snapshot(tmp_path / "x.hlxf", grid, 0.0, bad)
 
+    @pytest.mark.parametrize("time", [np.inf, np.nan])
+    def test_write_rejects_nonfinite_time(self, tmp_path, grid, fields, time):
+        with pytest.raises(ValueError, match="finite"):
+            write_snapshot(tmp_path / "x.hlxf", grid, time, fields)
+
 
 class TestConfig:
     def test_defaults_are_valid(self):
@@ -405,6 +410,22 @@ class TestCli:
         path.write_bytes(b"XXXX" + bytes(60))
         assert cli.main(["decompose", str(path)]) == 2
         assert "cannot read snapshot" in capsys.readouterr().err
+
+    # header offsets of Lx, Ly, pitch and time
+    @pytest.mark.parametrize("offsets,value", [((20, 28), np.inf), ((36,), np.inf),
+                                               ((44,), np.inf), ((44,), np.nan)],
+                             ids=["Lx", "pitch", "time", "time-nan"])
+    def test_decompose_nonfinite_header_exits_2(self, tmp_path, capsys, offsets, value):
+        grid = GridSpec.cube(16, 20.0, 1.0)
+        path = tmp_path / "snap.hlxf"
+        write_snapshot(path, grid, 0.5, oseen_vorticity(grid, 0.5))
+        raw = bytearray(path.read_bytes())
+        for offset in offsets:
+            raw[offset:offset + 8] = np.array([value], "<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        assert cli.main(["decompose", str(path), "--out", str(tmp_path / "dec")]) == 2
+        assert "cannot read snapshot: " in capsys.readouterr().err
+        assert not (tmp_path / "dec").exists()
 
     def test_verify_unknown_preset_exits_2(self, tmp_path, capsys):
         code = cli.main(["verify", "--preset", "bogus", "--out", str(tmp_path)])

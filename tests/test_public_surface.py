@@ -77,6 +77,7 @@ REMOVED_NAMES = (
     (spectral.SpectralOps, "_gradients"),
     (spectral.SpectralOps, "band_tendency"),
     (spectral.SpectralOps, "_norm_weights"),
+    (spectral.SpectralOps, "inv_band"),
     (spectral, "_divergence"),
     (spectral, "_leray"),
     # instance attributes, looked up on an instance
@@ -89,7 +90,7 @@ REMOVED_NAMES = (
 
 REMOVED_PARAMETERS = (
     (experiment.run_experiment, ("check_energy",)),
-    (diagnostics.RecordBuilder, ("c0", "defect_mask_radius")),
+    (diagnostics.RecordBuilder, ("c0", "defect_mask_radius", "grid")),
     (diagnostics.ladyzhenskaya_ratio, ("defect_tol",)),
     (spectral.SpectralOps.helical_defect, ("mask_radius",)),
     (decomposition.decompose,

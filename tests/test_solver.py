@@ -488,15 +488,18 @@ class TestInstabilityGuard:
 @pytest.fixture
 def transforms(monkeypatch):
     """Running count of the scalar 3D FFTs done by SpectralOps.fwd, inv,
-    inv_disk (the inverse on the helical-defect disk block) and the pruned
-    transforms of the kept 2/3-rule block, fwd_band and inv_band, by method.
-    A pruned transform of a field counts as one scalar FFT."""
+    inv_disk (the inverse on the helical-defect disk block) and fwd_band (the
+    forward transform pruned to the kept 2/3-rule block), by method; an
+    inverse of kept-block coefficients counts under the method's name with
+    "_block" appended.  A pruned transform of a field counts as one scalar
+    FFT."""
     count = Counter()
-    for name in ("fwd", "inv", "inv_disk", "fwd_band", "inv_band"):
+    for name in ("fwd", "inv", "inv_disk", "fwd_band"):
         original = getattr(SpectralOps, name)
 
         def counted(ops, F, _original=original, _name=name):
-            count[_name] += int(np.prod(F.shape[:-3]))
+            block = F.shape[-3:] == ops.band_shape
+            count[_name + "_block" if block else _name] += int(np.prod(F.shape[:-3]))
             return _original(ops, F)
 
         monkeypatch.setattr(SpectralOps, name, counted)
@@ -531,13 +534,15 @@ class TestTransformBudget:
         t_end_stage = per_step // 4  # the stage of the record due at t_end
         assert (len(steps), len(result.records), len(result.snapshot_paths)) == (4, 3, 3)
         # only the initial field is transformed at full shape; an a = 0
-        # record inverts its nine gradients and a snapshot its curl on the
-        # kept block
+        # record inverts its three diagonal gradients on the whole grid and
+        # the six others on the disk block, and a snapshot its curl, all from
+        # the kept block
         assert transforms["fwd"] + transforms["inv"] == initial
         assert transforms["inv_disk"] == 0
+        assert transforms["inv_disk_block"] == per_record * 2 // 3 * len(result.records)
         stages = per_step * len(steps) + t_end_stage
-        assert transforms["fwd_band"] + transforms["inv_band"] == (
-            stages + per_record * len(result.records) + 3 * len(result.snapshot_paths)
+        assert transforms["fwd_band"] + transforms["inv_block"] == (
+            stages + per_record // 3 * len(result.records) + 3 * len(result.snapshot_paths)
         )
 
     def test_decompose_costs_12_transforms(self, transforms):
@@ -566,5 +571,5 @@ class TestTransformBudget:
         ladyzhenskaya_ratio(v_hat, ops)
         state = SimulationState(ops, 0.0, ops.gather(v_hat))
         stage = solver._Rhs(ops, 0.0).stage(state.block, 0.0)
-        RecordBuilder(grid, ops, 0.0)(state, stage)
+        RecordBuilder(ops, 0.0)(state, stage)
         assert full_gradients == []
