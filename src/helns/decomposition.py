@@ -275,7 +275,7 @@ def decompose(
         raise ValueError("vorticity samples must be finite")
 
     W = ops.fwd(omega)
-    max_div, grads = ops.disk_gradients(W)
+    max_div, defect = ops.gates(W, omega)
     # max |omega| without an |omega| temporary (the samples are finite)
     scale = float(max(omega.max(), -omega.min()))
     if scale > 0 and max_div > DIV_TOL * scale:
@@ -283,8 +283,6 @@ def decompose(
             f"vorticity is not divergence-free: max |div| = {max_div:.3e} "
             f"exceeds {DIV_TOL:.1e} x max |omega|"
         )
-    defect = ops.helical_defect(W, omega, grads)
-    del grads
     if defect > DEFECT_TOL:
         raise ValueError(
             f"vorticity is not helical: masked defect {defect:.3e} exceeds {DEFECT_TOL:.1e}"

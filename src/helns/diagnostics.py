@@ -46,7 +46,7 @@ from .radial import (
     uniform_radii,
 )
 from .solver import _PAIRS, _ROWS
-from .spectral import SpectralOps, max_divergence
+from .spectral import SpectralOps
 
 logger = logging.getLogger(__name__)
 
@@ -70,8 +70,9 @@ def format_float(x: float) -> str:
 class DiagnosticsRecord:
     """One output-time row of the diagnostics stream, fields in column order.
 
-    All entries are nonnegative except none; the ``sqrt_t_l2_grad_v`` column
-    always equals ``sqrt(t) * l2_grad_v`` to relative 1e-14.
+    All entries are nonnegative except ``circulation_a``, which is negative
+    for a < 0; the ``sqrt_t_l2_grad_v`` column always equals
+    ``sqrt(t) * l2_grad_v`` to relative 1e-14.
     ``l2_Nbar`` is |PQ div(u_perp (x) u_perp)|_L2, the source of the
     vertical-mean equation; the interpolation chain bounds it by
     sqrt(DEFAULT_C0) * l2_uperp^(1/2) * l2_grad_uperp * l2_lap_uperp^(1/2) / L^(1/2).
@@ -133,19 +134,28 @@ def write_records_csv(records, path) -> None:
 
 
 def load_records_csv(path) -> list[DiagnosticsRecord]:
-    """Read a diagnostics CSV back into records (inverse of write)."""
+    """Read a diagnostics CSV back into records (inverse of write).
+
+    Every row is validated as a written record is; a row that is not one
+    raises a ValueError that names its line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != DiagnosticsRecord.csv_header():
             raise ValueError(f"unexpected CSV header {header!r}")
         out = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            vals = [float(tok) for tok in line.strip().split(",")]
-            if len(vals) != len(CSV_COLUMNS):
-                raise ValueError("CSV row width does not match the schema")
-            out.append(DiagnosticsRecord(*vals))
+            try:
+                vals = [float(tok) for tok in line.strip().split(",")]
+                if len(vals) != len(CSV_COLUMNS):
+                    raise ValueError("CSV row width does not match the schema")
+                rec = DiagnosticsRecord(*vals)
+                rec.validate()
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            out.append(rec)
     return out
 
 
@@ -158,9 +168,8 @@ def ladyzhenskaya_ratio(v_hat: np.ndarray, ops: SpectralOps) -> float:
     The ratio is 0-homogeneous; the fitted constant of the seeded sweep is
     ``C0 = L * max(ratio)^4``.  The L2 norms are spectral-exact (Parseval);
     the L4 norm uses the pointwise Euclidean magnitude of the physical samples.
-    The helicity gate takes the gradients on the defect's disk block
-    (:meth:`SpectralOps.disk_gradients`: 3 full inverse transforms and 6 on
-    the block) besides the 3 inverse transforms of v.
+    The helicity gate (:meth:`SpectralOps.gates`: 3 whole-grid and 6
+    disk-block inverse transforms) comes besides the 3 inverse transforms of v.
     """
     l2 = ops.l2_norm(v_hat)
     if l2 == 0.0:
@@ -169,7 +178,7 @@ def ladyzhenskaya_ratio(v_hat: np.ndarray, ops: SpectralOps) -> float:
     v = ops.inv(v_hat)
     mag_sq = np.sum(v * v, axis=0)
     l4 = float(np.sum(mag_sq**2) * ops.grid.cell_volume) ** 0.25
-    defect = ops.helical_defect(v_hat, v, ops.disk_gradients(v_hat)[1])
+    defect = ops.gates(v_hat, v)[1]
     if defect > HELICAL_DEFECT_TOL:
         raise ValueError(
             f"Ladyzhenskaya ratio requires a helical field: defect {defect:.3e}"
@@ -285,11 +294,11 @@ class RecordBuilder:
 
         Every norm, the helical defect's H1 normalizer included, is read from
         the state's kept block.  ``stage`` (a :class:`~helns.solver.Stage` of
-        ``state``) supplies the physical v and, at a != 0, the nine gradients
-        from which the source norm, the helical defect, the divergence and
-        the background cross term are taken, so such a record does no 3D
-        transform.  At a = 0 the gates take the block's gradients on the
-        defect's disk block (:meth:`SpectralOps.disk_gradients`: 3 whole-grid
+        ``state``) supplies the physical v, from which the source norm is
+        taken, and at a != 0 the nine gradients, from which the gates and the
+        background cross term are taken, so such a record does no 3D
+        transform.  At a = 0 the stage has no gradients and
+        :meth:`SpectralOps.gates` inverts them from the block (3 whole-grid
         and 6 disk-block pruned inverse transforms).  No record scatters.
         """
         ops = self.ops
@@ -308,12 +317,7 @@ class RecordBuilder:
         l2_lap_uperp = float(np.sqrt(ops.lap_norm_sq(up_hat)))
         l2_nbar = _mean_source_norm(stage.v, ops)
 
-        bx, by = ops.disk
-        if stage.grads is None:
-            max_div, disk_grads = ops.disk_gradients(block)
-        else:
-            max_div, disk_grads = max_divergence(stage.grads), stage.grads[:, :, bx, by]
-        defect = ops.helical_defect(block, stage.v, disk_grads)
+        max_div, defect = ops.gates(block, stage.v, stage.grads)
 
         if self._prev_t is not None:
             self._cum += 0.5 * (t - self._prev_t) * (grad_sq + self._prev_grad_sq)
@@ -503,19 +507,12 @@ def log_energy_check(records) -> LogEnergyReport:
     )
 
 
-def perp_decay_fit(records) -> DecayFit | None:
-    """Exponential fit of the perp-energy decay; None for Q-only data."""
+def decay_fit(records, column: str) -> DecayFit | None:
+    """Exponential fit of the decay of one record column (``l2_uperp`` for
+    the perp energy, ``l2_Nbar`` for the mean source); None when the column
+    is identically zero."""
     t = np.array([r.t for r in records])
-    y = np.array([r.l2_uperp for r in records])
-    if np.all(y == 0.0):
-        return None
-    return fit_exponential(t, y)
-
-
-def nbar_decay_fit(records) -> DecayFit | None:
-    """Exponential fit of the source-norm decay (residual reported)."""
-    t = np.array([r.t for r in records])
-    y = np.array([r.l2_Nbar for r in records])
+    y = np.array([getattr(r, column) for r in records])
     if np.all(y == 0.0):
         return None
     return fit_exponential(t, y)

@@ -303,7 +303,7 @@ def _preset_theorem_trend(report: PresetReport, out_dir: Path) -> None:
 def _preset_perp_decay(report: PresetReport, out_dir: Path) -> None:
     records = _trend_records(out_dir)
     pitch = TREND_CONFIG.pitch
-    fit = diag.perp_decay_fit(records)
+    fit = diag.decay_fit(records, "l2_uperp")
     threshold = -1.0 / pitch**2 + 0.2 / pitch**2
     report.check(
         "fitted perp-energy decay rate",
@@ -312,7 +312,7 @@ def _preset_perp_decay(report: PresetReport, out_dir: Path) -> None:
         detail="" if fit is None else
         f"window {fit.window[0]:.2f}..{fit.window[1]:.2f}, residual {fit.residual:.3e}",
     )
-    nfit = diag.nbar_decay_fit(records)
+    nfit = diag.decay_fit(records, "l2_Nbar")
     report.check(
         "mean-source fit residual finite (reported)",
         float(np.isfinite(nfit.residual)) if nfit is not None else 0.0,

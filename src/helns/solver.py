@@ -123,8 +123,8 @@ class SolverConfig:
             raise ValueError("t_end must be nonnegative")
         if not (0.0 < self.cfl < 1.0):
             raise ValueError("CFL number must lie in (0, 1)")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("fixed dt must be positive")
+        if self.dt is not None and not 0.0 < self.dt < np.inf:
+            raise ValueError("fixed dt must be finite and positive")
         if not self.output_dt > 0:
             raise ValueError("output_dt must be positive")
         _output_count(self.t_end, self.output_dt, "t_end")

@@ -27,14 +27,14 @@ same 1D transform, and the lines they skip are zero or are cut away, so both
 give the full transforms' bits on the block; the inverse applies its 1/N
 once at the end, as ``irfftn`` does in its last pass.
 It also inverts the nine physical gradients d_j u_i of a field, which the
-solver's convective loop reads.  The gates of a record, a decomposition or
-the Ladyzhenskaya sweep read less: :func:`max_divergence` only the trace
-d_i u_i, and the helical-defect functional only the central block of rows
-and columns that holds its r <= Lx/4 disk.
-:meth:`SpectralOps.disk_gradients` therefore inverts the three diagonal
-gradients on the whole grid and the six others on that block only
-(:meth:`SpectralOps.inv_disk`, the same pruned passes, with y and z cut to
-the block), and gives the same bits as the nine whole-grid inverses.  All
+solver's convective loop reads.  The gates of a record, a decomposition and
+the Ladyzhenskaya sweep, max |div u| and the helical defect, read less: the
+divergence only the trace d_i u_i, and the defect only the central block of
+rows and columns that holds its r <= Lx/4 disk.  :meth:`SpectralOps.gates`
+takes both in one call, from the nine gradients when the caller has them and
+otherwise from the three diagonal ones inverted on the whole grid and the six
+others on that block only (:meth:`SpectralOps.inv_disk`, the same pruned
+passes, with y and z cut to the block), with the same bits either way.  All
 methods but :meth:`SpectralOps.inv_disk` of full-shape coefficients, which
 overwrites them, are pure functions of their inputs; the class caches
 wavenumber tables, index blocks and the work buffers of the pruned inverse,
@@ -51,7 +51,7 @@ import scipy.fft as sfft
 
 from .grid import GridSpec
 
-__all__ = ["SpectralOps", "max_divergence"]
+__all__ = ["SpectralOps"]
 
 logger = logging.getLogger(__name__)
 
@@ -323,7 +323,7 @@ class SpectralOps:
         table = self._wavenumbers(F)
         return float(np.sum(table.k2**2 * np.abs(F) ** 2 * table.weight))
 
-    # --- physical gradients and the helical defect ----------------------------
+    # --- physical gradients and the gates ------------------------------------
 
     def gradients(self, U: np.ndarray) -> np.ndarray:
         """Physical grads[i, j] = d_j u_i, one component's three at a time.
@@ -341,61 +341,58 @@ class SpectralOps:
             grads[i] = self.inv(mult)
         return grads
 
-    def disk_gradients(self, U: np.ndarray) -> tuple[float, np.ndarray]:
-        """max |div u| on the grid and grads[i, j] = d_j u_i on the disk block.
+    def gates(self, U: np.ndarray, u: np.ndarray, grads: np.ndarray | None = None
+              ) -> tuple[float, float]:
+        """max |div u| on the grid and the masked, H1-normalized helical defect.
 
-        The divergence is the trace d_0 u_0 + d_1 u_1 + d_2 u_2, so the three
-        diagonal gradients are inverted on the whole grid; the six others only
-        on the block that holds the helical-defect disk (:meth:`inv_disk`).
-        The results equal ``max_divergence(gradients(U))`` and
-        ``gradients(U)[:, :, bx, by]`` bit for bit, for U of either shape,
-        from 3 whole-grid inverse transforms and 6 on the block, all of one
-        multiplier buffer.
-        """
-        bx, by = self.disk
-        nbx, nby = bx.stop - bx.start, by.stop - by.start
-        table = self._wavenumbers(U)
-        grads = np.empty((3, 3, nbx, nby, self.grid.nz))
-        mult = np.empty(U.shape[1:], dtype=complex)
-        div = None
-        for i in range(3):
-            for j, ik in enumerate(table.ik):
-                np.multiply(ik, U[i], out=mult)
-                if i != j:
-                    grads[i, j] = self.inv_disk(mult)
-                    continue
-                d_ii = self.inv(mult)
-                grads[i, i] = d_ii[bx, by]
-                if div is None:
-                    div = d_ii
-                else:
-                    div += d_ii  # (d_00 + d_11) + d_22, as max_divergence sums
-        return float(np.max(np.abs(div))), grads
-
-    def helical_defect(self, U: np.ndarray, u: np.ndarray, grads: np.ndarray) -> float:
-        """Masked, H1-normalized helical-symmetry defect of a velocity field.
+        ``U`` holds the coefficients of the field, full-shape or its kept
+        block, and ``u`` its physical samples on the whole grid.  ``grads``
+        holds its physical gradients grads[i, j] = d_j u_i on the whole grid
+        (:meth:`gradients`) when the caller has them; no transform is then
+        done.  Without them the three diagonal gradients, whose trace is the
+        divergence, are inverted on the whole grid and the six others only on
+        the disk block (:meth:`inv_disk`): 3 whole-grid and 6 disk-block
+        inverse transforms of one multiplier buffer, with the bits of the
+        nine whole-grid inverses.  Either way the gates are the same bits.
 
         Helical symmetry means the three cylindrical components about the
         grid center are annihilated by D = d/dtheta + L d/dz.  Written in
         Cartesian components this is equivalent, pointwise, to the vanishing
         of (D u_x + u_y, D u_y - u_x, D u_z), which avoids forming the
-        axis-singular cylindrical components.  The root-sum-square of the
-        three masked L2 norms is returned, normalized by the H1 norm of u.
-        The mask keeps r <= Lx/4 to exclude wrap-around artifacts of the
-        physical-space angular derivative; only the central block of rows and
-        columns that holds it is evaluated.
-
-        ``U`` holds the coefficients of the field, full-shape or its kept
-        block (for the H1 norm), ``u`` its physical samples on the whole grid
-        and ``grads`` its gradients on the disk block, as
-        :meth:`disk_gradients` returns them; no transform
-        is done.  Returns 0 for a zero field.
+        axis-singular cylindrical components.  The defect is the
+        root-sum-square of the three masked L2 norms, normalized by the H1
+        norm of u, and 0 for a zero field.  The mask keeps r <= Lx/4 to
+        exclude wrap-around artifacts of the physical-space angular
+        derivative; only the disk block is evaluated.
         """
+        bx, by = self.disk
+        if grads is None:
+            table = self._wavenumbers(U)
+            mult = np.empty(U.shape[1:], dtype=complex)
+            grads = np.empty((3, 3, bx.stop - bx.start, by.stop - by.start, self.grid.nz))
+            div = None
+            for i in range(3):
+                for j, ik in enumerate(table.ik):
+                    np.multiply(ik, U[i], out=mult)
+                    if i != j:
+                        grads[i, j] = self.inv_disk(mult)
+                        continue
+                    d_ii = self.inv(mult)
+                    grads[i, i] = d_ii[bx, by]
+                    if div is None:
+                        div = d_ii
+                    else:
+                        div += d_ii  # (d_00 + d_11) + d_22, as the trace sums
+            del mult, d_ii  # the defect reads the disk block only: free the whole grid
+        else:
+            div = grads[0, 0] + grads[1, 1] + grads[2, 2]
+            grads = grads[:, :, bx, by]
+        max_div = float(np.max(np.abs(div)))
+        del div
         h1_sq = self.l2_norm_sq(U) + self.grad_norm_sq(U)
         if h1_sq == 0.0:
-            return 0.0
+            return max_div, 0.0
         L = self.grid.pitch
-        bx, by = self.disk
         shift = (u[1, bx, by], -u[0, bx, by], 0.0)
         xc = self.grid.xc[bx, :, None]
         yc = self.grid.yc[:, by, None]
@@ -406,7 +403,7 @@ class SpectralOps:
             axial_c = L * grads[comp, 2] + shift[comp]
             defect = xc * grads[comp, 1] - yc * grads[comp, 0] + axial_c
             total += float(np.sum((defect * mask) ** 2) * dV)
-        return float(np.sqrt(total / h1_sq))
+        return max_div, float(np.sqrt(total / h1_sq))
 
 
 def _runs(n: int) -> tuple[slice, slice, slice]:
@@ -429,8 +426,3 @@ class _Wavenumbers:
         self.inv_k2 = inv_k2
         self.weight = weight
 
-
-def max_divergence(grads: np.ndarray) -> float:
-    """max |div u| on the grid, the trace of the physical gradients
-    grads[i, j] = d_j u_i (as :meth:`SpectralOps.gradients` returns them)."""
-    return float(np.max(np.abs(grads[0, 0] + grads[1, 1] + grads[2, 2])))

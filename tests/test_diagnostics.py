@@ -116,6 +116,27 @@ class TestCsvContract:
         with pytest.raises(ValueError, match="width|schema"):
             load_records_csv(path)
 
+    def test_written_stream_loads_back(self, tmp_path, ops, pert):
+        builder = RecordBuilder(ops, a=-1.5)
+        records = [_record(builder, pert, t) for t in (0.0, 0.1, 0.2)]
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        assert load_records_csv(path) == records
+
+    @pytest.mark.parametrize("row, message", [
+        ("nan," + ",".join(["-1"] * (len(CSV_COLUMNS) - 1)), "not finite"),
+        (",".join(["1"] * 3 + ["-1"] + ["1"] * (len(CSV_COLUMNS) - 4)), "nonnegative"),
+        (",".join(["1"] * 3 + ["2"] + ["1"] * (len(CSV_COLUMNS) - 4)), "sqrt_t"),
+        (",".join(["0"] * (len(CSV_COLUMNS) - 1) + ["zero"]), "could not convert"),
+    ], ids=["nan", "negative", "sqrt_t", "token"])
+    def test_invalid_row_rejected_with_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        write_records_csv([_mk_record(t=1.0, l2_v=0.5)], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(ValueError, match=f"line 3: .*{message}"):
+            load_records_csv(path)
+
     @pytest.mark.parametrize("x", [np.pi, 1.0 / 3.0, 1e-300, 1e300, 0.1, 0.0])
     def test_format_float_round_trips(self, x):
         assert float(format_float(x)) == x
@@ -326,9 +347,8 @@ class TestRecordBuilder:
         # the kz = 0 plane kernel against Q of the 3D solver tendency of u_perp
         nbar_3d = ops.l2_norm(ops.project_Q(rhs_perturbation(ops.perp(v_hat), 0.0, 0.0, ops)))
         assert rec.l2_Nbar == pytest.approx(nbar_3d, rel=1e-13)
-        bx, by = ops.disk
-        grads = ops.gradients(v_hat)[:, :, bx, by]
-        assert rec.helical_defect == ops.helical_defect(ops.gather(v_hat), ops.inv(v_hat), grads)
+        gates = ops.gates(ops.gather(v_hat), ops.inv(v_hat), ops.gradients(v_hat))
+        assert (rec.max_div, rec.helical_defect) == gates
         spectral_div = float(np.max(np.abs(ops.inv(ops.divergence(v_hat)))))
         assert abs(rec.max_div - spectral_div) <= 1e-15
         cross = _cross_term_2d(v_hat, t, grid, ops)

@@ -6,7 +6,7 @@ import pytest
 from helns.fields import PerturbationSpec, random_helical_perturbation
 from helns.grid import GridSpec
 from helns.solver import _ROWS, rhs_perturbation
-from helns.spectral import SpectralOps, max_divergence
+from helns.spectral import SpectralOps
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,8 @@ class TestProjections:
     def test_leray_removes_divergence(self, grid, ops):
         rng = np.random.default_rng(3)
         F = ops.fwd(_smooth_field(grid, rng))
-        assert max_divergence(ops.gradients(ops.leray(F))) < 1e-12
+        P = ops.leray(F)
+        assert ops.gates(P, ops.inv(P))[0] < 1e-12
 
     def test_leray_idempotent(self, grid, ops):
         rng = np.random.default_rng(4)
@@ -231,7 +232,7 @@ class TestBandTendency:
 
 
 def _defect(ops, U):
-    return ops.helical_defect(U, ops.inv(U), ops.disk_gradients(U)[1])
+    return ops.gates(U, ops.inv(U))[1]
 
 
 def _coefficient_defect(ops, U):
@@ -253,7 +254,7 @@ def _coefficient_defect(ops, U):
 
 
 def _full_grid_defect(ops, U, u, grads):
-    """The defect of :meth:`SpectralOps.helical_defect` summed over the whole grid."""
+    """The defect of :meth:`SpectralOps.gates` summed over the whole grid."""
     L = ops.grid.pitch
     shift = (u[1], -u[0], 0.0)
     xc = ops.grid.xc[..., None]
@@ -291,8 +292,7 @@ class TestHelicalDefect:
     def test_gradient_forms_match_coefficient_references(self, grid, ops, seed):
         # neither field is solenoidal nor helical, so both quantities are O(1)
         U = ops.fwd(_smooth_field(grid, np.random.default_rng(seed)))
-        max_div, grads = ops.disk_gradients(U)
-        defect = ops.helical_defect(U, ops.inv(U), grads)
+        max_div, defect = ops.gates(U, ops.inv(U))
         assert defect == pytest.approx(_coefficient_defect(ops, U), rel=1e-12)
         spectral_div = float(np.max(np.abs(ops.inv(ops.divergence(U)))))
         assert max_div == pytest.approx(spectral_div, rel=1e-12)
@@ -309,7 +309,7 @@ class TestHelicalDefect:
             u = g_ops.inv(U)
             ref = _full_grid_defect(g_ops, U, u, g_ops.gradients(U))
             assert ref > 0.0
-            defect = g_ops.helical_defect(U, u, g_ops.disk_gradients(U)[1])
+            defect = g_ops.gates(U, u)[1]
             assert defect == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
@@ -327,9 +327,11 @@ class TestDiskGradients:
             random_helical_perturbation(PerturbationSpec(seed=shape[1], sigma=1.2), g, g_ops),
         ):
             full = g_ops.gradients(U)
-            max_div, grads = g_ops.disk_gradients(U)
-            assert max_div == max_divergence(full)
-            assert grads.tobytes() == np.ascontiguousarray(full[:, :, bx, by]).tobytes()
+            u = g_ops.inv(U)
+            max_div, defect = g_ops.gates(U, u)
+            assert max_div == float(np.max(np.abs(full[0, 0] + full[1, 1] + full[2, 2])))
+            assert defect > 0.0
+            assert (max_div, defect) == g_ops.gates(U, u, full)
             assert g_ops.inv_disk(U[0].copy()).tobytes() == np.ascontiguousarray(
                 g_ops.inv(U[0])[bx, by]).tobytes()
 
@@ -383,9 +385,12 @@ class TestBandTransforms:
             assert g_ops.inv(field).tobytes() == whole
             assert g_ops.inv_disk(field).tobytes() == disk
             assert g_ops.inv(field).tobytes() == whole
-        max_div, grads = g_ops.disk_gradients(B)
-        ref_div, ref_grads = g_ops.disk_gradients(g_ops.scatter(B))
-        assert max_div == ref_div and grads.tobytes() == ref_grads.tobytes()
+        u = g_ops.inv(B)
+        max_div, defect = g_ops.gates(B, u)
+        assert (max_div, defect) == g_ops.gates(B, u, g_ops.gradients(B))
+        # the H1 normalizer is the block's norm, the full one's to round-off
+        ref_div, ref_defect = g_ops.gates(g_ops.scatter(B), u)
+        assert max_div == ref_div and defect == pytest.approx(ref_defect, rel=1e-14, abs=0.0)
         assert B.tobytes() == B_in.tobytes()
 
     @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
@@ -441,11 +446,11 @@ class TestBlockNorms:
     @pytest.mark.parametrize("name", ["l2_norm_sq", "l2_norm", "inner", "grad_norm_sq",
                                       "lap_norm_sq", "divergence", "leray", "curl",
                                       "inverse_curl", "gradients", "inv", "inv_disk",
-                                      "disk_gradients"])
+                                      "gates"])
     def test_a_third_shape_is_rejected(self, ops, name):
         # neither 16^3 coefficient shape: full (16, 16, 9), block (11, 11, 6)
         F = np.ones((3, 16, 16, 1), dtype=complex)
-        args = (F, F) if name == "inner" else (F,)
+        args = (F, F) if name in ("inner", "gates") else (F,)
         with pytest.raises(ValueError, match=r"\(16, 16, 9\).*\(11, 11, 6\)"):
             getattr(ops, name)(*args)
 

@@ -78,6 +78,11 @@ REMOVED_NAMES = (
     (spectral.SpectralOps, "band_tendency"),
     (spectral.SpectralOps, "_norm_weights"),
     (spectral.SpectralOps, "inv_band"),
+    (spectral.SpectralOps, "disk_gradients"),
+    (spectral.SpectralOps, "helical_defect"),
+    (spectral, "max_divergence"),
+    (diagnostics, "perp_decay_fit"),
+    (diagnostics, "nbar_decay_fit"),
     (spectral, "_divergence"),
     (spectral, "_leray"),
     # instance attributes, looked up on an instance
@@ -92,7 +97,7 @@ REMOVED_PARAMETERS = (
     (experiment.run_experiment, ("check_energy",)),
     (diagnostics.RecordBuilder, ("c0", "defect_mask_radius", "grid")),
     (diagnostics.ladyzhenskaya_ratio, ("defect_tol",)),
-    (spectral.SpectralOps.helical_defect, ("mask_radius",)),
+    (spectral.SpectralOps.gates, ("mask_radius",)),
     (decomposition.decompose,
      ("mean_route", "ring_method", "n_theta", "defect_tol", "div_tol")),
     (decomposition.ring_average, ("method", "n_theta")),

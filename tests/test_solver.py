@@ -451,6 +451,11 @@ class TestRunControl:
         with pytest.raises(ValueError, match="output_dt"):
             SolverConfig(t_end=0.2, output_dt=output_dt, a=0.0)
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_fixed_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="fixed dt must be finite and positive"):
+            SolverConfig(t_end=0.2, dt=dt, output_dt=0.1, a=0.0)
+
     def test_cfl_violation_warns_and_reduces(self, grid, ops, caplog):
         # with v = 0 and a strong background, max |a u_LO| alone breaks the
         # advective bound while the perturbation dynamics stay identically 0
