@@ -98,28 +98,27 @@ def weighted_l2m_norm(omega, m: float, *, grid: GridSpec) -> float:
 # --- angular ring averaging ----------------------------------------------------
 
 
-def _default_radii(grid: GridSpec) -> np.ndarray:
-    """nx/2 uniform rings from the axis, spaced by one cell width."""
-    return np.arange(grid.nx // 2) * grid.dx
+def _shell_spectra(fields, ops: SpectralOps, radii):
+    """The rings, the centred 2D spectra of ``fields`` and the |k| shell of
+    every mode.
 
-
-def _shell_spectra(fields, grid: GridSpec):
-    """Centred 2D spectra of ``fields`` and the |k| shell of every mode.
-
-    Returns ``(F, shells, inverse, cos_phi, sin_phi)``: ``F`` is the stack
-    ``fft2(f) / (nx ny) * exp(i k.c)``, the coefficients of the trigonometric
-    interpolant about the axis ``c``; ``shells`` holds the distinct |k| and
-    ``inverse`` maps each mode to its shell; ``(cos_phi, sin_phi) = k/|k|``
-    (both 0 at k = 0).
+    Returns ``(radii, F, shells, inverse, cos_phi, sin_phi)``: ``radii`` are
+    the given ones or else nx/2 uniform rings from the axis, spaced by one
+    cell width; ``F`` is the stack ``ops.fwd_plane(f) / (nx ny) * exp(i k.c)``,
+    the coefficients of the trigonometric interpolant about the axis ``c``;
+    ``shells`` holds the distinct |k| and ``inverse`` maps each mode to its
+    shell; ``(cos_phi, sin_phi) = k/|k|`` (both 0 at k = 0).
     """
+    grid = ops.grid
+    radii = np.arange(grid.nx // 2) * grid.dx if radii is None else np.asarray(radii, float)
     kx, ky = grid.kx[:, None], grid.ky[None, :]
     kmag = np.hypot(kx, ky)
     shells, inverse = np.unique(kmag, return_inverse=True)
     kinv = 1.0 / np.where(kmag > 0.0, kmag, 1.0)
     cx, cy = grid.center
     phase = np.exp(1j * (kx * cx + ky * cy)) / (grid.nx * grid.ny)
-    F = np.fft.fft2(fields) * phase
-    return F, shells, inverse.ravel(), kx * kinv, ky * kinv
+    F = ops.fwd_plane(fields) * phase
+    return radii, F, shells, inverse.ravel(), kx * kinv, ky * kinv
 
 
 def _shell_sum(weights: np.ndarray, inverse: np.ndarray, n_shells: int) -> np.ndarray:
@@ -129,7 +128,7 @@ def _shell_sum(weights: np.ndarray, inverse: np.ndarray, n_shells: int) -> np.nd
 
 def ring_average(
     field: np.ndarray,
-    grid: GridSpec,
+    ops: SpectralOps,
     *,
     radii: np.ndarray | None = None,
 ) -> RadialProfile:
@@ -142,17 +141,16 @@ def ring_average(
     width; at r = 0 the mean is the value at the axis.
     """
     field = np.asarray(field, dtype=float)
-    if field.shape != (grid.nx, grid.ny):
+    if field.shape != ops.grid.shape[:2]:
         raise ValueError("ring averaging expects a 2D (nx, ny) field")
-    radii = _default_radii(grid) if radii is None else np.asarray(radii, float)
-    F, shells, inverse, _, _ = _shell_spectra(field, grid)
+    radii, F, shells, inverse, _, _ = _shell_spectra(field, ops, radii)
     means = j0(np.outer(radii, shells)) @ _shell_sum(F.real, inverse, shells.size)
     return RadialProfile(radii, means)
 
 
 def ring_average_cylindrical(
     u: np.ndarray,
-    grid: GridSpec,
+    ops: SpectralOps,
     *,
     radii: np.ndarray | None = None,
 ) -> tuple[RadialProfile, RadialProfile, RadialProfile]:
@@ -167,10 +165,9 @@ def ring_average_cylindrical(
     mean of a divergence-free field vanishes to rounding.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (3, grid.nx, grid.ny):
+    if u.shape != (3,) + ops.grid.shape[:2]:
         raise ValueError("expected a z-averaged vector field of shape (3, nx, ny)")
-    radii = _default_radii(grid) if radii is None else np.asarray(radii, float)
-    (Fx, Fy, Fz), shells, inverse, cos_phi, sin_phi = _shell_spectra(u, grid)
+    radii, (Fx, Fy, Fz), shells, inverse, cos_phi, sin_phi = _shell_spectra(u, ops, radii)
     n = shells.size
     rho = np.outer(radii, shells)
     J1 = j1(rho)
@@ -295,7 +292,7 @@ def decompose(
 
     # Radial mean-part pipeline (always computed, for the report).
     wbar = omega.mean(axis=-1)
-    _, w_theta_bar, w_z_bar = ring_average_cylindrical(wbar, grid)
+    _, w_theta_bar, w_z_bar = ring_average_cylindrical(wbar, ops)
     u_theta_bar, u_z_bar = radial_biot_savart(w_theta_bar, w_z_bar)
     v_theta_bar = oseen_extraction(u_theta_bar, a, spread=background_spread)
     w_z_resid = mean_vorticity_from_utheta(w_z_bar, a, spread=background_spread)
@@ -322,8 +319,8 @@ def decompose(
     # Mean-part structure: after angular averaging the radial component of
     # the z-averaged velocity must vanish (divergence-free + helical).
     # The z-mean is the kz = 0 plane: a 2D inverse FFT of it, divided by nz.
-    vbar = np.fft.ifft2(v_hat[..., 0]).real / grid.nz
-    u_r_bar, _, _ = ring_average_cylindrical(vbar, grid)
+    vbar = ops.inv_plane(v_hat[..., 0]).real / grid.nz
+    u_r_bar, _, _ = ring_average_cylindrical(vbar, ops)
     vscale = float(np.max(np.abs(vbar)))
     mean_radial_max = float(np.max(np.abs(u_r_bar.values)))
     if vscale > 0:

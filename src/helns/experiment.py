@@ -106,7 +106,7 @@ class RunResult:
 
 
 def build_grid(cfg: ExperimentConfig) -> GridSpec:
-    return GridSpec(nx=cfg.nx, ny=cfg.ny, nz=cfg.nz, Lx=cfg.Lx, Ly=cfg.Lx, pitch=cfg.pitch)
+    return GridSpec(nx=cfg.nx, ny=cfg.ny, nz=cfg.nz, Lx=cfg.Lx, pitch=cfg.pitch)
 
 
 def _lamb2d_initial(cfg: ExperimentConfig, grid: GridSpec, ops: SpectralOps) -> np.ndarray:
@@ -141,13 +141,13 @@ def build_initial(cfg: ExperimentConfig, grid: GridSpec, ops: SpectralOps) -> np
     raise ValueError(f"unknown initial kind {cfg.kind!r}")
 
 
-def total_vorticity(state: SimulationState, a: float, ops: SpectralOps) -> np.ndarray:
+def total_vorticity(state: SimulationState, a: float) -> np.ndarray:
     """Physical total vorticity a w_LO(t) + curl v on the grid.
 
     The background curl is analytic (no discretized seam at the periodic
     wrap); only the localized perturbation goes through the spectral curl.
     """
-    w = ops.inv(ops.curl(state.block))
+    w = state.ops.inv(state.ops.curl(state.block))
     if a != 0.0:
         w += a * oseen_vorticity(state.grid, state.t)
     return w
@@ -218,7 +218,7 @@ def run_experiment(
         if snap_every and (len(records) - 1) % snap_every == 0:
             snap_dir.mkdir(parents=True, exist_ok=True)
             path = snap_dir / f"snapshot_{len(snapshot_paths):04d}.hlxf"
-            write_snapshot(path, grid, state.t, total_vorticity(state, cfg.a, ops))
+            write_snapshot(path, grid, state.t, total_vorticity(state, cfg.a))
             snapshot_paths.append(path)
 
     solver_cfg = SolverConfig(
@@ -229,7 +229,7 @@ def run_experiment(
         a=cfg.a,
     )
     try:
-        final_state = run_spectral3d(v0_hat, grid, solver_cfg, observer=observer, ops=ops)
+        final_state = run_spectral3d(v0_hat, ops, solver_cfg, observer=observer)
     except FloatingPointError as exc:
         flush()
         raise InstabilityError(

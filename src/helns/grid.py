@@ -30,8 +30,8 @@ class GridSpec:
     ----------
     nx, ny, nz : int
         Sample counts along x, y, z.  Even and at least 8.
-    Lx, Ly : float
-        Horizontal box side lengths; positive, finite and equal.
+    Lx : float
+        Horizontal side length, positive and finite; :attr:`Ly` is ``Lx``.
     pitch : float
         Helical pitch parameter L, positive and finite.  The vertical box
         length is ``2*pi*pitch`` exactly.
@@ -43,28 +43,28 @@ class GridSpec:
     ny: int
     nz: int
     Lx: float
-    Ly: float
     pitch: float
 
     def __post_init__(self) -> None:
         _validate_samples("nx", self.nx)
         _validate_samples("ny", self.ny)
         _validate_samples("nz", self.nz)
-        if not (0 < self.Lx < np.inf and 0 < self.Ly < np.inf):
+        if not 0 < self.Lx < np.inf:
             raise ValueError("box side lengths must be positive and finite")
-        if self.Lx != self.Ly:
-            raise ValueError(
-                f"square cross-section required (Lx = Ly), got Lx={self.Lx}, Ly={self.Ly}"
-            )
         if not 0 < self.pitch < np.inf:
             raise ValueError(f"pitch must be positive and finite, got {self.pitch}")
 
     @classmethod
     def cube(cls, n: int, Lx: float, pitch: float) -> "GridSpec":
         """Convenience constructor for an n^3 grid with square cross-section."""
-        return cls(nx=n, ny=n, nz=n, Lx=Lx, Ly=Lx, pitch=pitch)
+        return cls(nx=n, ny=n, nz=n, Lx=Lx, pitch=pitch)
 
     # --- derived geometry -------------------------------------------------
+
+    @property
+    def Ly(self) -> float:
+        """y box side length, ``Lx`` (the cross-section is square)."""
+        return self.Lx
 
     @property
     def Lz(self) -> float:

@@ -84,7 +84,9 @@ def read_snapshot(path) -> SnapshotData:
     if not np.isfinite(time):
         raise ValueError(f"snapshot time must be finite, got {time}")
     ncomp = int(np.frombuffer(raw, dtype="<u1", count=1, offset=52)[0])
-    grid = GridSpec(nx=int(nx), ny=int(ny), nz=int(nz), Lx=float(Lx), Ly=float(Ly), pitch=float(pitch))
+    grid = GridSpec(nx=int(nx), ny=int(ny), nz=int(nz), Lx=float(Lx), pitch=float(pitch))
+    if Ly != Lx:
+        raise ValueError(f"square cross-section required (Lx = Ly), got Lx={Lx}, Ly={Ly}")
     expected = ncomp * grid.npoints
     body = np.frombuffer(raw, dtype="<f8", offset=header)
     if body.size != expected:

@@ -303,12 +303,12 @@ def step_spectral3d(
 
 def run_spectral3d(
     v0_hat: np.ndarray,
-    grid: GridSpec,
+    ops: SpectralOps,
     config: SolverConfig,
     observer=None,
-    ops: SpectralOps | None = None,
 ) -> SimulationState:
-    """Advance the perturbation to t_end, calling ``observer`` at output times.
+    """Advance the perturbation on ``ops.grid`` to t_end, calling ``observer``
+    at output times.
 
     ``observer(state, stage)`` is invoked at t = 0 and then whenever the
     simulation reaches the next output time k * ``config.output_dt``, which
@@ -321,14 +321,12 @@ def run_spectral3d(
     bound uses the stage's max |v + a u_LO|, and its tendency is handed on to
     :func:`step_spectral3d`.
     """
-    if ops is None:
-        ops = SpectralOps(grid)
     rhs = _Rhs(ops, config.a)
     state = SimulationState(ops, 0.0, ops.leray(ops.gather(v0_hat)))
     stage = rhs.stage(state.block, state.t)
     if observer is not None:
         observer(state, stage)
-    h = min(grid.dx, grid.dy, grid.dz)
+    h = min(ops.grid.dx, ops.grid.dy, ops.grid.dz)
     n_out = _output_count(config.t_end, config.output_dt, "t_end")
     k = 1
     while k <= n_out:

@@ -24,21 +24,24 @@ then y, then ``irfft`` along z) and :meth:`SpectralOps.fwd_band` those of
 ``rfftn`` (``rfft`` along z, then x, then y), each on the kept lines only.
 Every line they do transform is the line the full transform does, by the
 same 1D transform, and the lines they skip are zero or are cut away, so both
-give the full transforms' bits on the block; the inverse applies its 1/N
-once at the end, as ``irfftn`` does in its last pass.
-It also inverts the nine physical gradients d_j u_i of a field, which the
-solver's convective loop reads.  The gates of a record, a decomposition and
-the Ladyzhenskaya sweep, max |div u| and the helical defect, read less: the
-divergence only the trace d_i u_i, and the defect only the central block of
-rows and columns that holds its r <= Lx/4 disk.  :meth:`SpectralOps.gates`
-takes both in one call, from the nine gradients when the caller has them and
-otherwise from the three diagonal ones inverted on the whole grid and the six
-others on that block only (:meth:`SpectralOps.inv_disk`, the same pruned
-passes, with y and z cut to the block), with the same bits either way.  All
-methods but :meth:`SpectralOps.inv_disk` of full-shape coefficients, which
-overwrites them, are pure functions of their inputs; the class caches
-wavenumber tables, index blocks and the work buffers of the pruned inverse,
-so one instance is not to be shared between threads.
+give the full transforms' bits on the block.  It also inverts the nine
+physical gradients d_j u_i of a field, which the solver's convective loop
+reads.  The gates of a record, a decomposition and the Ladyzhenskaya sweep,
+max |div u| and the helical defect, read less: the divergence only the trace
+d_i u_i, and the defect only the central block of rows and columns that
+holds its r <= Lx/4 disk.  :meth:`SpectralOps.gates` takes both in one
+call, from the nine gradients when the caller has them and otherwise from
+the three diagonal ones inverted on the whole grid and the six others on
+that block only (:meth:`SpectralOps.inv_disk`, the same pruned passes, with
+y and z cut to the block), with the same bits either way.
+
+This module is the package's one FFT boundary: every transform, these and
+the 2D ones of the (x, y) plane (:meth:`SpectralOps.fwd_plane`,
+:meth:`SpectralOps.inv_plane`), is a call of ``sfft`` (``scipy.fft``) with
+``workers`` from ``HELNS_THREADS``, so a stand-in for ``helns.spectral.sfft``
+sees every pass.  All methods are pure functions of their inputs; the class
+caches wavenumber tables, index blocks and the work buffers of the pruned
+inverse, so one instance is not to be shared between threads.
 """
 
 from __future__ import annotations
@@ -118,24 +121,20 @@ class SpectralOps:
         return self._inv_pruned(F, slice(None), slice(None))
 
     def inv_disk(self, F: np.ndarray) -> np.ndarray:
-        """:meth:`inv` of F, either shape, sampled on the disk block only.
-
-        Full-shape F is overwritten; a kept block is not.
-        """
+        """:meth:`inv` of F, either shape, sampled on the disk block only."""
         return self._inv_pruned(F, *self.disk)
 
     def _inv_pruned(self, F: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
         """``inv(F)[..., rows, cols, :]`` from the passes of ``irfftn`` in its
         order, unscaled: x, then y on ``rows``, then ``irfft`` along z on
-        ``cols``.  Full-shape F is transformed in place.  A kept block is
-        zero-padded into two buffers kept between calls, x running on its ky
-        columns and x and y on kz <= nz//3; each call rewrites the rows it
-        reads, and the y buffer's kz > nz//3 columns are never written.
-        ``irfftn`` applies 1/N once, in its last pass, so one multiply at the
-        end gives its bits (1/n per pass would not)."""
+        ``cols``.  A kept block is zero-padded into two buffers kept between
+        calls, x running on its ky columns and x and y on kz <= nz//3; each
+        call rewrites the rows it reads, and the y buffer's kz > nz//3 columns
+        are never written.  ``irfftn`` applies 1/N once, in its last pass, so
+        one multiply at the end gives its bits (1/n per pass would not)."""
         w = self._workers
         if self._wavenumbers(F) is self._full:
-            f = sfft.ifft(F, axis=-3, norm="forward", workers=w, overwrite_x=True)
+            f = sfft.ifft(F, axis=-3, norm="forward", workers=w)
             f = sfft.ifft(f[..., rows, :, :], axis=-2, norm="forward", workers=w,
                           overwrite_x=True)
         else:
@@ -205,6 +204,10 @@ class SpectralOps:
         Of the z-sum of a field it gives the kz = 0 plane of :meth:`fwd`.
         """
         return sfft.fft2(f, axes=(-2, -1), workers=self._workers)
+
+    def inv_plane(self, F: np.ndarray) -> np.ndarray:
+        """Inverse 2D FFT over the last two (x, y) axes (carries 1/(nx ny))."""
+        return sfft.ifft2(F, axes=(-2, -1), workers=self._workers)
 
     # --- multipliers -----------------------------------------------------
     #

@@ -41,13 +41,13 @@ def perturbation(grid, ops):
 
 
 class TestRingAverage:
-    def test_spectral_sampling_is_exact_for_trig_field(self, grid):
+    def test_spectral_sampling_is_exact_for_trig_field(self, grid, ops):
         kx, ky = 2 * np.pi / grid.Lx, 2 * np.pi * 2 / grid.Ly
         x = grid.x[:, None]
         y = grid.y[None, :]
         f = 0.3 + np.cos(kx * x) * np.sin(ky * y)
         radii = np.array([0.0, 1.0, 2.5, 4.0])
-        prof = ring_average(f, grid, radii=radii)
+        prof = ring_average(f, ops, radii=radii)
         cx, cy = grid.center
         for i, r in enumerate(radii):
             theta = 2 * np.pi * np.arange(128) / 128
@@ -56,17 +56,17 @@ class TestRingAverage:
             )
             assert prof.values[i] == pytest.approx(float(fx.mean()), abs=1e-12)
 
-    def test_axisymmetric_field_recovers_profile(self, grid):
+    def test_axisymmetric_field_recovers_profile(self, grid, ops):
         f = np.exp(-grid.r2d**2 / 6.0)
-        prof = ring_average(f, grid)
+        prof = ring_average(f, ops)
         assert np.max(np.abs(prof.values - np.exp(-prof.r**2 / 6.0))) < 1e-6
 
-    def test_cylindrical_components(self, grid):
+    def test_cylindrical_components(self, grid, ops):
         # a pure rotation field has u_r = 0 and u_theta = r
         u = np.zeros((3, grid.nx, grid.ny))
         u[0] = -grid.yc * np.exp(-grid.r2d**2 / 8.0)
         u[1] = grid.xc * np.exp(-grid.r2d**2 / 8.0)
-        u_r, u_theta, u_z = ring_average_cylindrical(u, grid)
+        u_r, u_theta, u_z = ring_average_cylindrical(u, ops)
         keep = u_theta.r < 4.0
         assert np.max(np.abs(u_r.values)) < 1e-7
         expected = u_theta.r * np.exp(-u_theta.r**2 / 8.0)
@@ -87,20 +87,20 @@ class TestSingleModeRings:
         grid = GridSpec.cube(128, 40.0, 1.0)
         k = 2 * np.pi * 60 / 40
         phase = k * grid.xc + k * grid.yc
-        return grid, k, np.cos(phase), -k * np.sin(phase)
+        return SpectralOps(grid), k, np.cos(phase), -k * np.sin(phase)
 
     def test_scalar_mean_is_j0(self, wave):
-        grid, k, f, _ = wave
-        prof = ring_average(f, grid)
+        ops, k, f, _ = wave
+        prof = ring_average(f, ops)
         assert np.sqrt(2) * k * prof.r[-1] > 256
         assert np.max(np.abs(prof.values - j0(np.sqrt(2) * k * prof.r))) <= 1e-12
 
     @pytest.mark.parametrize("rotational", [False, True], ids=["radial", "rotational"])
     def test_gradient_mean_is_j1(self, wave, rotational):
-        grid, k, f, df = wave
+        ops, k, f, df = wave
         # grad f = (df, df); z x grad f = (-df, df)
         u = np.stack([-df if rotational else df, df, f])
-        u_r, u_theta, u_z = ring_average_cylindrical(u, grid)
+        u_r, u_theta, u_z = ring_average_cylindrical(u, ops)
         kabs = np.sqrt(2) * k
         expected = -kabs * j1(kabs * u_r.r)
         along, across = (u_theta, u_r) if rotational else (u_r, u_theta)
@@ -166,26 +166,26 @@ class TestRingKernelReference:
     def small(self):
         grid = GridSpec.cube(16, 20.0, 1.0)
         u = np.random.default_rng(7).standard_normal((3, 16, 16)) + 0.4
-        return grid, u
+        return grid, SpectralOps(grid), u
 
     @pytest.mark.parametrize("n_theta", [256])
     def test_scalar_matches_direct_sum(self, small, n_theta):
-        grid, u = small
-        prof = ring_average(u[0], grid, radii=self.RADII)
+        grid, ops, u = small
+        prof = ring_average(u[0], ops, radii=self.RADII)
         ref = [v.mean() for v in _reference_ring_means(u[0], grid, self.RADII, n_theta)]
         assert np.max(np.abs(prof.values - ref)) <= 1e-13 * np.max(np.abs(u[0]))
 
     def test_scalar_matches_bessel_sum(self, small):
-        grid, u = small
-        prof = ring_average(u[2], grid, radii=self.RADII)
+        grid, ops, u = small
+        prof = ring_average(u[2], ops, radii=self.RADII)
         ref = _bessel_ring_means(u, grid, self.RADII)[2]
         assert np.max(np.abs(prof.values - ref)) <= 1e-13 * np.max(np.abs(u[2]))
 
     @pytest.mark.parametrize("n_theta", [256])
     def test_cylindrical_matches_direct_sum(self, small, n_theta):
-        grid, u = small
+        grid, ops, u = small
         radii = self.RADII
-        got = ring_average_cylindrical(u, grid, radii=radii)
+        got = ring_average_cylindrical(u, ops, radii=radii)
         fx, fy, fz = (_reference_ring_means(c, grid, radii, n_theta) for c in u)
         ref_r, ref_t = [], []
         for j, r in enumerate(radii):
@@ -202,8 +202,8 @@ class TestRingKernelReference:
         assert got[0].values[0] == 0.0 and got[1].values[0] == 0.0
 
     def test_cylindrical_matches_bessel_sum(self, small):
-        grid, u = small
-        got = ring_average_cylindrical(u, grid, radii=self.RADII)
+        grid, ops, u = small
+        got = ring_average_cylindrical(u, ops, radii=self.RADII)
         ref = _bessel_ring_means(u, grid, self.RADII)
         tol = 1e-13 * np.max(np.abs(u))
         for prof, ref_c in zip(got, ref):

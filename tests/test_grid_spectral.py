@@ -11,7 +11,7 @@ from helns.spectral import SpectralOps
 
 @pytest.fixture(scope="module")
 def grid():
-    return GridSpec(nx=16, ny=16, nz=16, Lx=20.0, Ly=20.0, pitch=1.0)
+    return GridSpec(nx=16, ny=16, nz=16, Lx=20.0, pitch=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -46,18 +46,23 @@ class TestGridSpec:
     @pytest.mark.parametrize("n", [7, 9, 4, 15])
     def test_rejects_bad_sample_counts(self, n):
         with pytest.raises(ValueError, match="even integer >= 8"):
-            GridSpec(nx=n, ny=16, nz=16, Lx=1.0, Ly=1.0, pitch=1.0)
+            GridSpec(nx=n, ny=16, nz=16, Lx=1.0, pitch=1.0)
 
     def test_rejects_rectangular_cross_section(self):
-        with pytest.raises(ValueError, match="square cross-section"):
+        # Ly is Lx, read-only: a rectangular box cannot be built
+        g = GridSpec(nx=16, ny=16, nz=16, Lx=1.0, pitch=1.0)
+        assert g.Ly == g.Lx == 1.0
+        with pytest.raises(TypeError, match="Ly"):
             GridSpec(nx=16, ny=16, nz=16, Lx=1.0, Ly=2.0, pitch=1.0)
+        with pytest.raises(AttributeError):
+            g.Ly = 2.0
 
     @pytest.mark.parametrize("Lx,pitch,match", [(np.inf, 1.0, "side lengths"),
                                                 (np.nan, 1.0, "side lengths"),
                                                 (20.0, np.inf, "pitch")])
     def test_rejects_nonfinite_lengths(self, Lx, pitch, match):
         with pytest.raises(ValueError, match=match):
-            GridSpec(nx=16, ny=16, nz=16, Lx=Lx, Ly=Lx, pitch=pitch)
+            GridSpec(nx=16, ny=16, nz=16, Lx=Lx, pitch=pitch)
 
     def test_rejects_nonpositive_pitch(self):
         with pytest.raises(ValueError, match="pitch"):
@@ -74,7 +79,7 @@ class TestGridSpec:
     # above n//3
     @pytest.mark.parametrize("n", [10, 16, 20, 48, 66])
     def test_dealias_mask_keeps_modes_up_to_a_third(self, n):
-        g = GridSpec(nx=n, ny=n, nz=n, Lx=20.0, Ly=20.0, pitch=1.0)
+        g = GridSpec(nx=n, ny=n, nz=n, Lx=20.0, pitch=1.0)
         m = g.dealias_mask
         assert m.shape == g.spectral_shape
         assert np.count_nonzero(m.any(axis=(1, 2))) == 2 * (n // 3) + 1
@@ -173,7 +178,7 @@ class TestCurl:
     def test_curl_equals_the_expression_form(self, shape):
         # the six products as expressions, one subtraction each into the
         # output, then the factor i
-        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g = GridSpec(*shape, Lx=20.0, pitch=1.0)
         g_ops = SpectralOps(g)
         rng = np.random.default_rng(shape[2])
         U = g_ops.fwd(rng.standard_normal((3,) + g.shape))
@@ -319,7 +324,7 @@ class TestDiskGradients:
                                        (48, 48, 48), (24, 16, 20)],
                              ids=lambda shape: "x".join(map(str, shape)))
     def test_bitwise_equal_to_full_gradients(self, shape):
-        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g = GridSpec(*shape, Lx=20.0, pitch=1.0)
         g_ops = SpectralOps(g)
         bx, by = g_ops.disk
         for U in (
@@ -332,11 +337,18 @@ class TestDiskGradients:
             assert max_div == float(np.max(np.abs(full[0, 0] + full[1, 1] + full[2, 2])))
             assert defect > 0.0
             assert (max_div, defect) == g_ops.gates(U, u, full)
-            assert g_ops.inv_disk(U[0].copy()).tobytes() == np.ascontiguousarray(
+            assert g_ops.inv_disk(U[0]).tobytes() == np.ascontiguousarray(
                 g_ops.inv(U[0])[bx, by]).tobytes()
 
+    def test_leaves_its_input_unchanged(self, ops):
+        F = ops.fwd(np.random.default_rng(4).standard_normal(ops.grid.shape))
+        F_in = F.copy()
+        bx, by = ops.disk
+        assert ops.inv_disk(F).tobytes() == np.ascontiguousarray(ops.inv(F)[bx, by]).tobytes()
+        assert F.tobytes() == F_in.tobytes()
+
     def test_block_holds_the_disk(self):
-        g = GridSpec(nx=24, ny=16, nz=20, Lx=20.0, Ly=20.0, pitch=1.0)
+        g = GridSpec(nx=24, ny=16, nz=20, Lx=20.0, pitch=1.0)
         bx, by = SpectralOps(g).disk
         disk = g.r2d <= 0.25 * g.Lx
         assert disk[bx, by].sum() == disk.sum()
@@ -351,7 +363,7 @@ class TestBandTransforms:
     @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
     def test_bitwise_equal_to_full_transforms(self, shape, threads, monkeypatch):
         monkeypatch.setenv("HELNS_THREADS", threads)
-        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g = GridSpec(*shape, Lx=20.0, pitch=1.0)
         g_ops = SpectralOps(g)
         rng = np.random.default_rng(sum(shape))
         B = (rng.standard_normal((3,) + g_ops.band_shape)
@@ -371,14 +383,14 @@ class TestBandTransforms:
     @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
     def test_block_inverses_equal_the_scattered_calls(self, shape, threads, monkeypatch):
         monkeypatch.setenv("HELNS_THREADS", threads)
-        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g = GridSpec(*shape, Lx=20.0, pitch=1.0)
         g_ops = SpectralOps(g)
         bx, by = g_ops.disk
         B = _random_block(g_ops, np.random.default_rng(sum(shape) + 4))
         B_in = B.copy()
         for field in (B, B[1]):
             whole = g_ops.inv(g_ops.scatter(field))
-            disk = g_ops.inv_disk(g_ops.scatter(field)).tobytes()  # overwrites its input
+            disk = g_ops.inv_disk(g_ops.scatter(field)).tobytes()
             assert disk == np.ascontiguousarray(whole[..., bx, by, :]).tobytes()
             whole = whole.tobytes()
             # whole, disk, whole: each call rewrites the buffer rows the last one used
@@ -395,7 +407,7 @@ class TestBandTransforms:
 
     @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
     def test_block_is_the_kept_2_3_rule_modes(self, shape):
-        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g = GridSpec(*shape, Lx=20.0, pitch=1.0)
         g_ops = SpectralOps(g)
         ones = np.ones((2,) + g_ops.band_shape, dtype=complex)
         full = g_ops.scatter(ones)
@@ -404,25 +416,39 @@ class TestBandTransforms:
         assert g_ops.gather(full).tobytes() == ones.tobytes()
         assert g_ops.band_k2.tobytes() == g_ops.gather(g.k_squared).tobytes()
 
-    def test_every_pass_gets_the_worker_count(self, grid, monkeypatch):
-        import scipy.fft as sfft
-
+    def test_every_pass_gets_the_worker_count(self, grid, monkeypatch, fft_ledger):
+        # and each pass transforms only the lines the block keeps or can fill
         monkeypatch.setenv("HELNS_THREADS", "2")
         g_ops = SpectralOps(grid)
-        workers = []
-        for name in ("fft", "ifft", "rfft", "irfft"):
-            original = getattr(sfft, name)
-
-            def recorded(*args, _original=original, **kwargs):
-                workers.append(kwargs.get("workers"))
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(sfft, name, recorded)
+        nx, ny, nz = grid.shape
+        nzr = nz // 2 + 1
+        nbx, nby, nzk = g_ops.band_shape
+        lo = nx // 3 + 1  # the block's rows of the first kx run
+        dr, dc = (b.stop - b.start for b in g_ops.disk)
         B = np.ones((3,) + g_ops.band_shape, dtype=complex)
+        F = g_ops.fwd(np.ones((3,) + grid.shape))
         g_ops.inv(B)
         g_ops.fwd_band(np.ones((6,) + grid.shape))
         g_ops.inv_disk(B)
-        assert len(workers) == 3 + 4 + 3 and set(workers) == {2}
+        g_ops.inv(F)
+        g_ops.inv_disk(F[0])
+        g_ops.inv_plane(g_ops.fwd_plane(np.ones((3, nx, ny))))
+        assert [(p.kind, p.axis, p.lines, p.length) for p in fft_ledger.passes] == [
+            ("r2c", -1, 3 * nx * ny, nz),  # rfftn's z pass
+            ("c2c", -3, 3 * nby * nzk, nx), ("c2c", -2, 3 * nx * nzk, ny),
+            ("c2r", -1, 3 * nx * ny, nz),
+            ("r2c", -1, 6 * nx * ny, nz), ("c2c", -3, 6 * ny * nzk, nx),
+            ("c2c", -2, 6 * lo * nzk, ny), ("c2c", -2, 6 * (nbx - lo) * nzk, ny),
+            ("c2c", -3, 3 * nby * nzk, nx), ("c2c", -2, 3 * dr * nzk, ny),
+            ("c2r", -1, 3 * dr * dc, nz),
+            ("c2r", -1, 3 * nx * ny, nz),  # irfftn's z pass
+            ("c2c", -3, ny * nzr, nx), ("c2c", -2, dr * nzr, ny), ("c2r", -1, dr * dc, nz),
+            ("plane", -1, 3, nx * ny), ("plane", -1, 3, nx * ny),
+        ]
+        assert [p.full for p in fft_ledger.passes].count(True) == 2
+        assert fft_ledger.transforms == 3 + 3 + 6 + 3 + 3 + 1
+        assert fft_ledger.planes == 6
+        assert {p.workers for p in fft_ledger.passes} == {2}
 
 
 def _random_block(g_ops, rng, ncomp=3):
@@ -436,7 +462,7 @@ class TestBlockNorms:
 
     @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
     def test_block_multipliers_commute_with_scatter(self, shape):
-        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g = GridSpec(*shape, Lx=20.0, pitch=1.0)
         g_ops = SpectralOps(g)
         B = _random_block(g_ops, np.random.default_rng(sum(shape) + 3))
         for op in (g_ops.divergence, g_ops.leray, g_ops.curl,
@@ -456,7 +482,7 @@ class TestBlockNorms:
 
     @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
     def test_block_norms_equal_full_norms(self, shape):
-        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g = GridSpec(*shape, Lx=20.0, pitch=1.0)
         g_ops = SpectralOps(g)
         rng = np.random.default_rng(sum(shape) + 1)
         B, C = _random_block(g_ops, rng), _random_block(g_ops, rng)
@@ -482,7 +508,7 @@ class TestBlockNorms:
 
     @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
     def test_perp_and_project_q_commute_with_gather(self, shape):
-        g = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        g = GridSpec(*shape, Lx=20.0, pitch=1.0)
         g_ops = SpectralOps(g)
         rng = np.random.default_rng(sum(shape) + 2)
         F = g_ops.fwd(rng.standard_normal((3,) + g.shape))  # not band-limited

@@ -23,7 +23,7 @@ from helns.spectral import SpectralOps
 
 @pytest.fixture(scope="module")
 def grid():
-    return GridSpec(nx=8, ny=8, nz=12, Lx=5.0, Ly=5.0, pitch=0.75)
+    return GridSpec(nx=8, ny=8, nz=12, Lx=5.0, pitch=0.75)
 
 
 @pytest.fixture(scope="module")
@@ -425,6 +425,21 @@ class TestCli:
         path.write_bytes(bytes(raw))
         assert cli.main(["decompose", str(path), "--out", str(tmp_path / "dec")]) == 2
         assert "cannot read snapshot: " in capsys.readouterr().err
+        assert not (tmp_path / "dec").exists()
+
+    @pytest.mark.parametrize("Ly", [40.0, np.inf, np.nan])
+    def test_decompose_rectangular_header_exits_2(self, tmp_path, capsys, Ly):
+        # the header keeps its Ly field; a grid takes only Ly = Lx
+        grid = GridSpec.cube(16, 20.0, 1.0)
+        path = tmp_path / "snap.hlxf"
+        write_snapshot(path, grid, 0.5, oseen_vorticity(grid, 0.5))
+        raw = bytearray(path.read_bytes())
+        raw[28:36] = np.array([Ly], "<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"square cross-section required \(Lx = Ly\)"):
+            read_snapshot(path)
+        assert cli.main(["decompose", str(path), "--out", str(tmp_path / "dec")]) == 2
+        assert "cannot read snapshot: square cross-section" in capsys.readouterr().err
         assert not (tmp_path / "dec").exists()
 
     def test_verify_unknown_preset_exits_2(self, tmp_path, capsys):

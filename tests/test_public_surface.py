@@ -100,8 +100,8 @@ REMOVED_PARAMETERS = (
     (spectral.SpectralOps.gates, ("mask_radius",)),
     (decomposition.decompose,
      ("mean_route", "ring_method", "n_theta", "defect_tol", "div_tol")),
-    (decomposition.ring_average, ("method", "n_theta")),
-    (decomposition.ring_average_cylindrical, ("method", "n_theta")),
+    (decomposition.ring_average, ("method", "n_theta", "grid")),
+    (decomposition.ring_average_cylindrical, ("method", "n_theta", "grid")),
     (diagnostics.rate_study,
      ("a", "amplitude", "delta", "s0", "t_end", "dt", "pitch", "n_observations",
       "super_rate_threshold")),
@@ -122,6 +122,9 @@ REMOVED_PARAMETERS = (
     (decomposition.weighted_l2m_norm, ("pitch",)),
     (spectral.SpectralOps.inverse_curl, ("return_correction",)),
     (grid.GridSpec, ("center",)),
+    (grid.GridSpec, ("Ly",)),
+    (solver.run_spectral3d, ("grid",)),
+    (experiment.total_vorticity, ("ops",)),
 )
 
 # Arguments that every caller passes, so they carry no default.
@@ -129,6 +132,9 @@ REQUIRED_PARAMETERS = (
     (solver.rhs_perturbation, "ops"),
     (solver.step_spectral3d, "k1"),
     (decomposition.weighted_l2m_norm, "grid"),
+    (solver.run_spectral3d, "ops"),
+    (decomposition.ring_average, "ops"),
+    (decomposition.ring_average_cylindrical, "ops"),
 )
 
 

@@ -1,7 +1,6 @@
 """Time integration: exactness, consistency and convergence order."""
 
 import logging
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -50,7 +49,7 @@ class TestViscousExactness:
         u[1] = np.sin(k * grid.x)[:, None, None] * np.ones(grid.shape)
         v0 = ops.fwd(u)
         config = SolverConfig(t_end=0.5, dt=0.05, output_dt=0.5, a=0.0)
-        final = run_spectral3d(v0, grid, config, ops=ops)
+        final = run_spectral3d(v0, ops, config)
         expected = np.exp(-k**2 * 0.5) * u[1]
         assert np.max(np.abs(ops.inv(final.v_hat)[1] - expected)) < 1e-10
         assert np.max(np.abs(ops.inv(final.v_hat)[0])) < 1e-12
@@ -58,7 +57,7 @@ class TestViscousExactness:
     def test_zero_field_stays_zero(self, grid, ops):
         v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
         config = SolverConfig(t_end=0.3, dt=0.1, a=1.0)
-        final = run_spectral3d(v0, grid, config, ops=ops)
+        final = run_spectral3d(v0, ops, config)
         assert np.all(final.v_hat == 0.0)
 
 
@@ -179,7 +178,7 @@ class TestBandResidentStep:
     @pytest.mark.parametrize("shape", [(32, 32, 32), (24, 16, 20)],
                              ids=lambda shape: "x".join(map(str, shape)))
     def test_ten_steps_equal_a_full_array_rk4(self, monkeypatch, shape, a):
-        grid = GridSpec(*shape, Lx=20.0, Ly=20.0, pitch=1.0)
+        grid = GridSpec(*shape, Lx=20.0, pitch=1.0)
         ops = SpectralOps(grid)
         v0 = random_helical_perturbation(
             PerturbationSpec(seed=3, amplitude=1.0, sigma=1.2), grid, ops)
@@ -192,7 +191,7 @@ class TestBandResidentStep:
 
         monkeypatch.setattr(solver, "step_spectral3d", recording_step)
         config = SolverConfig(t_end=0.5, dt=0.05, output_dt=0.5, a=a)
-        final = run_spectral3d(v0, grid, config, ops=ops)
+        final = run_spectral3d(v0, ops, config)
         assert len(steps) == 10
 
         def rhs(V, t):
@@ -231,7 +230,7 @@ class TestBandResidentStep:
         seen = []
         v0 = _engine_field(grid, ops, 1, 0.1)
         config = SolverConfig(t_end=0.1, dt=0.05, output_dt=0.1, a=a)
-        run_spectral3d(v0, grid, config, observer=lambda s, st: seen.append((s, st)), ops=ops)
+        run_spectral3d(v0, ops, config, observer=lambda s, st: seen.append((s, st)))
         for state, stage in seen:
             assert state.v_hat.shape == (3,) + grid.spectral_shape
             assert stage.v.shape == (3,) + grid.shape
@@ -306,7 +305,7 @@ class TestRhsKernels:
         spec = PerturbationSpec(seed=8, amplitude=40.0, sigma=1.2)
         v0 = random_helical_perturbation(spec, grid, ops)
         config = SolverConfig(t_end=1.0, cfl=cfl, output_dt=output_dt, a=a)
-        run_spectral3d(v0, grid, config, ops=ops)
+        run_spectral3d(v0, ops, config)
 
         limited = 0
         for t, v_hat, dt in steps:
@@ -331,7 +330,7 @@ class TestTemporalOrder:
 
         def final_state(dt):
             config = SolverConfig(t_end=t_end, dt=dt, output_dt=t_end, a=1.0)
-            return run_spectral3d(v0, grid, config, ops=ops).v_hat
+            return run_spectral3d(v0, ops, config).v_hat
 
         ref = final_state(t_end / 128)
         errs = [ops.l2_norm(final_state(t_end / n) - ref) for n in (8, 16, 32)]
@@ -344,7 +343,7 @@ class TestMeanFlowConsistency:
     def test_matches_radial_engine_for_axisymmetric_swirl(self):
         # z-independent azimuthal data: the centripetal nonlinearity is a
         # pure gradient, so the flow reduces to odd-parity radial heat flow
-        grid = GridSpec(nx=64, ny=64, nz=8, Lx=20.0, Ly=20.0, pitch=1.0)
+        grid = GridSpec(nx=64, ny=64, nz=8, Lx=20.0, pitch=1.0)
         ops = SpectralOps(grid)
         amp, s0 = 0.05, 2.0
         u = np.zeros((3,) + grid.shape)
@@ -352,7 +351,7 @@ class TestMeanFlowConsistency:
         u[0] = np.broadcast_to((-grid.yc * g2d)[..., None], grid.shape)
         u[1] = np.broadcast_to((grid.xc * g2d)[..., None], grid.shape)
         config = SolverConfig(t_end=0.5, dt=0.025, output_dt=0.5, a=0.0)
-        final = run_spectral3d(ops.fwd(u), grid, config, ops=ops)
+        final = run_spectral3d(ops.fwd(u), ops, config)
 
         r = uniform_radii(40.0, 4096)
         prof = run_radial(
@@ -375,7 +374,7 @@ class TestRunControl:
         v0 = random_helical_perturbation(spec, grid, ops)
         seen = []
         config = SolverConfig(t_end=0.0, a=1.0)
-        final = run_spectral3d(v0, grid, config, observer=lambda s, st: seen.append(s), ops=ops)
+        final = run_spectral3d(v0, ops, config, observer=lambda s, st: seen.append(s))
         assert final.t == 0.0
         assert len(seen) == 1
         assert np.array_equal(final.v_hat, ops.leray(ops.dealias(v0)))
@@ -384,7 +383,7 @@ class TestRunControl:
         v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
         times = []
         config = SolverConfig(t_end=0.4, dt=0.05, output_dt=0.1, a=1.0)
-        run_spectral3d(v0, grid, config, observer=lambda s, st: times.append(s.t), ops=ops)
+        run_spectral3d(v0, ops, config, observer=lambda s, st: times.append(s.t))
         assert times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
 
     @pytest.mark.parametrize("t_end", [0.3, 1.0, 8.0])
@@ -393,8 +392,7 @@ class TestRunControl:
         v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
         times = []
         config = SolverConfig(t_end=t_end, dt=0.05, output_dt=0.1, a=0.0)
-        final = run_spectral3d(v0, grid, config, observer=lambda s, st: times.append(s.t),
-                               ops=ops)
+        final = run_spectral3d(v0, ops, config, observer=lambda s, st: times.append(s.t))
         n = round(t_end / 0.1)
         assert times == [min(k * 0.1, t_end) for k in range(n + 1)]
         assert times[-1] == final.t == t_end
@@ -404,7 +402,7 @@ class TestRunControl:
         v0 = _engine_field(grid, ops, 3, 1.0)
         seen = []
         config = SolverConfig(t_end=0.2, dt=0.05, output_dt=0.1, a=a)
-        run_spectral3d(v0, grid, config, observer=lambda s, st: seen.append((s, st)), ops=ops)
+        run_spectral3d(v0, ops, config, observer=lambda s, st: seen.append((s, st)))
         assert len(seen) == 3
         for state, stage in seen:
             # the stage works on the kept block, the state is read full-shape
@@ -435,7 +433,7 @@ class TestRunControl:
         v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
         config = SolverConfig(t_end=t_end, dt=0.05, output_dt=0.1, a=0.0)
         observer = (lambda s, st: None) if observe else None
-        run_spectral3d(v0, grid, config, observer=observer, ops=ops)
+        run_spectral3d(v0, ops, config, observer=observer)
         assert len(calls) == expected
 
     @pytest.mark.parametrize("t_end", [0.45, 1e308])
@@ -462,7 +460,7 @@ class TestRunControl:
         v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
         config = SolverConfig(t_end=0.2, dt=0.2, output_dt=0.2, cfl=0.2, a=50.0)
         with caplog.at_level(logging.WARNING, logger="helns.solver"):
-            final = run_spectral3d(v0, grid, config, ops=ops)
+            final = run_spectral3d(v0, ops, config)
         assert any("CFL" in rec.message for rec in caplog.records)
         assert final.t == pytest.approx(0.2)
 
@@ -490,27 +488,6 @@ class TestInstabilityGuard:
         assert len(csv_path.read_text().strip().split("\n")) >= 2
 
 
-@pytest.fixture
-def transforms(monkeypatch):
-    """Running count of the scalar 3D FFTs done by SpectralOps.fwd, inv,
-    inv_disk (the inverse on the helical-defect disk block) and fwd_band (the
-    forward transform pruned to the kept 2/3-rule block), by method; an
-    inverse of kept-block coefficients counts under the method's name with
-    "_block" appended.  A pruned transform of a field counts as one scalar
-    FFT."""
-    count = Counter()
-    for name in ("fwd", "inv", "inv_disk", "fwd_band"):
-        original = getattr(SpectralOps, name)
-
-        def counted(ops, F, _original=original, _name=name):
-            block = F.shape[-3:] == ops.band_shape
-            count[_name + "_block" if block else _name] += int(np.prod(F.shape[:-3]))
-            return _original(ops, F)
-
-        monkeypatch.setattr(SpectralOps, name, counted)
-    return count
-
-
 def _helical_vorticity(grid, ops):
     spec = PerturbationSpec(seed=2, amplitude=0.1, sigma=1.2)
     v_hat = random_helical_perturbation(spec, grid, ops)
@@ -518,8 +495,12 @@ def _helical_vorticity(grid, ops):
 
 
 class TestTransformBudget:
+    """Transforms are counted at the FFT boundary (the ``fft_ledger`` of
+    conftest.py): a scalar 3D transform is one z pass, and the full-shape
+    ones are the ``rfftn``/``irfftn`` passes."""
+
     @pytest.mark.parametrize("a,per_step,per_record", [(0.0, 36, 9), (1.0, 60, 0)])
-    def test_run_costs_the_documented_transforms(self, tmp_path, monkeypatch, transforms,
+    def test_run_costs_the_documented_transforms(self, tmp_path, monkeypatch, fft_ledger,
                                                  a, per_step, per_record):
         steps = []
         real_step = solver.step_spectral3d
@@ -535,28 +516,44 @@ class TestTransformBudget:
             snapshot_dt=0.1,
         )
         result = run_experiment(cfg, tmp_path, quiet=True)
-        initial = 3  # the forward transform of the stream field
+        ops = SpectralOps(result.grid)
         t_end_stage = per_step // 4  # the stage of the record due at t_end
-        assert (len(steps), len(result.records), len(result.snapshot_paths)) == (4, 3, 3)
-        # only the initial field is transformed at full shape; an a = 0
-        # record inverts its three diagonal gradients on the whole grid and
-        # the six others on the disk block, and a snapshot its curl, all from
-        # the kept block
-        assert transforms["fwd"] + transforms["inv"] == initial
-        assert transforms["inv_disk"] == 0
-        assert transforms["inv_disk_block"] == per_record * 2 // 3 * len(result.records)
+        records, snapshots = len(result.records), len(result.snapshot_paths)
+        assert (len(steps), records, snapshots) == (4, 3, 3)
+        z = fft_ledger.z_passes()
+        # only the initial field is transformed at full shape: the forward
+        # transform of the stream field; every x and y pass reads the kept
+        # kz <= nz//3 columns
+        assert [(p.kind, p.scalars) for p in z if p.full] == [("r2c", 3)]
+        assert {p.shape[-1] for p in fft_ledger.passes if p.kind == "c2c"} == {
+            ops.band_shape[2]}
+        # an a = 0 record inverts its three diagonal gradients on the whole
+        # grid and the six others on the disk block, and a snapshot its curl
+        disk = tuple(b.stop - b.start for b in ops.disk)
+        assert sum(p.scalars for p in z if p.cross == disk) == per_record * 2 // 3 * records
         stages = per_step * len(steps) + t_end_stage
-        assert transforms["fwd_band"] + transforms["inv_block"] == (
-            stages + per_record // 3 * len(result.records) + 3 * len(result.snapshot_paths)
-        )
+        assert fft_ledger.transforms == 3 + per_record * records + stages + 3 * snapshots
+        # each record's source norm, a = 0 or not: the plane of the six
+        # z-summed products
+        assert fft_ledger.planes == 6 * records
 
-    def test_decompose_costs_12_transforms(self, transforms):
+    def test_decompose_costs_12_transforms(self, fft_ledger):
         grid = GridSpec.cube(32, 20.0, 1.0)
         ops = SpectralOps(grid)
         omega = _helical_vorticity(grid, ops)
-        transforms.clear()
+        fft_ledger.clear()
         decompose(omega, grid, 1.5, ops=ops)
-        assert dict(transforms) == {"fwd": 3, "inv": 3, "inv_disk": 6}
+        z = fft_ledger.z_passes()
+        # 3 forward transforms of omega and the 3 diagonal gradients at full
+        # shape, the 6 other gradients on the disk block
+        assert [(p.kind, p.scalars) for p in z if p.full] == [("r2c", 3)] + [("c2r", 1)] * 3
+        disk = tuple(b.stop - b.start for b in ops.disk)
+        assert [p.scalars for p in z if not p.full and p.cross == disk] == [1] * 6
+        assert fft_ledger.transforms == 12
+        # 3 + 1 + 3 forward planes (the ring average of the mean vorticity,
+        # the Oseen Gaussian, the ring average of the mean velocity) and the
+        # 3 inverse ones of the mean velocity
+        assert fft_ledger.planes == 10
 
     def test_gates_never_invert_the_full_gradients(self, monkeypatch):
         full_gradients = []
@@ -570,7 +567,7 @@ class TestTransformBudget:
         monkeypatch.setattr(SpectralOps, "gradients", counted)
         grid = GridSpec.cube(32, 20.0, 1.0)
         ops = SpectralOps(grid)
-        decompose(_helical_vorticity(grid, ops), grid, 1.5, ops=ops)
+        decompose(_helical_vorticity(grid, ops), grid, 1.5)
         spec = PerturbationSpec(seed=3, amplitude=0.1, sigma=1.2)
         v_hat = random_helical_perturbation(spec, grid, ops)
         ladyzhenskaya_ratio(v_hat, ops)
