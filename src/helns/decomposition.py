@@ -260,6 +260,8 @@ def decompose(
     and attached to the result for reporting.
     """
     ops = ops or SpectralOps(grid)
+    if ops.grid != grid:
+        raise ValueError(f"ops were built for grid {ops.grid}, not for the field's grid {grid}")
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (3,) + grid.shape:
         raise ValueError(f"expected vorticity of shape {(3,) + grid.shape}")

@@ -39,9 +39,8 @@ from .grid import GridSpec
 from .radial import (
     RadialProfile,
     _forward_biot_savart,
+    _plane_l2_norm,
     kummer_tail_profile,
-    oseen_extraction,
-    profile_l2_norm_2d,
     run_radial,
     uniform_radii,
 )
@@ -591,10 +590,12 @@ def rate_study(
     values: list[float] = []
 
     def record(t: float, prof: RadialProfile) -> None:
-        u_theta = prof.with_values(_forward_biot_savart(prof.values, prof.r)[1])
-        v_theta = oseen_extraction(u_theta, a, spread=1.0 + t)
+        # oseen_extraction and profile_l2_norm_2d on the bare arrays: the grid
+        # was checked once, with the profile that run_radial hands over
+        v_theta = _forward_biot_savart(prof.values, r)[1]
+        v_theta -= a * oseen_utheta(r, 1.0 + t)
         times.append(t)
-        values.append(profile_l2_norm_2d(v_theta) * np.sqrt(2.0 * np.pi * pitch))
+        values.append(_plane_l2_norm(v_theta, r) * np.sqrt(2.0 * np.pi * pitch))
 
     run_radial(
         profile,

@@ -83,14 +83,25 @@ def oseen_utheta_prime(r: np.ndarray, s: float) -> np.ndarray:
 
 
 def _oseen_F(r2: np.ndarray, s: float) -> np.ndarray:
-    """u_theta / r as a smooth function of r^2 (F(0) = 1/(8 pi s))."""
+    """u_theta / r as a smooth function of r^2 (F(0) = 1/(8 pi s)).
+
+    The direct form -expm1(-q) / (2 pi r^2), q = r^2/(4s), is computed in
+    place where q >= 1e-6 (as expm1(-q) / (-2 pi r^2), the same bits), and
+    the series 1 - q/2 + q^2/6 only on the few entries below.  A scalar r^2
+    gives a 0-d array.
+    """
+    shape = np.shape(r2)
+    r2 = np.atleast_1d(r2)
     q = r2 / (4.0 * s)
     small = q < 1e-6
-    qs = np.where(small, q, 1.0)
-    series = (1.0 - qs / 2.0 + qs**2 / 6.0) / (8.0 * np.pi * s)
-    r2safe = np.where(small, 1.0, r2)
-    direct = -np.expm1(-q) / (2.0 * np.pi * r2safe)
-    return np.where(small, series, direct)
+    F = np.negative(q)
+    np.expm1(F, out=F)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at r = 0, replaced below
+        F /= -2.0 * np.pi * r2
+    if small.any():
+        qs = q[small]
+        F[small] = (1.0 - qs / 2.0 + qs**2 / 6.0) / (8.0 * np.pi * s)
+    return F.reshape(shape)
 
 
 # Taylor coefficients of -16 pi s^2 G in q = r^2/(4s): (-1)^k (k+1)/(k+2)!.

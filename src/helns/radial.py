@@ -19,8 +19,9 @@ otherwise.
 once (step sizes, observation stride, uniform grid, decay at r = R), factors
 the implicit matrix I - dt/2 A once (LAPACK's tridiagonal LU, ``dgttrf``),
 and each step, :func:`step_radial` on the bare value array, costs the
-explicit half-step plus one O(n) ``dgttrs`` solve.  Observations are made at
-the exact times k dt, the last at t_end itself.
+explicit half-step, formed in place in one fresh array, plus one O(n)
+``dgttrs`` solve.  Observations are made at the exact times k dt, the last
+at t_end itself.
 
 Also here: the radial Biot-Savart formulas, the Oseen-extraction step, the
 weighted L2_m norms for profiles, the pointwise tail envelopes and the
@@ -80,8 +81,10 @@ class RadialProfile:
             raise ValueError("radial grid must be a 1D array with >= 2 nodes")
         if self.r[0] != 0.0:
             raise ValueError("radial grid must start at r = 0")
-        if np.any(np.diff(self.r) <= 0):
-            raise ValueError("radial grid must be strictly increasing")
+        # false for a NaN anywhere; after a strictly increasing run from 0 only
+        # the last node can still be +inf
+        if not (np.all(self.r[1:] > self.r[:-1]) and np.isfinite(self.r[-1])):
+            raise ValueError("radial grid must be finite and strictly increasing")
         if self.values.shape != self.r.shape:
             raise ValueError("values must match the radial grid shape")
         if not np.all(np.isfinite(self.values)):
@@ -171,12 +174,17 @@ def _cn_system(r: np.ndarray, dt: float, parity: str) -> _CNSystem:
 
 
 def step_radial(h: np.ndarray, system: _CNSystem) -> np.ndarray:
-    """One CN step of :func:`run_radial`: solve (I - dt/2 A) h_new = (I + dt/2 A) h."""
-    rhs = h + system.half_dt * (
-        np.concatenate(([0.0], system.lo * h[:-1]))
-        + system.di * h
-        + np.concatenate((system.up * h[1:], [0.0]))
-    )
+    """One CN step of :func:`run_radial`: solve (I - dt/2 A) h_new = (I + dt/2 A) h.
+
+    The explicit half-step is formed in place in one array; each entry is the
+    same sum (lo + di) + up, times dt/2, plus h, as the three full diagonal
+    products would give, since IEEE + and * commute exactly.
+    """
+    rhs = system.di * h
+    rhs[1:] += system.lo * h[:-1]
+    rhs[:-1] += system.up * h[1:]
+    rhs *= system.half_dt
+    rhs += h
     h_new, info = system.dgttrs(*system.lu, rhs, overwrite_b=1)
     if info != 0:
         raise ValueError(f"Crank-Nicolson solve failed (dgttrs info={info})")
@@ -324,9 +332,12 @@ def weighted_l2m_norm_profile(
 
 def profile_l2_norm_2d(profile: RadialProfile) -> float:
     """Plane L2 norm per unit height: (2 pi int f^2 r dr)^(1/2)."""
-    return float(
-        np.sqrt(2.0 * np.pi * np.trapezoid(profile.values**2 * profile.r, profile.r))
-    )
+    return _plane_l2_norm(profile.values, profile.r)
+
+
+def _plane_l2_norm(values: np.ndarray, r: np.ndarray) -> float:
+    """:func:`profile_l2_norm_2d` of bare samples on a checked grid."""
+    return float(np.sqrt(2.0 * np.pi * np.trapezoid(values**2 * r, r)))
 
 
 # --- pointwise tail envelopes ---------------------------------------------------

@@ -309,7 +309,7 @@ class SpectralOps:
 
     def l2_norm_sq(self, F: np.ndarray) -> float:
         """Squared L2(box) norm of a coefficient array (any component stack)."""
-        return float(np.sum(np.abs(F) ** 2 * self._wavenumbers(F).weight))
+        return self._weighted_sum_sq(F)
 
     def l2_norm(self, F: np.ndarray) -> float:
         return float(np.sqrt(self.l2_norm_sq(F)))
@@ -319,12 +319,20 @@ class SpectralOps:
         return float(np.sum((F * np.conj(G)).real * self._wavenumbers(F).weight))
 
     def grad_norm_sq(self, F: np.ndarray) -> float:
-        table = self._wavenumbers(F)
-        return float(np.sum(table.k2 * np.abs(F) ** 2 * table.weight))
+        return self._weighted_sum_sq(F, 1)
 
     def lap_norm_sq(self, F: np.ndarray) -> float:
+        return self._weighted_sum_sq(F, 2)
+
+    def _weighted_sum_sq(self, F: np.ndarray, k2_power: int = 0) -> float:
+        """sum |F|^2 (|k|^2)^p weight, squared and weighted in place on one |F| array."""
         table = self._wavenumbers(F)
-        return float(np.sum(table.k2**2 * np.abs(F) ** 2 * table.weight))
+        out = np.abs(F)
+        out *= out
+        if k2_power:
+            out *= table.k2 if k2_power == 1 else table.k2**k2_power
+        out *= table.weight
+        return float(np.sum(out))
 
     # --- physical gradients and the gates ------------------------------------
 

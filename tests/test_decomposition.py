@@ -299,6 +299,14 @@ class TestDecompose:
         with pytest.raises(ValueError, match="must exceed 1"):
             decompose(w, grid, 0.9, ops=ops)
 
+    def test_rejects_ops_of_another_grid(self, grid, ops, perturbation):
+        w = oseen_vorticity(grid, 0.0) + ops.inv(ops.curl(perturbation))
+        other = SpectralOps(GridSpec.cube(32, 24.0, 1.0))
+        with pytest.raises(ValueError, match="grid"):
+            decompose(w, grid, 1.5, ops=other)
+        # ops of an equal grid built separately are accepted
+        decompose(w, grid, 1.5, ops=SpectralOps(GridSpec.cube(32, 20.0, 1.0)))
+
     def test_rejects_nonsolenoidal_vorticity(self, grid, ops):
         w = np.zeros((3,) + grid.shape)
         w[0] = np.exp(-grid.r2d[..., None] ** 2 / 4.0)  # div w != 0

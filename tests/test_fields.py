@@ -73,6 +73,29 @@ class TestOseenProfiles:
                       <= 1e-12 * np.abs(ref_prime) + 1e-16 / s)
 
     @pytest.mark.parametrize("s", [1.0, 33.0])
+    def test_utheta_equals_the_three_where_form(self, s):
+        # the series below q = 1e-6 and -expm1(-q) / (2 pi r^2) above it,
+        # each evaluated on every node and then selected
+        def where_form(r):
+            r2 = np.asarray(r, dtype=float) ** 2
+            q = r2 / (4.0 * s)
+            small = q < 1e-6
+            qs = np.where(small, q, 1.0)
+            series = (1.0 - qs / 2.0 + qs**2 / 6.0) / (8.0 * np.pi * s)
+            direct = -np.expm1(-q) / (2.0 * np.pi * np.where(small, 1.0, r2))
+            return np.asarray(r, dtype=float) * np.where(small, series, direct)
+
+        q_edge = 2e-3 * np.sqrt(s)  # r at q = 1e-6
+        r = np.array([0.0, 1e-9, 0.999 * q_edge, q_edge, 1.001 * q_edge, 0.5, 3.0, 40.0, 1e4])
+        assert np.array_equal(oseen_utheta(r, s), where_form(r))
+        grid2d = np.stack([r, r[::-1]])
+        assert np.array_equal(oseen_utheta(grid2d, s), where_form(grid2d))
+        for x in r:
+            value = oseen_utheta(x, s)
+            assert np.ndim(value) == 0
+            assert value == where_form(x)
+
+    @pytest.mark.parametrize("s", [1.0, 33.0])
     def test_gradient_factor_matches_high_precision_reference(self, s):
         # the direct form 2q e^{-q} - 2(1 - e^{-q}) of (dF/dr)/r cancels to
         # O(q^2) and lost ~1e-10 relative just above a series threshold q = 1e-3

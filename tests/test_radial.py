@@ -36,6 +36,14 @@ class TestProfile:
         with pytest.raises(ValueError, match="increasing"):
             RadialProfile(np.array([0.0, 1.0, 0.5]), np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "r", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [0.0, 1.0, np.inf, np.inf]]
+    )
+    def test_rejects_non_finite_radii(self, r):
+        with np.errstate(all="raise"):  # no inf - inf on the way to the message
+            with pytest.raises(ValueError, match="finite and strictly increasing"):
+                RadialProfile(np.array(r), np.zeros(len(r)))
+
     def test_integrate_r_dr(self):
         r = uniform_radii(30.0, 6000)
         prof = RadialProfile(r, _gaussian(r, 1.0))
@@ -135,6 +143,23 @@ def _cn_reference(profile, t_end, dt, parity):
     return h
 
 
+def _concatenate_reference(profile, t_end, dt, parity):
+    """CN steps with the three-product explicit half-step, solved with dgttrf's LU."""
+    nsteps = max(1, int(np.ceil(t_end / dt)))
+    dt = t_end / nsteps
+    lo, di, up = radial_laplacian(profile.r, parity)
+    *lu, _ = lapack.dgttrf(-0.5 * dt * lo, 1.0 - 0.5 * dt * di, -0.5 * dt * up)
+    h = profile.values
+    for _ in range(nsteps):
+        rhs = h + 0.5 * dt * (
+            np.concatenate(([0.0], lo * h[:-1]))
+            + di * h
+            + np.concatenate((up * h[1:], [0.0]))
+        )
+        h, _ = lapack.dgttrs(*lu, rhs)
+    return h
+
+
 def _counting(calls, func):
     def wrapper(*args, **kwargs):
         calls.append(1)
@@ -154,6 +179,18 @@ class TestFactoredEngine:
         out = run_radial(prof, 0.3, 1.0 / 256, parity=parity)
         ref = _cn_reference(prof, 0.3, 1.0 / 256, parity)
         assert np.max(np.abs(out.values - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "parity,initial",
+        [("even", lambda r: _gaussian(r, 1.0)), ("odd", lambda r: shear_g(r, 0.0))],
+    )
+    def test_in_place_half_step_is_bit_identical(self, parity, initial):
+        # (lo + di) + up summed into one array, times dt/2, plus h: the
+        # same IEEE operations as the three full products
+        r = uniform_radii(40.0, 1024)
+        prof = RadialProfile(r, initial(r))
+        out = run_radial(prof, 0.3, 1.0 / 256, parity=parity)
+        assert np.array_equal(out.values, _concatenate_reference(prof, 0.3, 1.0 / 256, parity))
 
     def test_run_factors_once_and_steps_through_step_radial(self, monkeypatch):
         factors, steps = [], []
