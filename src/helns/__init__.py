@@ -26,7 +26,6 @@ from .decomposition import (
     DecompositionResult,
     circulation_a,
     decompose,
-    ring_average,
     ring_average_cylindrical,
     weighted_l2m_norm,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "DecompositionResult",
     "circulation_a",
     "decompose",
-    "ring_average",
     "ring_average_cylindrical",
     "weighted_l2m_norm",
     "DEFAULT_C0",

@@ -107,6 +107,9 @@ def _cmd_simulate(args) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read config: {exc}", file=sys.stderr)
+        return 2
     if args.seed is not None:
         if args.seed < 0:
             print(f"--seed must be nonnegative, got {args.seed}", file=sys.stderr)
@@ -130,7 +133,7 @@ def _cmd_decompose(args) -> int:
     except FileNotFoundError:
         print(f"snapshot not found: {args.snapshot}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read snapshot: {exc}", file=sys.stderr)
         return 2
     if snap.fields.shape[0] != 3:
@@ -246,6 +249,9 @@ def _cmd_rate_study(args) -> int:
 def _cmd_sweep_inequality(args) -> int:
     if args.seeds < 1:
         print(f"--seeds must be positive, got {args.seeds}", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print(f"--seed must be nonnegative, got {args.seed}", file=sys.stderr)
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -31,7 +31,7 @@ from .radial import (
     radial_biot_savart,
     zero_mass_check,
 )
-from .spectral import SpectralOps
+from .spectral import SpectralOps, _require_grid
 
 logger = logging.getLogger(__name__)
 
@@ -40,7 +40,6 @@ __all__ = [
     "circulation_a",
     "decompose",
     "export_profile_csv",
-    "ring_average",
     "ring_average_cylindrical",
     "weighted_l2m_norm",
 ]
@@ -73,24 +72,17 @@ def circulation_a(omega: np.ndarray, grid: GridSpec) -> float:
 def weighted_l2m_norm(omega, m: float, *, grid: GridSpec) -> float:
     """Weighted vorticity norm (int (1+r^2)^m |omega|^2 r dr dtheta dz)^(1/2).
 
-    Takes physical grid samples of shape (3, nx, ny, nz) or (nx, ny, nz); r is
-    the horizontal distance from the vortex axis.  Radial profiles have
+    Takes physical grid samples of shape (3, nx, ny, nz); r is the horizontal
+    distance from the vortex axis.  Radial profiles have
     :func:`helns.radial.weighted_l2m_norm_profile`.
     """
     if m < 0:
         raise ValueError("weight exponent m must be >= 0")
     omega = np.asarray(omega, dtype=float)
-    if omega.shape not in ((3,) + grid.shape, grid.shape):
-        raise ValueError(
-            f"expected samples of shape {grid.shape} or {(3,) + grid.shape}"
-        )
-    weight = (1.0 + grid.r2d**2) ** m
-    if omega.ndim == 4:
-        weight = weight[None, ..., None]
-    else:
-        weight = weight[..., None]
+    if omega.shape != (3,) + grid.shape:
+        raise ValueError(f"expected samples of shape {(3,) + grid.shape}")
     weighted = np.square(omega)
-    weighted *= weight
+    weighted *= ((1.0 + grid.r2d**2) ** m)[None, ..., None]
     val = float(np.sum(weighted)) * grid.cell_volume
     return float(np.sqrt(val))
 
@@ -98,19 +90,19 @@ def weighted_l2m_norm(omega, m: float, *, grid: GridSpec) -> float:
 # --- angular ring averaging ----------------------------------------------------
 
 
-def _shell_spectra(fields, ops: SpectralOps, radii):
+def _shell_spectra(fields, ops: SpectralOps):
     """The rings, the centred 2D spectra of ``fields`` and the |k| shell of
     every mode.
 
     Returns ``(radii, F, shells, inverse, cos_phi, sin_phi)``: ``radii`` are
-    the given ones or else nx/2 uniform rings from the axis, spaced by one
-    cell width; ``F`` is the stack ``ops.fwd_plane(f) / (nx ny) * exp(i k.c)``,
-    the coefficients of the trigonometric interpolant about the axis ``c``;
-    ``shells`` holds the distinct |k| and ``inverse`` maps each mode to its
-    shell; ``(cos_phi, sin_phi) = k/|k|`` (both 0 at k = 0).
+    the nx/2 uniform rings from the axis, spaced by one cell width; ``F`` is
+    the stack ``ops.fwd_plane(f) / (nx ny) * exp(i k.c)``, the coefficients
+    of the trigonometric interpolant about the axis ``c``; ``shells`` holds
+    the distinct |k| and ``inverse`` maps each mode to its shell;
+    ``(cos_phi, sin_phi) = k/|k|`` (both 0 at k = 0).
     """
     grid = ops.grid
-    radii = np.arange(grid.nx // 2) * grid.dx if radii is None else np.asarray(radii, float)
+    radii = np.arange(grid.nx // 2) * grid.dx
     kx, ky = grid.kx[:, None], grid.ky[None, :]
     kmag = np.hypot(kx, ky)
     shells, inverse = np.unique(kmag, return_inverse=True)
@@ -126,48 +118,26 @@ def _shell_sum(weights: np.ndarray, inverse: np.ndarray, n_shells: int) -> np.nd
     return np.bincount(inverse, weights=weights.ravel(), minlength=n_shells)
 
 
-def ring_average(
-    field: np.ndarray,
-    ops: SpectralOps,
-    *,
-    radii: np.ndarray | None = None,
-) -> RadialProfile:
-    """Exact angular mean of a 2D scalar field's interpolant about the axis.
-
-    With ``F`` the interpolant's coefficients about the axis, the mean over
-    the circle of radius r is ``Re sum_k F J0(|k| r)`` (Jacobi-Anger), so the
-    mode sums are grouped by |k| shell and J0 is evaluated once per (radius,
-    shell).  The default radii are nx/2 uniform rings spaced by one cell
-    width; at r = 0 the mean is the value at the axis.
-    """
-    field = np.asarray(field, dtype=float)
-    if field.shape != ops.grid.shape[:2]:
-        raise ValueError("ring averaging expects a 2D (nx, ny) field")
-    radii, F, shells, inverse, _, _ = _shell_spectra(field, ops, radii)
-    means = j0(np.outer(radii, shells)) @ _shell_sum(F.real, inverse, shells.size)
-    return RadialProfile(radii, means)
-
-
 def ring_average_cylindrical(
-    u: np.ndarray,
-    ops: SpectralOps,
-    *,
-    radii: np.ndarray | None = None,
+    u: np.ndarray, ops: SpectralOps
 ) -> tuple[RadialProfile, RadialProfile, RadialProfile]:
     """Exact angular means of the cylindrical components of a 2D vector field.
 
     ``u`` holds (u_x, u_y, u_z) samples of shape (3, nx, ny); the return
-    value is the triple of profiles (u_r, u_theta, u_z).  The means of the
-    interpolant are ``Re sum_k i (F_x cos phi + F_y sin phi) J1(|k| r)`` for
-    u_r, ``Re sum_k i (F_y cos phi - F_x sin phi) J1(|k| r)`` for u_theta and
-    the scalar J0 sum for u_z, where ``(cos phi, sin phi) = k/|k|``.  Since
-    J1(0) = 0 the horizontal means vanish exactly at the axis, and the u_r
-    mean of a divergence-free field vanishes to rounding.
+    value is the triple of profiles (u_r, u_theta, u_z) on the nx/2 uniform
+    rings from the axis, one cell width apart.  With ``F`` the interpolant's
+    coefficients about the axis, the ring means are the shell-grouped sums
+    ``Re sum_k F_z J0(|k| r)`` for u_z (Jacobi-Anger),
+    ``Re sum_k i (F_x cos phi + F_y sin phi) J1(|k| r)`` for u_r and
+    ``Re sum_k i (F_y cos phi - F_x sin phi) J1(|k| r)`` for u_theta, with
+    ``(cos phi, sin phi) = k/|k|``.  Since J1(0) = 0 the horizontal means
+    vanish exactly at the axis, and the u_r mean of a divergence-free field
+    vanishes to rounding.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (3,) + ops.grid.shape[:2]:
         raise ValueError("expected a z-averaged vector field of shape (3, nx, ny)")
-    radii, (Fx, Fy, Fz), shells, inverse, cos_phi, sin_phi = _shell_spectra(u, ops, radii)
+    radii, (Fx, Fy, Fz), shells, inverse, cos_phi, sin_phi = _shell_spectra(u, ops)
     n = shells.size
     rho = np.outer(radii, shells)
     J1 = j1(rho)
@@ -260,8 +230,7 @@ def decompose(
     and attached to the result for reporting.
     """
     ops = ops or SpectralOps(grid)
-    if ops.grid != grid:
-        raise ValueError(f"ops were built for grid {ops.grid}, not for the field's grid {grid}")
+    _require_grid(ops, grid)
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (3,) + grid.shape:
         raise ValueError(f"expected vorticity of shape {(3,) + grid.shape}")

@@ -36,7 +36,7 @@ from .fields import (
 from .grid import GridSpec
 from .snapshot import write_snapshot
 from .solver import SimulationState, SolverConfig, Stage, _output_count, run_spectral3d
-from .spectral import SpectralOps
+from .spectral import SpectralOps, _require_grid
 
 __all__ = [
     "InstabilityError",
@@ -125,7 +125,11 @@ def _lamb2d_initial(cfg: ExperimentConfig, grid: GridSpec, ops: SpectralOps) -> 
 
 
 def build_initial(cfg: ExperimentConfig, grid: GridSpec, ops: SpectralOps) -> np.ndarray:
-    """Spectral perturbation coefficients v0_hat for the configured kind."""
+    """Spectral perturbation coefficients v0_hat for the configured kind.
+
+    ``ops`` must be built for ``grid``.
+    """
+    _require_grid(ops, grid)
     if cfg.kind == "oseen-only":
         return np.zeros((3,) + grid.spectral_shape, dtype=complex)
     if cfg.kind == "shear":
@@ -170,18 +174,19 @@ def run_experiment(
     without background exchange terms; its tendency is the stage-1 k1 the
     solver hands to the observer.  The run aborts once the
     perturbation energy exceeds ``GUARD_FACTOR`` times its initial value.
+    Given ``ops`` must be built for the configured grid.
     """
     bad = cfg.validate()
     if bad:
         raise ConfigError(bad)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = build_grid(cfg)
     if ops is None:
         ops = SpectralOps(grid)
+    v0_hat = build_initial(cfg, grid, ops)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     check_energy = cfg.a == 0.0
 
-    v0_hat = build_initial(cfg, grid, ops)
     builder = RecordBuilder(ops, cfg.a)
 
     csv_path = out_dir / cfg.csv

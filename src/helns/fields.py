@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec
-from .spectral import SpectralOps
+from .spectral import SpectralOps, _require_grid
 
 __all__ = [
     "PerturbationSpec",
@@ -233,7 +233,7 @@ def oseen_grad_l2_difference_sq(t1: float, t2: float, pitch: float) -> float:
 
 
 def random_helical_perturbation(
-    spec: PerturbationSpec, grid: GridSpec, ops: SpectralOps | None = None
+    spec: PerturbationSpec, grid: GridSpec, ops: SpectralOps
 ) -> np.ndarray:
     """Seeded, divergence-free, helical velocity field with target H1 norm.
 
@@ -249,12 +249,11 @@ def random_helical_perturbation(
     is an identity safeguard rather than a correction (projecting a
     non-solenoidal draw would introduce periodic-image potentials that break
     helical symmetry at measurable levels).  The result is rescaled to the
-    requested H1 amplitude.
+    requested H1 amplitude.  ``ops`` must be built for ``grid``.
 
     Returns spectral coefficients of shape (3, nx, ny, nz//2+1).
     """
-    if ops is None:
-        ops = SpectralOps(grid)
+    _require_grid(ops, grid)
     if spec.sigma > grid.Lx / 16.0:
         raise ValueError(
             f"envelope sigma={spec.sigma} too wide for box Lx={grid.Lx} "

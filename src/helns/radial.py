@@ -21,7 +21,8 @@ the implicit matrix I - dt/2 A once (LAPACK's tridiagonal LU, ``dgttrf``),
 and each step, :func:`step_radial` on the bare value array, costs the
 explicit half-step, formed in place in one fresh array, plus one O(n)
 ``dgttrs`` solve.  Observations are made at the exact times k dt, the last
-at t_end itself.
+at t_end itself; an observer receives the bare value array on the run's
+grid, so the only profile a run builds is its result.
 
 Also here: the radial Biot-Savart formulas, the Oseen-extraction step, the
 weighted L2_m norms for profiles, the pointwise tail envelopes and the
@@ -206,9 +207,11 @@ def run_radial(
     both must be finite and positive, and so must t_end / dt.  The grid must
     be uniform and the profile decayed to ``boundary_tol`` of its maximum at
     r = R.  The CN matrix is factored once and every step is one
-    :func:`step_radial` call on the value array.  ``observer(t, profile)`` is
+    :func:`step_radial` call on the value array.  ``observer(t, values)`` is
     called after every ``observe_every``-th step (an integer >= 1) with
-    t = k dt, and t = t_end after the last step.
+    t = k dt, and t = t_end after the last step; ``values`` are the samples
+    on ``profile.r``, the array the next step reads, so an observer must not
+    write to it.
     """
     _positive_finite("dt", dt)
     _positive_finite("t_end", t_end)
@@ -227,7 +230,7 @@ def run_radial(
     for k in range(1, nsteps + 1):
         h = step_radial(h, system)
         if observer is not None and k % observe_every == 0:
-            observer(t_end if k == nsteps else k * dt, RadialProfile(profile.r, h))
+            observer(t_end if k == nsteps else k * dt, h)
     return profile.with_values(h)
 
 

@@ -37,7 +37,6 @@ class SnapshotData:
     grid: GridSpec
     time: float
     fields: np.ndarray  # (ncomp, nx, ny, nz)
-    version: int = VERSION
 
 
 def write_snapshot(path, grid: GridSpec, time: float, fields: np.ndarray) -> None:
@@ -101,4 +100,4 @@ def read_snapshot(path) -> SnapshotData:
             .reshape(grid.nz, grid.ny, grid.nx)
             .transpose(2, 1, 0)
         )
-    return SnapshotData(grid=grid, time=float(time), fields=fields, version=int(version))
+    return SnapshotData(grid=grid, time=float(time), fields=fields)

@@ -417,6 +417,12 @@ class SpectralOps:
         return max_div, float(np.sqrt(total / h1_sq))
 
 
+def _require_grid(ops: SpectralOps, grid: GridSpec) -> None:
+    """Raise ValueError unless ``ops`` were built for ``grid``."""
+    if ops.grid != grid:
+        raise ValueError(f"ops were built for grid {ops.grid}, not for the field's grid {grid}")
+
+
 def _runs(n: int) -> tuple[slice, slice, slice]:
     """The kept 2/3-rule indices |k| <= n//3 of an FFT axis of n modes: the
     run 0 .. m, the gap between the runs and the run n - m .. n - 1, where

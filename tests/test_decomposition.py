@@ -7,7 +7,6 @@ from helns.decomposition import (
     circulation_a,
     decompose,
     export_profile_csv,
-    ring_average,
     ring_average_cylindrical,
     weighted_l2m_norm,
 )
@@ -40,16 +39,21 @@ def perturbation(grid, ops):
     return random_helical_perturbation(spec, grid, ops)
 
 
+def _scalar_mean(f, ops):
+    """Ring means of a 2D scalar field: the u_z profile of (0, 0, f)."""
+    zero = np.zeros_like(f)
+    return ring_average_cylindrical(np.stack([zero, zero, f]), ops)[2]
+
+
 class TestRingAverage:
     def test_spectral_sampling_is_exact_for_trig_field(self, grid, ops):
         kx, ky = 2 * np.pi / grid.Lx, 2 * np.pi * 2 / grid.Ly
         x = grid.x[:, None]
         y = grid.y[None, :]
         f = 0.3 + np.cos(kx * x) * np.sin(ky * y)
-        radii = np.array([0.0, 1.0, 2.5, 4.0])
-        prof = ring_average(f, ops, radii=radii)
+        prof = _scalar_mean(f, ops)
         cx, cy = grid.center
-        for i, r in enumerate(radii):
+        for i, r in enumerate(prof.r):
             theta = 2 * np.pi * np.arange(128) / 128
             fx = 0.3 + np.cos(kx * (cx + r * np.cos(theta))) * np.sin(
                 ky * (cy + r * np.sin(theta))
@@ -58,7 +62,7 @@ class TestRingAverage:
 
     def test_axisymmetric_field_recovers_profile(self, grid, ops):
         f = np.exp(-grid.r2d**2 / 6.0)
-        prof = ring_average(f, ops)
+        prof = _scalar_mean(f, ops)
         assert np.max(np.abs(prof.values - np.exp(-prof.r**2 / 6.0))) < 1e-6
 
     def test_cylindrical_components(self, grid, ops):
@@ -91,7 +95,7 @@ class TestSingleModeRings:
 
     def test_scalar_mean_is_j0(self, wave):
         ops, k, f, _ = wave
-        prof = ring_average(f, ops)
+        prof = _scalar_mean(f, ops)
         assert np.sqrt(2) * k * prof.r[-1] > 256
         assert np.max(np.abs(prof.values - j0(np.sqrt(2) * k * prof.r))) <= 1e-12
 
@@ -157,35 +161,33 @@ def _bessel_ring_means(u, grid, radii):
 
 
 class TestRingKernelReference:
-    """ring_average(_cylindrical) against the direct trigonometric sum on
-    256-point rings and against the mode-by-mode J0/J1 means."""
-
-    RADII = np.array([0.0, 0.3, 1.25, 4.0, 7.5])
+    """ring_average_cylindrical against the direct trigonometric sum on
+    256-point rings and against the mode-by-mode J0/J1 means, on its nx/2
+    rings 0, dx, ..., 7 dx."""
 
     @pytest.fixture(scope="class")
     def small(self):
         grid = GridSpec.cube(16, 20.0, 1.0)
         u = np.random.default_rng(7).standard_normal((3, 16, 16)) + 0.4
-        return grid, SpectralOps(grid), u
+        return grid, SpectralOps(grid), u, np.arange(8) * grid.dx
 
     @pytest.mark.parametrize("n_theta", [256])
     def test_scalar_matches_direct_sum(self, small, n_theta):
-        grid, ops, u = small
-        prof = ring_average(u[0], ops, radii=self.RADII)
-        ref = [v.mean() for v in _reference_ring_means(u[0], grid, self.RADII, n_theta)]
+        grid, ops, u, radii = small
+        prof = _scalar_mean(u[0], ops)
+        ref = [v.mean() for v in _reference_ring_means(u[0], grid, radii, n_theta)]
         assert np.max(np.abs(prof.values - ref)) <= 1e-13 * np.max(np.abs(u[0]))
 
     def test_scalar_matches_bessel_sum(self, small):
-        grid, ops, u = small
-        prof = ring_average(u[2], ops, radii=self.RADII)
-        ref = _bessel_ring_means(u, grid, self.RADII)[2]
+        grid, ops, u, radii = small
+        prof = ring_average_cylindrical(u, ops)[2]
+        ref = _bessel_ring_means(u, grid, radii)[2]
         assert np.max(np.abs(prof.values - ref)) <= 1e-13 * np.max(np.abs(u[2]))
 
     @pytest.mark.parametrize("n_theta", [256])
     def test_cylindrical_matches_direct_sum(self, small, n_theta):
-        grid, ops, u = small
-        radii = self.RADII
-        got = ring_average_cylindrical(u, ops, radii=radii)
+        grid, ops, u, radii = small
+        got = ring_average_cylindrical(u, ops)
         fx, fy, fz = (_reference_ring_means(c, grid, radii, n_theta) for c in u)
         ref_r, ref_t = [], []
         for j, r in enumerate(radii):
@@ -202,9 +204,9 @@ class TestRingKernelReference:
         assert got[0].values[0] == 0.0 and got[1].values[0] == 0.0
 
     def test_cylindrical_matches_bessel_sum(self, small):
-        grid, ops, u = small
-        got = ring_average_cylindrical(u, ops, radii=self.RADII)
-        ref = _bessel_ring_means(u, grid, self.RADII)
+        grid, ops, u, radii = small
+        got = ring_average_cylindrical(u, ops)
+        ref = _bessel_ring_means(u, grid, radii)
         tol = 1e-13 * np.max(np.abs(u))
         for prof, ref_c in zip(got, ref):
             assert np.max(np.abs(prof.values - ref_c)) <= tol
@@ -213,8 +215,8 @@ class TestRingKernelReference:
 
 class TestWeightedNorm:
     def test_grid_and_profile_quadratures_agree(self, grid):
-        w2d = np.exp(-grid.r2d**2 / 4.0)
-        w = np.broadcast_to(w2d[..., None], grid.shape).copy()
+        w = np.zeros((3,) + grid.shape)
+        w[2] = np.exp(-grid.r2d**2 / 4.0)[..., None]
         grid_norm = weighted_l2m_norm(w, 1.5, grid=grid)
         r = uniform_radii(grid.Lx / 2, 4096)
         prof = RadialProfile(r, np.exp(-(r**2) / 4.0))

@@ -205,6 +205,11 @@ class TestPerturbationGenerator:
         with pytest.raises(ValueError, match="sigma"):
             random_helical_perturbation(spec, grid, ops)
 
+    def test_rejects_ops_of_another_grid(self, grid):
+        other = SpectralOps(GridSpec.cube(grid.nx, grid.Lx - 4.0, grid.pitch))
+        with pytest.raises(ValueError, match="ops were built for grid"):
+            random_helical_perturbation(PerturbationSpec(seed=0, sigma=2.0), grid, other)
+
     def test_rejects_negative_mode(self, grid, ops):
         with pytest.raises(ValueError, match="mode"):
             random_helical_perturbation(

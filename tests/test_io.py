@@ -39,7 +39,6 @@ class TestSnapshotFormat:
         snap = read_snapshot(path)
         assert snap.grid == grid
         assert snap.time == 1.25
-        assert snap.version == 1
         assert np.array_equal(snap.fields, fields)
 
     def test_write_is_deterministic(self, tmp_path, grid, fields):
@@ -259,6 +258,17 @@ class TestCli:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_simulate_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        ini = tmp_path / "run.ini"
+        if kind == "directory":
+            ini.mkdir()
+        else:
+            ini.write_bytes(b"[grid]\nnx = 16\n\xff\xfe\n")
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+        assert "cannot read config: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_invalid_config_exits_2(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"
         ini.write_text(
@@ -411,6 +421,13 @@ class TestCli:
         assert cli.main(["decompose", str(path)]) == 2
         assert "cannot read snapshot" in capsys.readouterr().err
 
+    def test_decompose_directory_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "snap.hlxf"
+        path.mkdir()
+        assert cli.main(["decompose", str(path), "--out", str(tmp_path / "dec")]) == 2
+        assert "cannot read snapshot: " in capsys.readouterr().err
+        assert not (tmp_path / "dec").exists()
+
     # header offsets of Lx, Ly, pitch and time
     @pytest.mark.parametrize("offsets,value", [((20, 28), np.inf), ((36,), np.inf),
                                                ((44,), np.inf), ((44,), np.nan)],
@@ -446,6 +463,13 @@ class TestCli:
         code = cli.main(["verify", "--preset", "bogus", "--out", str(tmp_path)])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_sweep_negative_seed_exits_2(self, tmp_path, capsys):
+        code = cli.main(["sweep-inequality", "--seeds", "1", "--seed", "-1",
+                         "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_rate_study_rejects_out_of_range_m(self, tmp_path, capsys):
         code = cli.main(["rate-study", "--m", "0.9", "--out", str(tmp_path)])

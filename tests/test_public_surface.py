@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import helns
 from helns import (
-    config, decomposition, diagnostics, experiment, fields, grid, presets, radial, solver,
-    spectral,
+    config, decomposition, diagnostics, experiment, fields, grid, presets, radial, snapshot,
+    solver, spectral,
 )
 
 SUBMODULES = (
@@ -85,6 +86,9 @@ REMOVED_NAMES = (
     (diagnostics, "nbar_decay_fit"),
     (spectral, "_divergence"),
     (spectral, "_leray"),
+    (helns, "ring_average"),
+    (decomposition, "ring_average"),
+    (diagnostics.LogEnergyReport, "passed"),
     # instance attributes, looked up on an instance
     (_OPS, "_ik"),
     (_OPS, "_band_k"),
@@ -100,8 +104,9 @@ REMOVED_PARAMETERS = (
     (spectral.SpectralOps.gates, ("mask_radius",)),
     (decomposition.decompose,
      ("mean_route", "ring_method", "n_theta", "defect_tol", "div_tol")),
-    (decomposition.ring_average, ("method", "n_theta", "grid")),
-    (decomposition.ring_average_cylindrical, ("method", "n_theta", "grid")),
+    (decomposition.ring_average_cylindrical, ("method", "n_theta", "grid", "radii")),
+    (decomposition._shell_spectra, ("radii",)),
+    (diagnostics.oseen_difference_check, ("t1_values", "rho_values", "pitch")),
     (diagnostics.rate_study,
      ("a", "amplitude", "delta", "s0", "t_end", "dt", "pitch", "n_observations",
       "super_rate_threshold")),
@@ -133,8 +138,8 @@ REQUIRED_PARAMETERS = (
     (solver.step_spectral3d, "k1"),
     (decomposition.weighted_l2m_norm, "grid"),
     (solver.run_spectral3d, "ops"),
-    (decomposition.ring_average, "ops"),
     (decomposition.ring_average_cylindrical, "ops"),
+    (fields.random_helical_perturbation, "ops"),
 )
 
 
@@ -163,6 +168,20 @@ def test_removed_options_are_gone():
     result_fields = {f.name for f in dataclasses.fields(decomposition.DecompositionResult)}
     assert "mean_route" not in result_fields
     assert "m" not in {f.name for f in dataclasses.fields(config.ExperimentConfig)}
+    assert "version" not in {f.name for f in dataclasses.fields(snapshot.SnapshotData)}
+
+
+def test_removed_argument_shapes_are_gone():
+    # weighted_l2m_norm takes 3-component samples only, and a run_radial
+    # observer receives the bare value array, not a profile
+    g = _OPS.grid
+    with pytest.raises(ValueError, match="expected samples of shape"):
+        decomposition.weighted_l2m_norm(np.zeros(g.shape), 1.5, grid=g)
+    r = radial.uniform_radii(10.0, 64)
+    seen = []
+    radial.run_radial(radial.RadialProfile(r, np.exp(-r**2)), 0.02, 0.01,
+                      observer=lambda t, values: seen.append(values))
+    assert len(seen) == 2 and all(type(v) is np.ndarray for v in seen)
 
 
 def test_import_leaves_quadrature_and_lapack_unloaded():

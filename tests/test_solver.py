@@ -1,5 +1,6 @@
 """Time integration: exactness, consistency and convergence order."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -486,6 +487,26 @@ class TestInstabilityGuard:
         csv_path = excinfo.value.csv_path
         assert csv_path is not None and csv_path.exists()
         assert len(csv_path.read_text().strip().split("\n")) >= 2
+
+
+class TestExperimentOps:
+    def test_rejects_ops_of_another_grid(self, tmp_path):
+        cfg = ExperimentConfig(
+            nx=16, ny=16, nz=16, Lx=24.0, a=1.0, kind="perturbed-oseen",
+            seed=0, amplitude=0.05, sigma=1.2, t_end=0.1, dt=0.05, output_dt=0.1,
+        )
+        other = SpectralOps(GridSpec.cube(16, 20.0, 1.0))
+        with pytest.raises(ValueError, match="ops were built for grid"):
+            run_experiment(cfg, tmp_path / "out", ops=other, quiet=True)
+        assert not (tmp_path / "out").exists()
+        # the lamb2d data go through ops.inverse_curl, not the perturbation generator
+        lamb = dataclasses.replace(cfg, kind="lamb2d", a=0.0, amplitude=1.0, s0=2.0)
+        with pytest.raises(ValueError, match="ops were built for grid"):
+            experiment.build_initial(lamb, experiment.build_grid(lamb), other)
+        # ops of an equal grid built separately are accepted
+        grid = GridSpec.cube(16, 24.0, 1.0)
+        result = run_experiment(cfg, tmp_path / "out", ops=SpectralOps(grid), quiet=True)
+        assert result.grid == grid and len(result.records) == 2
 
 
 def _helical_vorticity(grid, ops):
