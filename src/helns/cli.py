@@ -9,7 +9,7 @@ rate-study        fit radial decay exponents for weighted vorticity classes
 sweep-inequality  seeded Poincare / Ladyzhenskaya inequality sweeps
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 aborted unstable run.
+error (an ``--out`` that names a file included), 3 aborted unstable run.
 
 The environment variable ``HELNS_THREADS`` sets the number of FFT worker
 threads (default 1).  It affects speed only: all outputs are bitwise
@@ -304,7 +304,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (FileExistsError, NotADirectoryError) as exc:  # --out is, or lies under, a file
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

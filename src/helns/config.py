@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import configparser
 import io
-import math
 from dataclasses import dataclass, fields as dc_fields
 
-from .solver import _output_count
+from .fields import _perturbation_violations
+from .grid import _grid_violations, _rule
+from .solver import _output_count, _solver_violations
 
 __all__ = [
     "ConfigError",
@@ -44,6 +45,7 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
     "time": ("t_end", "cfl", "dt", "output_dt"),
     "output": ("csv", "snapshot_dt", "snapshot_dir"),
 }
+_SECTION = {name: section for section, names in _SCHEMA.items() for name in names}
 
 
 class ConfigError(ValueError):
@@ -86,70 +88,43 @@ class ExperimentConfig:
     snapshot_dir: str = "snapshots"
 
     def validate(self) -> list[str]:
-        """Return every violated constraint (empty when valid)."""
-        bad: list[str] = []
-        for section, names in _SCHEMA.items():
-            for name in names:
-                value = getattr(self, name)
-                if _PARSERS[_FIELD_TYPES[name]] is _parse_float and value is not None \
-                        and not math.isfinite(value):
-                    bad.append(f"[{section}] {name} must be finite, got {value!r}")
-        for name in ("nx", "ny", "nz"):
-            n = getattr(self, name)
-            if n < 8 or n % 2 != 0:
-                bad.append(f"[grid] {name} must be an even integer >= 8, got {n}")
-        if not self.Lx > 0:
-            bad.append(f"[grid] Lx must be positive, got {self.Lx}")
-        if not self.pitch > 0:
-            bad.append(f"[grid] pitch must be positive, got {self.pitch}")
+        """Return every violated constraint (empty when valid), under its section.
+
+        The grid, time and perturbation rules are those of GridSpec, SolverConfig
+        and PerturbationSpec (sigma <= Lx/16 for kind 'perturbed-oseen' only);
+        kind, seed, s0 and the [output] keys are this type's own.
+        """
+        bad = _grid_violations(self)
         if self.kind not in INITIAL_KINDS:
             bad.append(
-                f"[initial] kind must be one of {', '.join(INITIAL_KINDS)}; got {self.kind!r}"
+                ("kind", f"kind must be one of {', '.join(INITIAL_KINDS)}; got {self.kind!r}")
             )
         if self.kind == "shear" and self.a != 0.0:
             bad.append(
-                "[initial] kind 'shear' carries zero circulation; requires [physics] a = 0"
+                ("kind", "kind 'shear' carries zero circulation; requires [physics] a = 0")
             )
         if self.seed < 0:
-            bad.append(f"[initial] seed must be a nonnegative integer, got {self.seed}")
-        if self.amplitude < 0:
-            bad.append(f"[initial] amplitude must be nonnegative, got {self.amplitude}")
-        if len(self.modes) == 0 or any(k < 0 for k in self.modes):
-            bad.append(
-                f"[initial] modes must be a nonempty list of nonnegative integers, got {self.modes}"
-            )
-        if not self.sigma > 0:
-            bad.append(f"[initial] sigma must be positive, got {self.sigma}")
-        elif self.kind == "perturbed-oseen" and self.sigma > self.Lx / 16.0:
-            bad.append(f"[initial] sigma must not exceed Lx/16 = {self.Lx / 16.0:g} "
-                       f"for kind 'perturbed-oseen', got {self.sigma}")
-        if not self.s0 > 0:
-            bad.append(f"[initial] s0 must be positive, got {self.s0}")
-        if not self.t_end >= 0:
-            bad.append(f"[time] t_end must be nonnegative, got {self.t_end}")
-        if not 0 < self.cfl < 1:
-            bad.append(f"[time] cfl must lie in (0, 1), got {self.cfl}")
-        if self.dt is not None and not self.dt > 0:
-            bad.append(f"[time] dt must be positive when given, got {self.dt}")
-        if not self.output_dt > 0:
-            bad.append(f"[time] output_dt must be positive, got {self.output_dt}")
+            bad.append(("seed", f"seed must be a nonnegative integer, got {self.seed}"))
+        bad += _perturbation_violations(self, self.Lx if self.kind == "perturbed-oseen"
+                                        else None)
+        bad += _rule("s0", self.s0, self.s0 > 0, "be positive")
+        bad += _solver_violations(self)
         if not self.csv:
-            bad.append("[output] csv must be a nonempty path")
-        if not self.snapshot_dt >= 0:
-            bad.append(
-                f"[output] snapshot_dt must be nonnegative (0 disables snapshots), "
-                f"got {self.snapshot_dt}"
-            )
-        if self.snapshot_dt > 0 and not self.snapshot_dir:
-            bad.append("[output] snapshot_dir must be nonempty when snapshots are on")
-        for section, name in (("time", "t_end"), ("output", "snapshot_dt")):
-            span = getattr(self, name)
-            if span > 0 and self.output_dt > 0:
+            bad.append(("csv", "csv must be a nonempty path"))
+        snap = _rule("snapshot_dt", self.snapshot_dt, self.snapshot_dt >= 0,
+                     "be nonnegative (0 disables snapshots)")
+        bad += snap
+        if self.snapshot_dt > 0 and not snap:
+            if not self.snapshot_dir:
+                bad.append(
+                    ("snapshot_dir", "snapshot_dir must be nonempty when snapshots are on")
+                )
+            if all(name != "output_dt" for name, _ in bad):
                 try:
-                    _output_count(span, self.output_dt, name)
+                    _output_count(self.snapshot_dt, self.output_dt, "snapshot_dt")
                 except ValueError as exc:
-                    bad.append(f"[{section}] {exc}")
-        return bad
+                    bad.append(("snapshot_dt", str(exc)))
+        return [f"[{_SECTION[name]}] {message}" for name, message in bad]
 
 
 def _fmt(value) -> str:
@@ -173,49 +148,18 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
-def _parse_int(text: str, where: str, bad: list[str]) -> int | None:
-    try:
-        return int(text)
-    except ValueError:
-        bad.append(f"{where} must be an integer, got {text!r}")
-        return None
+def _modes(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-def _parse_float(text: str, where: str, bad: list[str]) -> float | None:
-    try:
-        value = float(text)
-    except ValueError:
-        bad.append(f"{where} must be a number, got {text!r}")
-        return None
-    if not math.isfinite(value):
-        bad.append(f"{where} must be finite, got {text!r}")
-        return None
-    return value
-
-
-def _parse_modes(text: str, where: str, bad: list[str]) -> tuple[int, ...] | None:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    values: list[int] = []
-    for p in parts:
-        try:
-            values.append(int(p))
-        except ValueError:
-            bad.append(f"{where} must be comma-separated integers, got {text!r}")
-            return None
-    return tuple(values)
-
-
-def _parse_str(text: str, where: str, bad: list[str]) -> str:
-    return text.strip()
-
-
-# declared field type (a string under postponed annotations) -> value parser
-_PARSERS = {
-    "int": _parse_int,
-    "float": _parse_float,
-    "float | None": _parse_float,
-    "str": _parse_str,
-    "tuple[int, ...]": _parse_modes,
+# declared field type (a string under postponed annotations) -> value converter
+# and what a value that it cannot convert must be
+_CONVERTERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "float | None": (float, "a number"),
+    "str": (str.strip, "text"),
+    "tuple[int, ...]": (_modes, "comma-separated integers"),
 }
 _FIELD_TYPES = {f.name: f.type for f in dc_fields(ExperimentConfig)}
 
@@ -243,9 +187,11 @@ def parse_config(text: str) -> ExperimentConfig:
             if key not in _SCHEMA[section]:
                 bad.append(f"unknown key {key!r} in section [{section}]")
                 continue
-            value = _PARSERS[_FIELD_TYPES[key]](raw, f"[{section}] {key}", bad)
-            if value is not None:
-                setattr(cfg, key, value)
+            convert, noun = _CONVERTERS[_FIELD_TYPES[key]]
+            try:
+                setattr(cfg, key, convert(raw))
+            except ValueError:
+                bad.append(f"[{section}] {key} must be {noun}, got {raw!r}")
 
     bad.extend(cfg.validate())
     if bad:

@@ -700,6 +700,10 @@ def oseen_difference_check() -> OseenDifferenceReport:
 # --- seeded inequality sweeps -----------------------------------------------------------
 
 
+# Round-off allowed to the Poincare sweep: max ratio <= pitch (1 + tol), equality gap <= tol
+_POINCARE_TOL = 1e-10
+
+
 @dataclass
 class PoincareSweepReport:
     ratios: np.ndarray
@@ -711,7 +715,8 @@ class PoincareSweepReport:
         return float(np.max(self.ratios))
 
     def passed(self) -> bool:
-        return self.max_ratio <= self.pitch * (1.0 + 1e-10) and self.equality_gap <= 1e-10
+        tol = _POINCARE_TOL
+        return self.max_ratio <= self.pitch * (1.0 + tol) and self.equality_gap <= tol
 
 
 def _random_perp_field(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import GridSpec, _raise_all, _rule
 from .spectral import SpectralOps, _require_grid
 
 __all__ = [
@@ -39,9 +39,30 @@ __all__ = [
 ]
 
 
+def _perturbation_violations(p, Lx: float | None = None) -> list[tuple[str, str]]:
+    """Every (field, message) pair that the :class:`PerturbationSpec` rules reject in
+    ``p``, a PerturbationSpec or anything with its fields; given the box side
+    ``Lx``, a valid sigma must also not exceed Lx/16."""
+    bad = _rule("amplitude", p.amplitude, p.amplitude >= 0, "be nonnegative")
+    if len(p.modes) == 0 or any(n < 0 for n in p.modes):
+        bad.append(("modes", f"modes must be a nonempty list of nonnegative integers, "
+                             f"got {p.modes}"))
+    width = _rule("sigma", p.sigma, p.sigma > 0, "be positive")
+    if not width and Lx is not None and p.sigma > Lx / 16.0:
+        width = [("sigma", f"sigma must not exceed Lx/16 = {Lx / 16.0:g}, got {p.sigma}")]
+    return bad + width
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Seeded helical perturbation: modes, envelope width and H1 amplitude."""
+    """Seeded helical perturbation: modes, envelope width and H1 amplitude.
+
+    This type owns the rules amplitude >= 0, modes nonempty and >= 0, sigma > 0
+    (each float finite) and, checked against the grid by
+    :func:`random_helical_perturbation`, sigma <= Lx/16: construction raises one
+    ValueError listing every one broken, and ``ExperimentConfig.validate``
+    reports them under ``[initial]``.
+    """
 
     seed: int = 0
     amplitude: float = 0.1
@@ -49,10 +70,7 @@ class PerturbationSpec:
     sigma: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
-        if self.sigma <= 0:
-            raise ValueError("envelope width must be positive")
+        _raise_all(_perturbation_violations(self))
 
 
 # --- radial profiles -------------------------------------------------------
@@ -254,14 +272,7 @@ def random_helical_perturbation(
     Returns spectral coefficients of shape (3, nx, ny, nz//2+1).
     """
     _require_grid(ops, grid)
-    if spec.sigma > grid.Lx / 16.0:
-        raise ValueError(
-            f"envelope sigma={spec.sigma} too wide for box Lx={grid.Lx} "
-            "(requires sigma <= Lx/16)"
-        )
-    for n in spec.modes:
-        if n < 0:
-            raise ValueError("helical mode numbers must be >= 0")
+    _raise_all(_perturbation_violations(spec, grid.Lx))
     if spec.amplitude == 0.0:
         return np.zeros((3,) + grid.spectral_shape, dtype=complex)
 

@@ -17,9 +17,29 @@ import numpy as np
 __all__ = ["GridSpec"]
 
 
-def _validate_samples(name: str, n: int) -> None:
-    if n < 8 or n % 2 != 0:
-        raise ValueError(f"{name} must be an even integer >= 8, got {n}")
+def _rule(name: str, value: float, ok: bool, requirement: str) -> list[tuple[str, str]]:
+    """``[(name, message)]`` unless ``value`` is finite and ``ok`` (checked in
+    that order), else ``[]``; ``requirement`` completes "``name`` must"."""
+    if not np.isfinite(value):
+        return [(name, f"{name} must be finite, got {value}")]
+    if not ok:
+        return [(name, f"{name} must {requirement}, got {value}")]
+    return []
+
+
+def _raise_all(violations: list[tuple[str, str]]) -> None:
+    """Raise one ValueError listing every message of ``violations``, if any."""
+    if violations:
+        raise ValueError("; ".join(message for _, message in violations))
+
+
+def _grid_violations(g) -> list[tuple[str, str]]:
+    """Every (field, message) pair that the :class:`GridSpec` rules reject in
+    ``g``, a GridSpec or anything with its fields."""
+    bad = [(name, f"{name} must be an even integer >= 8, got {n}")
+           for name, n in (("nx", g.nx), ("ny", g.ny), ("nz", g.nz)) if n < 8 or n % 2 != 0]
+    return (bad + _rule("Lx", g.Lx, g.Lx > 0, "be positive")
+            + _rule("pitch", g.pitch, g.pitch > 0, "be positive"))
 
 
 @dataclass(frozen=True)
@@ -36,7 +56,9 @@ class GridSpec:
         Helical pitch parameter L, positive and finite.  The vertical box
         length is ``2*pi*pitch`` exactly.
 
-    The vortex axis runs through the box center :attr:`center`.
+    The vortex axis runs through the box center :attr:`center`.  This type
+    owns these rules: construction raises one ValueError listing every one
+    broken, and ``ExperimentConfig.validate`` reports them under ``[grid]``.
     """
 
     nx: int
@@ -46,13 +68,7 @@ class GridSpec:
     pitch: float
 
     def __post_init__(self) -> None:
-        _validate_samples("nx", self.nx)
-        _validate_samples("ny", self.ny)
-        _validate_samples("nz", self.nz)
-        if not 0 < self.Lx < np.inf:
-            raise ValueError("box side lengths must be positive and finite")
-        if not 0 < self.pitch < np.inf:
-            raise ValueError(f"pitch must be positive and finite, got {self.pitch}")
+        _raise_all(_grid_violations(self))
 
     @classmethod
     def cube(cls, n: int, Lx: float, pitch: float) -> "GridSpec":

@@ -202,10 +202,10 @@ def _preset_poincare(report: PresetReport, out_dir: Path) -> None:
     report.check(
         "max ratio over 100 seeds",
         sweep.max_ratio,
-        sweep.pitch * (1.0 + 1e-10),
+        sweep.pitch * (1.0 + diag._POINCARE_TOL),
         detail=f"pitch {sweep.pitch:g}",
     )
-    report.check("pure-mode equality gap", sweep.equality_gap, 1e-10)
+    report.check("pure-mode equality gap", sweep.equality_gap, diag._POINCARE_TOL)
 
 
 def _preset_ladyzhenskaya(report: PresetReport, out_dir: Path) -> None:

@@ -40,6 +40,7 @@ import numpy as np
 from scipy.special import hyp1f1
 
 from .fields import heat_gaussian, oseen_utheta
+from .grid import _raise_all, _rule
 
 __all__ = [
     "RadialProfile",
@@ -281,6 +282,12 @@ def radial_biot_savart(
     return w_theta.with_values(u_theta), w_theta.with_values(u_z)
 
 
+def _minus_background(profile: RadialProfile, a: float, spread: float, shape) -> RadialProfile:
+    """``profile - a * shape(r, spread)``, for a finite and positive core spread."""
+    _raise_all(_rule("spread", spread, spread > 0, "be positive"))
+    return profile.with_values(profile.values - a * shape(profile.r, spread))
+
+
 def oseen_extraction(
     u_theta: RadialProfile, a: float, spread: float = 1.0
 ) -> RadialProfile:
@@ -291,18 +298,14 @@ def oseen_extraction(
     subtracts the unit-core vortex; larger values match a background already
     diffused to core spread ``1 + t``.
     """
-    if spread <= 0:
-        raise ValueError("core spread must be positive")
-    return u_theta.with_values(u_theta.values - a * oseen_utheta(u_theta.r, spread))
+    return _minus_background(u_theta, a, spread, oseen_utheta)
 
 
 def mean_vorticity_from_utheta(
     w_z: RadialProfile, a: float, spread: float = 1.0
 ) -> RadialProfile:
     """Zero-mass vertical vorticity w_z - (a/(4 pi spread)) e^{-r^2/(4 spread)}."""
-    if spread <= 0:
-        raise ValueError("core spread must be positive")
-    return w_z.with_values(w_z.values - a * heat_gaussian(w_z.r**2, spread))
+    return _minus_background(w_z, a, spread, lambda r, s: heat_gaussian(r**2, s))
 
 
 def zero_mass_check(w_z_bar: RadialProfile) -> tuple[np.ndarray, np.ndarray]:

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import oseen_gradient_xy, oseen_velocity_xy
-from .grid import GridSpec
+from .grid import GridSpec, _raise_all, _rule
 from .spectral import SpectralOps
 
 __all__ = [
@@ -100,6 +100,25 @@ def _output_count(span: float, output_dt: float, name: str) -> int:
     )
 
 
+def _solver_violations(c) -> list[tuple[str, str]]:
+    """Every (field, message) pair that the :class:`SolverConfig` rules reject in
+    ``c``, a SolverConfig or anything with its fields.  The whole-multiple rule
+    is checked once ``t_end`` and ``output_dt`` pass their own rules."""
+    span = _rule("t_end", c.t_end, c.t_end >= 0, "be nonnegative")
+    interval = _rule("output_dt", c.output_dt, c.output_dt > 0, "be positive")
+    bad = _rule("a", c.a, True, "") + span  # any finite a: no smallness is assumed
+    bad += _rule("cfl", c.cfl, 0 < c.cfl < 1, "lie in (0, 1)")
+    if c.dt is not None:
+        bad += _rule("dt", c.dt, c.dt > 0, "be positive when given")
+    bad += interval
+    if not span and not interval:
+        try:
+            _output_count(c.t_end, c.output_dt, "t_end")
+        except ValueError as exc:
+            bad.append(("t_end", str(exc)))
+    return bad
+
+
 @dataclass
 class SolverConfig:
     """Time-integration policy of the 3D engine.
@@ -108,6 +127,10 @@ class SolverConfig:
     the given advective CFL number against max |u| + |a u_LO|.  ``t_end`` is
     a whole multiple of ``output_dt``.  ``a`` is the circulation Reynolds
     number of the background ``a * u_LO(t)``; no smallness is assumed on it.
+    This type owns the input rules: floats finite, t_end >= 0, 0 < cfl < 1,
+    dt > 0 when given, output_dt > 0 and the whole multiple.  Construction
+    raises one ValueError listing every one broken; ``ExperimentConfig.validate``
+    reports the same messages under ``[physics]`` and ``[time]``.
     """
 
     t_end: float = 1.0
@@ -117,17 +140,7 @@ class SolverConfig:
     a: float = 1.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.a):
-            raise ValueError("circulation Reynolds number must be finite")
-        if not self.t_end >= 0:
-            raise ValueError("t_end must be nonnegative")
-        if not (0.0 < self.cfl < 1.0):
-            raise ValueError("CFL number must lie in (0, 1)")
-        if self.dt is not None and not 0.0 < self.dt < np.inf:
-            raise ValueError("fixed dt must be finite and positive")
-        if not self.output_dt > 0:
-            raise ValueError("output_dt must be positive")
-        _output_count(self.t_end, self.output_dt, "t_end")
+        _raise_all(_solver_violations(self))
 
 
 @dataclass

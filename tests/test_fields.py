@@ -1,5 +1,7 @@
 """Analytic background fields and the seeded perturbation generator."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -174,6 +176,30 @@ class TestShearFlow:
     def test_zero_divergence(self, grid, ops):
         u, _ = shear_flow(grid, 0.0)
         assert ops.gates(ops.fwd(u), u)[0] < 1e-12
+
+
+class TestPerturbationSpec:
+    @pytest.mark.parametrize("name,value,message", [
+        ("amplitude", np.nan, "amplitude must be finite, got nan"),
+        ("amplitude", np.inf, "amplitude must be finite, got inf"),
+        ("sigma", np.nan, "sigma must be finite, got nan"),
+        ("sigma", np.inf, "sigma must be finite, got inf"),
+        ("modes", (), "modes must be a nonempty list of nonnegative integers, got ()"),
+    ])
+    def test_rejects_at_construction(self, name, value, message):
+        # each was accepted once and drawn into non-finite coefficients or,
+        # for modes = (), a "degenerate perturbation draw"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PerturbationSpec(**{name: value})
+
+    def test_lists_every_violation(self):
+        with pytest.raises(ValueError) as excinfo:
+            PerturbationSpec(amplitude=-1.0, modes=(1, -2), sigma=0.0)
+        assert str(excinfo.value) == (
+            "amplitude must be nonnegative, got -1.0; "
+            "modes must be a nonempty list of nonnegative integers, got (1, -2); "
+            "sigma must be positive, got 0.0"
+        )
 
 
 class TestPerturbationGenerator:

@@ -57,12 +57,20 @@ class TestGridSpec:
         with pytest.raises(AttributeError):
             g.Ly = 2.0
 
-    @pytest.mark.parametrize("Lx,pitch,match", [(np.inf, 1.0, "side lengths"),
-                                                (np.nan, 1.0, "side lengths"),
+    @pytest.mark.parametrize("Lx,pitch,match", [(np.inf, 1.0, "Lx must be finite"),
+                                                (np.nan, 1.0, "Lx must be finite"),
                                                 (20.0, np.inf, "pitch")])
     def test_rejects_nonfinite_lengths(self, Lx, pitch, match):
         with pytest.raises(ValueError, match=match):
             GridSpec(nx=16, ny=16, nz=16, Lx=Lx, pitch=pitch)
+
+    def test_lists_every_violation(self):
+        with pytest.raises(ValueError) as excinfo:
+            GridSpec(nx=7, ny=16, nz=10.5, Lx=np.nan, pitch=-1.0)
+        assert str(excinfo.value) == (
+            "nx must be an even integer >= 8, got 7; nz must be an even integer >= 8, "
+            "got 10.5; Lx must be finite, got nan; pitch must be positive, got -1.0"
+        )
 
     def test_rejects_nonpositive_pitch(self):
         with pytest.raises(ValueError, match="pitch"):

@@ -191,12 +191,28 @@ class TestConfig:
         ("s0", np.inf, {}), ("pitch", np.inf, {}), ("cfl", np.nan, {}), ("sigma", np.nan, {}),
     ])
     def test_nonfinite_float_rejected_as_parse_config_does(self, tmp_path, name, value, extra):
-        # a config built in code meets the parser's "must be finite" rule
+        # a config built in code meets the "must be finite" rule that parsed text meets
         cfg = ExperimentConfig(nx=16, ny=16, nz=16, **{name: value}, **extra)
         assert f"] {name} must be finite, got {value!r}" in cfg.validate()[0]
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             run_experiment(cfg, tmp_path, quiet=True)
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key,text,message", [
+        ("a", "inf", "[physics] a must be finite, got inf"),
+        ("amplitude", "nan", "[initial] amplitude must be finite, got nan"),
+        ("sigma", "inf", "[initial] sigma must be finite, got inf"),
+        ("modes", "", "[initial] modes must be a nonempty list of nonnegative integers, got ()"),
+        ("output_dt", "inf", "[time] output_dt must be finite, got inf"),
+    ])
+    def test_ini_value_rejected_by_its_owner(self, key, text, message):
+        # the INI path reports the message of the type that owns the rule
+        lines = serialize_config(ExperimentConfig()).splitlines()
+        text = "\n".join(f"{key} = {text}" if line.startswith(f"{key} =") else line
+                         for line in lines)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert excinfo.value.violations == [message]
 
     def test_readme_default_config_is_the_default(self):
         # README's complete INI example, comments stripped, lists every key
@@ -475,6 +491,25 @@ class TestCli:
         code = cli.main(["rate-study", "--m", "0.9", "--out", str(tmp_path)])
         assert code == 2
         assert "rejected m = 0.9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    @pytest.mark.parametrize("command", ["simulate", "decompose", "verify", "rate-study",
+                                         "sweep-inequality"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command, out):
+        # FileExistsError (--out is a file) or NotADirectoryError (a parent is)
+        (tmp_path / "afile").write_text("keep")
+        if command == "simulate":
+            args = ["--config", str(_write_config(tmp_path))]
+        elif command == "decompose":
+            grid = GridSpec.cube(16, 20.0, 1.0)
+            args = [str(tmp_path / "snap.hlxf")]
+            write_snapshot(args[0], grid, 0.5, oseen_vorticity(grid, 0.5))
+        else:
+            args = {"verify": ["--preset", "poincare"], "rate-study": ["--m", "1.5"],
+                    "sweep-inequality": ["--seeds", "1"]}[command]
+        assert cli.main([command, *args, "--out", str(tmp_path / out), "--quiet"]) == 2
+        assert "cannot write output: " in capsys.readouterr().err
+        assert (tmp_path / "afile").read_text() == "keep"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

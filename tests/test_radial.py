@@ -302,6 +302,16 @@ class TestBiotSavart:
         inner = (r >= 1.0) & (r < 30.0)
         assert np.max(np.abs(fwd[inner] - bwd[inner])) < 1e-5
 
+    @pytest.mark.parametrize("spread", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["oseen_extraction", "mean_vorticity_from_utheta"])
+    def test_background_subtraction_rejects_bad_spread(self, name, spread):
+        # an infinite spread once returned the profile unchanged: the
+        # background was silently not subtracted
+        r = uniform_radii(10.0, 64)
+        rule = "finite" if not np.isfinite(spread) else "positive"
+        with pytest.raises(ValueError, match=f"^spread must be {rule}, got {spread}$"):
+            getattr(radial, name)(RadialProfile(r, _gaussian(r, 1.0)), 1.0, spread=spread)
+
     def test_mean_vorticity_subtraction(self):
         r = uniform_radii(40.0, 1024)
         w_z = RadialProfile(r, 2.0 * _gaussian(r, 1.0))

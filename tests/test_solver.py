@@ -444,16 +444,27 @@ class TestRunControl:
         with pytest.raises(ValueError, match="t_end must be a whole multiple"):
             SolverConfig(t_end=t_end, output_dt=0.1)
 
-    @pytest.mark.parametrize("output_dt", [0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("output_dt", [0.0, -0.1, float("nan"), float("inf")])
     def test_nonpositive_output_dt_rejected(self, output_dt):
-        # a zero output interval would leave run_spectral3d stepping at t = 0
+        # a zero output interval would leave run_spectral3d stepping at t = 0,
+        # and an infinite one would end the run at t = 0 (t_end / inf = 0 intervals)
         with pytest.raises(ValueError, match="output_dt"):
             SolverConfig(t_end=0.2, output_dt=output_dt, a=0.0)
 
     @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0])
     def test_fixed_dt_must_be_finite_and_positive(self, dt):
-        with pytest.raises(ValueError, match="fixed dt must be finite and positive"):
+        rule = "must be finite" if not np.isfinite(dt) else "must be positive when given"
+        with pytest.raises(ValueError, match=f"^dt {rule}, got {dt}$"):
             SolverConfig(t_end=0.2, dt=dt, output_dt=0.1, a=0.0)
+
+    def test_lists_every_violation(self):
+        with pytest.raises(ValueError) as excinfo:
+            SolverConfig(t_end=0.25, dt=np.inf, cfl=1.0, output_dt=0.1, a=np.nan)
+        assert str(excinfo.value) == (
+            "a must be finite, got nan; cfl must lie in (0, 1), got 1.0; "
+            "dt must be finite, got inf; "
+            "t_end must be a whole multiple of output_dt = 0.1, got 0.25"
+        )
 
     def test_cfl_violation_warns_and_reduces(self, grid, ops, caplog):
         # with v = 0 and a strong background, max |a u_LO| alone breaks the
