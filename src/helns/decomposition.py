@@ -25,6 +25,7 @@ from .fields import heat_gaussian
 from .grid import GridSpec
 from .radial import (
     RadialProfile,
+    _check_weight_exponent,
     bound_envelopes,
     mean_vorticity_from_utheta,
     oseen_extraction,
@@ -76,8 +77,7 @@ def weighted_l2m_norm(omega, m: float, *, grid: GridSpec) -> float:
     distance from the vortex axis.  Radial profiles have
     :func:`helns.radial.weighted_l2m_norm_profile`.
     """
-    if m < 0:
-        raise ValueError("weight exponent m must be >= 0")
+    _check_weight_exponent(m)
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (3,) + grid.shape:
         raise ValueError(f"expected samples of shape {(3,) + grid.shape}")

@@ -9,6 +9,7 @@ wavenumbers and quadrature weights from a :class:`GridSpec`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,7 +38,8 @@ def _grid_violations(g) -> list[tuple[str, str]]:
     """Every (field, message) pair that the :class:`GridSpec` rules reject in
     ``g``, a GridSpec or anything with its fields."""
     bad = [(name, f"{name} must be an even integer >= 8, got {n}")
-           for name, n in (("nx", g.nx), ("ny", g.ny), ("nz", g.nz)) if n < 8 or n % 2 != 0]
+           for name, n in (("nx", g.nx), ("ny", g.ny), ("nz", g.nz))
+           if not isinstance(n, numbers.Integral) or n < 8 or n % 2 != 0]
     return (bad + _rule("Lx", g.Lx, g.Lx > 0, "be positive")
             + _rule("pitch", g.pitch, g.pitch > 0, "be positive"))
 
@@ -49,7 +51,7 @@ class GridSpec:
     Parameters
     ----------
     nx, ny, nz : int
-        Sample counts along x, y, z.  Even and at least 8.
+        Sample counts along x, y, z: even integers, at least 8.
     Lx : float
         Horizontal side length, positive and finite; :attr:`Ly` is ``Lx``.
     pitch : float

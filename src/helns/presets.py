@@ -155,7 +155,7 @@ def _preset_oracle_shear(report: PresetReport, out_dir: Path) -> None:
         kind="shear", t_end=1.0, output_dt=0.1, csv="oracle_shear.csv",
     )
     result = run_experiment(cfg, out_dir, quiet=True)
-    ops = SpectralOps(result.grid)
+    ops = result.final_state.ops
     u_exact, _ = shear_flow(result.grid, cfg.t_end)
     exact_hat = ops.fwd(u_exact)
     err = ops.l2_norm(result.final_state.v_hat - exact_hat) / ops.l2_norm(exact_hat)

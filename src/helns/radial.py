@@ -325,12 +325,16 @@ def zero_mass_check(w_z_bar: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
 # --- weighted norms ----------------------------------------------------------
 
 
+def _check_weight_exponent(m: float) -> None:
+    """Raise a ValueError unless the L2_m weight exponent ``m`` is finite and >= 0."""
+    _raise_all(_rule("m", m, m >= 0, "be nonnegative"))
+
+
 def weighted_l2m_norm_profile(
     profile: RadialProfile, m: float, pitch: float
 ) -> float:
     """L2_m(box) norm of a radial profile: (int (1+r^2)^m f^2 r dr dtheta dz)^(1/2)."""
-    if m < 0:
-        raise ValueError("weight exponent m must be >= 0")
+    _check_weight_exponent(m)
     integrand = (1.0 + profile.r**2) ** m * profile.values**2
     val = float(np.trapezoid(integrand * profile.r, profile.r))
     return float(np.sqrt(2.0 * np.pi * 2.0 * np.pi * pitch * val))

@@ -31,8 +31,7 @@ a run the block is the only representation: a :class:`SimulationState` is
 ``(ops, t, block)``, and the diagnostics records and snapshots read the
 block and scatter nothing.  The full shape is formed only at the boundary:
 ``SimulationState.v_hat`` is a fresh scatter of the block, allocated on
-every access, and :func:`rhs_perturbation` takes and returns full-shape
-arrays.
+every access.
 
 The nonlinearity has two branches.  Without background (a = 0) it is taken in
 divergence form, P div(v (x) v): one inverse transform of v, the six symmetric
@@ -43,7 +42,9 @@ convective form is kept: the sampled Oseen slice is not band-limited, so the
 two forms of the coupling a(u_LO.grad v + v.grad u_LO) differ by truncation
 error, not round-off.  Against a 2x zero-padded evaluation with the analytic
 u_LO and grad u_LO, the convective loop is off by about 5e-5 relative L2 at
-32^3, Lx = 20, and the divergence form by about 3e-4.
+32^3, Lx = 20, and the divergence form by about 3e-4.  Both branches are one
+method, and either forms its products in one work array, allocated with the
+tendency and kept for the run.
 
 Stage 1 of each RK4 step does not depend on dt, so :func:`run_spectral3d`
 evaluates it first, as a :class:`Stage`: the physical v it inverted, at
@@ -78,7 +79,6 @@ __all__ = [
     "SolverConfig",
     "SimulationState",
     "Stage",
-    "rhs_perturbation",
     "step_spectral3d",
     "run_spectral3d",
 ]
@@ -199,30 +199,26 @@ class _Rhs:
     S_ij = v_i v_j (9 scalar FFTs); ``a != 0`` keeps the convective loop
     (15 FFTs), which is closer to the alias-free coupling than the
     divergence form (see the module docstring).  The physical products are
-    formed in one work array, allocated on first use and kept.
+    formed in one work array, allocated with the tendency and kept.
     """
 
     def __init__(self, ops: SpectralOps, a: float):
-        self.grid = ops.grid
         self.ops = ops
         self.a = a
         self._cache_t = None
         self._cache = None
-        self._work = None
+        self._work = np.empty((6 if a == 0.0 else 3,) + ops.grid.shape)
 
     def _background(self, t: float):
         if self._cache_t != t:
-            uxy = oseen_velocity_xy(self.grid, t)
-            gxy = oseen_gradient_xy(self.grid, t)
+            uxy = oseen_velocity_xy(self.ops.grid, t)
+            gxy = oseen_gradient_xy(self.ops.grid, t)
             self._cache = (uxy[..., None], gxy[..., None])
             self._cache_t = t
         return self._cache
 
     def __call__(self, vb: np.ndarray, t: float) -> np.ndarray:
-        v = self._physical(vb, t)
-        if self.a == 0.0:
-            return self._divergence_form(v)
-        return self._convective_form(v, self.ops.gradients(vb), t)
+        return self._tendency(vb, self._physical(vb, t), t)[0]
 
     def stage(self, vb: np.ndarray, t: float) -> Stage:
         """The tendency together with the fields and speed it passed through."""
@@ -233,10 +229,8 @@ class _Rhs:
             u0 = u0 + self.a * ulo[0]
             u1 = u1 + self.a * ulo[1]
         umax = float(np.max(np.sqrt(u0**2 + u1**2 + v[2] ** 2)))
-        if self.a == 0.0:
-            return Stage(v=v, grads=None, k1=self._divergence_form(v), umax=umax)
-        grads = self.ops.gradients(vb)
-        return Stage(v=v, grads=grads, k1=self._convective_form(v, grads, t), umax=umax)
+        k1, grads = self._tendency(vb, v, t)
+        return Stage(v=v, grads=grads, k1=k1, umax=umax)
 
     def _physical(self, vb: np.ndarray, t: float) -> np.ndarray:
         v = self.ops.inv(vb)
@@ -246,46 +240,26 @@ class _Rhs:
             )
         return v
 
-    def _products(self) -> np.ndarray:
-        """The work array: the six S_ij (a = 0) or the three advection terms."""
-        if self._work is None:
-            self._work = np.empty((6 if self.a == 0.0 else 3,) + self.grid.shape)
-        return self._work
-
-    def _divergence_form(self, v: np.ndarray) -> np.ndarray:
-        ops = self.ops
-        prod = self._products()
-        for n, (i, j) in enumerate(_PAIRS):
-            np.multiply(v[i], v[j], out=prod[n])
-        S = ops.fwd_band(prod)
-        return -ops.leray(np.stack([ops.divergence([S[n] for n in row]) for row in _ROWS]))
-
-    def _convective_form(self, v: np.ndarray, grads: np.ndarray, t: float) -> np.ndarray:
-        ops = self.ops
+    def _tendency(self, vb: np.ndarray, v: np.ndarray, t: float):
+        """``(tendency, grads)`` of the block ``vb`` whose physical samples are
+        ``v``: the divergence form and None at a = 0, else the convective
+        loop and the nine physical gradients d_j v_i it read."""
+        ops, work = self.ops, self._work
+        if self.a == 0.0:
+            for n, (i, j) in enumerate(_PAIRS):
+                np.multiply(v[i], v[j], out=work[n])
+            S = ops.fwd_band(work)
+            div = np.stack([ops.divergence([S[n] for n in row]) for row in _ROWS])
+            return -ops.leray(div), None
+        grads = ops.gradients(vb)
         ulo, glo = self._background(t)
-        adv = self._products()
         for i in range(3):
             grad_i = grads[i]
-            adv[i] = (
-                v[0] * grad_i[0] + v[1] * grad_i[1] + v[2] * grad_i[2]
-            )
-            adv[i] += self.a * (ulo[0] * grad_i[0] + ulo[1] * grad_i[1])
+            work[i] = v[0] * grad_i[0] + v[1] * grad_i[1] + v[2] * grad_i[2]
+            work[i] += self.a * (ulo[0] * grad_i[0] + ulo[1] * grad_i[1])
             if i < 2:
-                adv[i] += self.a * (v[0] * glo[i, 0] + v[1] * glo[i, 1])
-        return -ops.leray(ops.fwd_band(adv))
-
-
-def rhs_perturbation(v_hat: np.ndarray, t: float, a: float, ops: SpectralOps) -> np.ndarray:
-    """Projected advective tendency -P[v.grad v + a(u_LO.grad v + v.grad u_LO)].
-
-    Full-shape coefficients in and out.  Only the kept 2/3-rule block of
-    ``v_hat`` is read (the engine's fields are zero outside it), and the
-    tendency is zero outside that block.  The viscous term is excluded: it
-    is applied exactly by the integrating factor of :func:`step_spectral3d`.
-    For a = 0 the product is taken in divergence form, which equals
-    v.grad v only for solenoidal v (the fields the engine carries).
-    """
-    return ops.scatter(_Rhs(ops, a)(ops.gather(v_hat), t))
+                work[i] += self.a * (v[0] * glo[i, 0] + v[1] * glo[i, 1])
+        return -ops.leray(ops.fwd_band(work)), grads
 
 
 def step_spectral3d(
@@ -347,13 +321,12 @@ def run_spectral3d(
         target = config.t_end if k == n_out else k * config.output_dt
         umax = stage.umax
         dt_cfl = config.cfl * h / umax if umax != 0.0 else np.inf
-        dt = min(config.dt, dt_cfl) if config.dt is not None else dt_cfl
-        if config.dt is not None and dt < config.dt:
+        if config.dt is not None and dt_cfl < config.dt:
             logger.warning(
                 "t=%.4g: fixed dt=%.3g violates CFL bound %.3g; step reduced",
                 state.t, config.dt, dt_cfl,
             )
-        dt = min(dt, target - state.t)
+        dt = min(config.dt or np.inf, dt_cfl, target - state.t)
         # release the stage's physical fields for the duration of the step
         k1, stage = stage.k1, None
         state = step_spectral3d(state, dt, rhs, k1)

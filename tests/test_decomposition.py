@@ -19,7 +19,7 @@ from helns.fields import (
 from scipy.special import j0, j1
 
 from helns.grid import GridSpec
-from helns.radial import RadialProfile, uniform_radii
+from helns.radial import RadialProfile, uniform_radii, weighted_l2m_norm_profile
 from helns.spectral import SpectralOps
 
 
@@ -220,9 +220,6 @@ class TestWeightedNorm:
         grid_norm = weighted_l2m_norm(w, 1.5, grid=grid)
         r = uniform_radii(grid.Lx / 2, 4096)
         prof = RadialProfile(r, np.exp(-(r**2) / 4.0))
-        prof_norm_sq = 0.0
-        from helns.radial import weighted_l2m_norm_profile
-
         prof_norm = weighted_l2m_norm_profile(prof, 1.5, grid.pitch)
         # the box corners carry the Gaussian tail: small relative difference
         assert grid_norm == pytest.approx(prof_norm, rel=1e-3)
@@ -235,6 +232,16 @@ class TestWeightedNorm:
     def test_requires_location_information(self, grid):
         with pytest.raises(TypeError):
             weighted_l2m_norm(np.zeros(grid.shape), 1.2)
+
+    @pytest.mark.parametrize("m,message", [(np.nan, "^m must be finite, got nan$"),
+                                           (np.inf, "^m must be finite, got inf$"),
+                                           (-1.0, "^m must be nonnegative, got -1.0$")])
+    def test_rejects_bad_weight_exponent(self, grid, m, message):
+        r = uniform_radii(grid.Lx / 2, 64)
+        with pytest.raises(ValueError, match=message):
+            weighted_l2m_norm(np.zeros((3,) + grid.shape), m, grid=grid)
+        with pytest.raises(ValueError, match=message):
+            weighted_l2m_norm_profile(RadialProfile(r, np.exp(-(r**2) / 4.0)), m, grid.pitch)
 
 
 class TestCirculation:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from helns import solver
 from helns.fields import PerturbationSpec, random_helical_perturbation
 from helns.grid import GridSpec
-from helns.solver import _ROWS, rhs_perturbation
+from helns.solver import _ROWS
 from helns.spectral import SpectralOps
 
 
@@ -43,9 +44,9 @@ class TestGridSpec:
         g = GridSpec.cube(16, 10.0, 2.5)
         assert g.Lz == pytest.approx(2 * np.pi * 2.5, rel=1e-15)
 
-    @pytest.mark.parametrize("n", [7, 9, 4, 15])
+    @pytest.mark.parametrize("n", [7, 9, 4, 15, 16.0])
     def test_rejects_bad_sample_counts(self, n):
-        with pytest.raises(ValueError, match="even integer >= 8"):
+        with pytest.raises(ValueError, match=f"^nx must be an even integer >= 8, got {n}$"):
             GridSpec(nx=n, ny=16, nz=16, Lx=1.0, pitch=1.0)
 
     def test_rejects_rectangular_cross_section(self):
@@ -71,6 +72,9 @@ class TestGridSpec:
             "nx must be an even integer >= 8, got 7; nz must be an even integer >= 8, "
             "got 10.5; Lx must be finite, got nan; pitch must be positive, got -1.0"
         )
+
+    def test_accepts_numpy_integer_counts(self):
+        assert GridSpec.cube(np.int64(16), 20.0, 1.0).spectral_shape == (16, 16, 9)
 
     def test_rejects_nonpositive_pitch(self):
         with pytest.raises(ValueError, match="pitch"):
@@ -230,7 +234,7 @@ class TestBandTendency:
             return leray(U)
 
         g_ops.fwd_band, g_ops.leray = recorded_fwd_band, recorded_leray
-        rhs = rhs_perturbation(v_hat, 0.25, a, g_ops)
+        rhs = g_ops.scatter(solver._Rhs(g_ops, a)(g_ops.gather(v_hat), 0.25))
         (S,) = products
         # the tail projects one block
         assert projected == [(3,) + g_ops.band_shape]
@@ -238,7 +242,7 @@ class TestBandTendency:
         if a == 0.0:
             F = np.stack([g_ops.divergence([F[k] for k in row]) for row in _ROWS])
         ref = -leray(g_ops.dealias(F))
-        # rhs_perturbation scatters the block: zeros outside it
+        # the tendency is zero outside the kept block
         kept = g.dealias_mask
         assert rhs[:, kept].tobytes() == ref[:, kept].tobytes()
         assert not np.any(rhs[:, ~kept])

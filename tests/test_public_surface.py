@@ -44,6 +44,8 @@ REMOVED_NAMES = (
     (decomposition, "_to_cylindrical"),
     (decomposition.DecompositionResult, "v_physical"),
     (solver, "_cfl_dt"),
+    (solver, "rhs_perturbation"),
+    (solver._Rhs, "_products"),
     (solver.SimulationState, "u_physical"),
     (solver.SimulationState, "v_physical"),
     (solver.SimulationState, "_of_block"),
@@ -121,7 +123,6 @@ REMOVED_PARAMETERS = (
     (radial.radial_biot_savart, ("tail_tol",)),
     (radial.run_radial, ("source_fn",)),
     (radial.RadialProfile.is_uniform, ("rtol",)),
-    (solver.rhs_perturbation, ("grid", "params")),
     (solver.step_spectral3d, ("ops",)),
     (solver.SimulationState, ("grid", "v_hat")),
     (decomposition.weighted_l2m_norm, ("pitch",)),
@@ -134,7 +135,6 @@ REMOVED_PARAMETERS = (
 
 # Arguments that every caller passes, so they carry no default.
 REQUIRED_PARAMETERS = (
-    (solver.rhs_perturbation, "ops"),
     (solver.step_spectral3d, "k1"),
     (decomposition.weighted_l2m_norm, "grid"),
     (solver.run_spectral3d, "ops"),
