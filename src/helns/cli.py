@@ -104,16 +104,10 @@ def _cmd_simulate(args) -> int:
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        if args.seed < 0:
-            print(f"--seed must be nonnegative, got {args.seed}", file=sys.stderr)
-            return 2
         cfg.seed = args.seed
     try:
         result = run_experiment(cfg, args.out, quiet=args.quiet)
@@ -136,17 +130,8 @@ def _cmd_decompose(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read snapshot: {exc}", file=sys.stderr)
         return 2
-    if snap.fields.shape[0] != 3:
-        print(
-            f"decompose requires a 3-component vorticity snapshot, got "
-            f"{snap.fields.shape[0]} components",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        result = decompose(
-            snap.fields, snap.grid, args.m, background_spread=1.0 + snap.time
-        )
+        result = decompose(snap.fields, snap.grid, args.m, background_spread=1.0 + snap.time)
     except ValueError as exc:
         print(f"decomposition rejected: {exc}", file=sys.stderr)
         return 2
@@ -168,10 +153,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    names = list(PRESETS) if args.preset == "all" else [args.preset]
-    try:
-        reports = run_all(out, names)
+    try:  # run_preset rejects an unknown name before it makes the directory
+        reports = run_all(out, None if args.preset == "all" else [args.preset])
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -196,14 +179,11 @@ def _cmd_rate_study(args) -> int:
         print(f"--m must be a comma-separated list of numbers, got {args.m!r}",
               file=sys.stderr)
         return 2
-    for m in m_values:
-        if not 1.0 < m < 2.0:
-            print(
-                f"rejected m = {m:g}: the weighted-tail study requires 1 < m < 2 "
-                "(the weighted class embeds into integrable vorticity only for m > 1)",
-                file=sys.stderr,
-            )
-            return 2
+    try:
+        diag._check_tail_exponents(m_values)  # before any study runs
+    except ValueError as exc:
+        print(f"rate study rejected: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     studies = [diag.rate_study(m) for m in m_values]
@@ -214,20 +194,9 @@ def _cmd_rate_study(args) -> int:
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write("initial,m,exponent,expected,residual,confidence,super_rate\n")
         for s in studies:
-            fh.write(
-                ",".join(
-                    [
-                        s.initial,
-                        "" if s.m is None else diag.format_float(s.m),
-                        diag.format_float(s.fit.exponent),
-                        "" if s.expected is None else diag.format_float(s.expected),
-                        diag.format_float(s.fit.residual),
-                        diag.format_float(s.fit.confidence),
-                        str(int(s.super_rate)),
-                    ]
-                )
-                + "\n"
-            )
+            values = (s.m, s.fit.exponent, s.expected, s.fit.residual, s.fit.confidence)
+            cells = ["" if x is None else diag.format_float(x) for x in values]
+            fh.write(",".join([s.initial, *cells, str(int(s.super_rate))]) + "\n")
     for s in studies:
         label = f"m={s.m:g}" if s.m is not None else s.initial
         series_path = out / f"rate_series_{label.replace('=', '')}.csv"
@@ -247,17 +216,14 @@ def _cmd_rate_study(args) -> int:
 
 
 def _cmd_sweep_inequality(args) -> int:
-    if args.seeds < 1:
-        print(f"--seeds must be positive, got {args.seeds}", file=sys.stderr)
+    try:
+        poincare = diag.sweep_poincare(n_seeds=args.seeds, seed0=args.seed)
+    except ValueError as exc:
+        print(f"sweep rejected: {exc}", file=sys.stderr)
         return 2
-    if args.seed < 0:
-        print(f"--seed must be nonnegative, got {args.seed}", file=sys.stderr)
-        return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    poincare = diag.sweep_poincare(n_seeds=args.seeds, seed0=args.seed)
     lady1 = diag.sweep_ladyzhenskaya(n_seeds=args.seeds, pitch=1.0, seed0=args.seed)
     lady2 = diag.sweep_ladyzhenskaya(n_seeds=args.seeds, pitch=2.0, seed0=args.seed)
+    change = abs(lady2.c0 - lady1.c0) / lady1.c0
     payload = {
         "poincare": {
             "pitch": diag.format_float(poincare.pitch),
@@ -269,12 +235,14 @@ def _cmd_sweep_inequality(args) -> int:
         "ladyzhenskaya": {
             "c0_pitch1": diag.format_float(lady1.c0),
             "c0_pitch2": diag.format_float(lady2.c0),
-            "relative_change": diag.format_float(abs(lady2.c0 - lady1.c0) / lady1.c0),
+            "relative_change": diag.format_float(change),
             "default_c0": diag.format_float(diag.DEFAULT_C0),
             "ratios_pitch1": [diag.format_float(v) for v in lady1.ratios],
             "ratios_pitch2": [diag.format_float(v) for v in lady2.ratios],
         },
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     sweep_path = out / "sweep_summary.json"
     with open(sweep_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -287,7 +255,7 @@ def _cmd_sweep_inequality(args) -> int:
     _say(
         args.quiet,
         f"ladyzhenskaya: C0 {lady1.c0:.6g} (pitch 1) vs {lady2.c0:.6g} (pitch 2), "
-        f"change {abs(lady2.c0 - lady1.c0) / lady1.c0:.2%}",
+        f"change {change:.2%}",
     )
     _say(args.quiet, f"wrote {sweep_path}")
     return 0
@@ -306,6 +274,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except ConfigError as exc:  # from the INI file, or after a --seed override
+        print(str(exc), file=sys.stderr)
+        return 2
     except (FileExistsError, NotADirectoryError) as exc:  # --out is, or lies under, a file
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2

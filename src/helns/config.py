@@ -92,7 +92,7 @@ class ExperimentConfig:
 
         The grid, time and perturbation rules are those of GridSpec, SolverConfig
         and PerturbationSpec (sigma <= Lx/16 for kind 'perturbed-oseen' only);
-        kind, seed, s0 and the [output] keys are this type's own.
+        kind, s0 and the [output] keys are this type's own.
         """
         bad = _grid_violations(self)
         if self.kind not in INITIAL_KINDS:
@@ -103,8 +103,6 @@ class ExperimentConfig:
             bad.append(
                 ("kind", "kind 'shear' carries zero circulation; requires [physics] a = 0")
             )
-        if self.seed < 0:
-            bad.append(("seed", f"seed must be a nonnegative integer, got {self.seed}"))
         bad += _perturbation_violations(self, self.Lx if self.kind == "perturbed-oseen"
                                         else None)
         bad += _rule("s0", self.s0, self.s0 > 0, "be positive")

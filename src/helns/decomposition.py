@@ -22,10 +22,10 @@ import numpy as np
 from scipy.special import j0, j1
 
 from .fields import heat_gaussian
-from .grid import GridSpec
+from .grid import GridSpec, _raise_all, _rule
 from .radial import (
     RadialProfile,
-    _check_weight_exponent,
+    _weight_exponent_violations,
     bound_envelopes,
     mean_vorticity_from_utheta,
     oseen_extraction,
@@ -53,6 +53,15 @@ DEFECT_TOL = 1e-4
 # --- circulation -------------------------------------------------------------
 
 
+def _samples(omega, grid: GridSpec) -> np.ndarray:
+    """``omega`` as a float array, which must hold 3 components on ``grid``."""
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (3,) + grid.shape:
+        raise ValueError(f"expected samples of shape {(3,) + grid.shape} "
+                         f"(3 components on the grid), got {omega.shape}")
+    return omega
+
+
 def circulation_a(omega: np.ndarray, grid: GridSpec) -> float:
     """Circulation Reynolds number a = (1/(2 pi L)) * integral of omega_z.
 
@@ -60,9 +69,7 @@ def circulation_a(omega: np.ndarray, grid: GridSpec) -> float:
     The vertical-vorticity integral over the box equals ``2 pi L a`` because
     the box height is one vertical period.
     """
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (3,) + grid.shape:
-        raise ValueError(f"expected vorticity of shape {(3,) + grid.shape}")
+    omega = _samples(omega, grid)
     total = float(np.sum(omega[2])) * grid.cell_volume
     return total / (2.0 * np.pi * grid.pitch)
 
@@ -77,10 +84,8 @@ def weighted_l2m_norm(omega, m: float, *, grid: GridSpec) -> float:
     distance from the vortex axis.  Radial profiles have
     :func:`helns.radial.weighted_l2m_norm_profile`.
     """
-    _check_weight_exponent(m)
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (3,) + grid.shape:
-        raise ValueError(f"expected samples of shape {(3,) + grid.shape}")
+    _raise_all(_weight_exponent_violations(m))
+    omega = _samples(omega, grid)
     weighted = np.square(omega)
     weighted *= ((1.0 + grid.r2d**2) ** m)[None, ..., None]
     val = float(np.sum(weighted)) * grid.cell_volume
@@ -229,16 +234,11 @@ def decompose(
     extraction, zero-mass certificate, tail envelopes) is always evaluated
     and attached to the result for reporting.
     """
+    omega = _samples(omega, grid)
+    _raise_all(_rule("m", m, m > 1.0, "exceed 1, where the weighted class lies in "
+                                      "the integrable vorticities"))
     ops = ops or SpectralOps(grid)
     _require_grid(ops, grid)
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (3,) + grid.shape:
-        raise ValueError(f"expected vorticity of shape {(3,) + grid.shape}")
-    if not m > 1.0:
-        raise ValueError(
-            "weight exponent m must exceed 1: only then is the weighted class "
-            "contained in the integrable vorticities"
-        )
     if not np.all(np.isfinite(omega)):
         raise ValueError("vorticity samples must be finite")
 

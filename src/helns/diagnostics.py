@@ -28,6 +28,7 @@ import numpy as np
 
 from .fields import (
     PerturbationSpec,
+    _oseen_F,
     heat_gaussian,
     oseen_gradient_xy,
     oseen_grad_l2_sq,
@@ -35,10 +36,10 @@ from .fields import (
     oseen_utheta_prime,
     random_helical_perturbation,
 )
-from .grid import GridSpec
+from .grid import GridSpec, _integer_rule, _raise_all, _rule
 from .radial import (
     RadialProfile,
-    _forward_biot_savart,
+    _cumtrap,
     _plane_l2_norm,
     kummer_tail_profile,
     run_radial,
@@ -395,51 +396,35 @@ def _tail_size(n: int) -> int:
     return max(n // 2, min(20, n))
 
 
+def _log_fit(t, y, window, model: str) -> DecayFit:
+    """Line through log y against t (``model='exponential'``) or log t
+    (``'power'``) over the positive samples in the mask ``window(t)``."""
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if t.size != y.size or t.size < 4:
+        raise ValueError("need at least 4 samples to fit")
+    keep = window(t) & (y > 0)
+    if np.count_nonzero(keep) < 4:
+        raise ValueError("too few positive samples in the fit window")
+    tt, yy = t[keep], y[keep]
+    slope, _, rms, half = _linear_fit(tt if model == "exponential" else np.log(tt), np.log(yy))
+    return DecayFit(window=(float(tt[0]), float(tt[-1])), model=model, exponent=slope,
+                    residual=rms, confidence=half)
+
+
 def fit_exponential(t, y) -> DecayFit:
     """Exponential fit log y ~ rate * t on the last half of the series.
 
     The window is the trailing half of the samples, widened to at least 20
     when the series is long enough.
     """
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if t.size != y.size or t.size < 4:
-        raise ValueError("need at least 4 samples to fit")
-    n_tail = _tail_size(t.size)
-    tt, yy = t[-n_tail:], y[-n_tail:]
-    keep = yy > 0
-    if np.count_nonzero(keep) < 4:
-        raise ValueError("too few positive samples in the fit window")
-    tt, yy = tt[keep], yy[keep]
-    slope, _, rms, half = _linear_fit(tt, np.log(yy))
-    return DecayFit(
-        window=(float(tt[0]), float(tt[-1])),
-        model="exponential",
-        exponent=slope,
-        residual=rms,
-        confidence=half,
-    )
+    return _log_fit(t, y, lambda t: np.arange(t.size) >= t.size - _tail_size(t.size),
+                    "exponential")
 
 
 def fit_power(t, y) -> DecayFit:
     """Power-law fit log y ~ p log t on t in [t_end/4, t_end]."""
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if t.size != y.size or t.size < 4:
-        raise ValueError("need at least 4 samples to fit")
-    t_end = float(t[-1])
-    keep = (t >= t_end / 4.0) & (t <= t_end) & (t > 0) & (y > 0)
-    if np.count_nonzero(keep) < 4:
-        raise ValueError("too few positive samples in the fit window")
-    tt, yy = t[keep], y[keep]
-    slope, _, rms, half = _linear_fit(np.log(tt), np.log(yy))
-    return DecayFit(
-        window=(float(tt[0]), float(tt[-1])),
-        model="power",
-        exponent=slope,
-        residual=rms,
-        confidence=half,
-    )
+    return _log_fit(t, y, lambda t: (t >= t[-1] / 4.0) & (t <= t[-1]) & (t > 0), "power")
 
 
 def moving_median3(y) -> np.ndarray:
@@ -529,6 +514,15 @@ class RateStudyResult:
     elapsed_seconds: float
 
 
+def _check_tail_exponents(m_values) -> None:
+    """Raise one ValueError naming each weight exponent m outside (1, 2): the
+    weighted class is integrable only for m > 1, and only for m < 2 does the
+    expected exponent (1 - m)/2 stay above the super-rate bound -1/2."""
+    _raise_all([bad for m in m_values
+                for bad in _rule("m", m, 1.0 < m < 2.0,
+                                 "lie in (1, 2) for the weighted-tail study")])
+
+
 def rate_study(
     m: float | None = None,
     *,
@@ -562,8 +556,9 @@ def rate_study(
     a, amplitude, delta, s0 = 1.0, 0.5, 0.05, 0.25
     t_end, dt, pitch, observe_every = 32.0, 0.04, 1.0, 8
     if initial == "kummer":
-        if m is None or not 1.0 < m < 2.0:
-            raise ValueError("the weighted-tail study requires 1 < m < 2")
+        if m is None:
+            raise ValueError("initial 'kummer' needs a weight exponent m")
+        _check_tail_exponents([m])
         p = m + 1.0 + delta
         wide = m < 1.35
         R = (2000.0 if wide else 1000.0) if R is None else R
@@ -584,13 +579,18 @@ def rate_study(
     times: list[float] = []
     values: list[float] = []
 
+    # the factors of r alone, formed once (the velocity's axis entry stays 0)
+    dr, r2, velocity = np.diff(r), r**2, np.zeros_like(r)
+
     def record(t: float, w: np.ndarray) -> None:
-        # oseen_extraction and profile_l2_norm_2d on the bare arrays: the grid
-        # was checked once, with the profile that run_radial starts from
-        v_theta = _forward_biot_savart(w, r)[1]
-        v_theta -= a * oseen_utheta(r, 1.0 + t)
+        # the arithmetic of radial_biot_savart, oseen_extraction and
+        # profile_l2_norm_2d, bit for bit, on the bare arrays: the grid was
+        # checked once, with the profile that run_radial starts from
+        v_theta = _cumtrap(w * r, dr, velocity)
+        v_theta[1:] /= r[1:]
+        v_theta -= a * (r * _oseen_F(r2, 1.0 + t))
         times.append(t)
-        values.append(_plane_l2_norm(v_theta, r) * np.sqrt(2.0 * np.pi * pitch))
+        values.append(_plane_l2_norm(v_theta, r, dr) * np.sqrt(2.0 * np.pi * pitch))
 
     run_radial(
         profile,
@@ -728,13 +728,22 @@ def _random_perp_field(
     return ops.perp(ops.leray(ops.dealias(F)))
 
 
+def _check_sweep_seeds(n_seeds: int, seed0: int) -> None:
+    """Raise one ValueError listing each broken rule of a seeded sweep:
+    ``n_seeds`` an integer >= 1, ``seed0`` an integer >= 0."""
+    _raise_all(_integer_rule("n_seeds", n_seeds, 1) + _integer_rule("seed0", seed0, 0))
+
+
 def sweep_poincare(n_seeds: int = 100, seed0: int = 0) -> PoincareSweepReport:
     """Poincare ratios of seeded zero-vertical-mean fields plus the equality mode.
 
-    The fields live on the 32^3 box of width 20 and pitch 1.  Every ratio
-    satisfies |v|_L2 <= L |grad v|_L2 spectrally; the pure vertical mode
-    sin(z/L) e_x attains the constant exactly.
+    The fields live on the 32^3 box of width 20 and pitch 1; field s is
+    drawn from seed ``seed0 + s``.  ``n_seeds`` must be an integer >= 1 and
+    ``seed0`` an integer >= 0 (one ValueError lists each rule broken).
+    Every ratio satisfies |v|_L2 <= L |grad v|_L2 spectrally; the pure
+    vertical mode sin(z/L) e_x attains the constant exactly.
     """
+    _check_sweep_seeds(n_seeds, seed0)
     grid = GridSpec.cube(32, 20.0, 1.0)
     ops = SpectralOps(grid)
     ratios = []
@@ -766,11 +775,14 @@ def sweep_ladyzhenskaya(
     """Ladyzhenskaya ratios over seeded helical fields; fits C0 = L max(ratio)^4.
 
     The fields live on the 32^3 box of width 20 with envelope width 1.2 (the
-    widest that box admits is 1.25).  The seeds cycle through mode sets that
-    include z-independent samples (helical wavenumber 0), whose fitted
-    constant is exactly pitch-invariant; rerunning with the pitch doubled and
-    matched profiles must reproduce C0 within 10%.
+    widest that box admits is 1.25).  ``n_seeds`` and ``seed0`` follow the
+    rules of :func:`sweep_poincare`, ``pitch`` those of GridSpec.  The seeds
+    cycle through mode sets that include z-independent samples
+    (helical wavenumber 0), whose fitted constant is exactly pitch-invariant;
+    rerunning with the pitch doubled and matched profiles must reproduce C0
+    within 10%.
     """
+    _check_sweep_seeds(n_seeds, seed0)
     grid = GridSpec.cube(32, 20.0, pitch)
     ops = SpectralOps(grid)
     ratios = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, _raise_all, _rule
+from .grid import GridSpec, _integer_rule, _raise_all, _rule
 from .spectral import SpectralOps, _require_grid
 
 __all__ = [
@@ -43,7 +43,8 @@ def _perturbation_violations(p, Lx: float | None = None) -> list[tuple[str, str]
     """Every (field, message) pair that the :class:`PerturbationSpec` rules reject in
     ``p``, a PerturbationSpec or anything with its fields; given the box side
     ``Lx``, a valid sigma must also not exceed Lx/16."""
-    bad = _rule("amplitude", p.amplitude, p.amplitude >= 0, "be nonnegative")
+    bad = _integer_rule("seed", p.seed, 0)
+    bad += _rule("amplitude", p.amplitude, p.amplitude >= 0, "be nonnegative")
     if len(p.modes) == 0 or any(n < 0 for n in p.modes):
         bad.append(("modes", f"modes must be a nonempty list of nonnegative integers, "
                              f"got {p.modes}"))
@@ -57,11 +58,11 @@ def _perturbation_violations(p, Lx: float | None = None) -> list[tuple[str, str]
 class PerturbationSpec:
     """Seeded helical perturbation: modes, envelope width and H1 amplitude.
 
-    This type owns the rules amplitude >= 0, modes nonempty and >= 0, sigma > 0
-    (each float finite) and, checked against the grid by
-    :func:`random_helical_perturbation`, sigma <= Lx/16: construction raises one
-    ValueError listing every one broken, and ``ExperimentConfig.validate``
-    reports them under ``[initial]``.
+    This type owns the rules seed an integer >= 0, amplitude >= 0, modes
+    nonempty and >= 0, sigma > 0 (each float finite) and, checked against the
+    grid by :func:`random_helical_perturbation`, sigma <= Lx/16: construction
+    raises one ValueError listing every one broken, and
+    ``ExperimentConfig.validate`` reports them under ``[initial]``.
     """
 
     seed: int = 0

@@ -28,10 +28,21 @@ def _rule(name: str, value: float, ok: bool, requirement: str) -> list[tuple[str
     return []
 
 
+def _integer_rule(name: str, n, low: int) -> list[tuple[str, str]]:
+    """``[(name, message)]`` unless ``n`` is an integer >= ``low``, else ``[]``."""
+    ok = isinstance(n, numbers.Integral) and n >= low
+    return [] if ok else [(name, f"{name} must be an integer >= {low}, got {n}")]
+
+
 def _raise_all(violations: list[tuple[str, str]]) -> None:
     """Raise one ValueError listing every message of ``violations``, if any."""
     if violations:
         raise ValueError("; ".join(message for _, message in violations))
+
+
+def _pitch_violations(pitch: float) -> list[tuple[str, str]]:
+    """The :class:`GridSpec` rule of a helical pitch: finite and positive."""
+    return _rule("pitch", pitch, pitch > 0, "be positive")
 
 
 def _grid_violations(g) -> list[tuple[str, str]]:
@@ -40,8 +51,7 @@ def _grid_violations(g) -> list[tuple[str, str]]:
     bad = [(name, f"{name} must be an even integer >= 8, got {n}")
            for name, n in (("nx", g.nx), ("ny", g.ny), ("nz", g.nz))
            if not isinstance(n, numbers.Integral) or n < 8 or n % 2 != 0]
-    return (bad + _rule("Lx", g.Lx, g.Lx > 0, "be positive")
-            + _rule("pitch", g.pitch, g.pitch > 0, "be positive"))
+    return bad + _rule("Lx", g.Lx, g.Lx > 0, "be positive") + _pitch_violations(g.pitch)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ heat-similarity (Kummer) profile with a prescribed power-law tail.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -40,7 +39,7 @@ import numpy as np
 from scipy.special import hyp1f1
 
 from .fields import heat_gaussian, oseen_utheta
-from .grid import _raise_all, _rule
+from .grid import _integer_rule, _pitch_violations, _raise_all, _rule
 
 __all__ = [
     "RadialProfile",
@@ -219,8 +218,7 @@ def run_radial(
     ratio = t_end / dt
     if not math.isfinite(ratio):
         raise ValueError(f"dt must make t_end / dt finite, got dt={dt!r} for t_end={t_end!r}")
-    if not (isinstance(observe_every, numbers.Integral) and observe_every >= 1):
-        raise ValueError(f"observe_every must be an integer >= 1, got {observe_every!r}")
+    _raise_all(_integer_rule("observe_every", observe_every, 1))
     if not profile.is_uniform():
         raise ValueError("the radial engine requires a uniform radial grid")
     _check_boundary(profile, boundary_tol)
@@ -238,15 +236,16 @@ def run_radial(
 # --- radial Biot-Savart and Oseen extraction ---------------------------------
 
 
-def _cumtrap(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+def _cumtrap(y: np.ndarray, dr: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of ``y`` from the axis, on nodes with the gaps
+    ``dr``, into ``out``, whose axis entry must be 0."""
+    np.cumsum(0.5 * (y[1:] + y[:-1]) * dr, out=out[1:])
     return out
 
 
 def _forward_biot_savart(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Enclosed integral I(r) = int_0^r w rho drho and velocity I(r)/r (0 at the axis)."""
-    integ = _cumtrap(w * r, r)
+    integ = _cumtrap(w * r, np.diff(r), np.zeros_like(w))
     u = np.zeros_like(integ)
     u[1:] = integ[1:] / r[1:]
     return integ, u
@@ -277,7 +276,7 @@ def radial_biot_savart(
         raise ValueError("w_theta and w_z must share a radial grid")
     r = w_z.r
     _, u_theta = _forward_biot_savart(w_z.values, r)
-    full = _cumtrap(w_theta.values, r)
+    full = _cumtrap(w_theta.values, np.diff(r), np.zeros_like(r))
     u_z = (full[-1] - full) + _tail_estimate(w_theta.values, r)
     return w_theta.with_values(u_theta), w_theta.with_values(u_z)
 
@@ -325,16 +324,17 @@ def zero_mass_check(w_z_bar: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
 # --- weighted norms ----------------------------------------------------------
 
 
-def _check_weight_exponent(m: float) -> None:
-    """Raise a ValueError unless the L2_m weight exponent ``m`` is finite and >= 0."""
-    _raise_all(_rule("m", m, m >= 0, "be nonnegative"))
+def _weight_exponent_violations(m: float) -> list[tuple[str, str]]:
+    """The rule of an L2_m weight exponent ``m``: finite and >= 0."""
+    return _rule("m", m, m >= 0, "be nonnegative")
 
 
 def weighted_l2m_norm_profile(
     profile: RadialProfile, m: float, pitch: float
 ) -> float:
-    """L2_m(box) norm of a radial profile: (int (1+r^2)^m f^2 r dr dtheta dz)^(1/2)."""
-    _check_weight_exponent(m)
+    """L2_m(box) norm of a radial profile: (int (1+r^2)^m f^2 r dr dtheta dz)^(1/2),
+    for m finite and >= 0 and a pitch that GridSpec accepts."""
+    _raise_all(_weight_exponent_violations(m) + _pitch_violations(pitch))
     integrand = (1.0 + profile.r**2) ** m * profile.values**2
     val = float(np.trapezoid(integrand * profile.r, profile.r))
     return float(np.sqrt(2.0 * np.pi * 2.0 * np.pi * pitch * val))
@@ -342,12 +342,13 @@ def weighted_l2m_norm_profile(
 
 def profile_l2_norm_2d(profile: RadialProfile) -> float:
     """Plane L2 norm per unit height: (2 pi int f^2 r dr)^(1/2)."""
-    return _plane_l2_norm(profile.values, profile.r)
+    return _plane_l2_norm(profile.values, profile.r, np.diff(profile.r))
 
 
-def _plane_l2_norm(values: np.ndarray, r: np.ndarray) -> float:
-    """:func:`profile_l2_norm_2d` of bare samples on a checked grid."""
-    return float(np.sqrt(2.0 * np.pi * np.trapezoid(values**2 * r, r)))
+def _plane_l2_norm(values: np.ndarray, r: np.ndarray, dr: np.ndarray) -> float:
+    """:func:`profile_l2_norm_2d` of bare samples on a checked grid with the
+    node gaps ``dr``."""
+    return float(np.sqrt(2.0 * np.pi * np.trapezoid(values**2 * r, dx=dr)))
 
 
 # --- pointwise tail envelopes ---------------------------------------------------

@@ -308,6 +308,13 @@ class TestDecompose:
         with pytest.raises(ValueError, match="must exceed 1"):
             decompose(w, grid, 0.9, ops=ops)
 
+    @pytest.mark.parametrize("m", [np.nan, np.inf])
+    def test_rejects_nonfinite_m(self, grid, ops, perturbation, m):
+        # before any transform; nan was once reported as "must exceed 1"
+        w = ops.inv(ops.curl(perturbation))
+        with pytest.raises(ValueError, match=f"^m must be finite, got {m}$"):
+            decompose(w, grid, m, ops=ops)
+
     def test_rejects_ops_of_another_grid(self, grid, ops, perturbation):
         w = oseen_vorticity(grid, 0.0) + ops.inv(ops.curl(perturbation))
         other = SpectralOps(GridSpec.cube(32, 24.0, 1.0))

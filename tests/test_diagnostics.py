@@ -21,6 +21,8 @@ from helns.diagnostics import (
     moving_median3,
     orthogonal_split_residual,
     poincare_ratio,
+    sweep_ladyzhenskaya,
+    sweep_poincare,
     transient_time,
     write_records_csv,
 )
@@ -256,6 +258,20 @@ class TestInequalityRatios:
         u[0] = np.sin(grid.z)[None, None, :] * np.ones(grid.shape)
         with pytest.raises(ValueError, match="helical"):
             ladyzhenskaya_ratio(ops.fwd(u), ops)
+
+    @pytest.mark.parametrize("sweep", [sweep_poincare, sweep_ladyzhenskaya])
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(n_seeds=0), "n_seeds must be an integer >= 1, got 0"),
+        (dict(n_seeds=2.0), "n_seeds must be an integer >= 1, got 2.0"),
+        (dict(n_seeds=1, seed0=-1), "seed0 must be an integer >= 0, got -1"),
+        (dict(n_seeds=0, seed0=-1), "n_seeds must be an integer >= 1, got 0; "
+                                    "seed0 must be an integer >= 0, got -1"),
+    ], ids=["no-seeds", "float-count", "negative-seed", "both"])
+    def test_sweeps_state_their_rules(self, sweep, kwargs, message):
+        # n_seeds = 0 met NumPy's "zero-size array" error once, and seed0 = -1
+        # the generator's "expected non-negative integer"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(**kwargs)
 
     def test_fitted_c0(self):
         assert fitted_c0([0.3, 0.5, 0.4], 2.0) == pytest.approx(2.0 * 0.5**4)

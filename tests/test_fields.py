@@ -185,10 +185,13 @@ class TestPerturbationSpec:
         ("sigma", np.nan, "sigma must be finite, got nan"),
         ("sigma", np.inf, "sigma must be finite, got inf"),
         ("modes", (), "modes must be a nonempty list of nonnegative integers, got ()"),
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
+        ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
     ])
     def test_rejects_at_construction(self, name, value, message):
         # each was accepted once and drawn into non-finite coefficients or,
-        # for modes = (), a "degenerate perturbation draw"
+        # for modes = (), a "degenerate perturbation draw"; a bad seed met
+        # the generator's own error
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PerturbationSpec(**{name: value})
 

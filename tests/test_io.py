@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helns import cli, presets, solver
+from helns import cli, diagnostics, presets, solver
 from helns.config import (
     ConfigError,
     ExperimentConfig,
@@ -425,11 +425,16 @@ class TestCli:
         assert "not helical" in capsys.readouterr().err
 
     def test_decompose_requires_three_components(self, tmp_path, capsys):
+        # decompose's own shape rule, in its words
         grid = GridSpec.cube(16, 20.0, 1.0)
         path = tmp_path / "one.hlxf"
         write_snapshot(path, grid, 0.0, np.zeros((1,) + grid.shape))
-        assert cli.main(["decompose", str(path)]) == 2
-        assert "3-component" in capsys.readouterr().err
+        assert cli.main(["decompose", str(path), "--out", str(tmp_path / "dec")]) == 2
+        assert capsys.readouterr().err == (
+            "decomposition rejected: expected samples of shape (3, 16, 16, 16) "
+            "(3 components on the grid), got (1, 16, 16, 16)\n"
+        )
+        assert not (tmp_path / "dec").exists()
 
     def test_decompose_unreadable_snapshot_exits_2(self, tmp_path, capsys):
         path = tmp_path / "junk.hlxf"
@@ -476,21 +481,46 @@ class TestCli:
         assert not (tmp_path / "dec").exists()
 
     def test_verify_unknown_preset_exits_2(self, tmp_path, capsys):
-        code = cli.main(["verify", "--preset", "bogus", "--out", str(tmp_path)])
+        code = cli.main(["verify", "--preset", "bogus", "--out", str(tmp_path / "v")])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
     def test_sweep_negative_seed_exits_2(self, tmp_path, capsys):
         code = cli.main(["sweep-inequality", "--seeds", "1", "--seed", "-1",
                          "--out", str(tmp_path / "sweep")])
         assert code == 2
-        assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "sweep rejected: seed0 must be an integer >= 0, got -1\n"
+        )
         assert not (tmp_path / "sweep").exists()
 
-    def test_rate_study_rejects_out_of_range_m(self, tmp_path, capsys):
-        code = cli.main(["rate-study", "--m", "0.9", "--out", str(tmp_path)])
+    def test_sweep_zero_seeds_exits_2(self, tmp_path, capsys):
+        code = cli.main(["sweep-inequality", "--seeds", "0", "--out", str(tmp_path / "sweep")])
         assert code == 2
-        assert "rejected m = 0.9" in capsys.readouterr().err
+        assert capsys.readouterr().err == "sweep rejected: n_seeds must be an integer >= 1, got 0\n"
+        assert not (tmp_path / "sweep").exists()
+
+    def test_simulate_negative_seed_exits_2(self, tmp_path, capsys):
+        # the --seed override meets the config's own seed rule
+        ini = _write_config(tmp_path)
+        assert cli.main(["simulate", "--config", str(ini), "--seed", "-1",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "invalid configuration:\n  - [initial] seed must be an integer >= 0, got -1\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_rate_study_rejects_out_of_range_m(self, tmp_path, capsys, monkeypatch):
+        # every m is checked before the first study runs
+        monkeypatch.setattr(diagnostics, "rate_study",
+                            lambda *args, **kwargs: pytest.fail("a study ran"))
+        code = cli.main(["rate-study", "--m", "1.5,0.9", "--out", str(tmp_path / "rates")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "rate study rejected: m must lie in (1, 2) for the weighted-tail study, got 0.9\n"
+        )
+        assert not (tmp_path / "rates").exists()
 
     @pytest.mark.parametrize("out", ["afile", "afile/sub"])
     @pytest.mark.parametrize("command", ["simulate", "decompose", "verify", "rate-study",

@@ -7,6 +7,7 @@ from scipy.linalg import lapack, solve_banded
 from helns import radial
 from helns.diagnostics import rate_study
 from helns.fields import shear_f, shear_g
+from helns.grid import GridSpec
 from helns.radial import (
     DomainTooSmallError,
     RadialProfile,
@@ -116,6 +117,16 @@ class TestHeatEngine:
         )
         # exact times k dt, the last one t_end itself
         assert seen == [5 * 0.01, 0.1]
+
+    @pytest.mark.parametrize("m,message", [
+        (0.9, r"m must lie in \(1, 2\) for the weighted-tail study, got 0.9"),
+        (2.0, r"m must lie in \(1, 2\) for the weighted-tail study, got 2.0"),
+        (np.nan, "m must be finite, got nan"),
+        (None, "initial 'kummer' needs a weight exponent m"),
+    ], ids=["0.9", "2.0", "nan", "None"])
+    def test_rate_study_rejects_m_outside_the_tail_range(self, m, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rate_study(m)
 
     def test_rate_study_times_are_on_the_grid(self):
         times = rate_study(initial="gaussian").times
@@ -320,6 +331,25 @@ class TestBiotSavart:
 
 
 class TestWeightedNorms:
+    @pytest.mark.parametrize("pitch,message", [(-1.0, "pitch must be positive, got -1.0"),
+                                               (0.0, "pitch must be positive, got 0.0"),
+                                               (np.nan, "pitch must be finite, got nan"),
+                                               (np.inf, "pitch must be finite, got inf")],
+                             ids=["-1.0", "0.0", "nan", "inf"])
+    def test_rejects_a_pitch_that_gridspec_rejects(self, pitch, message):
+        # each returned nan, 0 or inf once, without an error
+        r = uniform_radii(10.0, 64)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            weighted_l2m_norm_profile(RadialProfile(r, _gaussian(r, 1.0)), 1.5, pitch)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GridSpec.cube(8, 10.0, pitch)
+
+    def test_lists_every_broken_rule(self):
+        r = uniform_radii(10.0, 64)
+        with pytest.raises(ValueError, match="^m must be nonnegative, got -1.0; "
+                                             "pitch must be finite, got nan$"):
+            weighted_l2m_norm_profile(RadialProfile(r, _gaussian(r, 1.0)), -1.0, np.nan)
+
     def test_m_zero_reduces_to_plain_l2(self):
         r = uniform_radii(30.0, 2048)
         prof = RadialProfile(r, _gaussian(r, 1.0))

@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from helns.config import ExperimentConfig
 from helns.decomposition import decompose
@@ -14,6 +15,8 @@ from helns import experiment, solver
 from helns.experiment import InstabilityError, run_experiment
 from helns.fields import (
     PerturbationSpec,
+    _oseen_F,
+    heat_gaussian,
     oseen_gradient_xy,
     oseen_velocity_xy,
     oseen_vorticity,
@@ -366,6 +369,87 @@ class TestMeanFlowConsistency:
         # along y = center: e_theta = e_y, so u_y(x, yc) = v_theta(x - xc)
         line = v_final[1, ix, grid.ny // 2, 0]
         assert np.max(np.abs(line - spline(radii))) / np.max(np.abs(line)) < 1e-4
+
+
+def _mode2_reference(a, t_end, R=20.0, n=4000, dt=0.002):
+    """g(r, t_end) of the e^{2i theta} mode r^2 g of a columnar v_z, advected by
+    a u_LO and diffused: dg/dt = r^-5 (r^5 g')' - 2i a F(r^2, 1 + t) g from
+    g = e^{-r^2/2}.  Crank-Nicolson steps of the conservative form, with g even
+    at the axis (6 g''(0) from the mirror node) and g(R) = 0."""
+    h = R / n
+    r = np.arange(n + 1) * h
+    r5 = np.maximum(r, h) ** 5
+    lo, up = np.abs(r - h / 2) ** 5 / (r5 * h**2), (r + h / 2) ** 5 / (r5 * h**2)
+    lo[0], up[0] = 0.0, 12.0 / h**2
+    di = -(lo + up)
+    g = np.exp(-(r**2) / 2.0).astype(complex)
+    for k in range(round(t_end / dt)):
+        d = 0.5 * dt * (di - 2j * a * _oseen_F(r**2, 1.0 + (k + 0.5) * dt))
+        rhs = g + d * g
+        rhs[1:] += 0.5 * dt * lo[1:] * g[:-1]
+        rhs[:-1] += 0.5 * dt * up[:-1] * g[1:]
+        rhs[-1] = 0.0
+        bands = np.zeros((3, n + 1), dtype=complex)
+        bands[0, 1:] = -0.5 * dt * up[:-1]
+        bands[1] = 1.0 - d
+        bands[2, :-2] = -0.5 * dt * lo[1:-1]
+        bands[1, -1] = 1.0
+        g = solve_banded((1, 1), bands, rhs)
+    return r, g
+
+
+class TestBackgroundCoupling:
+    """Consequences of the a != 0 coupling that no preset sees: each check
+    fails when the sign of its term in _Rhs is flipped."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    @pytest.mark.parametrize("a", [1.0, -2.0])
+    def test_energy_exchange_with_the_background(self, a, t):
+        # for solenoidal v, <v, k1> = -a int v_i v_j d_j u_LO,i: the advection
+        # terms exchange no energy.  Measured 1.8e-14 (a = 1) and 3.6e-14
+        # (a = -2); the exchange itself is 1.5e-6 to 4.6e-5 of |grad v|^2.
+        grid = GridSpec.cube(32, 20.0, 1.0)
+        ops = SpectralOps(grid)
+        vb = ops.gather(_engine_field(grid, ops, 0, 0.1))
+        stage = solver._Rhs(ops, a).stage(vb, t)
+        glo, v = oseen_gradient_xy(grid, t), stage.v
+        exchange = grid.cell_volume * sum(float(np.sum(v[i] * v[j] * glo[i, j][..., None]))
+                                          for i in range(2) for j in range(2))
+        residual = abs(ops.inner(vb, stage.k1) + a * exchange) / ops.grad_norm_sq(vb)
+        assert residual < 1e-12
+
+    @pytest.mark.parametrize("a", [10.0, -10.0, 30.0])
+    def test_columnar_mode_is_advected_by_the_background(self, a):
+        # v = (0, 0, w) with w = r^2 cos 2theta e^{-r^2/2} solves dw/dt + a u_LO.grad w
+        # = lap w exactly, a 1D problem for the e^{2i theta} mode.  Measured
+        # 2.9e-6 to 3.1e-6, the reference's own error (3.2e-6 against the heat
+        # solution at a = 0, where the engine is off by 9e-10).
+        grid = GridSpec(nx=64, ny=64, nz=8, Lx=24.0, pitch=1.0)
+        ops = SpectralOps(grid)
+        x, y = grid.xc, grid.yc
+        u = np.zeros((3,) + grid.shape)
+        u[2] = ((x**2 - y**2) * np.exp(-(x**2 + y**2) / 2.0))[..., None]
+        config = SolverConfig(t_end=1.0, dt=0.05, output_dt=1.0, a=a)
+        w = ops.inv(run_spectral3d(ops.fwd(u), ops, config).v_hat)[2].mean(axis=-1)
+        r, g = _mode2_reference(a, 1.0)
+        rr = np.hypot(x, y)
+        ref = ((x + 1j * y) ** 2 * (CubicSpline(r, g.real)(rr)
+                                    + 1j * CubicSpline(r, g.imag)(rr))).real
+        assert np.linalg.norm(w - ref) <= 1e-5 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("a", [0.0, 30.0])
+    def test_lamb2d_follows_radial_heat_flow(self, tmp_path, a):
+        # every force on a columnar swirl is a gradient, so its vorticity
+        # amplitude (G(s0 + t) - G(1 + t)) holds at every a.  Measured
+        # 1.4e-10 (a = 0) and 1.5e-9 (a = 30).
+        cfg = ExperimentConfig(nx=64, ny=64, nz=16, Lx=40.0, pitch=1.0, a=a, kind="lamb2d",
+                               amplitude=1.0, s0=2.0, t_end=1.0, output_dt=1.0)
+        state = run_experiment(cfg, tmp_path, quiet=True).final_state
+        w_z = state.ops.inv(state.ops.curl(state.block))[2]
+        r2 = state.grid.xc**2 + state.grid.yc**2
+        exact = np.broadcast_to((heat_gaussian(r2, 3.0) - heat_gaussian(r2, 2.0))[..., None],
+                                w_z.shape)
+        assert np.linalg.norm(w_z - exact) <= 1e-8 * np.linalg.norm(exact)
 
 
 class TestRunControl:
