@@ -131,7 +131,9 @@ def _cmd_decompose(args) -> int:
         print(f"cannot read snapshot: {exc}", file=sys.stderr)
         return 2
     try:
-        result = decompose(snap.fields, snap.grid, args.m, background_spread=1.0 + snap.time)
+        result = decompose(
+            snap.fields, snap.grid, args.m, background_spread=1.0 + snap.time
+        )
     except ValueError as exc:
         print(f"decomposition rejected: {exc}", file=sys.stderr)
         return 2
@@ -194,9 +196,20 @@ def _cmd_rate_study(args) -> int:
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write("initial,m,exponent,expected,residual,confidence,super_rate\n")
         for s in studies:
-            values = (s.m, s.fit.exponent, s.expected, s.fit.residual, s.fit.confidence)
-            cells = ["" if x is None else diag.format_float(x) for x in values]
-            fh.write(",".join([s.initial, *cells, str(int(s.super_rate))]) + "\n")
+            fh.write(
+                ",".join(
+                    [
+                        s.initial,
+                        "" if s.m is None else diag.format_float(s.m),
+                        diag.format_float(s.fit.exponent),
+                        "" if s.expected is None else diag.format_float(s.expected),
+                        diag.format_float(s.fit.residual),
+                        diag.format_float(s.fit.confidence),
+                        str(int(s.super_rate)),
+                    ]
+                )
+                + "\n"
+            )
     for s in studies:
         label = f"m={s.m:g}" if s.m is not None else s.initial
         series_path = out / f"rate_series_{label.replace('=', '')}.csv"
@@ -217,13 +230,15 @@ def _cmd_rate_study(args) -> int:
 
 def _cmd_sweep_inequality(args) -> int:
     try:
-        poincare = diag.sweep_poincare(n_seeds=args.seeds, seed0=args.seed)
+        diag._check_sweep_seeds(args.seeds, args.seed)  # before any sweep runs
     except ValueError as exc:
         print(f"sweep rejected: {exc}", file=sys.stderr)
         return 2
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    poincare = diag.sweep_poincare(n_seeds=args.seeds, seed0=args.seed)
     lady1 = diag.sweep_ladyzhenskaya(n_seeds=args.seeds, pitch=1.0, seed0=args.seed)
     lady2 = diag.sweep_ladyzhenskaya(n_seeds=args.seeds, pitch=2.0, seed0=args.seed)
-    change = abs(lady2.c0 - lady1.c0) / lady1.c0
     payload = {
         "poincare": {
             "pitch": diag.format_float(poincare.pitch),
@@ -235,14 +250,12 @@ def _cmd_sweep_inequality(args) -> int:
         "ladyzhenskaya": {
             "c0_pitch1": diag.format_float(lady1.c0),
             "c0_pitch2": diag.format_float(lady2.c0),
-            "relative_change": diag.format_float(change),
+            "relative_change": diag.format_float(abs(lady2.c0 - lady1.c0) / lady1.c0),
             "default_c0": diag.format_float(diag.DEFAULT_C0),
             "ratios_pitch1": [diag.format_float(v) for v in lady1.ratios],
             "ratios_pitch2": [diag.format_float(v) for v in lady2.ratios],
         },
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     sweep_path = out / "sweep_summary.json"
     with open(sweep_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -255,7 +268,7 @@ def _cmd_sweep_inequality(args) -> int:
     _say(
         args.quiet,
         f"ladyzhenskaya: C0 {lady1.c0:.6g} (pitch 1) vs {lady2.c0:.6g} (pitch 2), "
-        f"change {change:.2%}",
+        f"change {abs(lady2.c0 - lady1.c0) / lady1.c0:.2%}",
     )
     _say(args.quiet, f"wrote {sweep_path}")
     return 0

@@ -28,7 +28,6 @@ import numpy as np
 
 from .fields import (
     PerturbationSpec,
-    _oseen_F,
     heat_gaussian,
     oseen_gradient_xy,
     oseen_grad_l2_sq,
@@ -39,7 +38,7 @@ from .fields import (
 from .grid import GridSpec, _integer_rule, _raise_all, _rule
 from .radial import (
     RadialProfile,
-    _cumtrap,
+    _forward_biot_savart,
     _plane_l2_norm,
     kummer_tail_profile,
     run_radial,
@@ -408,8 +407,13 @@ def _log_fit(t, y, window, model: str) -> DecayFit:
         raise ValueError("too few positive samples in the fit window")
     tt, yy = t[keep], y[keep]
     slope, _, rms, half = _linear_fit(tt if model == "exponential" else np.log(tt), np.log(yy))
-    return DecayFit(window=(float(tt[0]), float(tt[-1])), model=model, exponent=slope,
-                    residual=rms, confidence=half)
+    return DecayFit(
+        window=(float(tt[0]), float(tt[-1])),
+        model=model,
+        exponent=slope,
+        residual=rms,
+        confidence=half,
+    )
 
 
 def fit_exponential(t, y) -> DecayFit:
@@ -579,18 +583,14 @@ def rate_study(
     times: list[float] = []
     values: list[float] = []
 
-    # the factors of r alone, formed once (the velocity's axis entry stays 0)
-    dr, r2, velocity = np.diff(r), r**2, np.zeros_like(r)
 
     def record(t: float, w: np.ndarray) -> None:
-        # the arithmetic of radial_biot_savart, oseen_extraction and
-        # profile_l2_norm_2d, bit for bit, on the bare arrays: the grid was
-        # checked once, with the profile that run_radial starts from
-        v_theta = _cumtrap(w * r, dr, velocity)
-        v_theta[1:] /= r[1:]
-        v_theta -= a * (r * _oseen_F(r2, 1.0 + t))
+        # oseen_extraction and profile_l2_norm_2d on the bare arrays: the grid
+        # was checked once, with the profile that run_radial starts from
+        v_theta = _forward_biot_savart(w, r)[1]
+        v_theta -= a * oseen_utheta(r, 1.0 + t)
         times.append(t)
-        values.append(_plane_l2_norm(v_theta, r, dr) * np.sqrt(2.0 * np.pi * pitch))
+        values.append(_plane_l2_norm(v_theta, r) * np.sqrt(2.0 * np.pi * pitch))
 
     run_radial(
         profile,

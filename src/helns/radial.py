@@ -236,16 +236,15 @@ def run_radial(
 # --- radial Biot-Savart and Oseen extraction ---------------------------------
 
 
-def _cumtrap(y: np.ndarray, dr: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Trapezoid integrals of ``y`` from the axis, on nodes with the gaps
-    ``dr``, into ``out``, whose axis entry must be 0."""
-    np.cumsum(0.5 * (y[1:] + y[:-1]) * dr, out=out[1:])
+def _cumtrap(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(y)
+    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
     return out
 
 
 def _forward_biot_savart(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Enclosed integral I(r) = int_0^r w rho drho and velocity I(r)/r (0 at the axis)."""
-    integ = _cumtrap(w * r, np.diff(r), np.zeros_like(w))
+    integ = _cumtrap(w * r, r)
     u = np.zeros_like(integ)
     u[1:] = integ[1:] / r[1:]
     return integ, u
@@ -276,7 +275,7 @@ def radial_biot_savart(
         raise ValueError("w_theta and w_z must share a radial grid")
     r = w_z.r
     _, u_theta = _forward_biot_savart(w_z.values, r)
-    full = _cumtrap(w_theta.values, np.diff(r), np.zeros_like(r))
+    full = _cumtrap(w_theta.values, r)
     u_z = (full[-1] - full) + _tail_estimate(w_theta.values, r)
     return w_theta.with_values(u_theta), w_theta.with_values(u_z)
 
@@ -342,13 +341,12 @@ def weighted_l2m_norm_profile(
 
 def profile_l2_norm_2d(profile: RadialProfile) -> float:
     """Plane L2 norm per unit height: (2 pi int f^2 r dr)^(1/2)."""
-    return _plane_l2_norm(profile.values, profile.r, np.diff(profile.r))
+    return _plane_l2_norm(profile.values, profile.r)
 
 
-def _plane_l2_norm(values: np.ndarray, r: np.ndarray, dr: np.ndarray) -> float:
-    """:func:`profile_l2_norm_2d` of bare samples on a checked grid with the
-    node gaps ``dr``."""
-    return float(np.sqrt(2.0 * np.pi * np.trapezoid(values**2 * r, dx=dr)))
+def _plane_l2_norm(values: np.ndarray, r: np.ndarray) -> float:
+    """:func:`profile_l2_norm_2d` of bare samples on a checked grid."""
+    return float(np.sqrt(2.0 * np.pi * np.trapezoid(values**2 * r, r)))
 
 
 # --- pointwise tail envelopes ---------------------------------------------------

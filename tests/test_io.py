@@ -486,7 +486,14 @@ class TestCli:
         assert "bogus" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
 
-    def test_sweep_negative_seed_exits_2(self, tmp_path, capsys):
+    @staticmethod
+    def _poison_sweeps(monkeypatch):
+        for name in ("sweep_poincare", "sweep_ladyzhenskaya"):
+            monkeypatch.setattr(diagnostics, name,
+                                lambda *args, **kwargs: pytest.fail("a sweep ran"))
+
+    def test_sweep_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch):
+        self._poison_sweeps(monkeypatch)  # the rules are checked before any sweep runs
         code = cli.main(["sweep-inequality", "--seeds", "1", "--seed", "-1",
                          "--out", str(tmp_path / "sweep")])
         assert code == 2
@@ -495,7 +502,8 @@ class TestCli:
         )
         assert not (tmp_path / "sweep").exists()
 
-    def test_sweep_zero_seeds_exits_2(self, tmp_path, capsys):
+    def test_sweep_zero_seeds_exits_2(self, tmp_path, capsys, monkeypatch):
+        self._poison_sweeps(monkeypatch)
         code = cli.main(["sweep-inequality", "--seeds", "0", "--out", str(tmp_path / "sweep")])
         assert code == 2
         assert capsys.readouterr().err == "sweep rejected: n_seeds must be an integer >= 1, got 0\n"
@@ -525,9 +533,13 @@ class TestCli:
     @pytest.mark.parametrize("out", ["afile", "afile/sub"])
     @pytest.mark.parametrize("command", ["simulate", "decompose", "verify", "rate-study",
                                          "sweep-inequality"])
-    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command, out):
-        # FileExistsError (--out is a file) or NotADirectoryError (a parent is)
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, monkeypatch, command, out):
+        # FileExistsError (--out is a file) or NotADirectoryError (a parent is),
+        # raised before any study or sweep runs
         (tmp_path / "afile").write_text("keep")
+        monkeypatch.setattr(diagnostics, "rate_study",
+                            lambda *args, **kwargs: pytest.fail("a study ran"))
+        self._poison_sweeps(monkeypatch)
         if command == "simulate":
             args = ["--config", str(_write_config(tmp_path))]
         elif command == "decompose":
