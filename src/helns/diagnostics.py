@@ -234,20 +234,34 @@ def _mean_source_norm(v: np.ndarray, ops: SpectralOps) -> float:
 # --- structural checks ------------------------------------------------------------
 
 
-def energy_identity_residual(
-    v_hat: np.ndarray, rhs_nonlinear: np.ndarray, ops: SpectralOps
-) -> float:
-    """Relative defect of d/dt |u|^2 = -2 |grad u|^2 for background-free runs.
+def _oseen_pairing(pairs: np.ndarray, t: float, grid: GridSpec) -> float:
+    """sum_{i,j in {x,y}} int pairs[i, j] d_j u_LO,i over the box, for physical
+    pairs: <grad v, grad u_LO> from d_j v_i, <v, v.grad u_LO> from v_i v_j.
 
-    The viscous contribution is exact by construction (integrating factor),
-    so the residual reduces to the projected nonlinearity's energy input
-    2 <v, rhs>, normalized by the dissipation 2 |grad v|^2.  Both arrays are
-    full-spectrum coefficients or both kept-block ones.
+    u_LO is horizontal and z-independent, so only z-means of the pairs enter.
     """
-    grad_sq = ops.grad_norm_sq(v_hat)
+    glo = oseen_gradient_xy(grid, t)
+    total = 0.0
+    for i in range(2):
+        for j in range(2):
+            total += float(np.sum(pairs[i, j].mean(axis=-1) * glo[i, j]))
+    return total * grid.dx * grid.dy * grid.Lz
+
+
+def energy_identity_residual(state, stage, a: float) -> float:
+    """Relative defect of d/dt |v|^2/2 = -|grad v|^2 - a <v, v.grad u_LO>.
+
+    The viscous term is exact by construction (integrating factor), so the
+    residual is |<v, k1> + a <v, v.grad u_LO>| / |grad v|^2 (0 at zero
+    gradient), with k1 and the physical v from ``stage``, the
+    :class:`~helns.solver.Stage` of ``state``.  At a = 0 no exchange is formed.
+    """
+    ops, v = state.ops, stage.v
+    grad_sq = ops.grad_norm_sq(state.block)
     if grad_sq == 0.0:
         return 0.0
-    return abs(2.0 * ops.inner(v_hat, rhs_nonlinear)) / (2.0 * grad_sq)
+    exchange = a * _oseen_pairing(v[:2, None] * v[None, :2], state.t, ops.grid) if a else 0.0
+    return abs(ops.inner(state.block, stage.k1) + exchange) / grad_sq
 
 
 def orthogonal_split_residual(v_hat: np.ndarray, ops: SpectralOps) -> float:
@@ -261,20 +275,6 @@ def orthogonal_split_residual(v_hat: np.ndarray, ops: SpectralOps) -> float:
 
 
 # --- record construction -----------------------------------------------------------
-
-
-def _oseen_cross_term(grads: np.ndarray, t: float, grid: GridSpec) -> float:
-    """<grad v, grad u_LO> from the physical gradients grads[i, j] = d_j v_i.
-
-    u_LO is horizontal and z-independent, so only the z-means of d_j v_i for
-    i, j in {x, y} enter.
-    """
-    glo = oseen_gradient_xy(grid, t)
-    total = 0.0
-    for i in range(2):
-        for j in range(2):
-            total += float(np.sum(grads[i, j].mean(axis=-1) * glo[i, j]))
-    return total * grid.dx * grid.dy * grid.Lz
 
 
 class RecordBuilder:
@@ -327,7 +327,7 @@ class RecordBuilder:
         # leave the sums bitwise unchanged) when a = 0.
         cross = grad_lo_sq = 0.0
         if a != 0.0:
-            cross = _oseen_cross_term(stage.grads, t, grid)
+            cross = _oseen_pairing(stage.grads, t, grid)
             grad_lo_sq = oseen_grad_l2_sq(t, grid.pitch)
         grad_u_sq = grad_sq + 2.0 * a * cross + a * a * grad_lo_sq
         grad_mean_sq = (

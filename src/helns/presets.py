@@ -49,7 +49,7 @@ __all__ = [
 # Invariant tolerances enforced on every preset that advances the 3D engine.
 DIV_TOL = 1e-10
 DEFECT_GROWTH_TOL = 1e-6
-ENERGY_TOL = 1e-4
+ENERGY_TOL = 1e-10
 PYTHAGORAS_TOL = 1e-12
 
 
@@ -130,20 +130,18 @@ class PresetReport:
         }
 
 
-def _check_run_invariants(report: PresetReport, result, *, defect: bool = True) -> None:
+def _check_run_invariants(report: PresetReport, result) -> None:
     """The structural invariants enforced on every engine run."""
     inv = result.invariants
     report.check("max divergence", inv.max_div, DIV_TOL)
     report.check("orthogonal energy split", inv.pythagoras, PYTHAGORAS_TOL)
-    if defect:
-        report.check(
-            "helical defect growth per unit time",
-            inv.defect_growth_rate,
-            DEFECT_GROWTH_TOL,
-            detail=f"defect {inv.defect_initial:.3e} -> {inv.defect_final:.3e}",
-        )
-    if inv.energy_residual_max is not None:
-        report.check("energy identity residual", inv.energy_residual_max, ENERGY_TOL)
+    report.check(
+        "helical defect growth per unit time",
+        inv.defect_growth_rate,
+        DEFECT_GROWTH_TOL,
+        detail=f"defect {inv.defect_initial:.3e} -> {inv.defect_final:.3e}",
+    )
+    report.check("energy identity residual", inv.energy_residual_max, ENERGY_TOL)
 
 
 # --- individual presets -----------------------------------------------------
@@ -173,7 +171,7 @@ def _preset_oracle_oseen(report: PresetReport, out_dir: Path) -> None:
         max(r.l2_v, r.l2_grad_v, r.l2_uperp, r.l2_Nbar) for r in result.records
     )
     report.check("max perturbation norm over output times", worst, 1e-10)
-    _check_run_invariants(report, result, defect=False)
+    _check_run_invariants(report, result)
 
 
 def _radial_gaussian_error(n: int, R: float, s0: float, t_end: float, nst: int) -> float:

@@ -158,11 +158,6 @@ class _CNSystem(NamedTuple):
     dgttrs: object  # LAPACK's solve with that LU, imported with the first factorization
 
 
-def _positive_finite(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-
-
 def _cn_system(r: np.ndarray, dt: float, parity: str) -> _CNSystem:
     """Factor I - dt/2 A for steps of size dt on the grid r."""
     from scipy.linalg.lapack import dgttrf, dgttrs  # deferred: keeps `import helns` lean
@@ -204,7 +199,8 @@ def run_radial(
     """Advance a profile to t_end with fixed CN steps (one step: ``run_radial(p, dt, dt)``).
 
     ``dt`` is shrunk to t_end / ceil(t_end / dt) so the steps land on t_end;
-    both must be finite and positive, and so must t_end / dt.  The grid must
+    both must be finite and positive (one ValueError lists every rule of
+    t_end, dt and ``observe_every`` broken), and t_end / dt finite.  The grid must
     be uniform and the profile decayed to ``boundary_tol`` of its maximum at
     r = R.  The CN matrix is factored once and every step is one
     :func:`step_radial` call on the value array.  ``observer(t, values)`` is
@@ -213,12 +209,14 @@ def run_radial(
     on ``profile.r``, the array the next step reads, so an observer must not
     write to it.
     """
-    _positive_finite("dt", dt)
-    _positive_finite("t_end", t_end)
+    _raise_all(
+        _rule("t_end", t_end, t_end > 0, "be positive")
+        + _rule("dt", dt, dt > 0, "be positive")
+        + _integer_rule("observe_every", observe_every, 1)
+    )
     ratio = t_end / dt
     if not math.isfinite(ratio):
         raise ValueError(f"dt must make t_end / dt finite, got dt={dt!r} for t_end={t_end!r}")
-    _raise_all(_integer_rule("observe_every", observe_every, 1))
     if not profile.is_uniform():
         raise ValueError("the radial engine requires a uniform radial grid")
     _check_boundary(profile, boundary_tol)

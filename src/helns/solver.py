@@ -304,7 +304,9 @@ def run_spectral3d(
     observer runs and then consumed by the step that follows.  The record at
     t_end costs one extra stage evaluation there; without an observer none is
     made.  The step size is ``config.dt`` when fixed — reduced transiently if
-    it violates the CFL bound — or the CFL-limited value otherwise.  The CFL
+    it violates the CFL bound, with one warning per output interval that
+    gives the number of reduced steps and the smallest dt — or the
+    CFL-limited value otherwise.  The CFL
     bound uses the stage's max |v + a u_LO|, and its tendency is handed on to
     :func:`step_spectral3d`.
     """
@@ -316,22 +318,25 @@ def run_spectral3d(
     h = min(ops.grid.dx, ops.grid.dy, ops.grid.dz)
     n_out = _output_count(config.t_end, config.output_dt, "t_end")
     k = 1
+    reduced, dt_min = 0, np.inf  # CFL-reduced steps of the output interval
     while k <= n_out:
         # output k falls exactly on k * output_dt, the last on t_end
         target = config.t_end if k == n_out else k * config.output_dt
         umax = stage.umax
         dt_cfl = config.cfl * h / umax if umax != 0.0 else np.inf
         if config.dt is not None and dt_cfl < config.dt:
-            logger.warning(
-                "t=%.4g: fixed dt=%.3g violates CFL bound %.3g; step reduced",
-                state.t, config.dt, dt_cfl,
-            )
+            reduced, dt_min = reduced + 1, min(dt_min, dt_cfl)
         dt = min(config.dt or np.inf, dt_cfl, target - state.t)
         # release the stage's physical fields for the duration of the step
         k1, stage = stage.k1, None
         state = step_spectral3d(state, dt, rhs, k1)
         landed = state.t >= target - 1e-12
         if landed:
+            if reduced:
+                logger.warning("t=%.4g: fixed dt=%.3g broke the CFL bound on %d steps of the "
+                               "output interval; the smallest reduced dt was %.3g",
+                               target, config.dt, reduced, dt_min)
+                reduced, dt_min = 0, np.inf
             state.t = target
             k += 1
         if k <= n_out or (landed and observer is not None):

@@ -91,6 +91,7 @@ REMOVED_NAMES = (
     (helns, "ring_average"),
     (decomposition, "ring_average"),
     (diagnostics.LogEnergyReport, "passed"),
+    (diagnostics, "_oseen_cross_term"),
     # instance attributes, looked up on an instance
     (_OPS, "_ik"),
     (_OPS, "_band_k"),
@@ -131,6 +132,7 @@ REMOVED_PARAMETERS = (
     (grid.GridSpec, ("Ly",)),
     (solver.run_spectral3d, ("grid",)),
     (experiment.total_vorticity, ("ops",)),
+    (presets._check_run_invariants, ("defect",)),
 )
 
 # Arguments that every caller passes, so they carry no default.

@@ -1,5 +1,7 @@
 """Radial Crank-Nicolson engine, Biot-Savart quadrature and weighted norms."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack, solve_banded
@@ -179,6 +181,12 @@ def _counting(calls, func):
     return wrapper
 
 
+def _time_rule(name, value):
+    """run_radial's message for a time ``value`` that breaks its rule."""
+    rule = "positive" if np.isfinite(value) else "finite"
+    return re.escape(f"{name} must be {rule}, got {value}")
+
+
 class TestFactoredEngine:
     @pytest.mark.parametrize(
         "parity,initial",
@@ -248,13 +256,22 @@ class TestFactoredEngine:
     )
     def test_run_rejects_bad_times(self, t_end, dt, name):
         r = uniform_radii(10.0, 64)
-        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        value = t_end if name == "t_end" else dt
+        with pytest.raises(ValueError, match=f"^{_time_rule(name, value)}$"):
             run_radial(RadialProfile(r, _gaussian(r, 1.0)), t_end, dt)
+
+    def test_run_names_every_bad_time(self):
+        r = uniform_radii(10.0, 64)
+        message = f"{_time_rule('t_end', np.nan)}; {_time_rule('dt', np.nan)}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_radial(RadialProfile(r, _gaussian(r, 1.0)), np.nan, np.nan)
 
     @pytest.mark.parametrize("dt", [-0.5, 0.0, np.nan, np.inf])
     def test_step_rejects_bad_dt(self, dt):
+        # one step is run_radial(p, dt, dt), so both times break the same rule
         r = uniform_radii(10.0, 64)
-        with pytest.raises(ValueError, match="^dt must be finite and > 0"):
+        message = f"{_time_rule('t_end', dt)}; {_time_rule('dt', dt)}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             run_radial(RadialProfile(r, _gaussian(r, 1.0)), dt, dt)
 
     def test_run_rejects_a_step_count_that_overflows(self):

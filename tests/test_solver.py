@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.linalg import solve_banded
 
 from helns.config import ExperimentConfig
 from helns.decomposition import decompose
-from helns.diagnostics import RecordBuilder, ladyzhenskaya_ratio
+from helns.diagnostics import RecordBuilder, energy_identity_residual, ladyzhenskaya_ratio
 from helns import experiment, solver
 from helns.experiment import InstabilityError, run_experiment
 from helns.fields import (
@@ -23,6 +24,7 @@ from helns.fields import (
     random_helical_perturbation,
 )
 from helns.grid import GridSpec
+from helns.presets import ENERGY_TOL
 from helns.radial import RadialProfile, run_radial, uniform_radii
 from helns.solver import (
     SimulationState,
@@ -399,8 +401,8 @@ def _mode2_reference(a, t_end, R=20.0, n=4000, dt=0.002):
 
 
 class TestBackgroundCoupling:
-    """Consequences of the a != 0 coupling that no preset sees: each check
-    fails when the sign of its term in _Rhs is flipped."""
+    """Consequences of the a != 0 coupling: each check fails when the sign
+    of its term in _Rhs is flipped."""
 
     @pytest.mark.parametrize("t", [0.0, 0.7])
     @pytest.mark.parametrize("a", [1.0, -2.0])
@@ -417,6 +419,19 @@ class TestBackgroundCoupling:
                                           for i in range(2) for j in range(2))
         residual = abs(ops.inner(vb, stage.k1) + a * exchange) / ops.grad_norm_sq(vb)
         assert residual < 1e-12
+        # the run invariant sums the same exchange over z-means
+        state = SimulationState(ops, t, vb)
+        assert energy_identity_residual(state, stage, a) == pytest.approx(residual, rel=1e-6)
+
+    def test_run_reads_the_energy_identity_at_a_nonzero(self, tmp_path):
+        # the run-long form of the exchange check, as the presets gate it.
+        # Measured 2.0e-14; with v.grad u_LO flipped it reads 4.6e-5
+        cfg = ExperimentConfig(nx=32, ny=32, nz=32, Lx=20.0, pitch=1.0, a=1.0,
+                               kind="perturbed-oseen", seed=0, amplitude=0.1, sigma=1.2,
+                               t_end=0.3, dt=0.05, output_dt=0.1)
+        residual = run_experiment(cfg, tmp_path, quiet=True).invariants.energy_residual_max
+        assert type(residual) is float
+        assert residual <= ENERGY_TOL
 
     @pytest.mark.parametrize("a", [10.0, -10.0, 30.0])
     def test_columnar_mode_is_advected_by_the_background(self, a):
@@ -556,8 +571,11 @@ class TestRunControl:
         config = SolverConfig(t_end=0.2, dt=0.2, output_dt=0.2, cfl=0.2, a=50.0)
         with caplog.at_level(logging.WARNING, logger="helns.solver"):
             final = run_spectral3d(v0, ops, config)
-        assert any("CFL" in rec.message for rec in caplog.records)
+        lines = [rec.message for rec in caplog.records if "CFL" in rec.message]
         assert final.t == pytest.approx(0.2)
+        # the one output interval took several reduced steps and logs one line
+        assert len(lines) == 1
+        assert int(re.search(r"CFL bound on (\d+) steps", lines[0]).group(1)) > 1
 
     def test_nonfinite_state_raises(self, grid, ops):
         v_hat = np.full((3,) + grid.spectral_shape, np.nan, dtype=complex)
