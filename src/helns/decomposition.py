@@ -16,6 +16,7 @@ extraction and pointwise tail envelopes) used for reporting.
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
 
 import numpy as np
@@ -95,27 +96,52 @@ def weighted_l2m_norm(omega, m: float, *, grid: GridSpec) -> float:
 # --- angular ring averaging ----------------------------------------------------
 
 
-def _shell_spectra(fields, ops: SpectralOps):
-    """The rings, the centred 2D spectra of ``fields`` and the |k| shell of
-    every mode.
+class _Rings:
+    """The grid-only tables of the ring averages on one grid.
 
-    Returns ``(radii, F, shells, inverse, cos_phi, sin_phi)``: ``radii`` are
-    the nx/2 uniform rings from the axis, spaced by one cell width; ``F`` is
-    the stack ``ops.fwd_plane(f) / (nx ny) * exp(i k.c)``, the coefficients
-    of the trigonometric interpolant about the axis ``c``; ``shells`` holds
-    the distinct |k| and ``inverse`` maps each mode to its shell;
-    ``(cos_phi, sin_phi) = k/|k|`` (both 0 at k = 0).
+    ``radii`` are the nx/2 uniform rings from the axis, spaced by one cell
+    width; ``shells`` holds the distinct |k| of the (x, y) plane and
+    ``inverse`` maps each mode to its shell; ``(cos_phi, sin_phi) = k/|k|``
+    (both 0 at k = 0); ``phase`` is exp(i k.c) / (nx ny), which centres the
+    plane's transform on the axis c; ``J0`` and ``J1`` are J0(|k| r) and
+    J1(|k| r) on (radii, shells).  Built once per :class:`SpectralOps`, on
+    its first ring average.
     """
-    grid = ops.grid
-    radii = np.arange(grid.nx // 2) * grid.dx
-    kx, ky = grid.kx[:, None], grid.ky[None, :]
-    kmag = np.hypot(kx, ky)
-    shells, inverse = np.unique(kmag, return_inverse=True)
-    kinv = 1.0 / np.where(kmag > 0.0, kmag, 1.0)
-    cx, cy = grid.center
-    phase = np.exp(1j * (kx * cx + ky * cy)) / (grid.nx * grid.ny)
-    F = ops.fwd_plane(fields) * phase
-    return radii, F, shells, inverse.ravel(), kx * kinv, ky * kinv
+
+    def __init__(self, grid: GridSpec):
+        self.radii = np.arange(grid.nx // 2) * grid.dx
+        kx, ky = grid.kx[:, None], grid.ky[None, :]
+        kmag = np.hypot(kx, ky)
+        self.shells, inverse = np.unique(kmag, return_inverse=True)
+        self.inverse = inverse.ravel()
+        kinv = 1.0 / np.where(kmag > 0.0, kmag, 1.0)
+        self.cos_phi, self.sin_phi = kx * kinv, ky * kinv
+        cx, cy = grid.center
+        self.phase = np.exp(1j * (kx * cx + ky * cy)) / (grid.nx * grid.ny)
+        rho = np.outer(self.radii, self.shells)
+        self.J0 = j0(rho)
+        self.J1 = j1(rho)
+        # shared by every ring average on the grid, and by the profiles they
+        # return (``radii``): read-only
+        for table in vars(self).values():
+            table.flags.writeable = False
+
+
+_RINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _shell_spectra(fields, ops: SpectralOps):
+    """The ring tables of ``ops.grid`` and the centred 2D spectra of ``fields``.
+
+    Returns ``(rings, F)``: ``rings`` are the :class:`_Rings` of the grid,
+    built once per ``ops``, and ``F`` is the stack
+    ``ops.fwd_plane(f) * rings.phase``, the coefficients of the trigonometric
+    interpolant about the axis.
+    """
+    rings = _RINGS.get(ops)
+    if rings is None:
+        rings = _RINGS[ops] = _Rings(ops.grid)
+    return rings, ops.fwd_plane(fields) * rings.phase
 
 
 def _shell_sum(weights: np.ndarray, inverse: np.ndarray, n_shells: int) -> np.ndarray:
@@ -142,15 +168,14 @@ def ring_average_cylindrical(
     u = np.asarray(u, dtype=float)
     if u.shape != (3,) + ops.grid.shape[:2]:
         raise ValueError("expected a z-averaged vector field of shape (3, nx, ny)")
-    radii, (Fx, Fy, Fz), shells, inverse, cos_phi, sin_phi = _shell_spectra(u, ops)
-    n = shells.size
-    rho = np.outer(radii, shells)
-    J1 = j1(rho)
+    rings, (Fx, Fy, Fz) = _shell_spectra(u, ops)
+    cos_phi, sin_phi, inverse = rings.cos_phi, rings.sin_phi, rings.inverse
+    n = rings.shells.size
     # Re(i z) = -Im(z)
-    u_r = J1 @ _shell_sum(-(Fx * cos_phi + Fy * sin_phi).imag, inverse, n)
-    u_theta = J1 @ _shell_sum(-(Fy * cos_phi - Fx * sin_phi).imag, inverse, n)
-    u_z = j0(rho) @ _shell_sum(Fz.real, inverse, n)
-    return tuple(RadialProfile(radii, v) for v in (u_r, u_theta, u_z))
+    u_r = rings.J1 @ _shell_sum(-(Fx * cos_phi + Fy * sin_phi).imag, inverse, n)
+    u_theta = rings.J1 @ _shell_sum(-(Fy * cos_phi - Fx * sin_phi).imag, inverse, n)
+    u_z = rings.J0 @ _shell_sum(Fz.real, inverse, n)
+    return tuple(RadialProfile(rings.radii, v) for v in (u_r, u_theta, u_z))
 
 
 # --- decomposition --------------------------------------------------------------
@@ -280,9 +305,10 @@ def decompose(
     w_lo_plane = ops.fwd_plane(heat_gaussian(grid.r2d**2, background_spread))
     W[2, :, :, 0] -= (a * grid.nz) * w_lo_plane
     v_hat, correction = ops.inverse_curl(W)
+    del W
 
-    l2_v = ops.l2_norm(v_hat)
-    grad_sq = ops.grad_norm_sq(v_hat)
+    l2_sq, grad_sq = ops.l2_and_grad_norm_sq(v_hat)
+    l2_v = float(np.sqrt(l2_sq))
     grad_l2_v = float(np.sqrt(grad_sq))
     h1_v = float(np.sqrt(l2_v**2 + grad_sq))
     c_ratio = h1_v / omega_l2m if omega_l2m > 0 else 0.0

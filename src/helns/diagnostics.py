@@ -29,7 +29,6 @@ import numpy as np
 from .fields import (
     PerturbationSpec,
     heat_gaussian,
-    oseen_gradient_xy,
     oseen_grad_l2_sq,
     oseen_utheta,
     oseen_utheta_prime,
@@ -234,17 +233,18 @@ def _mean_source_norm(v: np.ndarray, ops: SpectralOps) -> float:
 # --- structural checks ------------------------------------------------------------
 
 
-def _oseen_pairing(pairs: np.ndarray, t: float, grid: GridSpec) -> float:
-    """sum_{i,j in {x,y}} int pairs[i, j] d_j u_LO,i over the box, for physical
-    pairs: <grad v, grad u_LO> from d_j v_i, <v, v.grad u_LO> from v_i v_j.
+def _oseen_pairing(zmeans, glo: np.ndarray, grid: GridSpec) -> float:
+    """sum_{i,j in {x,y}} int p_ij d_j u_LO,i over the box, from the z-means
+    ``zmeans[i][j]`` of physical pairs p_ij: <grad v, grad u_LO> from
+    d_j v_i, <v, v.grad u_LO> from v_i v_j.  ``glo`` holds d_j u_LO,i
+    (2, 2, nx, ny).
 
     u_LO is horizontal and z-independent, so only z-means of the pairs enter.
     """
-    glo = oseen_gradient_xy(grid, t)
     total = 0.0
     for i in range(2):
         for j in range(2):
-            total += float(np.sum(pairs[i, j].mean(axis=-1) * glo[i, j]))
+            total += float(np.sum(zmeans[i][j] * glo[i, j]))
     return total * grid.dx * grid.dy * grid.Lz
 
 
@@ -253,14 +253,19 @@ def energy_identity_residual(state, stage, a: float) -> float:
 
     The viscous term is exact by construction (integrating factor), so the
     residual is |<v, k1> + a <v, v.grad u_LO>| / |grad v|^2 (0 at zero
-    gradient), with k1 and the physical v from ``stage``, the
-    :class:`~helns.solver.Stage` of ``state``.  At a = 0 no exchange is formed.
+    gradient), with k1, the physical v and the background gradients from
+    ``stage``, the :class:`~helns.solver.Stage` of ``state``.  The exchange
+    takes the z-means of the three distinct products v_x v_x, v_x v_y and
+    v_y v_y; at a = 0 it is not formed.
     """
     ops, v = state.ops, stage.v
     grad_sq = ops.grad_norm_sq(state.block)
     if grad_sq == 0.0:
         return 0.0
-    exchange = a * _oseen_pairing(v[:2, None] * v[None, :2], state.t, ops.grid) if a else 0.0
+    exchange = 0.0
+    if a:
+        xx, xy, yy = ((v[i] * v[j]).mean(axis=-1) for i, j in ((0, 0), (0, 1), (1, 1)))
+        exchange = a * _oseen_pairing(((xx, xy), (xy, yy)), stage.glo, ops.grid)
     return abs(ops.inner(state.block, stage.k1) + exchange) / grad_sq
 
 
@@ -295,8 +300,9 @@ class RecordBuilder:
         the state's kept block.  ``stage`` (a :class:`~helns.solver.Stage` of
         ``state``) supplies the physical v, from which the source norm is
         taken, and at a != 0 the nine gradients, from which the gates and the
-        background cross term are taken, so such a record does no 3D
-        transform.  At a = 0 the stage has no gradients and
+        background cross term are taken, and the background gradients of the
+        cross term, so such a record does no 3D transform and evaluates no
+        Oseen field.  At a = 0 the stage has no gradients and
         :meth:`SpectralOps.gates` inverts them from the block (3 whole-grid
         and 6 disk-block pruned inverse transforms).  No record scatters.
         """
@@ -327,7 +333,9 @@ class RecordBuilder:
         # leave the sums bitwise unchanged) when a = 0.
         cross = grad_lo_sq = 0.0
         if a != 0.0:
-            cross = _oseen_pairing(stage.grads, t, grid)
+            g = stage.grads
+            cross = _oseen_pairing([[g[i, j].mean(axis=-1) for j in range(2)] for i in range(2)],
+                                   stage.glo, grid)
             grad_lo_sq = oseen_grad_l2_sq(t, grid.pitch)
         grad_u_sq = grad_sq + 2.0 * a * cross + a * a * grad_lo_sq
         grad_mean_sq = (

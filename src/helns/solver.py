@@ -176,13 +176,16 @@ class Stage:
     the convective loop (a != 0; None at a = 0, whose divergence form forms
     no gradient).  ``k1`` is the tendency on the kept 2/3-rule block
     (3, nbx, nby, nz//3 + 1), outside which it is zero, and ``umax`` the
-    max of |v + a u_LO| on the grid.
+    max of |v + a u_LO| on the grid.  ``glo[i, j]`` (2, 2, nx, ny) is the
+    d_j u_LO,i of the unit Oseen velocity at the stage's time that the loop
+    read (:func:`helns.fields.oseen_gradient_xy`; None at a = 0).
     """
 
     v: np.ndarray
     grads: np.ndarray | None
     k1: np.ndarray
     umax: float
+    glo: np.ndarray | None
 
 
 # The six products v_i v_j (i <= j) of the symmetric tensor S, and row i of S
@@ -230,7 +233,8 @@ class _Rhs:
             u1 = u1 + self.a * ulo[1]
         umax = float(np.max(np.sqrt(u0**2 + u1**2 + v[2] ** 2)))
         k1, grads = self._tendency(vb, v, t)
-        return Stage(v=v, grads=grads, k1=k1, umax=umax)
+        glo = self._background(t)[1][..., 0] if self.a != 0.0 else None
+        return Stage(v=v, grads=grads, k1=k1, umax=umax, glo=glo)
 
     def _physical(self, vb: np.ndarray, t: float) -> np.ndarray:
         v = self.ops.inv(vb)

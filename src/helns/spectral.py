@@ -124,17 +124,20 @@ class SpectralOps:
         """:meth:`inv` of F, either shape, sampled on the disk block only."""
         return self._inv_pruned(F, *self.disk)
 
-    def _inv_pruned(self, F: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    def _inv_pruned(self, F: np.ndarray, rows: slice, cols: slice,
+                    overwrite: bool = False) -> np.ndarray:
         """``inv(F)[..., rows, cols, :]`` from the passes of ``irfftn`` in its
         order, unscaled: x, then y on ``rows``, then ``irfft`` along z on
-        ``cols``.  A kept block is zero-padded into two buffers kept between
-        calls, x running on its ky columns and x and y on kz <= nz//3; each
-        call rewrites the rows it reads, and the y buffer's kz > nz//3 columns
-        are never written.  ``irfftn`` applies 1/N once, in its last pass, so
-        one multiply at the end gives its bits (1/n per pass would not)."""
+        ``cols``.  A full-shape F is overwritten by its x pass when
+        ``overwrite`` is set.  A kept block is zero-padded into two buffers
+        kept between calls, x running on its ky columns and x and y on
+        kz <= nz//3; each call rewrites the rows it reads, and the y buffer's
+        kz > nz//3 columns are never written.  ``irfftn`` applies 1/N once,
+        in its last pass, so one multiply at the end gives its bits (1/n per
+        pass would not)."""
         w = self._workers
         if self._wavenumbers(F) is self._full:
-            f = sfft.ifft(F, axis=-3, norm="forward", workers=w)
+            f = sfft.ifft(F, axis=-3, norm="forward", workers=w, overwrite_x=overwrite)
             f = sfft.ifft(f[..., rows, :, :], axis=-2, norm="forward", workers=w,
                           overwrite_x=True)
         else:
@@ -297,7 +300,14 @@ class SpectralOps:
         rel = 0.0
         norm_w = self.l2_norm(W)
         if norm_w > 0:
-            corr = (k[0] * W[0] + k[1] * W[1] + k[2] * W[2]) * table.inv_k2
+            # (k0 W0 + k1 W1 + k2 W2) / |k|^2, summed in order in one buffer
+            corr = np.multiply(k[0], W[0])
+            term = np.multiply(k[1], W[1])
+            corr += term
+            np.multiply(k[2], W[2], out=term)
+            corr += term
+            del term
+            corr *= table.inv_k2
             rel = float(np.sqrt(self.grad_norm_sq(corr))) / norm_w
             if rel > 1e-12:
                 logger.debug("inverse_curl: non-solenoidal input, relative correction %.3e", rel)
@@ -320,6 +330,16 @@ class SpectralOps:
 
     def grad_norm_sq(self, F: np.ndarray) -> float:
         return self._weighted_sum_sq(F, 1)
+
+    def l2_and_grad_norm_sq(self, F: np.ndarray) -> tuple[float, float]:
+        """``(l2_norm_sq(F), grad_norm_sq(F))`` bit for bit, from one |F|^2 array."""
+        table = self._wavenumbers(F)
+        out = np.abs(F)
+        out *= out
+        l2_sq = float(np.sum(out * table.weight))
+        out *= table.k2
+        out *= table.weight
+        return l2_sq, float(np.sum(out))
 
     def lap_norm_sq(self, F: np.ndarray) -> float:
         return self._weighted_sum_sq(F, 2)
@@ -365,6 +385,9 @@ class SpectralOps:
         the disk block (:meth:`inv_disk`): 3 whole-grid and 6 disk-block
         inverse transforms of one multiplier buffer, with the bits of the
         nine whole-grid inverses.  Either way the gates are the same bits.
+        One component's three gradients are held at a time: its defect term
+        is folded into the sum and its diagonal gradient into the divergence
+        before the next component's are inverted.
 
         Helical symmetry means the three cylindrical components about the
         grid center are annihilated by D = d/dtheta + L d/dz.  Written in
@@ -377,43 +400,60 @@ class SpectralOps:
         derivative; only the disk block is evaluated.
         """
         bx, by = self.disk
-        if grads is None:
-            table = self._wavenumbers(U)
-            mult = np.empty(U.shape[1:], dtype=complex)
-            grads = np.empty((3, 3, bx.stop - bx.start, by.stop - by.start, self.grid.nz))
-            div = None
-            for i in range(3):
-                for j, ik in enumerate(table.ik):
-                    np.multiply(ik, U[i], out=mult)
-                    if i != j:
-                        grads[i, j] = self.inv_disk(mult)
-                        continue
-                    d_ii = self.inv(mult)
-                    grads[i, i] = d_ii[bx, by]
-                    if div is None:
-                        div = d_ii
-                    else:
-                        div += d_ii  # (d_00 + d_11) + d_22, as the trace sums
-            del mult, d_ii  # the defect reads the disk block only: free the whole grid
-        else:
-            div = grads[0, 0] + grads[1, 1] + grads[2, 2]
-            grads = grads[:, :, bx, by]
-        max_div = float(np.max(np.abs(div)))
-        del div
-        h1_sq = self.l2_norm_sq(U) + self.grad_norm_sq(U)
-        if h1_sq == 0.0:
-            return max_div, 0.0
+        l2_sq, grad_sq = self.l2_and_grad_norm_sq(U)
+        h1_sq = l2_sq + grad_sq
         L = self.grid.pitch
-        shift = (u[1, bx, by], -u[0, bx, by], 0.0)
+        shift = (u[1, bx, by], -u[0, bx, by])
         xc = self.grid.xc[bx, :, None]
         yc = self.grid.yc[:, by, None]
         mask = self._disk_mask
         dV = self.grid.cell_volume
+        # the defect term of one component, (x d_y - y d_x) + (L d_z + shift),
+        # in the first buffer, the second holding its other operands
+        term = np.empty((bx.stop - bx.start, by.stop - by.start, self.grid.nz))
+        other = np.empty_like(term)
+        if grads is None:
+            table = self._wavenumbers(U)
+            mult = np.empty(U.shape[1:], dtype=complex)
+            # a full-shape multiplier is rewritten on every use, so the disk
+            # inverses may run their x pass in it
+            in_place = table is self._full
+        div = None
         total = 0.0
-        for comp in range(3):
-            axial_c = L * grads[comp, 2] + shift[comp]
-            defect = xc * grads[comp, 1] - yc * grads[comp, 0] + axial_c
-            total += float(np.sum((defect * mask) ** 2) * dV)
+        for i in range(3):
+            if grads is None:
+                g = []
+                for j in range(3):
+                    np.multiply(table.ik[j], U[i], out=mult)
+                    if i != j:
+                        g.append(self._inv_pruned(mult, bx, by, overwrite=in_place))
+                    else:
+                        d_ii = self.inv(mult)
+                        g.append(d_ii[bx, by])
+            else:
+                d_ii = grads[i, i]
+                g = grads[i, :, bx, by]
+            if div is None:
+                div = d_ii if grads is None else d_ii.copy()
+            else:
+                div += d_ii  # (d_00 + d_11) + d_22, as the trace sums
+            del d_ii
+            if h1_sq == 0.0:
+                continue
+            np.multiply(xc, g[1], out=term)
+            np.multiply(yc, g[0], out=other)
+            np.subtract(term, other, out=term)
+            np.multiply(L, g[2], out=other)
+            if i < 2:  # D u_z has no shift; adding 0 would only unsign a zero
+                np.add(other, shift[i], out=other)
+            np.add(term, other, out=term)
+            np.multiply(term, mask, out=term)
+            np.square(term, out=term)
+            total += float(np.sum(term) * dV)
+        # max |div| without an |div| temporary (abs: a +0.0 for an all-zero div)
+        max_div = abs(float(max(div.max(), -div.min())))
+        if h1_sq == 0.0:
+            return max_div, 0.0
         return max_div, float(np.sqrt(total / h1_sq))
 
 

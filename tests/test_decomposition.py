@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helns import decomposition
 from helns.decomposition import (
     circulation_a,
     decompose,
@@ -158,6 +159,40 @@ def _bessel_ring_means(u, grid, radii):
             means[1] += (shift * 1j * (Fy[a, b] * c - Fx[a, b] * s)).real * J1
             means[2] += (shift * Fz[a, b]).real * J0
     return means
+
+
+class TestRingTables:
+    """The grid-only tables of the ring averages are built once per ops."""
+
+    def test_second_average_evaluates_no_bessel_function(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            def wrapper(x):
+                calls.append(f.__name__)
+                return f(x)
+            return wrapper
+
+        monkeypatch.setattr(decomposition, "j0", counted(j0))
+        monkeypatch.setattr(decomposition, "j1", counted(j1))
+        grid = GridSpec.cube(16, 20.0, 1.0)
+        ops = SpectralOps(grid)
+        rng = np.random.default_rng(9)
+        u, w = rng.standard_normal((2, 3, 16, 16))
+        ring_average_cylindrical(u, ops)
+        assert sorted(calls) == ["j0", "j1"]
+        calls.clear()
+        second = ring_average_cylindrical(w, ops)
+        assert calls == []
+        fresh = ring_average_cylindrical(w, SpectralOps(grid))
+        for got, ref in zip(second, fresh):
+            assert got.r.tobytes() == ref.r.tobytes()
+            assert got.values.tobytes() == ref.values.tobytes()
+
+    def test_tables_are_read_only(self, ops):
+        prof = ring_average_cylindrical(np.ones((3,) + ops.grid.shape[:2]), ops)[2]
+        with pytest.raises(ValueError, match="read-only"):
+            prof.r[1] = 0.5
 
 
 class TestRingKernelReference:

@@ -312,6 +312,25 @@ class TestStructuralResiduals:
         z = np.zeros((3,) + grid.spectral_shape, complex)
         assert energy_identity_residual(*_state_and_stage(ops, z, 0.0, 1.0), 1.0) == 0.0
 
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    @pytest.mark.parametrize("a", [1.0, -2.0])
+    def test_energy_identity_equals_the_full_pair_stack(self, ops, pert, a, t):
+        # the exchange from the z-means of v_x v_x, v_x v_y and v_y v_y and the
+        # stage's background gradients, against the 2 x 2 stack of products
+        # (v_y v_x is v_x v_y bit for bit) and a fresh Oseen gradient
+        state, stage = _state_and_stage(ops, ops.dealias(pert), t, a)
+        grid, v = ops.grid, stage.v
+        glo = oseen_gradient_xy(grid, t)
+        assert stage.glo.tobytes() == glo.tobytes()
+        pairs = v[:2, None] * v[None, :2]
+        total = 0.0
+        for i in range(2):
+            for j in range(2):
+                total += float(np.sum(pairs[i, j].mean(axis=-1) * glo[i, j]))
+        exchange = a * (total * grid.dx * grid.dy * grid.Lz)
+        ref = abs(ops.inner(state.block, stage.k1) + exchange) / ops.grad_norm_sq(state.block)
+        assert energy_identity_residual(state, stage, a) == ref
+
     def test_orthogonal_split(self, ops, pert):
         assert orthogonal_split_residual(pert, ops) < 1e-12
 

@@ -41,22 +41,41 @@ def _with_value(section: str, key: str, value: str) -> str:
     return "\n".join(lines)
 
 
+def _header(dims, floats, ncomp) -> bytes:
+    """A version-1 HLXF header after the magic."""
+    return (np.array([1] + dims, "<u4").tobytes() + np.array(floats, "<f8").tobytes()
+            + bytes([ncomp]))
+
+
 @st.composite
 def hlxf_tails(draw):
     """Bytes after the magic: random, or a version-1 header over a body of
-    random length (sometimes exactly the promised one)."""
+    random length (sometimes exactly the promised one), which sometimes ends
+    in a partial sample of 1 to 7 bytes."""
     if draw(st.booleans()):
         return draw(st.binary(max_size=256))
     dims = [draw(st.sampled_from([0, 6, 8, 9, 10, 2**31])) for _ in range(3)]
     floats = [draw(st.floats(allow_nan=True, allow_infinity=True)) for _ in range(4)]
     ncomp = draw(st.integers(0, 3))
-    header = np.array([1] + dims, "<u4").tobytes() + np.array(floats, "<f8").tobytes()
-    header += bytes([ncomp])
     promised = ncomp * int(np.prod(dims, dtype=object))
     size = promised if draw(st.booleans()) and promised <= 3 * 10**3 else draw(
         st.integers(0, 64))
     body = draw(st.lists(st.floats(), min_size=size, max_size=size))
-    return header + np.array(body, "<f8").tobytes()
+    partial = draw(st.one_of(st.just(b""), st.binary(min_size=1, max_size=7)))
+    return _header(dims, floats, ncomp) + np.array(body, "<f8").tobytes() + partial
+
+
+@st.composite
+def partial_sample_tails(draw):
+    """A valid version-1 header over a body that ends in a partial sample."""
+    dims = [draw(st.sampled_from([8, 10, 2**31])) for _ in range(3)]
+    Lx = draw(st.floats(min_value=1e-3, max_value=1e3))
+    pitch = draw(st.floats(min_value=1e-3, max_value=1e3))
+    time = draw(st.floats(allow_nan=False, allow_infinity=False))
+    ncomp = draw(st.integers(0, 3))
+    size = 8 * draw(st.integers(0, 64)) + draw(st.integers(1, 7))
+    return _header(dims, [Lx, Lx, pitch, time], ncomp) + draw(
+        st.binary(min_size=size, max_size=size))
 
 
 @settings(max_examples=300, deadline=None)
@@ -85,3 +104,14 @@ def test_any_hlxf_body_reads_or_raises_value_error(tail):
             read_snapshot(path)
         except ValueError:
             pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_sample_tails())
+def test_partial_sample_body_raises_a_body_error(tail):
+    # never NumPy's buffer-size message or a MemoryError from the header's dims
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.hlxf"
+        path.write_bytes(MAGIC + tail)
+        with pytest.raises(ValueError, match="HLXF body holds"):
+            read_snapshot(path)

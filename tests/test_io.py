@@ -1,5 +1,6 @@
 """I/O contracts: HLXF snapshots, INI configuration and the command line."""
 
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -94,6 +95,49 @@ class TestSnapshotFormat:
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="body"):
             read_snapshot(path)
+
+    @pytest.mark.parametrize("ncomp", [1, 3])
+    def test_read_equals_the_frombuffer_reference(self, tmp_path, grid, fields, ncomp):
+        path = tmp_path / "snap.hlxf"
+        write_snapshot(path, grid, 0.5, fields[:ncomp])
+        body = np.frombuffer(path.read_bytes(), dtype="<f8", offset=53)
+        ref = np.stack([c.reshape(grid.nz, grid.ny, grid.nx).transpose(2, 1, 0)
+                        for c in body.reshape(ncomp, -1)])
+        snap = read_snapshot(path)
+        assert snap.fields.shape == (ncomp,) + grid.shape
+        assert snap.fields.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("ncomp", [1, 3])
+    def test_write_equals_the_transposed_copy_reference(self, tmp_path, grid, fields, ncomp):
+        path = tmp_path / "snap.hlxf"
+        write_snapshot(path, grid, 0.5, fields[:ncomp])
+        body = b"".join(np.ascontiguousarray(c.transpose(2, 1, 0)).astype("<f8").tobytes()
+                        for c in fields[:ncomp])
+        assert path.read_bytes()[53:] == body
+
+    @pytest.mark.parametrize("extra", [1, 7, 8 + 3])
+    def test_partial_sample_body_names_the_body(self, tmp_path, grid, fields, extra):
+        path = tmp_path / "tail.hlxf"
+        write_snapshot(path, grid, 0.0, fields)
+        path.write_bytes(path.read_bytes() + bytes(extra))
+        with pytest.raises(ValueError, match="HLXF body holds"):
+            read_snapshot(path)
+
+    def test_huge_header_fails_before_allocating(self, tmp_path):
+        # 2^31 samples a side: the body's length is checked against the
+        # file's size before any sample array exists
+        header = (MAGIC + np.array([1, 2**31, 2**31, 2**31], "<u4").tobytes()
+                  + np.array([4.0, 4.0, 1.0, 0.0], "<f8").tobytes() + bytes([3]))
+        path = tmp_path / "huge.hlxf"
+        path.write_bytes(header + bytes(19))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="HLXF body holds 19 bytes"):
+                read_snapshot(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_write_rejects_wrong_shape(self, tmp_path, grid):
         with pytest.raises(ValueError, match="shape"):
