@@ -7,6 +7,8 @@ contract of the package).  On top of the records this module provides:
   Poincare inequality of the zero-vertical-mean part;
 * the projected source norm |PQ(u_perp . grad u_perp)|_L2 of the records,
   taken from the solver stage's physical samples;
+* the run's invariant report (:class:`InvariantReport`), kept by the
+  :class:`RecordBuilder` from the sums its records take;
 * logarithmic-energy and exponential/power decay fits with recorded
   windows, residuals and confidence halfwidths;
 * the weighted-vorticity rate study on the radial engine and the
@@ -169,10 +171,9 @@ def ladyzhenskaya_ratio(v_hat: np.ndarray, ops: SpectralOps) -> float:
     The helicity gate (:meth:`SpectralOps.gates`: 3 whole-grid and 6
     disk-block inverse transforms) comes besides the 3 inverse transforms of v.
     """
-    l2 = ops.l2_norm(v_hat)
-    if l2 == 0.0:
+    l2_sq, grad_sq = ops.l2_and_grad_norm_sq(v_hat)
+    if l2_sq == 0.0:
         raise ValueError("Ladyzhenskaya ratio requires a nonzero field")
-    grad_l2 = float(np.sqrt(ops.grad_norm_sq(v_hat)))
     v = ops.inv(v_hat)
     mag_sq = np.sum(v * v, axis=0)
     l4 = float(np.sum(mag_sq**2) * ops.grid.cell_volume) ** 0.25
@@ -181,7 +182,7 @@ def ladyzhenskaya_ratio(v_hat: np.ndarray, ops: SpectralOps) -> float:
         raise ValueError(
             f"Ladyzhenskaya ratio requires a helical field: defect {defect:.3e}"
         )
-    return l4 / np.sqrt(l2 * grad_l2)
+    return l4 / np.sqrt(np.sqrt(l2_sq) * np.sqrt(grad_sq))
 
 
 def fitted_c0(ratios, pitch: float) -> float:
@@ -194,11 +195,10 @@ def fitted_c0(ratios, pitch: float) -> float:
 
 def poincare_ratio(v_hat: np.ndarray, ops: SpectralOps) -> float:
     """|v_perp|_L2 / |grad v_perp|_L2 after projecting out the vertical mean."""
-    vp = ops.perp(v_hat)
-    l2 = ops.l2_norm(vp)
-    if l2 == 0.0:
+    l2_sq, grad_sq = ops.l2_and_grad_norm_sq(ops.perp(v_hat))
+    if l2_sq == 0.0:
         raise ValueError("Poincare ratio requires a nonzero zero-vertical-mean part")
-    return l2 / float(np.sqrt(ops.grad_norm_sq(vp)))
+    return float(np.sqrt(l2_sq)) / float(np.sqrt(grad_sq))
 
 
 # --- the projected source term ---------------------------------------------------
@@ -230,7 +230,7 @@ def _mean_source_norm(v: np.ndarray, ops: SpectralOps) -> float:
     return float(np.sqrt(np.sum(np.abs(div) ** 2) * grid.volume / grid.npoints**2))
 
 
-# --- structural checks ------------------------------------------------------------
+# --- record construction -----------------------------------------------------------
 
 
 def _oseen_pairing(zmeans, glo: np.ndarray, grid: GridSpec) -> float:
@@ -248,99 +248,99 @@ def _oseen_pairing(zmeans, glo: np.ndarray, grid: GridSpec) -> float:
     return total * grid.dx * grid.dy * grid.Lz
 
 
-def energy_identity_residual(state, stage, a: float) -> float:
-    """Relative defect of d/dt |v|^2/2 = -|grad v|^2 - a <v, v.grad u_LO>.
+@dataclass
+class InvariantReport:
+    """Worst-case invariant defects observed over a run: max |div v| over all
+    output times, the worst relative defect of the orthogonal energy split,
+    the helical-defect growth rate per unit time and the worst
+    energy-identity residual, background exchange included."""
 
-    The viscous term is exact by construction (integrating factor), so the
-    residual is |<v, k1> + a <v, v.grad u_LO>| / |grad v|^2 (0 at zero
-    gradient), with k1, the physical v and the background gradients from
-    ``stage``, the :class:`~helns.solver.Stage` of ``state``.  The exchange
-    takes the z-means of the three distinct products v_x v_x, v_x v_y and
-    v_y v_y; at a = 0 it is not formed.
-    """
-    ops, v = state.ops, stage.v
-    grad_sq = ops.grad_norm_sq(state.block)
-    if grad_sq == 0.0:
-        return 0.0
-    exchange = 0.0
-    if a:
-        xx, xy, yy = ((v[i] * v[j]).mean(axis=-1) for i, j in ((0, 0), (0, 1), (1, 1)))
-        exchange = a * _oseen_pairing(((xx, xy), (xy, yy)), stage.glo, ops.grid)
-    return abs(ops.inner(state.block, stage.k1) + exchange) / grad_sq
+    max_div: float
+    pythagoras: float
+    defect_initial: float
+    defect_final: float
+    defect_growth_rate: float
+    energy_residual_max: float
 
-
-def orthogonal_split_residual(v_hat: np.ndarray, ops: SpectralOps) -> float:
-    """Relative defect of |u|^2 = |Qu|^2 + |(1-Q)u|^2."""
-    total = ops.l2_norm_sq(v_hat)
-    if total == 0.0:
-        return 0.0
-    qpart = ops.l2_norm_sq(ops.project_Q(v_hat))
-    ppart = ops.l2_norm_sq(ops.perp(v_hat))
-    return abs(total - qpart - ppart) / total
-
-
-# --- record construction -----------------------------------------------------------
+    def summary(self) -> str:
+        parts = [
+            f"max |div v| = {self.max_div:.3e}",
+            f"orthogonal-split defect = {self.pythagoras:.3e}",
+            f"helical defect growth = {self.defect_growth_rate:.3e} per unit time",
+            f"energy-identity residual = {self.energy_residual_max:.3e}",
+        ]
+        return "; ".join(parts)
 
 
 class RecordBuilder:
     """Build DiagnosticsRecord rows from solver states, accumulating the
-    enstrophy integral by the trapezoid rule between output times."""
+    enstrophy integral by the trapezoid rule between output times; keeps the
+    ``records`` and the run's invariants over them (:meth:`invariants`)."""
 
     def __init__(self, ops: SpectralOps, a: float):
         self.ops = ops
         self.a = a
+        self.records: list[DiagnosticsRecord] = []
         self._cum = 0.0
-        self._prev_t = None
         self._prev_grad_sq = None
+        self._pythagoras = 0.0
+        self._energy = 0.0
 
     def __call__(self, state, stage) -> DiagnosticsRecord:
-        """The record of ``state`` built from its solver ``stage``.
+        """The record of ``state`` built from its solver ``stage``, kept.
 
         Every norm, the helical defect's H1 normalizer included, is read from
-        the state's kept block.  ``stage`` (a :class:`~helns.solver.Stage` of
-        ``state``) supplies the physical v, from which the source norm is
-        taken, and at a != 0 the nine gradients, from which the gates and the
-        background cross term are taken, and the background gradients of the
-        cross term, so such a record does no 3D transform and evaluates no
-        Oseen field.  At a = 0 the stage has no gradients and
+        the state's kept block: one |F|^2 pass each of v, u_perp (with the
+        Laplacian's) and Qv, and the gates' own.  ``stage`` (a
+        :class:`~helns.solver.Stage` of ``state``) supplies the physical v,
+        from which the source norm and the energy exchange are taken, and at
+        a != 0 the nine gradients, from which the gates and the background
+        cross term are taken, and the background gradients of the cross term
+        and the exchange, so such a record does no 3D transform and evaluates
+        no Oseen field.  At a = 0 the stage has no gradients and
         :meth:`SpectralOps.gates` inverts them from the block (3 whole-grid
         and 6 disk-block pruned inverse transforms).  No record scatters.
+
+        The same sums give the invariant defects: of |v|^2 = |Qv|^2 +
+        |(1-Q)v|^2 relative to |v|^2, and of the energy identity d/dt |v|^2/2
+        = -|grad v|^2 - a <v, v.grad u_LO>, whose viscous term the
+        integrating factor makes exact: |<v, k1> + a <v, v.grad u_LO>| /
+        |grad v|^2, with the exchange from the z-means of v_x v_x, v_x v_y and
+        v_y v_y.  Each is 0 where its denominator is.
         """
         ops = self.ops
         grid = ops.grid
         a = self.a
         block = state.block
         t = state.t
+        v = stage.v
 
-        l2_v = ops.l2_norm(block)
-        grad_sq = ops.grad_norm_sq(block)
-        l2_grad_v = float(np.sqrt(grad_sq))
-
+        l2_sq, grad_sq = ops.l2_and_grad_norm_sq(block)
         up_hat = ops.perp(block)
-        l2_uperp = ops.l2_norm(up_hat)
-        l2_grad_uperp = float(np.sqrt(ops.grad_norm_sq(up_hat)))
-        l2_lap_uperp = float(np.sqrt(ops.lap_norm_sq(up_hat)))
-        l2_nbar = _mean_source_norm(stage.v, ops)
+        l2_up_sq, grad_up_sq = ops.l2_and_grad_norm_sq(up_hat)
+        lap_up_sq = ops.lap_norm_sq(up_hat)
+        l2_q_sq, grad_q_sq = ops.l2_and_grad_norm_sq(ops.project_Q(block))
+        l2_grad_v = float(np.sqrt(grad_sq))
+        l2_nbar = _mean_source_norm(v, ops)
 
-        max_div, defect = ops.gates(block, stage.v, stage.grads)
+        max_div, defect = ops.gates(block, v, stage.grads)
 
-        if self._prev_t is not None:
-            self._cum += 0.5 * (t - self._prev_t) * (grad_sq + self._prev_grad_sq)
-        self._prev_t = t
-        self._prev_grad_sq = grad_sq
+        if self.records:
+            self._cum += 0.5 * (t - self.records[-1].t) * (grad_sq + self._prev_grad_sq)
 
-        # Background terms of |grad u|^2 for u = v + a u_LO; both vanish (and
-        # leave the sums bitwise unchanged) when a = 0.
-        cross = grad_lo_sq = 0.0
+        # Background terms of |grad u|^2 for u = v + a u_LO and the exchange
+        # a <v, v.grad u_LO>; all vanish (and leave the sums bitwise
+        # unchanged) when a = 0.
+        cross = grad_lo_sq = exchange = 0.0
         if a != 0.0:
             g = stage.grads
             cross = _oseen_pairing([[g[i, j].mean(axis=-1) for j in range(2)] for i in range(2)],
                                    stage.glo, grid)
             grad_lo_sq = oseen_grad_l2_sq(t, grid.pitch)
+            xx, xy, yy = ((v[i] * v[j]).mean(axis=-1) for i, j in ((0, 0), (0, 1), (1, 1)))
+            exchange = a * _oseen_pairing(((xx, xy), (xy, yy)), stage.glo, grid)
         grad_u_sq = grad_sq + 2.0 * a * cross + a * a * grad_lo_sq
-        grad_mean_sq = (
-            ops.grad_norm_sq(ops.project_Q(block)) + 2.0 * a * cross + a * a * grad_lo_sq
-        )
+        grad_mean_sq = grad_q_sq + 2.0 * a * cross + a * a * grad_lo_sq
         # Inequality constants are nonnegative up to rounding of the cross term.
         grad_u_sq = max(grad_u_sq, 0.0)
         grad_mean_sq = max(grad_mean_sq, 0.0)
@@ -348,12 +348,12 @@ class RecordBuilder:
         L = grid.pitch
         rec = DiagnosticsRecord(
             t=t,
-            l2_v=l2_v,
+            l2_v=float(np.sqrt(l2_sq)),
             l2_grad_v=l2_grad_v,
             sqrt_t_l2_grad_v=float(np.sqrt(t) * l2_grad_v),
-            l2_uperp=l2_uperp,
-            l2_grad_uperp=l2_grad_uperp,
-            l2_lap_uperp=l2_lap_uperp,
+            l2_uperp=float(np.sqrt(l2_up_sq)),
+            l2_grad_uperp=float(np.sqrt(grad_up_sq)),
+            l2_lap_uperp=float(np.sqrt(lap_up_sq)),
             l2_Nbar=l2_nbar,
             helical_defect=defect,
             max_div=max_div,
@@ -364,7 +364,28 @@ class RecordBuilder:
             Kcal_perp=36.0 * DEFAULT_C0 / L * grad_u_sq,
         )
         rec.validate()
+        self.records.append(rec)
+        self._prev_grad_sq = grad_sq
+
+        if l2_sq != 0.0:
+            self._pythagoras = max(self._pythagoras, abs(l2_sq - l2_q_sq - l2_up_sq) / l2_sq)
+        if grad_sq != 0.0:
+            self._energy = max(self._energy, abs(ops.inner(block, stage.k1) + exchange) / grad_sq)
         return rec
+
+    def invariants(self) -> InvariantReport:
+        """The worst invariant defects over the records built so far; the
+        helical-defect growth rate is that between the first and the last."""
+        first, last = self.records[0], self.records[-1]
+        d0, d1, span = first.helical_defect, last.helical_defect, last.t - first.t
+        return InvariantReport(
+            max_div=max(r.max_div for r in self.records),
+            pythagoras=self._pythagoras,
+            defect_initial=d0,
+            defect_final=d1,
+            defect_growth_rate=(d1 - d0) / span if span > 0 else 0.0,
+            energy_residual_max=self._energy,
+        )
 
 
 # --- decay fits ------------------------------------------------------------------

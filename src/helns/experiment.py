@@ -1,14 +1,11 @@
 """Turn a validated configuration into a simulation run with outputs.
 
 :func:`run_experiment` builds the grid and initial data, advances the 3D
-engine while streaming :class:`~helns.diagnostics.DiagnosticsRecord` rows,
-writes the diagnostics CSV (and optional HLXF vorticity snapshots) and
-returns the collected artifacts together with an invariant report:
-
-* max |div v| over all output times,
-* worst relative defect of the orthogonal energy split,
-* helical-defect growth rate per unit time,
-* the worst energy-identity residual, background exchange included.
+engine while a :class:`~helns.diagnostics.RecordBuilder` turns each output
+state into a :class:`~helns.diagnostics.DiagnosticsRecord` row, writes the
+diagnostics CSV (and optional HLXF vorticity snapshots) and returns the
+collected artifacts together with the builder's
+:class:`~helns.diagnostics.InvariantReport`.
 
 Runs whose perturbation energy grows past a fixed factor of its initial
 value, or whose fields turn non-finite, abort with :class:`InstabilityError`
@@ -24,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .diagnostics import DiagnosticsRecord, RecordBuilder, write_records_csv
-from .diagnostics import energy_identity_residual, orthogonal_split_residual
+from .diagnostics import InvariantReport, RecordBuilder, write_records_csv
 from .fields import (
     PerturbationSpec,
     heat_gaussian,
@@ -68,27 +64,6 @@ class InstabilityError(RuntimeError):
     def __init__(self, message: str, csv_path=None):
         super().__init__(message)
         self.csv_path = csv_path
-
-
-@dataclass
-class InvariantReport:
-    """Worst-case invariant defects observed over a run."""
-
-    max_div: float
-    pythagoras: float
-    defect_initial: float
-    defect_final: float
-    defect_growth_rate: float
-    energy_residual_max: float
-
-    def summary(self) -> str:
-        parts = [
-            f"max |div v| = {self.max_div:.3e}",
-            f"orthogonal-split defect = {self.pythagoras:.3e}",
-            f"helical defect growth = {self.defect_growth_rate:.3e} per unit time",
-            f"energy-identity residual = {self.energy_residual_max:.3e}",
-        ]
-        return "; ".join(parts)
 
 
 @dataclass
@@ -185,13 +160,11 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     builder = RecordBuilder(ops, cfg.a)
+    records = builder.records
 
     csv_path = out_dir / cfg.csv
     snap_dir = out_dir / cfg.snapshot_dir
     snapshot_paths: list[Path] = []
-    records: list[DiagnosticsRecord] = []
-    pythagoras_max = 0.0
-    energy_max = 0.0
     guard_sq = None
     # a snapshot goes with every snap_every-th record, the first included
     snap_every = _output_count(cfg.snapshot_dt, cfg.output_dt, "snapshot_dt")
@@ -201,11 +174,8 @@ def run_experiment(
         write_records_csv(records, csv_path)
 
     def observer(state: SimulationState, stage: Stage) -> None:
-        nonlocal pythagoras_max, energy_max, guard_sq
+        nonlocal guard_sq
         rec = builder(state, stage)
-        records.append(rec)
-        pythagoras_max = max(pythagoras_max, orthogonal_split_residual(state.block, ops))
-        energy_max = max(energy_max, energy_identity_residual(state, stage, cfg.a))
         if guard_sq is None:
             guard_sq = GUARD_FACTOR * max(rec.l2_v**2, np.finfo(float).tiny)
         elif rec.l2_v**2 > guard_sq:
@@ -238,16 +208,7 @@ def run_experiment(
         ) from exc
     flush()
 
-    d0, d1 = records[0].helical_defect, records[-1].helical_defect
-    span = records[-1].t - records[0].t
-    invariants = InvariantReport(
-        max_div=max(r.max_div for r in records),
-        pythagoras=pythagoras_max,
-        defect_initial=d0,
-        defect_final=d1,
-        defect_growth_rate=(d1 - d0) / span if span > 0 else 0.0,
-        energy_residual_max=energy_max,
-    )
+    invariants = builder.invariants()
     if not quiet:
         logger.info(
             "run complete: %d records to %s; %s",

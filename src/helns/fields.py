@@ -302,7 +302,8 @@ def random_helical_perturbation(
     psi = np.stack([w_horiz.real, w_horiz.imag, (Z * envelope).real])
 
     U = ops.leray(ops.curl(ops.fwd(psi)))
-    h1 = np.sqrt(ops.l2_norm_sq(U) + ops.grad_norm_sq(U))
+    l2_sq, grad_sq = ops.l2_and_grad_norm_sq(U)
+    h1 = np.sqrt(l2_sq + grad_sq)
     if h1 == 0.0:
         raise ValueError("degenerate perturbation draw: zero field before rescaling")
     return U * (spec.amplitude / h1)

@@ -205,9 +205,9 @@ def run_radial(
     r = R.  The CN matrix is factored once and every step is one
     :func:`step_radial` call on the value array.  ``observer(t, values)`` is
     called after every ``observe_every``-th step (an integer >= 1) with
-    t = k dt, and t = t_end after the last step; ``values`` are the samples
-    on ``profile.r``, the array the next step reads, so an observer must not
-    write to it.
+    t = k dt, and after the last step, whatever ``observe_every``, with
+    t = t_end; ``values`` are the samples on ``profile.r``, the array the
+    next step reads, so an observer must not write to it.
     """
     _raise_all(
         _rule("t_end", t_end, t_end > 0, "be positive")
@@ -226,7 +226,7 @@ def run_radial(
     h = profile.values
     for k in range(1, nsteps + 1):
         h = step_radial(h, system)
-        if observer is not None and k % observe_every == 0:
+        if observer is not None and (k % observe_every == 0 or k == nsteps):
             observer(t_end if k == nsteps else k * dt, h)
     return profile.with_values(h)
 

@@ -32,8 +32,8 @@ d_i u_i, and the defect only the central block of rows and columns that
 holds its r <= Lx/4 disk.  :meth:`SpectralOps.gates` takes both in one
 call, from the nine gradients when the caller has them and otherwise from
 the three diagonal ones inverted on the whole grid and the six others on
-that block only (:meth:`SpectralOps.inv_disk`, the same pruned passes, with
-y and z cut to the block), with the same bits either way.
+that block only (the same pruned passes, cut to the block's rows and
+columns), with the same bits either way.
 
 This module is the package's one FFT boundary: every transform, these and
 the 2D ones of the (x, y) plane (:meth:`SpectralOps.fwd_plane`,
@@ -119,10 +119,6 @@ class SpectralOps:
         if self._wavenumbers(F) is self._full:
             return sfft.irfftn(F, s=self.grid.shape, axes=(-3, -2, -1), workers=self._workers)
         return self._inv_pruned(F, slice(None), slice(None))
-
-    def inv_disk(self, F: np.ndarray) -> np.ndarray:
-        """:meth:`inv` of F, either shape, sampled on the disk block only."""
-        return self._inv_pruned(F, *self.disk)
 
     def _inv_pruned(self, F: np.ndarray, rows: slice, cols: slice,
                     overwrite: bool = False) -> np.ndarray:
@@ -382,8 +378,8 @@ class SpectralOps:
         (:meth:`gradients`) when the caller has them; no transform is then
         done.  Without them the three diagonal gradients, whose trace is the
         divergence, are inverted on the whole grid and the six others only on
-        the disk block (:meth:`inv_disk`): 3 whole-grid and 6 disk-block
-        inverse transforms of one multiplier buffer, with the bits of the
+        the disk block (``_inv_pruned(mult, *self.disk)``): 3 whole-grid and
+        6 disk-block inverse transforms of one multiplier buffer, with the bits of the
         nine whole-grid inverses.  Either way the gates are the same bits.
         One component's three gradients are held at a time: its defect term
         is folded into the sum and its diagonal gradient into the divergence

@@ -10,7 +10,7 @@ from helns.diagnostics import (
     DEFAULT_C0,
     DiagnosticsRecord,
     RecordBuilder,
-    energy_identity_residual,
+    _oseen_pairing,
     fit_exponential,
     fit_power,
     fitted_c0,
@@ -19,7 +19,6 @@ from helns.diagnostics import (
     load_records_csv,
     log_energy_check,
     moving_median3,
-    orthogonal_split_residual,
     poincare_ratio,
     sweep_ladyzhenskaya,
     sweep_poincare,
@@ -32,6 +31,8 @@ from helns.fields import (
     oseen_gradient_xy,
     random_helical_perturbation,
 )
+from helns.config import ExperimentConfig
+from helns.experiment import run_experiment
 from helns.grid import GridSpec
 from helns import solver
 from helns.solver import SimulationState
@@ -306,11 +307,11 @@ class TestStructuralResiduals:
     def test_energy_identity_on_background_free_field(self, grid, ops, pert):
         # run states are dealiased on entry; the identity holds on that band
         state, stage = _state_and_stage(ops, ops.dealias(pert), 0.0, 0.0)
-        assert energy_identity_residual(state, stage, 0.0) < 1e-12
+        assert _invariants(state, stage, 0.0).energy_residual_max < 1e-12
 
     def test_energy_identity_zero_field(self, grid, ops):
         z = np.zeros((3,) + grid.spectral_shape, complex)
-        assert energy_identity_residual(*_state_and_stage(ops, z, 0.0, 1.0), 1.0) == 0.0
+        assert _invariants(*_state_and_stage(ops, z, 0.0, 1.0), 1.0).energy_residual_max == 0.0
 
     @pytest.mark.parametrize("t", [0.0, 0.7])
     @pytest.mark.parametrize("a", [1.0, -2.0])
@@ -329,10 +330,79 @@ class TestStructuralResiduals:
                 total += float(np.sum(pairs[i, j].mean(axis=-1) * glo[i, j]))
         exchange = a * (total * grid.dx * grid.dy * grid.Lz)
         ref = abs(ops.inner(state.block, stage.k1) + exchange) / ops.grad_norm_sq(state.block)
-        assert energy_identity_residual(state, stage, a) == ref
+        assert _invariants(state, stage, a).energy_residual_max == ref
 
     def test_orthogonal_split(self, ops, pert):
-        assert orthogonal_split_residual(pert, ops) < 1e-12
+        assert _invariants(*_state_and_stage(ops, pert, 0.0, 0.0), 0.0).pythagoras < 1e-12
+
+
+def _energy_identity_residual(state, stage, a):
+    """Reference for the builder: the energy-identity residual of one record."""
+    ops, v = state.ops, stage.v
+    grad_sq = ops.grad_norm_sq(state.block)
+    if grad_sq == 0.0:
+        return 0.0
+    exchange = 0.0
+    if a:
+        xx, xy, yy = ((v[i] * v[j]).mean(axis=-1) for i, j in ((0, 0), (0, 1), (1, 1)))
+        exchange = a * _oseen_pairing(((xx, xy), (xy, yy)), stage.glo, ops.grid)
+    return abs(ops.inner(state.block, stage.k1) + exchange) / grad_sq
+
+
+def _orthogonal_split_residual(v_hat, ops):
+    """Reference for the builder: the relative defect of |u|^2 = |Qu|^2 + |(1-Q)u|^2."""
+    total = ops.l2_norm_sq(v_hat)
+    if total == 0.0:
+        return 0.0
+    qpart = ops.l2_norm_sq(ops.project_Q(v_hat))
+    ppart = ops.l2_norm_sq(ops.perp(v_hat))
+    return abs(total - qpart - ppart) / total
+
+
+class TestRunInvariants:
+    @pytest.mark.parametrize("zero", [False, True], ids=["field", "zero"])
+    @pytest.mark.parametrize("a", [0.0, 1.0, -2.0])
+    def test_maxima_equal_the_standalone_residuals(self, ops, pert, a, zero):
+        v_hat = np.zeros_like(pert) if zero else ops.leray(ops.dealias(pert))
+        builder = RecordBuilder(ops, a)
+        energy = split = 0.0
+        for t, scale in ((0.0, 1.0), (0.4, 0.5), (0.9, 2.0)):
+            state, stage = _state_and_stage(ops, scale * v_hat, t, a)
+            builder(state, stage)
+            energy = max(energy, _energy_identity_residual(state, stage, a))
+            split = max(split, _orthogonal_split_residual(state.block, ops))
+        inv = builder.invariants()
+        assert (inv.energy_residual_max, inv.pythagoras) == (energy, split)
+        assert inv.max_div == max(r.max_div for r in builder.records)
+        assert len(builder.records) == 3
+        if zero:
+            assert (energy, split) == (0.0, 0.0)
+        else:
+            assert energy > 0.0
+
+    def test_a_record_sums_its_state_once(self, tmp_path, monkeypatch):
+        # per record: one |F|^2 pass each of v, u_perp and Qv, the Laplacian
+        # of u_perp, the gates' normalizer and <v, k1>; one perp and one Q copy
+        calls = {"passes": 0, "perp": 0, "project_Q": 0}
+
+        def counted(name, key):
+            original = getattr(SpectralOps, name)
+
+            def stand_in(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(SpectralOps, name, stand_in)
+
+        for name in ("_weighted_sum_sq", "l2_and_grad_norm_sq", "inner"):
+            counted(name, "passes")
+        for name in ("perp", "project_Q"):
+            counted(name, name)
+        cfg = ExperimentConfig(nx=32, ny=32, nz=32, a=0.0, kind="shear",
+                               t_end=0.2, output_dt=0.1)
+        result = run_experiment(cfg, tmp_path, quiet=True)
+        n = len(result.records)
+        assert n == 3
+        assert calls == {"passes": 6 * n, "perp": n, "project_Q": n}
 
 
 def _state_and_stage(ops, v_hat, t, a):
@@ -342,6 +412,13 @@ def _state_and_stage(ops, v_hat, t, a):
 
 def _record(builder, v_hat, t):
     return builder(*_state_and_stage(builder.ops, v_hat, t, builder.a))
+
+
+def _invariants(state, stage, a):
+    """The run invariants of a one-record run from ``state`` and its ``stage``."""
+    builder = RecordBuilder(state.ops, a)
+    builder(state, stage)
+    return builder.invariants()
 
 
 def _cross_term_2d(v_hat, t, grid, ops):
@@ -403,4 +480,4 @@ class TestRecordBuilder:
         rhs = ops.scatter(solver._Rhs(ops, 0.0)(ops.gather(v_hat), 0.2))
         background_free = abs(2.0 * ops.inner(v_hat, rhs)) / (2.0 * ops.grad_norm_sq(v_hat))
         state, stage = _state_and_stage(ops, v_hat, 0.2, 0.0)
-        assert energy_identity_residual(state, stage, 0.0) == background_free
+        assert _invariants(state, stage, 0.0).energy_residual_max == background_free

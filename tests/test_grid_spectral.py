@@ -351,14 +351,15 @@ class TestDiskGradients:
             assert max_div == float(np.max(np.abs(full[0, 0] + full[1, 1] + full[2, 2])))
             assert defect > 0.0
             assert (max_div, defect) == g_ops.gates(U, u, full)
-            assert g_ops.inv_disk(U[0]).tobytes() == np.ascontiguousarray(
+            assert g_ops._inv_pruned(U[0], bx, by).tobytes() == np.ascontiguousarray(
                 g_ops.inv(U[0])[bx, by]).tobytes()
 
     def test_leaves_its_input_unchanged(self, ops):
         F = ops.fwd(np.random.default_rng(4).standard_normal(ops.grid.shape))
         F_in = F.copy()
         bx, by = ops.disk
-        assert ops.inv_disk(F).tobytes() == np.ascontiguousarray(ops.inv(F)[bx, by]).tobytes()
+        assert ops._inv_pruned(F, bx, by).tobytes() == np.ascontiguousarray(
+            ops.inv(F)[bx, by]).tobytes()
         assert F.tobytes() == F_in.tobytes()
 
     def test_block_holds_the_disk(self):
@@ -381,7 +382,7 @@ def _nine_gradient_gates(ops, U, u, grads=None):
             for j, ik in enumerate(ops._wavenumbers(U).ik):
                 mult = ik * U[i]
                 if i != j:
-                    grads[i, j] = ops.inv_disk(mult)
+                    grads[i, j] = ops._inv_pruned(mult, bx, by)
                     continue
                 d_ii = ops.inv(mult)
                 grads[i, i] = d_ii[bx, by]
@@ -487,12 +488,12 @@ class TestBandTransforms:
         B_in = B.copy()
         for field in (B, B[1]):
             whole = g_ops.inv(g_ops.scatter(field))
-            disk = g_ops.inv_disk(g_ops.scatter(field)).tobytes()
+            disk = g_ops._inv_pruned(g_ops.scatter(field), bx, by).tobytes()
             assert disk == np.ascontiguousarray(whole[..., bx, by, :]).tobytes()
             whole = whole.tobytes()
             # whole, disk, whole: each call rewrites the buffer rows the last one used
             assert g_ops.inv(field).tobytes() == whole
-            assert g_ops.inv_disk(field).tobytes() == disk
+            assert g_ops._inv_pruned(field, bx, by).tobytes() == disk
             assert g_ops.inv(field).tobytes() == whole
         u = g_ops.inv(B)
         max_div, defect = g_ops.gates(B, u)
@@ -526,9 +527,9 @@ class TestBandTransforms:
         F = g_ops.fwd(np.ones((3,) + grid.shape))
         g_ops.inv(B)
         g_ops.fwd_band(np.ones((6,) + grid.shape))
-        g_ops.inv_disk(B)
+        g_ops._inv_pruned(B, *g_ops.disk)
         g_ops.inv(F)
-        g_ops.inv_disk(F[0])
+        g_ops._inv_pruned(F[0], *g_ops.disk)
         g_ops.inv_plane(g_ops.fwd_plane(np.ones((3, nx, ny))))
         assert [(p.kind, p.axis, p.lines, p.length) for p in fft_ledger.passes] == [
             ("r2c", -1, 3 * nx * ny, nz),  # rfftn's z pass
@@ -568,12 +569,12 @@ class TestBlockNorms:
 
     @pytest.mark.parametrize("name", ["l2_norm_sq", "l2_norm", "inner", "grad_norm_sq",
                                       "lap_norm_sq", "divergence", "leray", "curl",
-                                      "inverse_curl", "gradients", "inv", "inv_disk",
+                                      "inverse_curl", "gradients", "inv", "_inv_pruned",
                                       "gates"])
     def test_a_third_shape_is_rejected(self, ops, name):
         # neither 16^3 coefficient shape: full (16, 16, 9), block (11, 11, 6)
         F = np.ones((3, 16, 16, 1), dtype=complex)
-        args = (F, F) if name in ("inner", "gates") else (F,)
+        args = {"inner": (F, F), "gates": (F, F), "_inv_pruned": (F, *ops.disk)}.get(name, (F,))
         with pytest.raises(ValueError, match=r"\(16, 16, 9\).*\(11, 11, 6\)"):
             getattr(ops, name)(*args)
 

@@ -29,12 +29,15 @@ REMOVED_NAMES = (
     (spectral, "PhysicalField"),
     (spectral, "SpectralField"),
     (spectral.SpectralOps, "physical_l2_norm"),
+    (spectral.SpectralOps, "inv_disk"),
     (radial, "graded_radii"),
     (radial, "BoundEnvelopeReport"),
     (radial.RadialProfile, "weights"),
     (diagnostics, "theorem_quantities"),
     (diagnostics, "theorem_quantities_from_u"),
     (diagnostics.OseenDifferenceReport, "passed"),
+    (diagnostics, "energy_identity_residual"),
+    (diagnostics, "orthogonal_split_residual"),
     (decomposition, "circulation_from_profile"),
     (decomposition, "_embed_mean_velocity"),
     (decomposition, "_eval_bilinear"),

@@ -119,6 +119,12 @@ class TestHeatEngine:
         )
         # exact times k dt, the last one t_end itself
         assert seen == [5 * 0.01, 0.1]
+        # a stride that does not divide the step count still ends on t_end
+        seen.clear()
+        run_radial(RadialProfile(r, _gaussian(r, 1.0)), 1.0, 0.25, parity="even",
+                   observer=lambda t, values: seen.append(t), observe_every=3,
+                   boundary_tol=1.0)
+        assert seen == [0.75, 1.0]
 
     @pytest.mark.parametrize("m,message", [
         (0.9, r"m must lie in \(1, 2\) for the weighted-tail study, got 0.9"),
