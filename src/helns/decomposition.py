@@ -264,13 +264,14 @@ def decompose(
                                       "the integrable vorticities"))
     ops = ops or SpectralOps(grid)
     _require_grid(ops, grid)
-    if not np.all(np.isfinite(omega)):
+    # max |omega| with no |omega| temporary; a NaN or an inf shows in max or min
+    hi, lo = float(omega.max()), float(omega.min())
+    if not (np.isfinite(hi) and np.isfinite(lo)):
         raise ValueError("vorticity samples must be finite")
+    scale = max(hi, -lo)
 
     W = ops.fwd(omega)
     max_div, defect = ops.gates(W, omega)
-    # max |omega| without an |omega| temporary (the samples are finite)
-    scale = float(max(omega.max(), -omega.min()))
     if scale > 0 and max_div > DIV_TOL * scale:
         raise ValueError(
             f"vorticity is not divergence-free: max |div| = {max_div:.3e} "

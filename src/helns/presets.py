@@ -6,7 +6,7 @@ executes every preset in order and writes a machine-readable
 ``summary.json``; the process exit code of ``helns verify`` is 0 exactly
 when every selected check passes.
 
-The heavy 64^3 trend run is shared: ``theorem-trend`` and ``perp-decay``
+The heavy 64x64x24 trend run is shared: ``theorem-trend`` and ``perp-decay``
 both analyze the same records, which are computed once per output directory
 and process and kept in memory (never reloaded from a CSV that an aborted or
 older run may have left behind).
@@ -261,8 +261,9 @@ def _preset_decomposition(report: PresetReport, out_dir: Path) -> None:
     )
 
 
+# nz = 24 (kz <= 8) resolves the run: tests/test_solver.py::TestTrendGrid
 TREND_CONFIG = ExperimentConfig(
-    nx=64, ny=64, nz=64, Lx=40.0, pitch=1.0, a=1.0,
+    nx=64, ny=64, nz=24, Lx=40.0, pitch=1.0, a=1.0,
     kind="perturbed-oseen", seed=0, amplitude=0.1, modes=(0, 1, 2), sigma=2.0,
     t_end=8.0, dt=0.05, output_dt=0.1, csv="trend_diagnostics.csv",
 )
@@ -270,7 +271,7 @@ TREND_CONFIG = ExperimentConfig(
 
 @functools.cache
 def _trend_records(out_dir: Path):
-    """Records of the shared 64^3 trend experiment, run once per out_dir."""
+    """Records of the shared trend experiment, run once per out_dir."""
     return run_experiment(TREND_CONFIG, out_dir, quiet=True).records
 
 

@@ -17,14 +17,14 @@ The 3D engine carries its coefficients as the kept 2/3-rule block
 ascending order (:meth:`SpectralOps.gather` and :meth:`SpectralOps.scatter`
 move between it and the full shape).  The multipliers but
 :meth:`SpectralOps.dealias`, the inverse transforms, the gradients and the
-norms take either shape, and any other shape is a ValueError.  The block's
-transforms are pruned to the lines that can be nonzero:
+norms take either shape, and any other shape is a ValueError.
 :meth:`SpectralOps.inv` takes the passes of ``irfftn`` in its order (x,
-then y, then ``irfft`` along z) and :meth:`SpectralOps.fwd_band` those of
-``rfftn`` (``rfft`` along z, then x, then y), each on the kept lines only.
-Every line they do transform is the line the full transform does, by the
-same 1D transform, and the lines they skip are zero or are cut away, so both
-give the full transforms' bits on the block.  It also inverts the nine
+then y, then ``irfft`` along z), of either shape, and
+:meth:`SpectralOps.fwd_band` those of ``rfftn`` (``rfft`` along z, then x,
+then y); on the block both are pruned to the kept lines.  Every line they do
+transform is the line the full transform does, by the same 1D transform,
+and the lines they skip are zero or are cut away, so both give the full
+transforms' bits.  It also inverts the nine
 physical gradients d_j u_i of a field, which the solver's convective loop
 reads.  The gates of a record, a decomposition and the Ladyzhenskaya sweep,
 max |div u| and the helical defect, read less: the divergence only the trace
@@ -115,22 +115,20 @@ class SpectralOps:
 
     def inv(self, F: np.ndarray) -> np.ndarray:
         """Inverse rfft over the last three axes (carries 1/N): ``irfftn`` of
-        full-shape F, or ``inv(scatter(B))`` bit for bit of a kept block B."""
-        if self._wavenumbers(F) is self._full:
-            return sfft.irfftn(F, s=self.grid.shape, axes=(-3, -2, -1), workers=self._workers)
+        full-shape F bit for bit, or ``inv(scatter(B))`` of a kept block B."""
         return self._inv_pruned(F, slice(None), slice(None))
 
     def _inv_pruned(self, F: np.ndarray, rows: slice, cols: slice,
                     overwrite: bool = False) -> np.ndarray:
-        """``inv(F)[..., rows, cols, :]`` from the passes of ``irfftn`` in its
-        order, unscaled: x, then y on ``rows``, then ``irfft`` along z on
-        ``cols``.  A full-shape F is overwritten by its x pass when
-        ``overwrite`` is set.  A kept block is zero-padded into two buffers
-        kept between calls, x running on its ky columns and x and y on
-        kz <= nz//3; each call rewrites the rows it reads, and the y buffer's
-        kz > nz//3 columns are never written.  ``irfftn`` applies 1/N once,
-        in its last pass, so one multiply at the end gives its bits (1/n per
-        pass would not)."""
+        """``inv(F)[..., rows, cols, :]``, the package's one inverse: the
+        passes of ``irfftn`` in its order, each unscaled: x, then y on
+        ``rows``, then ``irfft`` along z on ``cols``.  A full-shape F is overwritten by
+        its x pass when ``overwrite`` is set; a kept block never is.  A kept
+        block is zero-padded into two buffers kept between calls, x running
+        on its ky columns and x and y on kz <= nz//3; each call rewrites the
+        rows it reads, and the y buffer's kz > nz//3 columns are never
+        written.  ``irfftn`` applies 1/N once, in its last pass, so one
+        multiply at the end gives its bits (1/n per pass would not)."""
         w = self._workers
         if self._wavenumbers(F) is self._full:
             f = sfft.ifft(F, axis=-3, norm="forward", workers=w, overwrite_x=overwrite)
@@ -379,8 +377,9 @@ class SpectralOps:
         done.  Without them the three diagonal gradients, whose trace is the
         divergence, are inverted on the whole grid and the six others only on
         the disk block (``_inv_pruned(mult, *self.disk)``): 3 whole-grid and
-        6 disk-block inverse transforms of one multiplier buffer, with the bits of the
-        nine whole-grid inverses.  Either way the gates are the same bits.
+        6 disk-block runs of the pruned passes on one multiplier buffer, with
+        the bits of the nine whole-grid inverses.  Either way the gates are
+        the same bits.
         One component's three gradients are held at a time: its defect term
         is folded into the sum and its diagonal gradient into the divergence
         before the next component's are inverted.
@@ -409,23 +408,21 @@ class SpectralOps:
         term = np.empty((bx.stop - bx.start, by.stop - by.start, self.grid.nz))
         other = np.empty_like(term)
         if grads is None:
-            table = self._wavenumbers(U)
+            ik = self._wavenumbers(U).ik
+            # rewritten before every use, so a full-shape one may take the x pass
             mult = np.empty(U.shape[1:], dtype=complex)
-            # a full-shape multiplier is rewritten on every use, so the disk
-            # inverses may run their x pass in it
-            in_place = table is self._full
+            whole = (slice(None), slice(None))
         div = None
         total = 0.0
         for i in range(3):
             if grads is None:
                 g = []
                 for j in range(3):
-                    np.multiply(table.ik[j], U[i], out=mult)
-                    if i != j:
-                        g.append(self._inv_pruned(mult, bx, by, overwrite=in_place))
-                    else:
-                        d_ii = self.inv(mult)
-                        g.append(d_ii[bx, by])
+                    np.multiply(ik[j], U[i], out=mult)
+                    g.append(self._inv_pruned(mult, *(whole if i == j else self.disk),
+                                              overwrite=True))
+                d_ii = g[i]
+                g[i] = d_ii[bx, by]
             else:
                 d_ii = grads[i, i]
                 g = grads[i, :, bx, by]

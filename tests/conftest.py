@@ -4,9 +4,11 @@
 call of its module attribute ``sfft`` (``scipy.fft``).  The ``fft_ledger``
 fixture puts a counting stand-in there, so a transform is counted by the
 passes it makes, whatever method made it.  A scalar 3D transform, full or
-pruned, has exactly one z pass (``rfftn``/``irfftn``, or ``rfft``/``irfft``
-along the last axis), so the z passes count them; the 2D transforms of the
-(x, y) plane count apart.
+pruned, has exactly one z pass (``rfftn``, or ``rfft``/``irfft`` along the
+last axis), so the z passes count them; the 2D transforms of the (x, y)
+plane count apart.  The package calls no ``irfftn``: every inverse is the
+x, y and ``irfft`` passes, and the stand-in refuses any name it does not
+count.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import scipy.fft
 from helns import spectral
 
 # the kind of each scipy.fft function that helns.spectral calls
-KINDS = {"rfftn": "r2c", "rfft": "r2c", "irfftn": "c2r", "irfft": "c2r",
+KINDS = {"rfftn": "r2c", "rfft": "r2c", "irfft": "c2r",
          "fft": "c2c", "ifft": "c2c", "fft2": "plane", "ifft2": "plane"}
 
 
@@ -33,7 +35,7 @@ class Pass:
     along it and ``length`` their length, real for r2c and c2r.  A plane
     transform counts its 2D planes as ``lines`` and their points as
     ``length``.  ``shape`` is the input's shape, and ``full`` marks
-    ``rfftn``/``irfftn``, which only full-shape arrays take.
+    ``rfftn``, which only full-shape arrays take.
     """
 
     kind: str
@@ -104,7 +106,7 @@ def _pass(name: str, kind: str, shape: tuple, out_shape: tuple, kwargs) -> Pass:
         axis = axes[-1] - ndim if axes[-1] >= 0 else axes[-1]
         length = max(shape[axis], out_shape[axis])  # the real side of r2c, c2r
         lines = math.prod(shape) // shape[axis]
-    return Pass(kind, axis, lines, length, tuple(shape), name in ("rfftn", "irfftn"),
+    return Pass(kind, axis, lines, length, tuple(shape), name == "rfftn",
                 kwargs.get("workers"))
 
 

@@ -350,6 +350,17 @@ class TestDecompose:
         with pytest.raises(ValueError, match=f"^m must be finite, got {m}$"):
             decompose(w, grid, m, ops=ops)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_samples(self, grid, ops, perturbation, bad, fft_ledger):
+        # one bad sample, whichever of the max and the min it shows in, is
+        # rejected before any transform
+        w = oseen_vorticity(grid, 0.0) + ops.inv(ops.curl(perturbation))
+        w[1, 3, 5, 7] = bad
+        fft_ledger.clear()
+        with pytest.raises(ValueError, match="^vorticity samples must be finite$"):
+            decompose(w, grid, 1.5, ops=ops)
+        assert fft_ledger.passes == []
+
     def test_rejects_ops_of_another_grid(self, grid, ops, perturbation):
         w = oseen_vorticity(grid, 0.0) + ops.inv(ops.curl(perturbation))
         other = SpectralOps(GridSpec.cube(32, 24.0, 1.0))

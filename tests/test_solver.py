@@ -13,7 +13,7 @@ from helns.config import ExperimentConfig
 from helns.decomposition import decompose
 from helns.diagnostics import RecordBuilder, ladyzhenskaya_ratio
 from helns import experiment, solver
-from helns.experiment import InstabilityError, run_experiment
+from helns.experiment import InstabilityError, build_grid, build_initial, run_experiment
 from helns.fields import (
     PerturbationSpec,
     _oseen_F,
@@ -24,7 +24,7 @@ from helns.fields import (
     random_helical_perturbation,
 )
 from helns.grid import GridSpec
-from helns.presets import ENERGY_TOL
+from helns.presets import ENERGY_TOL, TREND_CONFIG
 from helns.radial import RadialProfile, run_radial, uniform_radii
 from helns.solver import (
     SimulationState,
@@ -630,8 +630,9 @@ def _helical_vorticity(grid, ops):
 
 class TestTransformBudget:
     """Transforms are counted at the FFT boundary (the ``fft_ledger`` of
-    conftest.py): a scalar 3D transform is one z pass, and the full-shape
-    ones are the ``rfftn``/``irfftn`` passes."""
+    conftest.py): a scalar 3D transform is one z pass.  The full-shape
+    forward ones are the ``rfftn`` passes; every inverse, full-shape or not,
+    is the x, y and ``irfft`` z passes of ``SpectralOps._inv_pruned``."""
 
     @pytest.mark.parametrize("a,per_step,per_record", [(0.0, 36, 9), (1.0, 60, 0)])
     def test_run_costs_the_documented_transforms(self, tmp_path, monkeypatch, fft_ledger,
@@ -678,9 +679,12 @@ class TestTransformBudget:
         fft_ledger.clear()
         decompose(omega, grid, 1.5, ops=ops)
         z = fft_ledger.z_passes()
-        # 3 forward transforms of omega and the 3 diagonal gradients at full
-        # shape, the 6 other gradients on the disk block
-        assert [(p.kind, p.scalars) for p in z if p.full] == [("r2c", 3)] + [("c2r", 1)] * 3
+        # 3 forward transforms of omega at full shape, the 3 diagonal
+        # gradients on the whole cross-section, the 6 other gradients on the
+        # disk block
+        assert [(p.kind, p.scalars) for p in z if p.full] == [("r2c", 3)]
+        assert [(p.kind, p.scalars) for p in z
+                if not p.full and p.cross == grid.shape[:2]] == [("c2r", 1)] * 3
         disk = tuple(b.stop - b.start for b in ops.disk)
         assert [p.scalars for p in z if not p.full and p.cross == disk] == [1] * 6
         assert fft_ledger.transforms == 12
@@ -709,3 +713,33 @@ class TestTransformBudget:
         stage = solver._Rhs(ops, 0.0).stage(state.block, 0.0)
         RecordBuilder(ops, 0.0)(state, stage)
         assert full_gradients == []
+
+
+class TestTrendGrid:
+    def test_top_kept_kz_plane_stays_empty(self):
+        """The trend grid's nz resolves the run: the energy fraction in the
+        top kept kz plane stays at round-off (1.1e-29 at nz = 24, 6.6e-20 at
+        nz = 16, which fails).
+
+        The background is z-independent, so only v.grad v fills kz beyond
+        the seeded helical modes 0-2, at order amplitude^2 and most while
+        the perturbation is largest, early on.  Viscosity then damps each
+        plane like e^(-k^2 t), high kz fastest: the fraction peaks at
+        t = 0.1-0.2 and falls after, so a run cut to t_end = 1 holds the
+        whole run's maximum.
+        """
+        cfg = dataclasses.replace(TREND_CONFIG, t_end=1.0)
+        grid = build_grid(cfg)
+        ops = SpectralOps(grid)
+        fractions = []
+
+        def observer(state, stage):
+            top = np.zeros_like(state.block)
+            top[..., -1] = state.block[..., -1]
+            fractions.append(ops.l2_norm_sq(top) / ops.l2_norm_sq(state.block))
+
+        solver_cfg = SolverConfig(t_end=cfg.t_end, dt=cfg.dt, cfl=cfg.cfl,
+                                  output_dt=cfg.output_dt, a=cfg.a)
+        run_spectral3d(build_initial(cfg, grid, ops), ops, solver_cfg, observer=observer)
+        assert len(fractions) == 11
+        assert max(fractions) < 1e-20
