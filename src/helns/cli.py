@@ -10,10 +10,6 @@ sweep-inequality  seeded Poincare / Ladyzhenskaya inequality sweeps
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error (an ``--out`` that names a file included), 3 aborted unstable run.
-
-The environment variable ``HELNS_THREADS`` sets the number of FFT worker
-threads (default 1).  It affects speed only: all outputs are bitwise
-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -38,10 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="helns",
         description="Helically symmetric Navier-Stokes simulator and diagnostics.",
-        epilog=(
-            "Set HELNS_THREADS=N to use N FFT worker threads; results are "
-            "bitwise identical for any thread count."
-        ),
     )
     parser.add_argument("--version", action="version", version=f"helns {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -147,14 +147,23 @@ def _check_run_invariants(report: PresetReport, result) -> None:
 # --- individual presets -----------------------------------------------------
 
 
+# Both oracles evolve z-independent fields, the shear and a perturbation that
+# stays zero: every kz >= 1 plane stays exactly zero, so nz = 8 resolves them
+# (tests/test_solver.py::TestOracleGrid).
+ORACLE_SHEAR_CONFIG = ExperimentConfig(
+    nx=64, ny=64, nz=8, Lx=40.0, pitch=1.0, a=0.0,
+    kind="shear", t_end=1.0, output_dt=0.1, csv="oracle_shear.csv",
+)
+ORACLE_OSEEN_CONFIG = ExperimentConfig(
+    nx=64, ny=64, nz=8, Lx=40.0, pitch=1.0, a=1.0,
+    kind="oseen-only", t_end=2.0, output_dt=0.25, csv="oracle_oseen.csv",
+)
+
+
 def _preset_oracle_shear(report: PresetReport, out_dir: Path) -> None:
-    cfg = ExperimentConfig(
-        nx=64, ny=64, nz=64, Lx=40.0, pitch=1.0, a=0.0,
-        kind="shear", t_end=1.0, output_dt=0.1, csv="oracle_shear.csv",
-    )
-    result = run_experiment(cfg, out_dir, quiet=True)
+    result = run_experiment(ORACLE_SHEAR_CONFIG, out_dir, quiet=True)
     ops = result.final_state.ops
-    u_exact, _ = shear_flow(result.grid, cfg.t_end)
+    u_exact, _ = shear_flow(result.grid, ORACLE_SHEAR_CONFIG.t_end)
     exact_hat = ops.fwd(u_exact)
     err = ops.l2_norm(result.final_state.v_hat - exact_hat) / ops.l2_norm(exact_hat)
     report.check("relative L2 error vs closed form", err, 1e-6)
@@ -162,11 +171,7 @@ def _preset_oracle_shear(report: PresetReport, out_dir: Path) -> None:
 
 
 def _preset_oracle_oseen(report: PresetReport, out_dir: Path) -> None:
-    cfg = ExperimentConfig(
-        nx=64, ny=64, nz=64, Lx=40.0, pitch=1.0, a=1.0,
-        kind="oseen-only", t_end=2.0, output_dt=0.25, csv="oracle_oseen.csv",
-    )
-    result = run_experiment(cfg, out_dir, quiet=True)
+    result = run_experiment(ORACLE_OSEEN_CONFIG, out_dir, quiet=True)
     worst = max(
         max(r.l2_v, r.l2_grad_v, r.l2_uperp, r.l2_Nbar) for r in result.records
     )

@@ -37,17 +37,16 @@ columns), with the same bits either way.
 
 This module is the package's one FFT boundary: every transform, these and
 the 2D ones of the (x, y) plane (:meth:`SpectralOps.fwd_plane`,
-:meth:`SpectralOps.inv_plane`), is a call of ``sfft`` (``scipy.fft``) with
-``workers`` from ``HELNS_THREADS``, so a stand-in for ``helns.spectral.sfft``
-sees every pass.  All methods are pure functions of their inputs; the class
-caches wavenumber tables, index blocks and the work buffers of the pruned
-inverse, so one instance is not to be shared between threads.
+:meth:`SpectralOps.inv_plane`), is a call of ``sfft`` (``scipy.fft``), so a
+stand-in for ``helns.spectral.sfft`` sees every pass.  All methods are pure
+functions of their inputs; the class caches wavenumber tables, index blocks
+and the work buffers of the pruned inverse, so one instance is not to be
+shared between threads.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 
 import numpy as np
 import scipy.fft as sfft
@@ -99,19 +98,12 @@ class SpectralOps:
         self.disk = (slice(int(rows[0]), int(rows[-1]) + 1),
                      slice(int(cols[0]), int(cols[-1]) + 1))
         self._disk_mask = disk[self.disk][..., None]
-        # Worker threads for the FFT backend.  Each 1D transform is computed
-        # identically regardless of the worker count, so results are
-        # bit-for-bit independent of this setting.
-        try:
-            self._workers = max(1, int(os.environ.get("HELNS_THREADS", "1")))
-        except ValueError:
-            self._workers = 1
 
     # --- transforms -----------------------------------------------------
 
     def fwd(self, f: np.ndarray) -> np.ndarray:
         """Forward rfft over the last three axes (unnormalized)."""
-        return sfft.rfftn(f, axes=(-3, -2, -1), workers=self._workers)
+        return sfft.rfftn(f, axes=(-3, -2, -1))
 
     def inv(self, F: np.ndarray) -> np.ndarray:
         """Inverse rfft over the last three axes (carries 1/N): ``irfftn`` of
@@ -129,11 +121,9 @@ class SpectralOps:
         rows it reads, and the y buffer's kz > nz//3 columns are never
         written.  ``irfftn`` applies 1/N once, in its last pass, so one
         multiply at the end gives its bits (1/n per pass would not)."""
-        w = self._workers
         if self._wavenumbers(F) is self._full:
-            f = sfft.ifft(F, axis=-3, norm="forward", workers=w, overwrite_x=overwrite)
-            f = sfft.ifft(f[..., rows, :, :], axis=-2, norm="forward", workers=w,
-                          overwrite_x=True)
+            f = sfft.ifft(F, axis=-3, norm="forward", overwrite_x=overwrite)
+            f = sfft.ifft(f[..., rows, :, :], axis=-2, norm="forward", overwrite_x=True)
         else:
             (xlo, xgap, xhi), (ylo, ygap, yhi) = self._runs
             mx, my = xlo.stop, ylo.stop
@@ -148,17 +138,17 @@ class SpectralOps:
             X[..., xlo, :, :] = F[..., :mx, :, :]
             X[..., xgap, :, :] = 0.0
             X[..., xhi, :, :] = F[..., mx:, :, :]
-            X = sfft.ifft(X, axis=-3, norm="forward", workers=w, overwrite_x=True)
+            X = sfft.ifft(X, axis=-3, norm="forward", overwrite_x=True)
             X = X[..., rows, :, :]  # the sampled rows, into the y buffer's first rows
             f = Y[..., : X.shape[-3], :, :]
             Yk = f[..., :nzk]
             Yk[..., ylo, :] = X[..., :my, :]
             Yk[..., ygap, :] = 0.0
             Yk[..., yhi, :] = X[..., my:, :]
-            G = sfft.ifft(Yk, axis=-2, norm="forward", workers=w, overwrite_x=True)
+            G = sfft.ifft(Yk, axis=-2, norm="forward", overwrite_x=True)
             if not np.may_share_memory(G, Y):  # the pass ran out of place
                 Yk[...] = G
-        f = sfft.irfft(f[..., cols, :], n=self.grid.nz, axis=-1, norm="forward", workers=w)
+        f = sfft.irfft(f[..., cols, :], n=self.grid.nz, axis=-1, norm="forward")
         f *= 1.0 / self.grid.npoints
         return f
 
@@ -173,12 +163,11 @@ class SpectralOps:
         """
         (xlo, _, xhi), (ylo, _, yhi) = self._runs
         mx, my = xlo.stop, ylo.stop
-        w = self._workers
-        F = sfft.rfft(f, axis=-1, workers=w)[..., : self.band_shape[2]]
-        F = sfft.fft(F, axis=-3, workers=w, overwrite_x=True)
+        F = sfft.rfft(f, axis=-1)[..., : self.band_shape[2]]
+        F = sfft.fft(F, axis=-3, overwrite_x=True)
         out = np.empty(f.shape[:-3] + self.band_shape, dtype=complex)
         for rows, run in ((slice(0, mx), xlo), (slice(mx, None), xhi)):
-            G = sfft.fft(F[..., run, :, :], axis=-2, workers=w, overwrite_x=True)
+            G = sfft.fft(F[..., run, :, :], axis=-2, overwrite_x=True)
             out[..., rows, :my, :] = G[..., ylo, :]
             out[..., rows, my:, :] = G[..., yhi, :]
         return out
@@ -200,11 +189,11 @@ class SpectralOps:
 
         Of the z-sum of a field it gives the kz = 0 plane of :meth:`fwd`.
         """
-        return sfft.fft2(f, axes=(-2, -1), workers=self._workers)
+        return sfft.fft2(f, axes=(-2, -1))
 
     def inv_plane(self, F: np.ndarray) -> np.ndarray:
         """Inverse 2D FFT over the last two (x, y) axes (carries 1/(nx ny))."""
-        return sfft.ifft2(F, axes=(-2, -1), workers=self._workers)
+        return sfft.ifft2(F, axes=(-2, -1))
 
     # --- multipliers -----------------------------------------------------
     #

@@ -44,7 +44,6 @@ class Pass:
     length: int
     shape: tuple
     full: bool
-    workers: int | None
 
     @property
     def scalars(self) -> int:
@@ -106,8 +105,7 @@ def _pass(name: str, kind: str, shape: tuple, out_shape: tuple, kwargs) -> Pass:
         axis = axes[-1] - ndim if axes[-1] >= 0 else axes[-1]
         length = max(shape[axis], out_shape[axis])  # the real side of r2c, c2r
         lines = math.prod(shape) // shape[axis]
-    return Pass(kind, axis, lines, length, tuple(shape), name == "rfftn",
-                kwargs.get("workers"))
+    return Pass(kind, axis, lines, length, tuple(shape), name == "rfftn")
 
 
 @pytest.fixture

@@ -26,7 +26,8 @@ def _run(name, out_dir):
 
 
 def test_criterion_01_shear_oracle(out_dir):
-    # background-free z-dependent shear matches its closed-form heat solution
+    # background-free shear, z-directed and z-independent, matches its closed-form
+    # heat solution
     _run("oracle-shear", out_dir)
 
 

@@ -339,21 +339,18 @@ _BAND_SHAPES = [(16, 16, 16), (32, 32, 32), (34, 34, 34), (48, 48, 48), (24, 16,
 
 def _irfftn(F, grid):
     """The reference inverse: ``scipy.fft.irfftn``, which the package no
-    longer calls, on one worker."""
+    longer calls."""
     return scipy.fft.irfftn(F, s=grid.shape, axes=(-3, -2, -1))
 
 
 class TestFullInverse:
     """``inv`` of full-shape coefficients runs the pruned inverse's x, y and z
-    passes on every line, with the bits of ``scipy.fft.irfftn`` whatever the
-    worker count."""
+    passes on every line, with the bits of ``scipy.fft.irfftn``."""
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("shape", _BAND_SHAPES + [(64, 64, 64), (64, 64, 24)],
                              ids=lambda shape: "x".join(map(str, shape)))
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=str)
-    def test_bitwise_equal_to_irfftn(self, shape, lead, threads, monkeypatch):
-        monkeypatch.setenv("HELNS_THREADS", threads)
+    def test_bitwise_equal_to_irfftn(self, shape, lead):
         g = GridSpec(*shape, Lx=20.0, pitch=1.0)
         g_ops = SpectralOps(g)
         rng = np.random.default_rng(sum(shape) + len(lead))
@@ -488,10 +485,8 @@ class TestGatesBits:
 
 
 class TestBandTransforms:
-    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
-    def test_bitwise_equal_to_full_transforms(self, shape, threads, monkeypatch):
-        monkeypatch.setenv("HELNS_THREADS", threads)
+    def test_bitwise_equal_to_full_transforms(self, shape):
         g = GridSpec(*shape, Lx=20.0, pitch=1.0)
         g_ops = SpectralOps(g)
         rng = np.random.default_rng(sum(shape))
@@ -508,10 +503,8 @@ class TestBandTransforms:
             f = rng.standard_normal((ncomp,) + g.shape)
             assert g_ops.fwd_band(f).tobytes() == g_ops.gather(g_ops.fwd(f)).tobytes()
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
-    def test_block_inverses_equal_the_scattered_calls(self, shape, threads, monkeypatch):
-        monkeypatch.setenv("HELNS_THREADS", threads)
+    def test_block_inverses_equal_the_scattered_calls(self, shape):
         g = GridSpec(*shape, Lx=20.0, pitch=1.0)
         g_ops = SpectralOps(g)
         bx, by = g_ops.disk
@@ -545,9 +538,8 @@ class TestBandTransforms:
         assert g_ops.gather(full).tobytes() == ones.tobytes()
         assert g_ops.band_k2.tobytes() == g_ops.gather(g.k_squared).tobytes()
 
-    def test_every_pass_gets_the_worker_count(self, grid, monkeypatch, fft_ledger):
-        # and each pass transforms only the lines the block keeps or can fill
-        monkeypatch.setenv("HELNS_THREADS", "2")
+    def test_every_pass_transforms_only_the_kept_lines(self, grid, fft_ledger):
+        # the lines the block keeps or can fill, and every line of a full shape
         g_ops = SpectralOps(grid)
         nx, ny, nz = grid.shape
         nzr = nz // 2 + 1
@@ -579,7 +571,6 @@ class TestBandTransforms:
         assert [p.full for p in fft_ledger.passes].count(True) == 1
         assert fft_ledger.transforms == 3 + 3 + 6 + 3 + 3 + 1
         assert fft_ledger.planes == 6
-        assert {p.workers for p in fft_ledger.passes} == {2}
 
 
 def _random_block(g_ops, rng, ncomp=3):
@@ -645,18 +636,3 @@ class TestBlockNorms:
         F = g_ops.fwd(rng.standard_normal((3,) + g.shape))  # not band-limited
         for op in (g_ops.perp, g_ops.project_Q):
             assert op(g_ops.gather(F)).tobytes() == g_ops.gather(op(F)).tobytes()
-
-
-class TestThreads:
-    def test_worker_count_does_not_change_results(self, grid, monkeypatch):
-        rng = np.random.default_rng(9)
-        f = _smooth_field(grid, rng)
-        base = SpectralOps(grid).fwd(f)
-        monkeypatch.setenv("HELNS_THREADS", "4")
-        threaded = SpectralOps(grid)
-        assert threaded._workers == 4
-        assert np.array_equal(threaded.fwd(f), base)
-
-    def test_bad_value_falls_back_to_one(self, grid, monkeypatch):
-        monkeypatch.setenv("HELNS_THREADS", "not-a-number")
-        assert SpectralOps(grid)._workers == 1

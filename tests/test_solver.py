@@ -24,7 +24,7 @@ from helns.fields import (
     random_helical_perturbation,
 )
 from helns.grid import GridSpec
-from helns.presets import ENERGY_TOL, TREND_CONFIG
+from helns.presets import ENERGY_TOL, ORACLE_OSEEN_CONFIG, ORACLE_SHEAR_CONFIG, TREND_CONFIG
 from helns.radial import RadialProfile, run_radial, uniform_radii
 from helns.solver import (
     SimulationState,
@@ -728,18 +728,42 @@ class TestTrendGrid:
         t = 0.1-0.2 and falls after, so a run cut to t_end = 1 holds the
         whole run's maximum.
         """
-        cfg = dataclasses.replace(TREND_CONFIG, t_end=1.0)
-        grid = build_grid(cfg)
-        ops = SpectralOps(grid)
         fractions = []
 
         def observer(state, stage):
             top = np.zeros_like(state.block)
             top[..., -1] = state.block[..., -1]
-            fractions.append(ops.l2_norm_sq(top) / ops.l2_norm_sq(state.block))
+            fractions.append(state.ops.l2_norm_sq(top) / state.ops.l2_norm_sq(state.block))
 
-        solver_cfg = SolverConfig(t_end=cfg.t_end, dt=cfg.dt, cfl=cfg.cfl,
-                                  output_dt=cfg.output_dt, a=cfg.a)
-        run_spectral3d(build_initial(cfg, grid, ops), ops, solver_cfg, observer=observer)
+        _run_observed(dataclasses.replace(TREND_CONFIG, t_end=1.0), observer)
         assert len(fractions) == 11
         assert max(fractions) < 1e-20
+
+
+class TestOracleGrid:
+    @pytest.mark.parametrize("cfg,moving", [(ORACLE_SHEAR_CONFIG, True),
+                                            (ORACLE_OSEEN_CONFIG, False)],
+                             ids=["oracle-shear", "oracle-oseen"])
+    def test_every_kz_plane_above_0_stays_zero(self, cfg, moving):
+        """The oracle presets evolve z-independent fields: every kz >= 1 plane
+        of the block is exactly zero at every output, so a finer nz would
+        only add planes that stay zero.  The shear's kz = 0 plane carries the flow;
+        the Oseen oracle's perturbation is zero everywhere."""
+        planes = []
+
+        def observer(state, stage):
+            planes.append((np.count_nonzero(state.block[..., 1:]),
+                           bool(np.any(state.block[..., 0]))))
+
+        _run_observed(cfg, observer)
+        assert planes == [(0, moving)] * (round(cfg.t_end / cfg.output_dt) + 1)
+
+
+def _run_observed(cfg, observer):
+    """Run ``cfg``'s initial state through the solver as ``run_experiment``
+    does, with ``observer`` called at every output."""
+    grid = build_grid(cfg)
+    ops = SpectralOps(grid)
+    solver_cfg = SolverConfig(t_end=cfg.t_end, dt=cfg.dt, cfl=cfg.cfl,
+                              output_dt=cfg.output_dt, a=cfg.a)
+    run_spectral3d(build_initial(cfg, grid, ops), ops, solver_cfg, observer=observer)
