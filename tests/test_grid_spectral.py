@@ -485,8 +485,10 @@ class TestGatesBits:
 
 
 class TestBandTransforms:
+    # blocks = 2: another block's calls leave the kept buffers dirty first
+    @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
-    def test_bitwise_equal_to_full_transforms(self, shape):
+    def test_bitwise_equal_to_full_transforms(self, shape, blocks):
         g = GridSpec(*shape, Lx=20.0, pitch=1.0)
         g_ops = SpectralOps(g)
         rng = np.random.default_rng(sum(shape))
@@ -494,6 +496,8 @@ class TestBandTransforms:
              + 1j * rng.standard_normal((3,) + g_ops.band_shape))
         B_in = B.copy()
         ref = _irfftn(g_ops.scatter(B), g)
+        if blocks == 2:
+            g_ops.inv(_random_block(g_ops, np.random.default_rng(0)))
         # the second call reuses the buffers the first one overwrote
         for _ in range(2):
             assert g_ops.inv(B).tobytes() == ref.tobytes()
@@ -503,13 +507,19 @@ class TestBandTransforms:
             f = rng.standard_normal((ncomp,) + g.shape)
             assert g_ops.fwd_band(f).tobytes() == g_ops.gather(g_ops.fwd(f)).tobytes()
 
+    @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("shape", _BAND_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
-    def test_block_inverses_equal_the_scattered_calls(self, shape):
+    def test_block_inverses_equal_the_scattered_calls(self, shape, blocks):
         g = GridSpec(*shape, Lx=20.0, pitch=1.0)
         g_ops = SpectralOps(g)
         bx, by = g_ops.disk
         B = _random_block(g_ops, np.random.default_rng(sum(shape) + 4))
         B_in = B.copy()
+        if blocks == 2:  # both leads' buffers, dirtied by a whole and a disk call
+            other = _random_block(g_ops, np.random.default_rng(0))
+            for field in (other, other[1]):
+                g_ops.inv(field)
+                g_ops._inv_pruned(field, bx, by)
         for field in (B, B[1]):
             whole = _irfftn(g_ops.scatter(field), g)
             disk = g_ops._inv_pruned(g_ops.scatter(field), bx, by).tobytes()
