@@ -22,6 +22,7 @@ from dataclasses import dataclass, field as dataclass_field, fields as dataclass
 import numpy as np
 from scipy.special import j0, j1
 
+from .diagnostics import format_float
 from .fields import heat_gaussian
 from .grid import GridSpec, _raise_all, _rule
 from .radial import (
@@ -220,7 +221,7 @@ class DecompositionResult:
     def report_text(self) -> str:
         """One ``name = value`` line per scalar field, in field order."""
         lines = ["helical decomposition report"] + [
-            f"{f.name} = {getattr(self, f.name):.17g}"
+            f"{f.name} = {format_float(getattr(self, f.name))}"
             for f in dataclass_fields(self)
             if f.name not in ("grid", "v_hat", "profiles")
         ]
@@ -232,7 +233,7 @@ def export_profile_csv(profile: RadialProfile, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("r,value\n")
         for r, v in zip(profile.r, profile.values):
-            fh.write(f"{r:.17g},{v:.17g}\n")
+            fh.write(f"{format_float(r)},{format_float(v)}\n")
 
 
 def decompose(

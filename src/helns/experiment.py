@@ -22,16 +22,10 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .diagnostics import InvariantReport, RecordBuilder, write_records_csv
-from .fields import (
-    PerturbationSpec,
-    heat_gaussian,
-    oseen_vorticity,
-    random_helical_perturbation,
-    shear_flow,
-)
+from .fields import heat_gaussian, oseen_vorticity, random_helical_perturbation, shear_flow
 from .grid import GridSpec
 from .snapshot import write_snapshot
-from .solver import SimulationState, SolverConfig, Stage, _output_count, run_spectral3d
+from .solver import SimulationState, Stage, _output_count, run_spectral3d
 from .spectral import SpectralOps, _require_grid
 
 __all__ = [
@@ -112,10 +106,7 @@ def build_initial(cfg: ExperimentConfig, grid: GridSpec, ops: SpectralOps) -> np
     if cfg.kind == "lamb2d":
         return _lamb2d_initial(cfg, grid, ops)
     if cfg.kind == "perturbed-oseen":
-        spec = PerturbationSpec(
-            seed=cfg.seed, amplitude=cfg.amplitude, modes=cfg.modes, sigma=cfg.sigma
-        )
-        return random_helical_perturbation(spec, grid, ops)
+        return random_helical_perturbation(cfg, grid, ops)
     raise ValueError(f"unknown initial kind {cfg.kind!r}")
 
 
@@ -192,15 +183,8 @@ def run_experiment(
             write_snapshot(path, grid, state.t, total_vorticity(state, cfg.a))
             snapshot_paths.append(path)
 
-    solver_cfg = SolverConfig(
-        t_end=cfg.t_end,
-        dt=cfg.dt,
-        cfl=cfg.cfl,
-        output_dt=cfg.output_dt,
-        a=cfg.a,
-    )
     try:
-        final_state = run_spectral3d(v0_hat, ops, solver_cfg, observer=observer)
+        final_state = run_spectral3d(v0_hat, ops, cfg, observer=observer)
     except FloatingPointError as exc:
         flush()
         raise InstabilityError(

@@ -268,7 +268,9 @@ def random_helical_perturbation(
     is an identity safeguard rather than a correction (projecting a
     non-solenoidal draw would introduce periodic-image potentials that break
     helical symmetry at measurable levels).  The result is rescaled to the
-    requested H1 amplitude.  ``ops`` must be built for ``grid``.
+    requested H1 amplitude.  ``ops`` must be built for ``grid``.  ``spec`` is
+    read for seed, amplitude, modes and sigma only, and checked by the
+    :class:`PerturbationSpec` rules: any object with those fields will do.
 
     Returns spectral coefficients of shape (3, nx, ny, nz//2+1).
     """

@@ -64,7 +64,8 @@ class DomainTooSmallError(ValueError):
 
 
 def uniform_radii(R: float, n: int) -> np.ndarray:
-    """n+1 equispaced radii on [0, R]."""
+    """n+1 equispaced radii on [0, R]; R finite and > 0, n an integer >= 1."""
+    _raise_all(_rule("R", R, R > 0, "be positive") + _integer_rule("n", n, 1))
     return np.linspace(0.0, R, n + 1)
 
 
@@ -200,9 +201,10 @@ def run_radial(
 
     ``dt`` is shrunk to t_end / ceil(t_end / dt) so the steps land on t_end;
     both must be finite and positive (one ValueError lists every rule of
-    t_end, dt and ``observe_every`` broken), and t_end / dt finite.  The grid must
-    be uniform and the profile decayed to ``boundary_tol`` of its maximum at
-    r = R.  The CN matrix is factored once and every step is one
+    t_end, dt, ``observe_every``, the node count and ``boundary_tol`` broken),
+    and t_end / dt finite.  The grid must be uniform with at least 3 nodes and
+    the profile decayed to ``boundary_tol`` (>= 0; inf skips the check) of its
+    maximum at r = R.  The CN matrix is factored once and every step is one
     :func:`step_radial` call on the value array.  ``observer(t, values)`` is
     called after every ``observe_every``-th step (an integer >= 1) with
     t = k dt, and after the last step, whatever ``observe_every``, with
@@ -213,6 +215,9 @@ def run_radial(
         _rule("t_end", t_end, t_end > 0, "be positive")
         + _rule("dt", dt, dt > 0, "be positive")
         + _integer_rule("observe_every", observe_every, 1)
+        + _integer_rule("the profile's node count", profile.r.size, 3)
+        + ([] if boundary_tol >= 0 else
+           [("boundary_tol", f"boundary_tol must be >= 0, got {boundary_tol}")])
     )
     ratio = t_end / dt
     if not math.isfinite(ratio):

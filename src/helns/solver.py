@@ -313,6 +313,10 @@ def run_spectral3d(
     CFL-limited value otherwise.  The CFL
     bound uses the stage's max |v + a u_LO|, and its tendency is handed on to
     :func:`step_spectral3d`.
+
+    ``config`` is read for t_end, dt, cfl, output_dt and a only: any object with
+    those fields under the :class:`SolverConfig` rules will do, such as the
+    ExperimentConfig that :func:`helns.run_experiment` passes.
     """
     rhs = _Rhs(ops, config.a)
     state = SimulationState(ops, 0.0, ops.leray(ops.gather(v0_hat)))

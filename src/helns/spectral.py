@@ -224,12 +224,24 @@ class SpectralOps:
         The k = 0 mode (box mean) is left unchanged.
         """
         table = self._wavenumbers(U)
-        k = table.k
-        corr = (k[0] * U[0] + k[1] * U[1] + k[2] * U[2]) * table.inv_k2
+        corr = self._gradient_part(U, table)
         out = np.empty_like(U)
-        for i, k_i in enumerate(k):
+        for i, k_i in enumerate(table.k):
             np.subtract(U[i], k_i * corr, out=out[i])
         return out
+
+    @staticmethod
+    def _gradient_part(U, table: _Wavenumbers) -> np.ndarray:
+        """c = (k0 U0 + k1 U1 + k2 U2) / |k|^2 of U on its ``table``, summed in
+        that order in one buffer; k c is the gradient part of U."""
+        k = table.k
+        corr = np.multiply(k[0], U[0])
+        term = np.multiply(k[1], U[1])
+        corr += term
+        np.multiply(k[2], U[2], out=term)
+        corr += term
+        corr *= table.inv_k2
+        return corr
 
     def project_Q(self, F: np.ndarray) -> np.ndarray:
         """Vertical-mean projection: keep exactly the kz = 0 modes."""
@@ -279,19 +291,10 @@ class SpectralOps:
         zero W).
         """
         table = self._wavenumbers(W)
-        k = table.k
         rel = 0.0
         norm_w = self.l2_norm(W)
         if norm_w > 0:
-            # (k0 W0 + k1 W1 + k2 W2) / |k|^2, summed in order in one buffer
-            corr = np.multiply(k[0], W[0])
-            term = np.multiply(k[1], W[1])
-            corr += term
-            np.multiply(k[2], W[2], out=term)
-            corr += term
-            del term
-            corr *= table.inv_k2
-            rel = float(np.sqrt(self.grad_norm_sq(corr))) / norm_w
+            rel = float(np.sqrt(self.grad_norm_sq(self._gradient_part(W, table)))) / norm_w
             if rel > 1e-12:
                 logger.debug("inverse_curl: non-solenoidal input, relative correction %.3e", rel)
         U = self.curl(W)

@@ -19,6 +19,7 @@ from helns.fields import (
     random_helical_perturbation,
     shear_flow,
 )
+from helns.config import ExperimentConfig
 from helns.grid import GridSpec
 from helns.spectral import SpectralOps
 
@@ -228,6 +229,18 @@ class TestPerturbationGenerator:
             PerturbationSpec(seed=8, amplitude=0.2, sigma=2.0), grid, ops
         )
         assert not np.allclose(v1, v3)
+
+    def test_an_experiment_config_draws_as_its_spec(self, grid, ops):
+        # the draw reads seed, amplitude, modes and sigma only, under the spec's rules
+        cfg = ExperimentConfig(Lx=grid.Lx, seed=7, amplitude=0.2, modes=(0, 2), sigma=2.0)
+        spec = PerturbationSpec(seed=7, amplitude=0.2, modes=(0, 2), sigma=2.0)
+        v = random_helical_perturbation(cfg, grid, ops)
+        assert v.tobytes() == random_helical_perturbation(spec, grid, ops).tobytes()
+        wide = ExperimentConfig(Lx=grid.Lx, sigma=grid.Lx / 4, amplitude=-1.0)
+        with pytest.raises(ValueError, match=re.escape(
+            "amplitude must be nonnegative, got -1.0; sigma must not exceed Lx/16 = 2.5"
+        )):
+            random_helical_perturbation(wide, grid, ops)
 
     def test_rejects_wide_envelope(self, grid, ops):
         spec = PerturbationSpec(seed=0, amplitude=0.1, sigma=grid.Lx / 4)

@@ -136,6 +136,16 @@ class TestHeatEngine:
         with pytest.raises(ValueError, match=f"^{message}$"):
             rate_study(m)
 
+    @pytest.mark.parametrize("R,n,message", [
+        (1.5, 2.5, "n must be an integer >= 1, got 2.5"),
+        (np.inf, 64, "R must be finite, got inf"),
+        (0.0, 64, "R must be positive, got 0.0"),
+        (-1.0, 0, "R must be positive, got -1.0; n must be an integer >= 1, got 0"),
+    ], ids=["n=2.5", "R=inf", "R=0", "both"])
+    def test_rate_study_rejects_a_bad_radial_grid(self, R, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rate_study(1.5, R=R, n=n)
+
     def test_rate_study_times_are_on_the_grid(self):
         times = rate_study(initial="gaussian").times
         assert np.array_equal(times, np.arange(1, 101) * 0.32)
@@ -293,6 +303,22 @@ class TestFactoredEngine:
                 RadialProfile(r, _gaussian(r, 1.0)), 0.1, 0.01,
                 observer=lambda t, values: None, observe_every=observe_every,
             )
+
+    @pytest.mark.parametrize("n,boundary_tol,messages", [
+        (1, 1e-6, ["the profile's node count must be an integer >= 3, got 2"]),
+        (64, np.nan, ["boundary_tol must be >= 0, got nan"]),
+        (64, -1.0, ["boundary_tol must be >= 0, got -1.0"]),
+        (1, -np.inf, ["the profile's node count must be an integer >= 3, got 2",
+                      "boundary_tol must be >= 0, got -inf"]),
+    ], ids=["2-nodes", "nan-tol", "negative-tol", "both"])
+    def test_run_rejects_a_bad_profile_size_or_boundary_tol(self, n, boundary_tol, messages):
+        # the profile has decayed at r = R (below 1e-10 of its maximum), so only the
+        # named rules break
+        r = uniform_radii(10.0, n)
+        message = re.escape("; ".join(messages))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_radial(RadialProfile(r, _gaussian(r, 1.0)), 0.1, 0.01,
+                       boundary_tol=boundary_tol)
 
     def test_run_rejects_a_nonuniform_grid(self):
         r = np.concatenate((uniform_radii(5.0, 32), [5.5, 7.0, 10.0]))

@@ -479,6 +479,20 @@ class TestRunControl:
         assert len(seen) == 1
         assert np.array_equal(final.v_hat, ops.leray(ops.dealias(v0)))
 
+    @pytest.mark.parametrize("a,dt", [(0.0, None), (1.0, 0.05)])
+    def test_an_experiment_config_runs_as_its_solver_config(self, grid, ops, a, dt):
+        # the engine reads t_end, dt, cfl, output_dt and a only
+        cfg = ExperimentConfig(nx=16, ny=16, nz=16, Lx=20.0, a=a, amplitude=1.0,
+                               t_end=0.2, cfl=0.3, dt=dt, output_dt=0.1)
+        v0 = build_initial(cfg, grid, ops)
+        runs = []
+        for config in (cfg, SolverConfig(t_end=0.2, dt=dt, cfl=0.3, output_dt=0.1, a=a)):
+            builder = RecordBuilder(ops, a)
+            final = run_spectral3d(v0, ops, config, observer=builder)
+            runs.append((final.block.tobytes(), builder.records))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 3
+
     def test_observer_called_at_output_times(self, grid, ops):
         v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
         times = []
