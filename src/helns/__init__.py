@@ -43,7 +43,7 @@ from .diagnostics import (
     sweep_poincare,
     write_records_csv,
 )
-from .solver import SimulationState, SolverConfig, run_spectral3d, step_spectral3d
+from .solver import SimulationState, run_spectral3d, step_spectral3d
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .experiment import InstabilityError, RunResult, run_experiment
 from .snapshot import SnapshotData, read_snapshot, write_snapshot
@@ -80,7 +80,6 @@ __all__ = [
     "sweep_poincare",
     "write_records_csv",
     "SimulationState",
-    "SolverConfig",
     "run_spectral3d",
     "step_spectral3d",
     "ConfigError",

@@ -90,9 +90,10 @@ class ExperimentConfig:
     def validate(self) -> list[str]:
         """Return every violated constraint (empty when valid), under its section.
 
-        The grid, time and perturbation rules are those of GridSpec, SolverConfig
-        and PerturbationSpec (sigma <= Lx/16 for kind 'perturbed-oseen' only);
-        kind, s0 and the [output] keys are this type's own.
+        The grid, time and perturbation rules are those of GridSpec,
+        run_spectral3d and PerturbationSpec (sigma <= Lx/16 for kind
+        'perturbed-oseen' only); kind, s0 and the [output] keys are this
+        type's own.
         """
         bad = _grid_violations(self)
         if self.kind not in INITIAL_KINDS:

@@ -572,9 +572,10 @@ def rate_study(
     exponent (1-m)/2 is attained rather than exceeded.  Its default radial
     domain is R = 1000 with 16384 cells, enlarged to R = 2000 with 32768
     cells for m < 1.35, whose slower tail needs the room.
-    ``initial='gaussian'`` evolves a Gaussian of core spread 0.25 (default
-    R = 200, 4096 cells); Gaussian data decay faster than every attainable
-    power rate and are flagged ``super_rate`` (fitted exponent <= -0.5).
+    ``initial='gaussian'`` (takes no m) evolves a Gaussian of core spread
+    0.25 (default R = 200, 4096 cells); Gaussian data decay faster than every
+    attainable power rate and are flagged ``super_rate`` (fitted exponent
+    <= -0.5).
 
     The engine is the even-parity Crank-Nicolson radial heat step (dt 0.04
     to t = 32, observed every 8th step: 100 observations at t = 0.32 k); at
@@ -600,6 +601,8 @@ def rate_study(
         w0 = a * heat_gaussian(r**2, 1.0) + amplitude * kummer_tail_profile(p, r)
         expected = (1.0 - m) / 2.0
     elif initial == "gaussian":
+        if m is not None:
+            raise ValueError(f"initial 'gaussian' takes no weight exponent m, got {m}")
         R = 200.0 if R is None else R
         n = 4096 if n is None else n
         r = uniform_radii(R, n)
@@ -635,7 +638,7 @@ def rate_study(
     fit = fit_power(t_arr, v_arr)
     elapsed = time.perf_counter() - start
     return RateStudyResult(
-        m=m if initial == "kummer" else None,
+        m=m,
         initial=initial,
         fit=fit,
         super_rate=fit.exponent <= -0.5,

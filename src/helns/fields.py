@@ -45,7 +45,7 @@ def _perturbation_violations(p, Lx: float | None = None) -> list[tuple[str, str]
     ``Lx``, a valid sigma must also not exceed Lx/16."""
     bad = _integer_rule("seed", p.seed, 0)
     bad += _rule("amplitude", p.amplitude, p.amplitude >= 0, "be nonnegative")
-    if len(p.modes) == 0 or any(n < 0 for n in p.modes):
+    if len(p.modes) == 0 or any(_integer_rule("modes", n, 0) for n in p.modes):
         bad.append(("modes", f"modes must be a nonempty list of nonnegative integers, "
                              f"got {p.modes}"))
     width = _rule("sigma", p.sigma, p.sigma > 0, "be positive")

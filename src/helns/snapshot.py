@@ -98,8 +98,10 @@ def read_snapshot(path) -> SnapshotData:
         if body_bytes != 8 * expected:
             raise ValueError(f"HLXF body holds {body_bytes} bytes; header promises "
                              f"{expected} samples of 8 bytes")
+        if ncomp == 0:
+            raise ValueError("HLXF component count must be in [1, 255], got 0")
         fields = np.empty((ncomp, grid.nx, grid.ny, grid.nz))
-        buf = np.empty((grid.nz, grid.ny, grid.nx), dtype="<f8") if ncomp else None
+        buf = np.empty((grid.nz, grid.ny, grid.nx), dtype="<f8")
         for c in range(ncomp):
             if fh.readinto(buf) != 8 * per:
                 raise ValueError(f"HLXF body ends inside component {c}; "

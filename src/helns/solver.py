@@ -57,7 +57,7 @@ stage that no step consumes is the one at t_end, evaluated only for the
 record there.
 
 Outputs fall on the grid k * output_dt, and t_end is one of its points:
-:class:`SolverConfig` rejects a t_end that is not a whole multiple of
+:func:`run_spectral3d` rejects a t_end that is not a whole multiple of
 output_dt, so the final state is always recorded.
 
 The radial 2.5D engine lives in :mod:`helns.radial` and is driven
@@ -76,7 +76,6 @@ from .grid import GridSpec, _raise_all, _rule
 from .spectral import SpectralOps
 
 __all__ = [
-    "SolverConfig",
     "SimulationState",
     "Stage",
     "step_spectral3d",
@@ -101,9 +100,9 @@ def _output_count(span: float, output_dt: float, name: str) -> int:
 
 
 def _solver_violations(c) -> list[tuple[str, str]]:
-    """Every (field, message) pair that the :class:`SolverConfig` rules reject in
-    ``c``, a SolverConfig or anything with its fields.  The whole-multiple rule
-    is checked once ``t_end`` and ``output_dt`` pass their own rules."""
+    """Every (field, message) pair that the time rules of :func:`run_spectral3d`
+    reject in ``c``, anything with the fields that it reads.  The whole-multiple
+    rule is checked once ``t_end`` and ``output_dt`` pass their own rules."""
     span = _rule("t_end", c.t_end, c.t_end >= 0, "be nonnegative")
     interval = _rule("output_dt", c.output_dt, c.output_dt > 0, "be positive")
     bad = _rule("a", c.a, True, "") + span  # any finite a: no smallness is assumed
@@ -117,30 +116,6 @@ def _solver_violations(c) -> list[tuple[str, str]]:
         except ValueError as exc:
             bad.append(("t_end", str(exc)))
     return bad
-
-
-@dataclass
-class SolverConfig:
-    """Time-integration policy of the 3D engine.
-
-    ``dt`` fixes the step size; when it is None the step is CFL-limited with
-    the given advective CFL number against max |u| + |a u_LO|.  ``t_end`` is
-    a whole multiple of ``output_dt``.  ``a`` is the circulation Reynolds
-    number of the background ``a * u_LO(t)``; no smallness is assumed on it.
-    This type owns the input rules: floats finite, t_end >= 0, 0 < cfl < 1,
-    dt > 0 when given, output_dt > 0 and the whole multiple.  Construction
-    raises one ValueError listing every one broken; ``ExperimentConfig.validate``
-    reports the same messages under ``[physics]`` and ``[time]``.
-    """
-
-    t_end: float = 1.0
-    dt: float | None = None
-    cfl: float = 0.4
-    output_dt: float = 0.1
-    a: float = 1.0
-
-    def __post_init__(self) -> None:
-        _raise_all(_solver_violations(self))
 
 
 @dataclass
@@ -295,7 +270,7 @@ def step_spectral3d(
 def run_spectral3d(
     v0_hat: np.ndarray,
     ops: SpectralOps,
-    config: SolverConfig,
+    config,
     observer=None,
 ) -> SimulationState:
     """Advance the perturbation on ``ops.grid`` to t_end, calling ``observer``
@@ -314,10 +289,16 @@ def run_spectral3d(
     bound uses the stage's max |v + a u_LO|, and its tendency is handed on to
     :func:`step_spectral3d`.
 
-    ``config`` is read for t_end, dt, cfl, output_dt and a only: any object with
-    those fields under the :class:`SolverConfig` rules will do, such as the
-    ExperimentConfig that :func:`helns.run_experiment` passes.
+    ``config`` is an :class:`helns.ExperimentConfig`, or any object with its
+    fields t_end, dt, cfl, output_dt and a, the only ones read; ``a`` is the
+    circulation Reynolds number of the background ``a * u_LO(t)``, on which no
+    smallness is assumed.  The run first checks their rules: each float
+    finite, t_end >= 0, 0 < cfl < 1, dt > 0 when given, output_dt > 0 and
+    t_end a whole multiple of output_dt.  One ValueError lists every rule
+    broken, with the messages that ``ExperimentConfig.validate`` reports under
+    ``[physics]`` and ``[time]``.
     """
+    _raise_all(_solver_violations(config))
     rhs = _Rhs(ops, config.a)
     state = SimulationState(ops, 0.0, ops.leray(ops.gather(v0_hat)))
     stage = rhs.stage(state.block, state.t)

@@ -186,15 +186,27 @@ class TestPerturbationSpec:
         ("sigma", np.nan, "sigma must be finite, got nan"),
         ("sigma", np.inf, "sigma must be finite, got inf"),
         ("modes", (), "modes must be a nonempty list of nonnegative integers, got ()"),
+        ("modes", (1.5,), "modes must be a nonempty list of nonnegative integers, got (1.5,)"),
+        ("modes", (0, np.nan), "modes must be a nonempty list of nonnegative integers, "
+                               "got (0, nan)"),
         ("seed", -1, "seed must be an integer >= 0, got -1"),
         ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
     ])
     def test_rejects_at_construction(self, name, value, message):
         # each was accepted once and drawn into non-finite coefficients or,
         # for modes = (), a "degenerate perturbation draw"; a bad seed met
-        # the generator's own error
+        # the generator's own error, and a non-integer mode drew a field that
+        # is not helical
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PerturbationSpec(**{name: value})
+
+    def test_numpy_integer_modes_pass(self):
+        assert PerturbationSpec(modes=tuple(np.arange(3))).modes == (0, 1, 2)
+
+    def test_experiment_config_reports_a_non_integer_mode(self):
+        assert ExperimentConfig(modes=(0, 1.5)).validate() == [
+            "[initial] modes must be a nonempty list of nonnegative integers, got (0, 1.5)"
+        ]
 
     def test_lists_every_violation(self):
         with pytest.raises(ValueError) as excinfo:

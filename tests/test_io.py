@@ -123,6 +123,17 @@ class TestSnapshotFormat:
         with pytest.raises(ValueError, match="HLXF body holds"):
             read_snapshot(path)
 
+    def test_zero_component_header_rejected(self, tmp_path, grid, fields):
+        # write_snapshot refuses 0 components; the reader once returned a
+        # (0, nx, ny, nz) array for a header-only file that promised none
+        path = tmp_path / "empty.hlxf"
+        write_snapshot(path, grid, 0.0, fields[:1])
+        raw = bytearray(path.read_bytes()[:53])
+        raw[52] = 0
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"^HLXF component count must be in \[1, 255\], got 0$"):
+            read_snapshot(path)
+
     def test_huge_header_fails_before_allocating(self, tmp_path):
         # 2^31 samples a side: the body's length is checked against the
         # file's size before any sample array exists

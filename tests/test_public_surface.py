@@ -72,6 +72,8 @@ REMOVED_NAMES = (
     (spectral.SpectralOps, "helical_defect_from_gradients"),
     (spectral.SpectralOps, "_helical_defect"),
     (solver._Rhs, "_gradients"),
+    (helns, "SolverConfig"),
+    (solver, "SolverConfig"),
     (presets, "PRESET_ORDER"),
     (presets, "PRESET_DESCRIPTIONS"),
     (presets, "_PRESET_FUNCS"),
@@ -168,11 +170,10 @@ def test_removed_options_are_gone():
     for func, name in REQUIRED_PARAMETERS:
         param = inspect.signature(func).parameters[name]
         assert param.default is inspect.Parameter.empty, func.__qualname__
-    config_fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
-    assert not {"engine", "snapshots", "snapshot_dt", "background"} & config_fields
+    config_fields = {f.name for f in dataclasses.fields(config.ExperimentConfig)}
+    assert not {"engine", "snapshots", "background", "m"} & config_fields
     result_fields = {f.name for f in dataclasses.fields(decomposition.DecompositionResult)}
     assert "mean_route" not in result_fields
-    assert "m" not in {f.name for f in dataclasses.fields(config.ExperimentConfig)}
     assert "version" not in {f.name for f in dataclasses.fields(snapshot.SnapshotData)}
 
 

@@ -136,6 +136,12 @@ class TestHeatEngine:
         with pytest.raises(ValueError, match=f"^{message}$"):
             rate_study(m)
 
+    def test_gaussian_rate_study_rejects_a_weight_exponent(self):
+        # Gaussian data have no weight exponent; a given m used to be dropped
+        with pytest.raises(ValueError,
+                           match="^initial 'gaussian' takes no weight exponent m, got 1.5$"):
+            rate_study(1.5, initial="gaussian")
+
     @pytest.mark.parametrize("R,n,message", [
         (1.5, 2.5, "n must be an integer >= 1, got 2.5"),
         (np.inf, 64, "R must be finite, got inf"),

@@ -28,7 +28,6 @@ from helns.presets import ENERGY_TOL, ORACLE_OSEEN_CONFIG, ORACLE_SHEAR_CONFIG, 
 from helns.radial import RadialProfile, run_radial, uniform_radii
 from helns.solver import (
     SimulationState,
-    SolverConfig,
     run_spectral3d,
     step_spectral3d,
 )
@@ -53,7 +52,7 @@ class TestViscousExactness:
         u = np.zeros((3,) + grid.shape)
         u[1] = np.sin(k * grid.x)[:, None, None] * np.ones(grid.shape)
         v0 = ops.fwd(u)
-        config = SolverConfig(t_end=0.5, dt=0.05, output_dt=0.5, a=0.0)
+        config = ExperimentConfig(t_end=0.5, dt=0.05, output_dt=0.5, a=0.0)
         final = run_spectral3d(v0, ops, config)
         expected = np.exp(-k**2 * 0.5) * u[1]
         assert np.max(np.abs(ops.inv(final.v_hat)[1] - expected)) < 1e-10
@@ -61,7 +60,7 @@ class TestViscousExactness:
 
     def test_zero_field_stays_zero(self, grid, ops):
         v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
-        config = SolverConfig(t_end=0.3, dt=0.1, a=1.0)
+        config = ExperimentConfig(t_end=0.3, dt=0.1, a=1.0)
         final = run_spectral3d(v0, ops, config)
         assert np.all(final.v_hat == 0.0)
 
@@ -195,7 +194,7 @@ class TestBandResidentStep:
             return real_step(state, dt, *args, **kwargs)
 
         monkeypatch.setattr(solver, "step_spectral3d", recording_step)
-        config = SolverConfig(t_end=0.5, dt=0.05, output_dt=0.5, a=a)
+        config = ExperimentConfig(t_end=0.5, dt=0.05, output_dt=0.5, a=a)
         final = run_spectral3d(v0, ops, config)
         assert len(steps) == 10
 
@@ -234,7 +233,7 @@ class TestBandResidentStep:
         assert ops.band_shape == (nbx, nby, 16 // 3 + 1)
         seen = []
         v0 = _engine_field(grid, ops, 1, 0.1)
-        config = SolverConfig(t_end=0.1, dt=0.05, output_dt=0.1, a=a)
+        config = ExperimentConfig(t_end=0.1, dt=0.05, output_dt=0.1, a=a)
         run_spectral3d(v0, ops, config, observer=lambda s, st: seen.append((s, st)))
         for state, stage in seen:
             assert state.v_hat.shape == (3,) + grid.spectral_shape
@@ -309,7 +308,7 @@ class TestRhsKernels:
         monkeypatch.setattr(solver, "step_spectral3d", recording_step)
         spec = PerturbationSpec(seed=8, amplitude=40.0, sigma=1.2)
         v0 = random_helical_perturbation(spec, grid, ops)
-        config = SolverConfig(t_end=1.0, cfl=cfl, output_dt=output_dt, a=a)
+        config = ExperimentConfig(t_end=1.0, cfl=cfl, output_dt=output_dt, a=a)
         run_spectral3d(v0, ops, config)
 
         limited = 0
@@ -334,7 +333,7 @@ class TestTemporalOrder:
         t_end = 0.25
 
         def final_state(dt):
-            config = SolverConfig(t_end=t_end, dt=dt, output_dt=t_end, a=1.0)
+            config = ExperimentConfig(t_end=t_end, dt=dt, output_dt=t_end, a=1.0)
             return run_spectral3d(v0, ops, config).v_hat
 
         ref = final_state(t_end / 128)
@@ -355,7 +354,7 @@ class TestMeanFlowConsistency:
         g2d = amp * np.exp(-grid.r2d**2 / (4.0 * s0))
         u[0] = np.broadcast_to((-grid.yc * g2d)[..., None], grid.shape)
         u[1] = np.broadcast_to((grid.xc * g2d)[..., None], grid.shape)
-        config = SolverConfig(t_end=0.5, dt=0.025, output_dt=0.5, a=0.0)
+        config = ExperimentConfig(t_end=0.5, dt=0.025, output_dt=0.5, a=0.0)
         final = run_spectral3d(ops.fwd(u), ops, config)
 
         r = uniform_radii(40.0, 4096)
@@ -445,7 +444,7 @@ class TestBackgroundCoupling:
         x, y = grid.xc, grid.yc
         u = np.zeros((3,) + grid.shape)
         u[2] = ((x**2 - y**2) * np.exp(-(x**2 + y**2) / 2.0))[..., None]
-        config = SolverConfig(t_end=1.0, dt=0.05, output_dt=1.0, a=a)
+        config = ExperimentConfig(t_end=1.0, dt=0.05, output_dt=1.0, a=a)
         w = ops.inv(run_spectral3d(ops.fwd(u), ops, config).v_hat)[2].mean(axis=-1)
         r, g = _mode2_reference(a, 1.0)
         rr = np.hypot(x, y)
@@ -473,20 +472,23 @@ class TestRunControl:
         spec = PerturbationSpec(seed=1, amplitude=0.1, sigma=1.2)
         v0 = random_helical_perturbation(spec, grid, ops)
         seen = []
-        config = SolverConfig(t_end=0.0, a=1.0)
+        config = ExperimentConfig(t_end=0.0, a=1.0)
         final = run_spectral3d(v0, ops, config, observer=lambda s, st: seen.append(s))
         assert final.t == 0.0
         assert len(seen) == 1
         assert np.array_equal(final.v_hat, ops.leray(ops.dealias(v0)))
 
     @pytest.mark.parametrize("a,dt", [(0.0, None), (1.0, 0.05)])
-    def test_an_experiment_config_runs_as_its_solver_config(self, grid, ops, a, dt):
-        # the engine reads t_end, dt, cfl, output_dt and a only
-        cfg = ExperimentConfig(nx=16, ny=16, nz=16, Lx=20.0, a=a, amplitude=1.0,
-                               t_end=0.2, cfl=0.3, dt=dt, output_dt=0.1)
-        v0 = build_initial(cfg, grid, ops)
+    def test_only_the_time_fields_of_a_config_steer_the_run(self, grid, ops, a, dt):
+        # the engine reads t_end, dt, cfl, output_dt and a only: two configs
+        # that differ in every other field run the same initial state the same
+        time = dict(a=a, t_end=0.2, cfl=0.3, dt=dt, output_dt=0.1)
+        configs = (ExperimentConfig(nx=16, ny=16, nz=16, Lx=20.0, amplitude=1.0, **time),
+                   ExperimentConfig(nx=32, ny=32, nz=8, Lx=12.0, kind="oseen-only", seed=7,
+                                    sigma=0.5, amplitude=0.0, modes=(3,), **time))
+        v0 = build_initial(configs[0], grid, ops)
         runs = []
-        for config in (cfg, SolverConfig(t_end=0.2, dt=dt, cfl=0.3, output_dt=0.1, a=a)):
+        for config in configs:
             builder = RecordBuilder(ops, a)
             final = run_spectral3d(v0, ops, config, observer=builder)
             runs.append((final.block.tobytes(), builder.records))
@@ -496,7 +498,7 @@ class TestRunControl:
     def test_observer_called_at_output_times(self, grid, ops):
         v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
         times = []
-        config = SolverConfig(t_end=0.4, dt=0.05, output_dt=0.1, a=1.0)
+        config = ExperimentConfig(t_end=0.4, dt=0.05, output_dt=0.1, a=1.0)
         run_spectral3d(v0, ops, config, observer=lambda s, st: times.append(s.t))
         assert times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
 
@@ -505,7 +507,7 @@ class TestRunControl:
         # summing dt = 0.05 drifts (the 8.0 run used to end at 7.99999999999998)
         v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
         times = []
-        config = SolverConfig(t_end=t_end, dt=0.05, output_dt=0.1, a=0.0)
+        config = ExperimentConfig(t_end=t_end, dt=0.05, output_dt=0.1, a=0.0)
         final = run_spectral3d(v0, ops, config, observer=lambda s, st: times.append(s.t))
         n = round(t_end / 0.1)
         assert times == [min(k * 0.1, t_end) for k in range(n + 1)]
@@ -515,7 +517,7 @@ class TestRunControl:
     def test_observer_receives_the_stage_of_its_state(self, grid, ops, a):
         v0 = _engine_field(grid, ops, 3, 1.0)
         seen = []
-        config = SolverConfig(t_end=0.2, dt=0.05, output_dt=0.1, a=a)
+        config = ExperimentConfig(t_end=0.2, dt=0.05, output_dt=0.1, a=a)
         run_spectral3d(v0, ops, config, observer=lambda s, st: seen.append((s, st)))
         assert len(seen) == 3
         for state, stage in seen:
@@ -545,34 +547,44 @@ class TestRunControl:
 
         monkeypatch.setattr(solver._Rhs, "stage", counted)
         v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
-        config = SolverConfig(t_end=t_end, dt=0.05, output_dt=0.1, a=0.0)
+        config = ExperimentConfig(t_end=t_end, dt=0.05, output_dt=0.1, a=0.0)
         observer = (lambda s, st: None) if observe else None
         run_spectral3d(v0, ops, config, observer=observer)
         assert len(calls) == expected
 
     @pytest.mark.parametrize("t_end", [0.45, 1e308])
-    def test_off_grid_t_end_rejected(self, t_end):
+    def test_off_grid_t_end_rejected(self, grid, ops, t_end):
         # the final state of a t_end between output times would reach no
         # record; 1e308 / 0.1 overflows to inf, which is no whole count either
         with pytest.raises(ValueError, match="t_end must be a whole multiple"):
-            SolverConfig(t_end=t_end, output_dt=0.1)
+            _run_zero(grid, ops, ExperimentConfig(t_end=t_end, output_dt=0.1))
 
     @pytest.mark.parametrize("output_dt", [0.0, -0.1, float("nan"), float("inf")])
-    def test_nonpositive_output_dt_rejected(self, output_dt):
+    def test_nonpositive_output_dt_rejected(self, grid, ops, output_dt):
         # a zero output interval would leave run_spectral3d stepping at t = 0,
         # and an infinite one would end the run at t = 0 (t_end / inf = 0 intervals)
         with pytest.raises(ValueError, match="output_dt"):
-            SolverConfig(t_end=0.2, output_dt=output_dt, a=0.0)
+            _run_zero(grid, ops, ExperimentConfig(t_end=0.2, output_dt=output_dt, a=0.0))
 
     @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_fixed_dt_must_be_finite_and_positive(self, dt):
+    def test_fixed_dt_must_be_finite_and_positive(self, grid, ops, dt):
+        # dt = -1 once stepped back to t = -1 and failed in the Oseen field
         rule = "must be finite" if not np.isfinite(dt) else "must be positive when given"
         with pytest.raises(ValueError, match=f"^dt {rule}, got {dt}$"):
-            SolverConfig(t_end=0.2, dt=dt, output_dt=0.1, a=0.0)
+            _run_zero(grid, ops, ExperimentConfig(t_end=0.2, dt=dt, output_dt=0.1, a=0.0))
 
-    def test_lists_every_violation(self):
+    @pytest.mark.parametrize("cfl", [0.0, 1.0, 5.0, float("nan")])
+    def test_cfl_must_lie_in_the_open_unit_interval(self, grid, ops, cfl):
+        # the background makes max |v + a u_LO| > 0: cfl = 0 once looped
+        # forever on dt = 0, and cfl = 5 ran without a word
+        rule = "must be finite" if not np.isfinite(cfl) else "must lie in (0, 1)"
+        with pytest.raises(ValueError, match=f"^cfl {re.escape(rule)}, got {cfl}$"):
+            _run_zero(grid, ops, ExperimentConfig(t_end=0.2, cfl=cfl, output_dt=0.1, a=1.0))
+
+    def test_lists_every_violation(self, grid, ops):
+        config = ExperimentConfig(t_end=0.25, dt=np.inf, cfl=1.0, output_dt=0.1, a=np.nan)
         with pytest.raises(ValueError) as excinfo:
-            SolverConfig(t_end=0.25, dt=np.inf, cfl=1.0, output_dt=0.1, a=np.nan)
+            _run_zero(grid, ops, config)
         assert str(excinfo.value) == (
             "a must be finite, got nan; cfl must lie in (0, 1), got 1.0; "
             "dt must be finite, got inf; "
@@ -583,7 +595,7 @@ class TestRunControl:
         # with v = 0 and a strong background, max |a u_LO| alone breaks the
         # advective bound while the perturbation dynamics stay identically 0
         v0 = np.zeros((3,) + grid.spectral_shape, dtype=complex)
-        config = SolverConfig(t_end=0.2, dt=0.2, output_dt=0.2, cfl=0.2, a=50.0)
+        config = ExperimentConfig(t_end=0.2, dt=0.2, output_dt=0.2, cfl=0.2, a=50.0)
         with caplog.at_level(logging.WARNING, logger="helns.solver"):
             final = run_spectral3d(v0, ops, config)
         lines = [rec.message for rec in caplog.records if "CFL" in rec.message]
@@ -778,6 +790,9 @@ def _run_observed(cfg, observer):
     does, with ``observer`` called at every output."""
     grid = build_grid(cfg)
     ops = SpectralOps(grid)
-    solver_cfg = SolverConfig(t_end=cfg.t_end, dt=cfg.dt, cfl=cfg.cfl,
-                              output_dt=cfg.output_dt, a=cfg.a)
-    run_spectral3d(build_initial(cfg, grid, ops), ops, solver_cfg, observer=observer)
+    run_spectral3d(build_initial(cfg, grid, ops), ops, cfg, observer=observer)
+
+
+def _run_zero(grid, ops, config):
+    """Run the zero field on ``grid`` under ``config``."""
+    return run_spectral3d(np.zeros((3,) + grid.spectral_shape, dtype=complex), ops, config)
